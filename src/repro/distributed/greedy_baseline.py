@@ -245,12 +245,12 @@ def greedy_distributed_coloring(
     run = run_node_algorithm(
         graph,
         algorithm,
-        inputs={v: delta for v in graph},
+        inputs=[delta] * len(network.labels),
         max_rounds=graph.number_of_vertices() + 2,
         network=network,
     )
     return DistributedColoringResult(
-        coloring=dict(run.outputs),
+        coloring=run.outputs.copy(),
         rounds=run.rounds,
         messages=run.messages_sent,
         palette_size=delta + 1,

@@ -408,7 +408,7 @@ def randomized_delta_plus_one_coloring(
     delta = max(1, graph.max_degree())
     if max_rounds is None:
         max_rounds = default_round_cap(graph.number_of_vertices())
-    inputs = {v: (int(seed), delta) for v in graph}
+    inputs = [(int(seed), delta)] * len(network.labels)
     captured: list[Any] = []
     use_batch = batched and delta + 2 < 63
 
@@ -442,7 +442,7 @@ def randomized_delta_plus_one_coloring(
             for r in range(1, run.rounds + 1)
         )
     return RandomizedColoringResult(
-        coloring=dict(run.outputs),
+        coloring=run.outputs.copy(),
         rounds=run.rounds,
         messages=run.messages_sent,
         palette_size=delta + 1,

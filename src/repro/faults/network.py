@@ -17,10 +17,12 @@ static engine:
   lists, per-slot bisection for ``reverse_slot``); the reference.
 * ``flat`` — patch the edge-slot tables directly: the maintained
   per-node sorted adjacency is flattened into ``offsets``/``endpoints``
-  int64 arrays and ``reverse_slot`` is recovered with one vectorized
-  ``searchsorted`` over ``(src, dst)`` keys, the same trick the frozen
-  CSR fast path uses.  Falls back to the dict build when numpy is
-  unavailable.
+  int64 arrays and handed to the frozen CSR fast path's builder
+  (:func:`repro.local.network._fabric_from_csr`), which recovers
+  ``reverse_slot`` with one sort over ``(dst, src)`` keys and leaves the
+  fabric's Python list views to be built on first read (only the per-node
+  engine and the drop/duplicate slot lookups read them).  Falls back to
+  the dict build when numpy is unavailable.
 
 The parity tests assert both backends produce identical tables after
 identical edit sequences, which is what licenses the flat backend in
@@ -30,11 +32,17 @@ the benchmarked scenarios.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from itertools import chain
 
 from repro.errors import GraphError
 from repro.graphs.frozen import HAS_NUMPY, FrozenGraph, GraphLike, freeze
 from repro.graphs.graph import Graph, Vertex
-from repro.local.network import Network, RoutingFabric, _reverse_slots_python
+from repro.local.network import (
+    Network,
+    RoutingFabric,
+    _fabric_from_csr,
+    _reverse_slots_python,
+)
 
 __all__ = ["PerturbableNetwork"]
 
@@ -161,26 +169,10 @@ class PerturbableNetwork:
         import numpy as np
 
         n = self.n
-        degrees = np.fromiter(
-            (len(row) for row in self._adj), dtype=np.int64, count=n
+        degrees = np.fromiter(map(len, self._adj), dtype=np.int64, count=n)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=offsets[1:])
+        endpoints = np.fromiter(
+            chain.from_iterable(self._adj), dtype=np.int64, count=int(offsets[-1])
         )
-        offsets_np = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=offsets_np[1:])
-        num_slots = int(offsets_np[-1])
-        endpoints_np = np.fromiter(
-            (j for row in self._adj for j in row), dtype=np.int64, count=num_slots
-        )
-        src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        # slots are sorted by (src, dst); the reverse of slot k is the
-        # position of key (dst, src) in that order
-        keys = src * n + endpoints_np
-        reverse_np = np.searchsorted(keys, endpoints_np * n + src)
-        return RoutingFabric(
-            offsets_np.tolist(),
-            endpoints_np.tolist(),
-            reverse_np.tolist(),
-            offsets_np=offsets_np,
-            endpoints_np=endpoints_np,
-            reverse_np=reverse_np,
-            sources_np=src,
-        )
+        return _fabric_from_csr(offsets, endpoints)

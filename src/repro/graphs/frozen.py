@@ -450,8 +450,10 @@ class FrozenGraph:
         """Plain-list views of ``(offsets, neighbors)`` (cached, read-only).
 
         Scalar indexing on lists is several times faster than on numpy
-        arrays, so sequential kernels (the simulator's per-node round loop,
-        the peel) should read these instead of :meth:`csr_arrays`.
+        arrays, so sequential kernels (the peel, the ruling-forest probes)
+        should read these instead of :meth:`csr_arrays`.  The simulator's
+        routing fabric builds its own list views from the arrays, and only
+        when the per-node round loop reads them.
         """
         return self._csr_lists()
 

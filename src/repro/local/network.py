@@ -17,11 +17,16 @@ port ``p`` is therefore a single array read — ``reverse_slot[offsets[i]+p]``
 names the receiver's inbox slot — instead of the two dict hops
 (``neighbor_on_port`` + ``port_towards``) of the dict-routed engine.
 
-For a frozen graph with the default identifier order, the port tables are
-read zero-copy off the CSR arrays: identifiers follow the vertex indices and
-each CSR neighbour slice is already sorted by index, hence by identifier —
-no per-vertex sort is needed, and ``reverse_slot`` is computed with one
-vectorized ``searchsorted`` when numpy is available.
+The fabric is array-first.  For a frozen graph with the default identifier
+order, the port tables are the CSR arrays themselves (zero-copy):
+identifiers follow the vertex indices and each CSR neighbour slice is
+already sorted by index, hence by identifier.  ``reverse_slot`` then comes
+from one sort (:func:`_fabric_from_csr`, which also serves the flat
+rebuilds of :mod:`repro.faults.network`).  The plain-list views the
+per-node round loop reads (``offsets``, ``endpoints``, ``reverse_slot``,
+``degrees``) are built from the arrays on first read, so batched runs never
+pay for them.  Likewise, a default-order :class:`Network` builds its
+vertex/identifier dicts only when a caller asks for one.
 
 The dict-based lookup API (:attr:`Network.ports`, :meth:`neighbor_on_port`,
 :meth:`port_towards`) is kept for callers and tests, derived lazily from the
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Mapping
+from functools import cached_property
 from typing import Any
 
 from repro.graphs.frozen import HAS_NUMPY, FrozenGraph, GraphLike
@@ -48,11 +54,11 @@ __all__ = ["Network", "RoutingFabric"]
 class RoutingFabric:
     """Flat-array routing tables of a port-numbered network.
 
-    All arrays are exposed twice: as plain Python lists (fast scalar access
-    for the per-node round loop) and — when numpy is available — as ``int64``
-    numpy arrays (the batched engine's data plane).  The list and array
-    views alias the same data where the backend allows (zero-copy off a
-    frozen graph's CSR cache).
+    The tables are ``int64`` numpy arrays (the batched engine's data plane)
+    when numpy is available.  Each is also exposed as a plain Python list —
+    fast scalar access for the per-node round loop — built from its array
+    on first read and cached.  A table passed in as a list (the dict builds
+    and numpy-less installs) is kept and serves as its own list view.
 
     Attributes
     ----------
@@ -67,52 +73,49 @@ class RoutingFabric:
     reverse_slot / reverse_np:
         The same edge seen from the other side: an involution with
         ``endpoints[reverse_slot[k]] == src(k)``.
-    degrees:
-        Per-node degree list (``offsets`` differences, precomputed).
+    degrees / degrees_np:
+        Per-node degrees (``offsets`` differences).
     """
 
-    __slots__ = (
-        "n", "num_slots", "offsets", "endpoints", "reverse_slot", "degrees",
-        "offsets_np", "endpoints_np", "reverse_np", "has_numpy", "_sources_np",
-        "degrees_np",
-    )
-
-    def __init__(
-        self,
-        offsets: list[int],
-        endpoints: list[int],
-        reverse_slot: list[int],
-        offsets_np=None,
-        endpoints_np=None,
-        reverse_np=None,
-        sources_np=None,
-    ) -> None:
+    def __init__(self, offsets, endpoints, reverse_slot, sources_np=None) -> None:
         self.n = len(offsets) - 1
         self.num_slots = len(endpoints)
-        self.offsets = offsets
-        self.endpoints = endpoints
-        self.reverse_slot = reverse_slot
-        self.degrees = [offsets[i + 1] - offsets[i] for i in range(self.n)]
+        # a table passed in as a list is its own list view
+        if isinstance(offsets, list):
+            self.offsets = offsets
+        if isinstance(endpoints, list):
+            self.endpoints = endpoints
+        if isinstance(reverse_slot, list):
+            self.reverse_slot = reverse_slot
         self.has_numpy = HAS_NUMPY
         if HAS_NUMPY:
-            self.offsets_np = (
-                offsets_np if offsets_np is not None
-                else _np.asarray(offsets, dtype=_np.int64)
-            )
-            self.endpoints_np = (
-                endpoints_np if endpoints_np is not None
-                else _np.asarray(endpoints, dtype=_np.int64)
-            )
-            self.reverse_np = (
-                reverse_np if reverse_np is not None
-                else _np.asarray(reverse_slot, dtype=_np.int64)
-            )
+            self.offsets_np = _np.asarray(offsets, dtype=_np.int64)
+            self.endpoints_np = _np.asarray(endpoints, dtype=_np.int64)
+            self.reverse_np = _np.asarray(reverse_slot, dtype=_np.int64)
+            self.degrees_np = _np.diff(self.offsets_np)
         else:  # pragma: no cover - exercised on numpy-less installs
             self.offsets_np = self.endpoints_np = self.reverse_np = None
-        self.degrees_np = (
-            _np.diff(self.offsets_np) if HAS_NUMPY else None
-        )
+            self.degrees_np = None
         self._sources_np = sources_np
+
+    @cached_property
+    def offsets(self) -> list[int]:
+        return self.offsets_np.tolist()
+
+    @cached_property
+    def endpoints(self) -> list[int]:
+        return self.endpoints_np.tolist()
+
+    @cached_property
+    def reverse_slot(self) -> list[int]:
+        return self.reverse_np.tolist()
+
+    @cached_property
+    def degrees(self) -> list[int]:
+        if not self.has_numpy:  # pragma: no cover - exercised on numpy-less installs
+            offsets = self.offsets
+            return [offsets[i + 1] - offsets[i] for i in range(self.n)]
+        return self.degrees_np.tolist()
 
     def sources_np(self):
         """Per-slot source node index (``sources[offsets[i]+p] == i``), cached.
@@ -139,24 +142,20 @@ def _reverse_slots_python(offsets: list[int], endpoints: list[int]) -> list[int]
     return reverse
 
 
-def _fabric_from_csr(offsets_np, endpoints_np, lists: tuple[list[int], list[int]]) -> RoutingFabric:
-    """Fabric straight off CSR arrays (default identifier order, numpy backend)."""
-    offsets_list, endpoints_list = lists
-    n = len(offsets_list) - 1
-    if HAS_NUMPY and offsets_np is not None:
-        degrees = _np.diff(offsets_np)
-        src = _np.repeat(_np.arange(n, dtype=_np.int64), degrees)
-        # directed edges are CSR-ordered, i.e. sorted by (src, dst); the
-        # reverse of slot k is the position of key (dst, src) in that order
-        keys = src * n + endpoints_np
-        reverse_np = _np.searchsorted(keys, endpoints_np * n + src)
-        return RoutingFabric(
-            offsets_list, endpoints_list, reverse_np.tolist(),
-            offsets_np=offsets_np, endpoints_np=endpoints_np,
-            reverse_np=reverse_np, sources_np=src,
-        )
-    reverse = _reverse_slots_python(offsets_list, endpoints_list)
-    return RoutingFabric(offsets_list, endpoints_list, reverse)
+def _fabric_from_csr(offsets, endpoints) -> RoutingFabric:
+    """Fabric straight off ``int64`` CSR arrays, ``reverse_slot`` by one sort.
+
+    The arrays must describe a simple undirected graph in CSR order: each
+    neighbour slice sorted ascending, every edge present in both slices.
+    No Python list is built here; the fabric's list views stay lazy.
+    """
+    n = len(offsets) - 1
+    sources = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(offsets))
+    # slots are in CSR order, i.e. sorted by (src, dst), and the edge set is
+    # symmetric: ordering the slots by their distinct (dst, src) keys lists
+    # the reverse of slot k at position k
+    reverse = _np.argsort(endpoints * n + sources)
+    return RoutingFabric(offsets, endpoints, reverse, sources_np=sources)
 
 
 class Network:
@@ -187,6 +186,7 @@ class Network:
         declared_n: int | None = None,
     ):
         self.graph = graph
+        self._default_order = identifiers is None and identifier_order is None
         if identifiers is not None:
             if identifier_order is not None:
                 raise ValueError("pass identifier_order or identifiers, not both")
@@ -199,34 +199,53 @@ class Network:
             # like the default 1..n assignment enumerates them by index
             order = sorted(ids, key=ids.__getitem__)
             self.identifier_of = ids
-            self._default_order = False
-        else:
-            if identifier_order is None:
-                order = graph.vertices()
-            else:
-                order = list(identifier_order)
-                if set(order) != set(graph.vertices()):
-                    raise ValueError("identifier_order must be a permutation of the vertices")
+        elif identifier_order is not None:
+            order = list(identifier_order)
+            if set(order) != set(graph.vertices()):
+                raise ValueError("identifier_order must be a permutation of the vertices")
             self.identifier_of = {v: i + 1 for i, v in enumerate(order)}
-            self._default_order = identifier_order is None
+        else:
+            # identifiers 1..n in vertex order: the maps below are built
+            # only if a caller reads them
+            order = graph.vertices()
         self._order: list[Vertex] = order
-        self.vertex_of: dict[int, Vertex] = {
-            i: v for v, i in self.identifier_of.items()
-        }
-        self._index: dict[Vertex, int] = {v: i for i, v in enumerate(order)}
-        self.identifiers_list: list[int] = [self.identifier_of[v] for v in order]
         if declared_n is None:
             self.declared_n = len(order)
         else:
             self.declared_n = int(declared_n)
             if self.declared_n < len(order):
                 raise ValueError("declared_n must be at least the vertex count")
-        if self.identifiers_list and max(self.identifiers_list) > self.declared_n:
-            raise ValueError("identifiers must lie in 1..declared_n")
+        if not self._default_order:
+            self.identifiers_list = [self.identifier_of[v] for v in order]
+            if self.identifiers_list and max(self.identifiers_list) > self.declared_n:
+                raise ValueError("identifiers must lie in 1..declared_n")
         self._fabric: RoutingFabric | None = None
         self._ports: dict[Vertex, list[Vertex]] | None = None
         self._port_of: dict[Vertex, dict[Vertex, int]] | None = None
-        self._identifiers_np = None
+
+    # ------------------------------------------------------------------
+    # Identifier maps, built on first read.  The identifier_order= and
+    # identifiers= paths set identifier_of and identifiers_list in
+    # __init__, so the two bodies below only ever see the default order.
+    # ------------------------------------------------------------------
+    @cached_property
+    def identifier_of(self) -> dict[Vertex, int]:
+        """Vertex -> identifier."""
+        return {v: i + 1 for i, v in enumerate(self._order)}
+
+    @cached_property
+    def vertex_of(self) -> dict[int, Vertex]:
+        """Identifier -> vertex."""
+        return {i: v for v, i in self.identifier_of.items()}
+
+    @cached_property
+    def identifiers_list(self) -> list[int]:
+        """Identifiers by node index."""
+        return list(range(1, len(self._order) + 1))
+
+    @cached_property
+    def _index(self) -> dict[Vertex, int]:
+        return {v: i for i, v in enumerate(self._order)}
 
     # ------------------------------------------------------------------
     # Flat-array data plane
@@ -243,14 +262,14 @@ class Network:
             self._fabric = self._build_fabric()
         return self._fabric
 
-    @property
+    @cached_property
     def identifiers_np(self):
         """``identifiers_list`` as a cached ``int64`` array (numpy only)."""
-        if self._identifiers_np is None and HAS_NUMPY:
-            self._identifiers_np = _np.asarray(
-                self.identifiers_list, dtype=_np.int64
-            )
-        return self._identifiers_np
+        if not HAS_NUMPY:  # pragma: no cover - exercised on numpy-less installs
+            return None
+        if self._default_order:
+            return _np.arange(1, len(self._order) + 1, dtype=_np.int64)
+        return _np.asarray(self.identifiers_list, dtype=_np.int64)
 
     def _build_fabric(self) -> RoutingFabric:
         graph = self.graph
@@ -258,11 +277,14 @@ class Network:
             # zero-copy fast path: identifiers follow the CSR vertex indices
             # and each neighbour slice is already sorted by index
             offsets, neighbors = graph.csr_arrays()
-            if not graph._use_numpy:
-                return _fabric_from_csr(None, None, (offsets, neighbors))
-            return _fabric_from_csr(offsets, neighbors, graph.csr_lists())
+            if graph._use_numpy:
+                return _fabric_from_csr(offsets, neighbors)
+            # pure-Python backend: the CSR tables are plain lists
+            return RoutingFabric(
+                offsets, neighbors, _reverse_slots_python(offsets, neighbors)
+            )
         # general path: sort each neighbourhood by identifier
-        index = {v: i for i, v in enumerate(self._order)}
+        index = self._index
         offsets_list = [0] * (len(self._order) + 1)
         endpoints_list: list[int] = []
         for i, v in enumerate(self._order):

@@ -121,6 +121,12 @@ class LazyOutputs(Mapping):
     def get(self, key, default=None):
         return self._materialize().get(key, default)
 
+    def copy(self) -> dict[Vertex, Any]:
+        """A plain ``{label: value}`` dict, built in one pass (like ``dict.copy``)."""
+        if self._dict is not None:
+            return self._dict.copy()
+        return dict(zip(self._labels, self._values))
+
     def __repr__(self) -> str:
         return repr(self._materialize())
 

@@ -846,7 +846,7 @@ def scale_coloring(handle, profile: bool = False) -> dict[str, Any]:
         network = Network(graph)
         network.fabric
     delta = max(1, graph.max_degree())
-    inputs = {v: delta for v in graph}
+    inputs = [delta] * len(network.labels)
     with prof("solve"):
         start = time.perf_counter()
         result = SynchronousSimulator(network).run(

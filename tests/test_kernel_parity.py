@@ -1,8 +1,10 @@
 """Parity suite for the fused round kernels (:mod:`repro.local.kernels`).
 
-Three layers of pinning:
+Four layers of pinning:
 
 * kernel unit tests — every kernel against a naive per-slot loop;
+* ``reverse_slot`` of the array-first fabric builds (the frozen CSR fast
+  path and the flat fault rebuilds) against the per-slot binary search;
 * engine parity properties (hypothesis over generator seeds) — the fused
   batched engine, the unfused three-pass reference (``reference_exchange``),
   the flat per-node engine and the frozen seed engine must agree on
@@ -18,7 +20,7 @@ import importlib.util
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
@@ -33,10 +35,13 @@ from repro.distributed.greedy_baseline import (
     GreedyLocalMaximaAlgorithm,
 )
 from repro.distributed.wave import BatchWaveTwoColoring, WaveTwoColoring
+from repro.faults import PerturbableNetwork
+from repro.graphs.frozen import HAS_NUMPY
 from repro.graphs.generators import classic, sparse
 from repro.graphs.graph import Graph
 from repro.local import Network, ReferenceSimulator, SynchronousSimulator
 from repro.local import kernels
+from repro.local.network import _reverse_slots_python
 from repro.verify import assert_simulation_parity
 
 HAS_NUMBA = importlib.util.find_spec("numba") is not None
@@ -128,6 +133,83 @@ def test_fusion_identity(seed):
         kernels.reference_broadcast(node_values, sources, fabric.reverse_np)
         == kernels.gather(node_values, fabric.endpoints_np)
     ).all()
+
+
+# ---------------------------------------------------------------------------
+# reverse_slot of the array-first fabric builds
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def small_graphs(draw, min_n=0):
+    """Random simple graphs: isolated vertices, an optional star hub, shuffled labels."""
+    n = draw(st.integers(min_value=min_n, max_value=40))
+    vertex = st.integers(min_value=0, max_value=max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    if n > 2 and draw(st.booleans()):
+        hub = draw(vertex)
+        edges |= {(min(hub, v), max(hub, v)) for v in range(n) if v != hub}
+    labels = draw(st.permutations(range(n)))
+    return Graph(
+        vertices=labels, edges=[(labels[u], labels[v]) for u, v in sorted(edges)]
+    )
+
+
+needs_numpy_backend = pytest.mark.skipif(
+    not HAS_NUMPY, reason="the array-first fabric needs the numpy backend"
+)
+
+
+def _assert_reverse_slot(fabric):
+    reverse = fabric.reverse_np
+    expected = _reverse_slots_python(
+        fabric.offsets_np.tolist(), fabric.endpoints_np.tolist()
+    )
+    assert reverse.tolist() == expected
+    assert (reverse[reverse] == np.arange(fabric.num_slots)).all()
+    assert (fabric.endpoints_np[reverse] == fabric.sources_np()).all()
+
+
+@needs_numpy_backend
+@given(small_graphs())
+@example(Graph())
+@example(Graph(vertices=[7]))
+@example(classic.star(30))
+@settings(max_examples=60, deadline=None)
+def test_csr_fast_path_reverse_slot(graph):
+    frozen = graph.freeze()
+    fabric = Network(frozen).fabric
+    offsets, neighbors = frozen.csr_arrays()
+    assert fabric.offsets_np.tolist() == offsets.tolist()
+    assert fabric.endpoints_np.tolist() == neighbors.tolist()
+    _assert_reverse_slot(fabric)
+
+
+@needs_numpy_backend
+@given(
+    small_graphs(min_n=1),
+    st.lists(
+        st.tuples(st.booleans(), st.integers(0, 39), st.integers(0, 39)),
+        max_size=30,
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_flat_fault_rebuild_reverse_slot(graph, edits):
+    pnet = PerturbableNetwork(graph, backend="flat")
+    labels = pnet.labels
+    for insert, a, b in edits:
+        u, v = labels[a % len(labels)], labels[b % len(labels)]
+        if insert:
+            pnet.insert_edge(u, v)
+        else:
+            pnet.delete_edge(u, v)
+        fabric = pnet._flat_fabric()
+        _assert_reverse_slot(fabric)
+        reference = pnet._dict_fabric()
+        assert fabric.offsets_np.tolist() == reference.offsets
+        assert fabric.endpoints_np.tolist() == reference.endpoints
+    _assert_reverse_slot(pnet._flat_fabric())
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 """Tests for the LOCAL-model simulator: network, engine, ball collection, ledger."""
 
+import random
+import tracemalloc
+
 import pytest
 
+from repro.distributed.greedy_baseline import greedy_distributed_coloring
 from repro.errors import NonTerminationError, SimulationError
-from repro.graphs.generators import classic
+from repro.graphs.frozen import HAS_NUMPY
+from repro.graphs.generators import classic, sparse, streaming
+from repro.graphs.graph import Graph
 from repro.local import (
     BallCollectionAlgorithm,
     Network,
@@ -40,6 +46,119 @@ def test_network_identifier_order_override():
     assert net.identifier_of[2] == 1
     with pytest.raises(ValueError):
         Network(g, identifier_order=[0, 1])
+
+
+# -- lazy views: same values as the eager definitions ---------------------------
+
+def _graph_of_kind(kind):
+    if kind == "identity":
+        if not HAS_NUMPY:
+            pytest.skip("streaming generators need numpy")
+        return streaming.stream_torus(4, 5)  # labels are range(n)
+    graph = sparse.union_of_random_forests(24, 2, seed=5)
+    # string labels in a shuffled insertion order, so labels != CSR indices
+    names = [f"v{i}" for i in graph.vertices()]
+    random.Random(5).shuffle(names)
+    relabel = dict(zip(graph.vertices(), names))
+    labelled = Graph(
+        vertices=names, edges=[(relabel[u], relabel[v]) for u, v in graph.edges()]
+    )
+    return labelled.freeze() if kind == "frozen" else labelled
+
+
+def _network_paths(graph):
+    """(network, expected vertex -> identifier) for the three identifier paths."""
+    labels = graph.vertices()
+    shuffled = list(labels)
+    random.Random(11).shuffle(shuffled)
+    sparse_ids = {v: 3 * k + 2 for k, v in enumerate(shuffled)}
+    return {
+        "default": (Network(graph), {v: i + 1 for i, v in enumerate(labels)}),
+        "identifier_order": (
+            Network(graph, identifier_order=shuffled),
+            {v: i + 1 for i, v in enumerate(shuffled)},
+        ),
+        "identifiers": (
+            Network(graph, identifiers=sparse_ids, declared_n=max(sparse_ids.values())),
+            sparse_ids,
+        ),
+    }
+
+
+@pytest.mark.parametrize("path", ["default", "identifier_order", "identifiers"])
+@pytest.mark.parametrize("kind", ["frozen", "mutable", "identity"])
+def test_lazy_network_maps_match_eager_definitions(kind, path):
+    graph = _graph_of_kind(kind)
+    net, ids = _network_paths(graph)[path]
+    order = sorted(ids, key=ids.__getitem__)
+    assert net.labels == order
+    assert net.identifier_of == ids
+    assert net.vertex_of == {i: v for v, i in ids.items()}
+    assert net.identifiers_list == [ids[v] for v in order]
+    if HAS_NUMPY:
+        assert net.identifiers_np.tolist() == net.identifiers_list
+    for v in graph:
+        ports = sorted(graph.neighbors(v), key=ids.__getitem__)
+        assert net.degree(v) == len(ports) == graph.degree(v)
+        assert [net.neighbor_on_port(v, p) for p in range(len(ports))] == ports
+        with pytest.raises(IndexError):
+            net.neighbor_on_port(v, len(ports))
+    values = [10 * k for k in range(len(order))]
+    assert net.translate_inputs(values) == dict(zip(order, values))
+    first = order[0]
+    assert net.translate_inputs({first: "x"}) == {
+        v: "x" if v == first else None for v in graph
+    }
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="list views are built from numpy arrays")
+@pytest.mark.parametrize("path", ["default", "identifier_order", "identifiers"])
+@pytest.mark.parametrize("kind", ["frozen", "mutable", "identity"])
+def test_fabric_list_views_match_arrays(kind, path):
+    net, _ = _network_paths(_graph_of_kind(kind))[path]
+    fabric = net.fabric
+    views = {
+        "offsets": (fabric.offsets, fabric.offsets_np),
+        "endpoints": (fabric.endpoints, fabric.endpoints_np),
+        "reverse_slot": (fabric.reverse_slot, fabric.reverse_np),
+        "degrees": (fabric.degrees, fabric.degrees_np),
+    }
+    for name, (view, array) in views.items():
+        assert type(view) is list, name
+        assert view == array.tolist(), name
+        # the per-node engine hands these to node programs: plain Python ints
+        assert all(type(x) is int for x in view), name
+        assert getattr(fabric, name) is view, name  # cached
+
+
+# Peak traced allocation per directed edge slot while building the fabric of
+# an identity-labelled torus and running batched greedy on it.  Arrays alone
+# peak at about 72 bytes per slot: the int64 tables (endpoints, reverse_slot,
+# sources, the sort keys) plus the engine's int64 per-slot temporaries.  One
+# eager Python list over the slots adds about 36 bytes per slot (an 8-byte
+# pointer plus a 28-byte int object), which lifts the peak to about 112; the
+# fully eager build (two such lists and three vertex-keyed dicts) peaks at
+# about 200.  The bound leaves roughly 40% headroom over the array-only peak
+# and is crossed by a single eager list.
+MAX_PEAK_BYTES_PER_SLOT = 100
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="the array-first fabric needs numpy")
+def test_fabric_and_batched_greedy_stay_array_only():
+    graph = streaming.stream_torus(200, 200)
+    assert graph.identity_labels
+    tracemalloc.start()
+    try:
+        net = Network(graph)
+        slots = net.fabric.num_slots
+        result = greedy_distributed_coloring(graph, batched=True, network=net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.coloring) == len(graph)
+    assert peak / slots < MAX_PEAK_BYTES_PER_SLOT, (
+        f"peak {peak / slots:.1f} bytes per slot (bound {MAX_PEAK_BYTES_PER_SLOT})"
+    )
 
 
 # -- simple node programs --------------------------------------------------------

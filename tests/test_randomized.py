@@ -72,9 +72,12 @@ seeds = st.integers(min_value=0, max_value=2**20)
 def test_counter_rng_matches_numpy_philox(seed, node, rnd):
     # numpy's Philox generator pre-increments the counter before its
     # first block, so counter=[rnd-1, node, 0, 0] yields the block our
-    # ladder computes at counter=[rnd, node, 0, 0]
+    # ladder computes at counter=[rnd, node, 0, 0].  The key is built as
+    # uint64 explicitly: a plain list holding a word >= 2**63 would be
+    # converted through float64, rounding both key words
     bits = np.random.Philox(
-        counter=[rnd - 1, node, 0, 0], key=[seed, KEY_SALT]
+        counter=[rnd - 1, node, 0, 0],
+        key=np.array([seed, KEY_SALT], dtype=np.uint64),
     ).random_raw(4)
     assert counter_rng_one(seed, node, rnd) == int(bits[0])
 
