@@ -36,11 +36,10 @@ import os
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import GraphError
-from repro.graphs.frozen import HAS_NUMPY, FrozenGraph
+import numpy as np
 
-if HAS_NUMPY:
-    import numpy as _np
+from repro.errors import GraphError
+from repro.graphs.frozen import FrozenGraph
 
 __all__ = [
     "SharedGraphHandle",
@@ -125,8 +124,8 @@ def publish(
     """Publish ``graph`` for zero-copy worker attachment; returns its handle.
 
     Idempotent per content digest: republishing an already-published graph
-    returns the existing handle.  Requires identity labels and the numpy
-    backend for the shared transports; anything else degrades to a
+    returns the existing handle.  Requires identity labels for the shared
+    transports; anything else degrades to a
     ``"local"`` handle (same-process resolution only).  ``npz_path`` — an
     existing :meth:`FrozenGraph.save_npz` file, e.g. the corpus npz
     cache — is the fallback transport when shared memory cannot be
@@ -156,13 +155,13 @@ def publish(
     npz_location = os.fspath(npz_path) if npz_path is not None else None
 
     block = None
-    if HAS_NUMPY and graph.identity_labels:
+    if graph.identity_labels:
         try:
             from multiprocessing import shared_memory
 
             nbytes = max(1, (n + 1 + num_slots) * _INT64)
             block = shared_memory.SharedMemory(create=True, size=nbytes)
-            buf = _np.frombuffer(block.buf, dtype=_np.int64, count=n + 1 + num_slots)
+            buf = np.frombuffer(block.buf, dtype=np.int64, count=n + 1 + num_slots)
             buf[: n + 1] = offsets
             buf[n + 1 :] = neighbors
             del buf  # release the exported buffer view before any close()
@@ -256,13 +255,11 @@ def attach(handle: SharedGraphHandle) -> FrozenGraph:
         return cached[0]
 
     if handle.kind == "shm":
-        if not HAS_NUMPY:
-            raise GraphError("attaching a shared-memory graph requires numpy")
         block = _open_shared_block(handle.location)
         n, num_slots = handle.n, handle.num_slots
-        offsets = _np.frombuffer(block.buf, dtype=_np.int64, count=n + 1)
-        neighbors = _np.frombuffer(
-            block.buf, dtype=_np.int64, count=num_slots, offset=(n + 1) * _INT64
+        offsets = np.frombuffer(block.buf, dtype=np.int64, count=n + 1)
+        neighbors = np.frombuffer(
+            block.buf, dtype=np.int64, count=num_slots, offset=(n + 1) * _INT64
         )
         offsets.flags.writeable = False
         neighbors.flags.writeable = False

@@ -18,9 +18,9 @@ This module stores the same information flat:
   what makes the vectorized kernels bit-identical to the per-vertex set
   algebra.
 * :class:`FlatListAssignment` stores one color *bitmask* per vertex
-  (arbitrary-width Python ints, so the pure-Python backend needs nothing
-  else) plus, on demand, a packed numpy view — one row of ``uint64``
-  blocks per vertex — that the batch kernels (pruning over CSR arrays,
+  (arbitrary-width Python ints, so palettes of any width work) plus, on
+  demand, a packed numpy view — one row of ``uint64`` blocks per vertex —
+  that the batch kernels (pruning over CSR arrays,
   :meth:`first_free_colors`) operate on.
 
 The legacy :class:`~repro.coloring.assignment.ListAssignment` is a thin
@@ -33,14 +33,11 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Hashable
 
-from repro.errors import ListAssignmentError
-from repro.graphs.frozen import HAS_NUMPY, FrozenGraph
-from repro.graphs.graph import Vertex
+import numpy as np
 
-if HAS_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
+from repro.errors import ListAssignmentError
+from repro.graphs.frozen import FrozenGraph
+from repro.graphs.graph import Vertex
 
 Color = Hashable
 
@@ -124,16 +121,16 @@ def first_set_bits(rows):
     an availability mask *is* the color the sequential solvers would pick.
     """
     k, blocks = rows.shape
-    result = _np.full(k, -1, dtype=_np.int64)
-    pending = _np.arange(k)
+    result = np.full(k, -1, dtype=np.int64)
+    pending = np.arange(k)
     for b in range(blocks):
         col = rows[pending, b]
         nz = col != 0
         if nz.any():
             vals = col[nz]
-            low = vals & (_np.uint64(0) - vals)  # isolate the lowest bit
+            low = vals & (np.uint64(0) - vals)  # isolate the lowest bit
             # exact for powers of two up to 2^63 in float64
-            bit = _np.log2(low.astype(_np.float64)).astype(_np.int64)
+            bit = np.log2(low.astype(np.float64)).astype(np.int64)
             result[pending[nz]] = bit + 64 * b
         pending = pending[~nz]
         if pending.size == 0:
@@ -145,7 +142,7 @@ def _pack_rows(masks: Sequence[int], blocks: int):
     """Pack Python int masks into a ``(len(masks), blocks)`` uint64 array."""
     nbytes = blocks * 8
     buf = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    return _np.frombuffer(buf, dtype="<u8").reshape(len(masks), blocks).copy()
+    return np.frombuffer(buf, dtype="<u8").reshape(len(masks), blocks).copy()
 
 
 class FlatListAssignment:
@@ -153,8 +150,8 @@ class FlatListAssignment:
 
     The canonical storage is one arbitrary-width Python int per vertex
     (``masks``), which makes every derivation a handful of C-speed integer
-    ops and keeps the class fully functional without numpy.  The packed
-    numpy view (:meth:`rows`) is built lazily for the batch kernels.
+    ops and places no bound on the palette width.  The packed numpy view
+    (:meth:`rows`) is built lazily for the batch kernels.
 
     All derivation methods mirror the semantics of the historical dict
     implementation exactly — including deterministic ordering choices —
@@ -264,22 +261,18 @@ class FlatListAssignment:
         return self.universe.decode(union)
 
     def rows(self):
-        """The packed ``(n, blocks)`` uint64 numpy view (cached; numpy only)."""
+        """The packed ``(n, blocks)`` uint64 numpy view (cached)."""
         if self._rows_np is None:
-            if not HAS_NUMPY:
-                raise ListAssignmentError(
-                    "packed rows need numpy; use the mask API instead"
-                )
             self._rows_np = _pack_rows(self._masks, self.universe.blocks)
         return self._rows_np
 
     def rows_for(self, vertices: Sequence[Vertex]):
         """Packed rows aligned with ``vertices`` (missing vertices: zero rows)."""
         rows = self.rows()
-        idx = _np.asarray(
-            [self._vindex.get(v, -1) for v in vertices], dtype=_np.int64
+        idx = np.asarray(
+            [self._vindex.get(v, -1) for v in vertices], dtype=np.int64
         )
-        out = _np.zeros((len(idx), rows.shape[1]), dtype=_np.uint64)
+        out = np.zeros((len(idx), rows.shape[1]), dtype=np.uint64)
         present = idx >= 0
         out[present] = rows[idx[present]]
         return out
@@ -314,14 +307,13 @@ class FlatListAssignment:
         """Remove from each uncolored vertex the colors of its colored neighbours.
 
         Observation 5.1.  Colored vertices are dropped from the result.  On
-        a :class:`~repro.graphs.frozen.FrozenGraph` with numpy the pruning
-        runs as one vectorized pass over the CSR arrays; otherwise it walks
-        neighbourhoods with integer mask ops.
+        a :class:`~repro.graphs.frozen.FrozenGraph` of at least 64 vertices
+        with a one-block palette the pruning runs as one vectorized pass
+        over the CSR arrays; otherwise it walks neighbourhoods with integer
+        mask ops.
         """
         if (
-            HAS_NUMPY
-            and isinstance(graph, FrozenGraph)
-            and graph._use_numpy
+            isinstance(graph, FrozenGraph)
             and self.universe.blocks == 1
             and len(graph) >= 64
         ):
@@ -347,19 +339,19 @@ class FlatListAssignment:
         n = len(graph)
         index_of = graph.index_of
         get_index = self.universe.get_index
-        color_idx = _np.full(n, -1, dtype=_np.int64)
+        color_idx = np.full(n, -1, dtype=np.int64)
         for v, color in coloring.items():
             i = graph._index.get(v)
             if i is not None:
                 color_idx[i] = get_index(color)
         offsets, neighbors = graph.csr_arrays()
         nbr_colors = color_idx[neighbors]
-        bits = _np.where(
+        bits = np.where(
             nbr_colors >= 0,
-            _np.left_shift(
-                _np.uint64(1), nbr_colors.clip(min=0).astype(_np.uint64)
+            np.left_shift(
+                np.uint64(1), nbr_colors.clip(min=0).astype(np.uint64)
             ),
-            _np.uint64(0),
+            np.uint64(0),
         )
         used = _segment_or(bits, offsets)
         out_vertices: list[Vertex] = []
@@ -370,10 +362,10 @@ class FlatListAssignment:
             out_vertices.append(v)
             out_idx.append(index_of(v))
         masks = self.rows()[:, 0]
-        own = _np.asarray(
-            [self._vindex[v] for v in out_vertices], dtype=_np.int64
+        own = np.asarray(
+            [self._vindex[v] for v in out_vertices], dtype=np.int64
         )
-        gathered = _np.asarray(out_idx, dtype=_np.int64)
+        gathered = np.asarray(out_idx, dtype=np.int64)
         pruned = masks[own] & ~used[gathered]
         return FlatListAssignment.from_masks(
             self.universe, out_vertices, [int(x) for x in pruned]
@@ -430,7 +422,7 @@ class FlatListAssignment:
                 f"{len(vertices)} vertices but {len(used_masks)} used masks"
             )
         color_of = self.universe.color_of
-        if HAS_NUMPY and len(vertices) >= self._VECTORIZE_BATCH:
+        if len(vertices) >= self._VECTORIZE_BATCH:
             rows = self.rows_for(vertices)
             used = _pack_rows([int(m) for m in used_masks], self.universe.blocks)
             bits = first_set_bits(rows & ~used)
@@ -476,12 +468,12 @@ class FlatListAssignment:
 def _segment_or(values, offsets):
     """Per-segment bitwise OR of a uint64 array (empty segments give 0)."""
     n = len(offsets) - 1
-    out = _np.zeros(n, dtype=_np.uint64)
+    out = np.zeros(n, dtype=np.uint64)
     if n == 0 or len(values) == 0:
         return out
-    starts = _np.asarray(offsets[:-1])
-    ends = _np.asarray(offsets[1:])
-    nonempty = _np.flatnonzero(starts != ends)
+    starts = np.asarray(offsets[:-1])
+    ends = np.asarray(offsets[1:])
+    nonempty = np.flatnonzero(starts != ends)
     if nonempty.size:
-        out[nonempty] = _np.bitwise_or.reduceat(values, starts[nonempty])
+        out[nonempty] = np.bitwise_or.reduceat(values, starts[nonempty])
     return out

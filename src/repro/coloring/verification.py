@@ -16,16 +16,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
+import numpy as np
+
 from repro.coloring.assignment import Color, ListAssignment
 from repro.coloring.palette import FlatListAssignment
 from repro.errors import ColoringError
-from repro.graphs.frozen import HAS_NUMPY, FrozenGraph
+from repro.graphs.frozen import FrozenGraph
 from repro.graphs.graph import Graph, Vertex
-
-if HAS_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
 
 __all__ = [
     "is_proper_coloring",
@@ -52,16 +49,11 @@ def _proper_fast(graph, coloring) -> bool | None:
     that never matches), and the edge test is one gather-and-compare over
     the CSR arrays.
     """
-    if (
-        _np is None
-        or not isinstance(graph, FrozenGraph)
-        or not graph._use_numpy
-        or len(graph) < _VECTORIZE_MIN_VERTICES
-    ):
+    if not isinstance(graph, FrozenGraph) or len(graph) < _VECTORIZE_MIN_VERTICES:
         return None
     labels = graph.vertices()
     codes: dict[Color, int] = {}
-    arr = _np.empty(len(labels), dtype=_np.int64)
+    arr = np.empty(len(labels), dtype=np.int64)
     get = coloring.get
     for i, v in enumerate(labels):
         color = get(v)
@@ -74,8 +66,8 @@ def _proper_fast(graph, coloring) -> bool | None:
             codes[color] = code
         arr[i] = code
     offsets, neighbors = graph.csr_arrays()
-    degrees = _np.diff(offsets)
-    src = _np.repeat(_np.arange(len(labels), dtype=_np.int64), degrees)
+    degrees = np.diff(offsets)
+    src = np.repeat(np.arange(len(labels), dtype=np.int64), degrees)
     return not bool((arr[src] == arr[neighbors]).any())
 
 

@@ -39,13 +39,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from repro.errors import GeneratorError, GraphError
-from repro.graphs.frozen import HAS_NUMPY, FrozenGraph, freeze
+from repro.graphs.frozen import FrozenGraph, freeze
 from repro.graphs.graph import Graph
 from repro.graphs.generators import classic, planar, sparse, streaming, surfaces
-
-if HAS_NUMPY:
-    import numpy as _np
 
 __all__ = [
     "Family",
@@ -153,7 +152,7 @@ class InstanceSpec:
 
 def _decimal_lengths(x):
     """Digit count of every entry of a nonnegative int64 array."""
-    lengths = _np.ones(len(x), dtype=_np.int64)
+    lengths = np.ones(len(x), dtype=np.int64)
     if len(x) == 0:
         return lengths
     top = int(x.max())
@@ -187,12 +186,12 @@ def _pack_decimal_rows(prefix: int, seps, columns, lengths):
     one vectorized scatter.
     """
     rows = len(columns[0])
-    row_w = _np.full(rows, 1 + len(seps), dtype=_np.int64)
+    row_w = np.full(rows, 1 + len(seps), dtype=np.int64)
     for col_lengths in lengths:
         row_w += col_lengths
-    starts = _np.zeros(rows + 1, dtype=_np.int64)
-    _np.cumsum(row_w, out=starts[1:])
-    buf = _np.empty(int(starts[-1]), dtype=_np.uint8)
+    starts = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(row_w, out=starts[1:])
+    buf = np.empty(int(starts[-1]), dtype=np.uint8)
     pos = starts[:-1].copy()
     buf[pos] = prefix
     pos += 1
@@ -224,23 +223,23 @@ def _csr_digest(graph: FrozenGraph) -> str:
     n = len(graph)
     offsets, neighbors = graph.csr_arrays()
     width = len(str(n - 1)) if n else 1
-    ids = _np.arange(n, dtype=_np.int64)
+    ids = np.arange(n, dtype=np.int64)
     vkeys, vlengths = _lex_composites(ids, width)
-    order = _np.argsort(vkeys)
+    order = np.argsort(vkeys)
     h.update(_pack_decimal_rows(ord("v"), (), [ids[order]], [vlengths[order]]))
-    src = _np.repeat(ids, _np.diff(offsets))
-    neighbors = _np.asarray(neighbors)
+    src = np.repeat(ids, np.diff(offsets))
+    neighbors = np.asarray(neighbors)
     keep = src < neighbors  # each undirected edge once
     a, b = src[keep], neighbors[keep]
     akeys, alengths = _lex_composites(a, width)
     bkeys, blengths = _lex_composites(b, width)
     swap = bkeys < akeys  # string min/max, e.g. "10" < "2"
-    lo = _np.where(swap, b, a)
-    hi = _np.where(swap, a, b)
-    lo_lengths = _np.where(swap, blengths, alengths)
-    hi_lengths = _np.where(swap, alengths, blengths)
-    order = _np.lexsort(
-        (_np.where(swap, akeys, bkeys), _np.where(swap, bkeys, akeys))
+    lo = np.where(swap, b, a)
+    hi = np.where(swap, a, b)
+    lo_lengths = np.where(swap, blengths, alengths)
+    hi_lengths = np.where(swap, alengths, blengths)
+    order = np.lexsort(
+        (np.where(swap, akeys, bkeys), np.where(swap, bkeys, akeys))
     )
     h.update(
         _pack_decimal_rows(
@@ -259,14 +258,12 @@ def graph_digest(graph) -> str:
     Stable across vertex orderings, freezes and (de)serialization round
     trips — two graphs share a digest iff they have the same labelled
     vertex and edge sets.  This is the value the golden seed-stability
-    tests pin per corpus instance.  Identity-labelled frozen graphs on the
-    numpy backend (the streaming families) take a vectorized CSR fast path
-    that produces the identical hash stream.
+    tests pin per corpus instance.  Identity-labelled frozen graphs (the
+    streaming families) take a vectorized CSR fast path that produces the
+    identical hash stream.
     """
     if (
-        HAS_NUMPY
-        and isinstance(graph, FrozenGraph)
-        and graph._use_numpy
+        isinstance(graph, FrozenGraph)
         and graph.identity_labels
         and len(graph) < 10**17  # composite sort keys must fit in int64
     ):
@@ -470,11 +467,7 @@ class InstanceCorpus:
         return graph
 
     def _store_npz(self, spec: InstanceSpec, graph: FrozenGraph) -> None:
-        if (
-            self.cache_dir is None
-            or not isinstance(graph, FrozenGraph)
-            or not (HAS_NUMPY and graph._use_numpy)
-        ):
+        if self.cache_dir is None or not isinstance(graph, FrozenGraph):
             return
         if not self._ensure_cache_dir():
             return

@@ -45,9 +45,11 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.coloring.assignment import Color
 from repro.errors import ColoringError, SimulationError
-from repro.graphs.frozen import HAS_NUMPY, freeze
+from repro.graphs.frozen import freeze
 from repro.graphs.graph import Graph, Vertex
 from repro.local.ledger import RoundLedger
 from repro.local.node import (
@@ -102,7 +104,7 @@ class BatchSlotColorSelection(BatchNodeAlgorithm):
     is required; the real Barenboim–Elkin palettes (``(2+ε)a + 1``) are
     far below that.  There is no per-node fallback — the dict backend *is*
     the fallback, and :func:`barenboim_elkin_coloring` routes to it when
-    numpy is unavailable.
+    the palette is too wide.
     """
 
     fallback = None
@@ -119,10 +121,7 @@ class BatchSlotColorSelection(BatchNodeAlgorithm):
         return len(palettes) == 1 and len(schedules) == 1 and max(palettes) < 62
 
     def initialize_batch(self, context: BatchContext) -> None:
-        import numpy as np
-
         super().initialize_batch(context)
-        self._np = np
         inputs = context.inputs
         self.class_of = np.asarray([c for (c, _s, _p, _sc) in inputs], dtype=np.int64)
         self.slot_of = np.asarray([s for (_c, s, _p, _sc) in inputs], dtype=np.int64)
@@ -144,7 +143,6 @@ class BatchSlotColorSelection(BatchNodeAlgorithm):
         return self.colors[self._src]
 
     def receive_batch(self, round_number: int, inbox, delivered) -> None:
-        np = self._np
         class_index, slot = self.schedule[self.step]
         self.step += 1
         scheduled = (self.class_of == class_index) & (self.slot_of == slot)
@@ -177,8 +175,6 @@ def _h_partition_flat(graph, arboricity: int, epsilon: float) -> HPartition:
     per-iteration work is one degree threshold test plus one segmented
     count instead of per-vertex set walks.
     """
-    import numpy as np
-
     if arboricity < 1:
         raise ValueError("arboricity must be at least 1")
     if epsilon <= 0:
@@ -241,26 +237,19 @@ def barenboim_elkin_coloring(
 
     ``backend="flat"`` runs the H-partition, the per-class slot coloring
     and the slot-selection phase on the flat substrate (see the module
-    docstring).  When the flat path cannot run — numpy is missing, or the
-    palette ``floor((2+ε)a)+1`` is too wide for the int64 slot kernel —
-    the dict backend takes over with a :class:`RuntimeWarning` so perf
-    measurements never silently compare the wrong substrate; pass
-    ``strict_backend=True`` to get a :class:`ValueError` instead.
+    docstring).  When the palette ``floor((2+ε)a)+1`` is too wide for the
+    flat path's int64 slot kernel, the dict backend takes over with a
+    :class:`RuntimeWarning` so perf measurements never silently compare
+    the wrong substrate; pass ``strict_backend=True`` to get a
+    :class:`ValueError` instead.
     """
     if backend not in ("dict", "flat"):
         raise ValueError(f"unknown backend {backend!r}; use 'dict' or 'flat'")
-    if backend == "flat" and (
-        not HAS_NUMPY
-        or int(math.floor((2.0 + epsilon) * arboricity)) + 1 >= 62
-    ):
+    palette_size = int(math.floor((2.0 + epsilon) * arboricity)) + 1
+    if backend == "flat" and palette_size >= 62:
         reason = (
-            "numpy is not available"
-            if not HAS_NUMPY
-            else (
-                f"palette floor((2+{epsilon:g})*{arboricity})+1 = "
-                f"{int(math.floor((2.0 + epsilon) * arboricity)) + 1} "
-                "exceeds the int64 slot kernel's 61-color limit"
-            )
+            f"palette floor((2+{epsilon:g})*{arboricity})+1 = {palette_size} "
+            "exceeds the int64 slot kernel's 61-color limit"
         )
         if strict_backend:
             raise ValueError(
@@ -281,7 +270,6 @@ def barenboim_elkin_coloring(
         return _barenboim_elkin_flat(freeze(graph), arboricity, epsilon, ledger)
     partition = h_partition(graph, arboricity, epsilon)
     ledger.extend(partition.ledger)
-    palette_size = int(math.floor((2.0 + epsilon) * arboricity)) + 1
     palette = list(range(1, palette_size + 1))
 
     coloring: dict[Vertex, Color] = {}

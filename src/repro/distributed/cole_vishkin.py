@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.graphs.frozen import GraphLike, freeze
 from repro.graphs.graph import Vertex
 from repro.local.node import (
@@ -186,15 +188,11 @@ class BatchColeVishkinForestColoring(BatchNodeAlgorithm):
     path alive as the unfused reference (``reference_exchange=True``).
     """
 
-    fallback = ColeVishkinForestColoring
     exchange_mode = "broadcast"
 
     def initialize_batch(self, context: BatchContext) -> None:
-        import numpy as np
-
         super().initialize_batch(context)
         n = context.n
-        self._np = np
         self._src = context.sources
         self.colors = context.identifiers.copy()
         # 0 encodes "root" (identifiers start at 1)
@@ -239,7 +237,6 @@ class BatchColeVishkinForestColoring(BatchNodeAlgorithm):
         return self.colors
 
     def _finish_discover(self) -> None:
-        np = self._np
         self._has_parent = self.parent_slot >= 0
         # node index of each node's parent (0 where rootless; masked by
         # _has_parent / _root_index everywhere it is read)
@@ -251,7 +248,6 @@ class BatchColeVishkinForestColoring(BatchNodeAlgorithm):
 
     def _parent_colors(self, inbox):
         """Per-node parent color; roots pretend bit 0 of their own differs."""
-        np = self._np
         pretend = self.colors ^ 1
         if inbox.size == 0:  # edgeless network: everyone is a root
             return pretend
@@ -276,7 +272,6 @@ class BatchColeVishkinForestColoring(BatchNodeAlgorithm):
         return parent
 
     def receive_broadcast(self, round_number: int, node_values) -> None:
-        np = self._np
         if self.phase == "discover":
             inbox = node_values[self.context.endpoints]
             hits = np.flatnonzero(inbox == self.parent_ids[self._src])
@@ -292,7 +287,6 @@ class BatchColeVishkinForestColoring(BatchNodeAlgorithm):
         self._recolor_step(node_values[self.context.endpoints])
 
     def receive_batch(self, round_number: int, inbox, delivered) -> None:
-        np = self._np
         if self.phase == "discover":
             hits = np.flatnonzero(inbox == self.parent_ids[self._src])
             self.parent_slot[self._src[hits]] = hits
@@ -307,7 +301,6 @@ class BatchColeVishkinForestColoring(BatchNodeAlgorithm):
         self._recolor_step(inbox)
 
     def _cv_step(self, parent) -> None:
-        np = self._np
         diff = self.colors ^ parent
         low = diff & -diff  # diff >= 1: the coloring stays proper
         index = np.log2(low.astype(np.float64)).astype(np.int64)
@@ -329,7 +322,6 @@ class BatchColeVishkinForestColoring(BatchNodeAlgorithm):
         self.reduction_stage = "recolor"
 
     def _recolor_step(self, inbox) -> None:
-        np = self._np
         starts = self._reduce_starts
         if starts is not None:
             used = np.bitwise_or.reduceat(1 << inbox, starts)
@@ -369,8 +361,7 @@ def color_rooted_forest(
 
     ``batched=True`` (the default) runs the vectorized
     :class:`BatchColeVishkinForestColoring` program, which produces the
-    same result and falls back to the per-node program when numpy is
-    unavailable; pass ``batched=False`` to force the per-node path.
+    same result; pass ``batched=False`` to force the per-node path.
     """
     from repro.local.network import Network
 

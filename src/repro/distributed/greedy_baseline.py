@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.graphs.frozen import GraphLike, freeze
 from repro.local.network import Network
 from repro.local.node import (
@@ -106,8 +108,6 @@ class BatchGreedyLocalMaximaAlgorithm(BatchNodeAlgorithm):
     exchange_mode = "broadcast"
 
     def can_run(self, context: BatchContext) -> bool:
-        import numpy as np
-
         inputs = context.inputs
         if isinstance(inputs, np.ndarray):
             max_degree = int(inputs.max()) if inputs.size else 0
@@ -118,10 +118,7 @@ class BatchGreedyLocalMaximaAlgorithm(BatchNodeAlgorithm):
         return max_degree + 1 < 63
 
     def initialize_batch(self, context: BatchContext) -> None:
-        import numpy as np
-
         super().initialize_batch(context)
-        self._np = np
         self._src = context.sources
         self.colors = np.zeros(context.n, dtype=np.int64)  # 0 = uncolored
         self.nbr_ids = context.identifiers[context.endpoints]
@@ -142,7 +139,6 @@ class BatchGreedyLocalMaximaAlgorithm(BatchNodeAlgorithm):
     def receive_broadcast(self, round_number: int, node_values) -> None:
         from repro.local import kernels
 
-        np = self._np
         context = self.context
         active = self._active
         if active is None and 2 * int((self.colors == 0).sum()) > context.n:
@@ -194,7 +190,6 @@ class BatchGreedyLocalMaximaAlgorithm(BatchNodeAlgorithm):
         self._commit(active, eligible, free)
 
     def receive_batch(self, round_number: int, inbox, delivered) -> None:
-        np = self._np
         offsets = self.context.offsets
         uncolored = self.colors == 0
         # max identifier among *uncolored* neighbours (0 when none)

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from repro.graphs.graph import Graph, Vertex
 from repro.local.node import (
     BatchContext,
@@ -174,10 +176,7 @@ class BatchLinialColoringAlgorithm(BatchNodeAlgorithm):
         return bool(inputs) and all(x == inputs[0] for x in inputs)
 
     def initialize_batch(self, context: BatchContext) -> None:
-        import numpy as np
-
         super().initialize_batch(context)
-        self._np = np
         self.max_degree = int(context.inputs[0]) if context.inputs else 1
         # schedule and initial palette come from the announced n and the
         # identifiers, never from the array length — this keeps the batched
@@ -193,7 +192,6 @@ class BatchLinialColoringAlgorithm(BatchNodeAlgorithm):
         return self.colors[self._src]
 
     def receive_batch(self, round_number: int, inbox, delivered) -> None:
-        np = self._np
         _m, q, d = self.schedule[self.step]
         n = self.context.n
         colors = self.colors
@@ -299,10 +297,7 @@ class BatchColorReductionAlgorithm(BatchNodeAlgorithm):
         return len(palettes) == 1 and len(deltas) == 1 and max(deltas) + 1 < 63
 
     def initialize_batch(self, context: BatchContext) -> None:
-        import numpy as np
-
         super().initialize_batch(context)
-        self._np = np
         inputs = context.inputs
         self.colors = np.asarray([int(c) for (c, _p, _d) in inputs], dtype=np.int64)
         self.palette = int(inputs[0][1])
@@ -314,7 +309,6 @@ class BatchColorReductionAlgorithm(BatchNodeAlgorithm):
         return self.colors[self._src]
 
     def receive_batch(self, round_number: int, inbox, delivered) -> None:
-        np = self._np
         delta = self.max_degree
         bits = np.where(inbox <= delta, np.int64(1) << inbox.clip(0, 62), 0)
         used = segment_reduce(np.bitwise_or, bits, self.context.offsets, empty=0)
@@ -354,7 +348,7 @@ def delta_plus_one_coloring(
     :class:`BatchLinialColoringAlgorithm` /
     :class:`BatchColorReductionAlgorithm` ports on the flat round engine;
     rounds, messages and colors are identical to the per-node run (and the
-    ports fall back per node transparently when numpy is unavailable).
+    ports fall back to their per-node twins when ``can_run`` declines).
     """
     from repro.graphs.frozen import freeze
     from repro.local.network import Network

@@ -41,6 +41,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
+import numpy as np
+
 from repro.coloring.palette import (
     FlatListAssignment,
     ListAssignmentError,
@@ -83,7 +85,7 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 KEY_SALT = 0x726570726F2D7231  # b"repro-r1"
 
 
-def _mulhilo(a, b, np):
+def _mulhilo(a, b):
     """128-bit product of two uint64 arrays as a ``(hi, lo)`` pair."""
     mask32 = np.uint64(0xFFFFFFFF)
     s32 = np.uint64(32)
@@ -108,8 +110,6 @@ def philox4x64(counter0, counter1, counter2, counter3, key0, key1):
     test accounts for).  All inputs broadcast; returns the four output
     lanes as uint64 arrays.
     """
-    import numpy as np
-
     with np.errstate(over="ignore"):
         x0 = np.asarray(counter0, dtype=np.uint64)
         x1 = np.asarray(counter1, dtype=np.uint64)
@@ -125,8 +125,8 @@ def philox4x64(counter0, counter1, counter2, counter3, key0, key1):
             if i > 0:
                 k0 = k0 + w0
                 k1 = k1 + w1
-            hi0, lo0 = _mulhilo(m0, x0, np)
-            hi1, lo1 = _mulhilo(m1, x2, np)
+            hi0, lo0 = _mulhilo(m0, x0)
+            hi1, lo1 = _mulhilo(m1, x2)
             x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
         return x0, x1, x2, x3
 
@@ -138,8 +138,6 @@ def counter_rng(seed: int, node_ids, round_number: int):
     function of the triple, so any engine — per-node or batched, in any
     visitation order — derives the identical draw for a node and round.
     """
-    import numpy as np
-
     ids = np.asarray(node_ids, dtype=np.uint64)
     zero = np.zeros_like(ids)
     c0 = np.full_like(ids, np.uint64(round_number & _MASK64))
@@ -163,7 +161,7 @@ def _kth_set_bit_scalar(mask: int, k: int) -> int:
     return low.bit_length() - 1
 
 
-def _kth_set_bit(masks, k, np):
+def _kth_set_bit(masks, k):
     """Vectorized :func:`_kth_set_bit_scalar` over int64 masks."""
     m = masks.astype(np.uint64)
     remaining = k.astype(np.int64).copy()
@@ -266,10 +264,6 @@ class BatchRandomizedDeltaPlusOne(BatchNodeAlgorithm):
     exchange_mode = "active"
 
     def can_run(self, context: BatchContext) -> bool:
-        try:
-            import numpy as np  # noqa: F401
-        except ImportError:  # pragma: no cover - numpy is baked in
-            return False
         delta = self._input_delta(context.inputs)
         return delta is not None and delta + 2 < 63
 
@@ -281,10 +275,7 @@ class BatchRandomizedDeltaPlusOne(BatchNodeAlgorithm):
         return None
 
     def initialize_batch(self, context: BatchContext) -> None:
-        import numpy as np
-
         super().initialize_batch(context)
-        self._np = np
         n = context.n
         seed = delta = 0
         for item in context.inputs:
@@ -303,7 +294,6 @@ class BatchRandomizedDeltaPlusOne(BatchNodeAlgorithm):
         self.frontier_log: list[int] = []
 
     def send_batch(self, round_number: int):
-        np = self._np
         context = self.context
         uncolored = self.colors == 0
         self.frontier_log.append(int(uncolored.sum()))
@@ -315,7 +305,7 @@ class BatchRandomizedDeltaPlusOne(BatchNodeAlgorithm):
             bits = counter_rng(self.seed, context.identifiers[unc], round_number)
             counts = np.bitwise_count(self.avail[unc].astype(np.uint64))
             k = (bits % counts).astype(np.int64)
-            self.trial[unc] = _kth_set_bit(self.avail[unc], k, np)
+            self.trial[unc] = _kth_set_bit(self.avail[unc], k)
         node_values = np.where(self.pending, -self.colors, self.trial)
         starts = context.offsets[front]
         counts_f = context.degrees[front]
@@ -330,7 +320,6 @@ class BatchRandomizedDeltaPlusOne(BatchNodeAlgorithm):
         return slots, values
 
     def receive_active(self, round_number: int, dest_slots, values) -> None:
-        np = self._np
         context = self.context
         was_pending = np.flatnonzero(self.pending)
         uncolored = (self.colors == 0) & ~self.done_mask
@@ -543,15 +532,8 @@ def moser_tardos_list_coloring(
         raise ListAssignmentError(f"vertex {empty_at!r} has an empty list")
     if max_steps is None:
         max_steps = 64 + 16 * n
-    use_flat = backend == "flat"
-    if use_flat:
-        try:
-            import numpy as np  # noqa: F401
-        except ImportError:  # pragma: no cover - numpy is baked in
-            use_flat = False
-    if use_flat and max(masks).bit_length() > 62:
-        use_flat = False  # >62-bit universes stay on the int reference path
-    if use_flat:
+    # >62-bit universes stay on the int reference path
+    if backend == "flat" and max(masks).bit_length() <= 62:
         colors, log = _mt_flat(graph, masks, int(seed), max_steps)
     else:
         colors, log = _mt_dict(graph, masks, int(seed), max_steps)
@@ -599,8 +581,6 @@ def _mt_dict(graph, masks, seed, max_steps):
 
 def _mt_flat(graph, masks, seed, max_steps):
     """Vectorized Moser–Tardos core over the frozen CSR."""
-    import numpy as np
-
     n = graph.number_of_vertices()
     offsets, endpoints = graph.csr_arrays()
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -612,7 +592,7 @@ def _mt_flat(graph, masks, seed, max_steps):
     def draw(idx, step):
         bits = counter_rng(seed, (idx + 1).astype(np.uint64), step)
         k = (bits % counts[idx]).astype(np.int64)
-        return _kth_set_bit(masks_arr[idx], k, np)
+        return _kth_set_bit(masks_arr[idx], k)
 
     everyone = np.arange(n, dtype=np.int64)
     colors = draw(everyone, 0)

@@ -47,6 +47,8 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.local.node import (
     BatchContext,
     BatchNodeAlgorithm,
@@ -174,10 +176,7 @@ class BatchMinPlusOneRecoloring(BatchNodeAlgorithm):
         return budget < 62
 
     def initialize_batch(self, context: BatchContext) -> None:
-        import numpy as np
-
         super().initialize_batch(context)
-        self._np = np
         pairs = [_unpack_input(x) for x in context.inputs]
         self.budget = max((b for b, _c in pairs), default=1)
         self.colors = np.asarray([c for _b, c in pairs], dtype=np.int64)
@@ -206,7 +205,6 @@ class BatchMinPlusOneRecoloring(BatchNodeAlgorithm):
         return self.colors * 2 + self.dirty
 
     def receive_batch(self, round_number: int, inbox, delivered) -> None:
-        np = self._np
         offsets = self.context.offsets
         # a dropped slot behaves exactly like a (color 0, clean) message:
         # no id contribution, no conflict, no used color — zero it out
@@ -294,10 +292,7 @@ class BatchStabilizingGreedy(BatchNodeAlgorithm):
         return budget < 62
 
     def initialize_batch(self, context: BatchContext) -> None:
-        import numpy as np
-
         super().initialize_batch(context)
-        self._np = np
         pairs = [_unpack_input(x) for x in context.inputs]
         self.budget = max((b for b, _c in pairs), default=1)
         self.colors = np.asarray([c for _b, c in pairs], dtype=np.int64)
@@ -324,7 +319,6 @@ class BatchStabilizingGreedy(BatchNodeAlgorithm):
         return self.colors
 
     def receive_batch(self, round_number: int, inbox, delivered) -> None:
-        np = self._np
         offsets = self.context.offsets
         values = inbox if delivered is None else np.where(delivered, inbox, -1)
         own = self.colors[self._src]

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.local.node import BatchContext, BatchNodeAlgorithm, NodeAlgorithm, NodeContext
 
 __all__ = ["WaveTwoColoring", "BatchWaveTwoColoring"]
@@ -79,14 +81,10 @@ class BatchWaveTwoColoring(BatchNodeAlgorithm):
     are identical to the per-node program.
     """
 
-    fallback = WaveTwoColoring
     exchange_mode = "active"
 
     def initialize_batch(self, context: BatchContext) -> None:
-        import numpy as np
-
         super().initialize_batch(context)
-        self._np = np
         n = context.n
         inputs = context.inputs
         if isinstance(inputs, np.ndarray):
@@ -103,7 +101,6 @@ class BatchWaveTwoColoring(BatchNodeAlgorithm):
 
     def _front_slots(self, front):
         """The frontier's outgoing ``(slots, values)`` pair."""
-        np = self._np
         offsets = self.context.offsets
         degrees = self.context.degrees
         starts = offsets[front]
@@ -124,7 +121,6 @@ class BatchWaveTwoColoring(BatchNodeAlgorithm):
         return self._front_slots(self._front)
 
     def receive_active(self, round_number: int, dest_slots, values) -> None:
-        np = self._np
         if dest_slots is None or len(dest_slots) == 0:
             newly = np.empty(0, dtype=np.int64)
         else:

@@ -38,10 +38,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
+import numpy as np
+
 from repro.errors import NonTerminationError, SimulationError
 from repro.faults.network import PerturbableNetwork
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.graphs.frozen import HAS_NUMPY
 from repro.graphs.graph import Vertex
 from repro.local import kernels
 from repro.local.node import BatchContext, BatchNodeAlgorithm, NodeContext
@@ -418,13 +419,8 @@ class _BatchedStabilizer:
         self.budget = budget
         self.initial = initial
         self._ready = False
-        if not HAS_NUMPY:
-            return
-        import numpy as np
-
-        self._np = np
         context = self._context()
-        if context is None or not program.can_run(context):
+        if not program.can_run(context):
             return
         program.initialize_batch(context)
         self._ready = True
@@ -432,11 +428,9 @@ class _BatchedStabilizer:
     def usable(self) -> bool:
         return self._ready
 
-    def _context(self) -> BatchContext | None:
+    def _context(self) -> BatchContext:
         network = self.pnet.network
         fabric = network.fabric
-        if not fabric.has_numpy:
-            return None
         return BatchContext(
             n=fabric.n,
             identifiers=network.identifiers_np,
@@ -466,7 +460,6 @@ class _BatchedStabilizer:
         return self.program.results_batch()
 
     def exchange(self, round_number: int, state: _FaultState) -> int:
-        np = self._np
         fabric = self.pnet.network.fabric
         values = self.program.send_batch(round_number)
         if type(self.program).exchange_mode == "broadcast":
@@ -506,7 +499,6 @@ class _BatchedStabilizer:
         return messages
 
     def conflicts(self, colors: list[int]) -> tuple[int, int]:
-        np = self._np
         fabric = self.pnet.network.fabric
         arr = np.asarray(colors, dtype=np.int64)
         src = fabric.sources_np()

@@ -21,8 +21,7 @@ static engine:
   (:func:`repro.local.network._fabric_from_csr`), which recovers
   ``reverse_slot`` with one sort over ``(dst, src)`` keys and leaves the
   fabric's Python list views to be built on first read (only the per-node
-  engine and the drop/duplicate slot lookups read them).  Falls back to
-  the dict build when numpy is unavailable.
+  engine and the drop/duplicate slot lookups read them).
 
 The parity tests assert both backends produce identical tables after
 identical edit sequences, which is what licenses the flat backend in
@@ -34,8 +33,10 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from itertools import chain
 
+import numpy as np
+
 from repro.errors import GraphError
-from repro.graphs.frozen import HAS_NUMPY, FrozenGraph, GraphLike, freeze
+from repro.graphs.frozen import FrozenGraph, GraphLike, freeze
 from repro.graphs.graph import Graph, Vertex
 from repro.local.network import (
     Network,
@@ -150,7 +151,7 @@ class PerturbableNetwork:
 
     def _build_network(self) -> Network:
         network = Network(self.graph())
-        if self.backend == "flat" and HAS_NUMPY:
+        if self.backend == "flat":
             network._fabric = self._flat_fabric()
         else:
             network._fabric = self._dict_fabric()
@@ -166,8 +167,6 @@ class PerturbableNetwork:
         return RoutingFabric(offsets, endpoints, reverse)
 
     def _flat_fabric(self) -> RoutingFabric:
-        import numpy as np
-
         n = self.n
         degrees = np.fromiter(map(len, self._adj), dtype=np.int64, count=n)
         offsets = np.zeros(n + 1, dtype=np.int64)

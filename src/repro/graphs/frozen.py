@@ -14,10 +14,10 @@ arrays in *compressed sparse row* (CSR) form:
 
 Vertex labels stay fully general (any hashable): a frozen graph stores the
 label list (index ``->`` label) and the inverse dict, so all public methods
-keep speaking the caller's vertex language.  When numpy is importable the
-arrays are numpy ``int64`` arrays and BFS / subgraph extraction are
-vectorized; otherwise plain Python lists are used with the same semantics
-(``use_numpy=False`` forces the fallback, which the parity tests exercise).
+keep speaking the caller's vertex language.  The arrays are numpy
+``int64`` arrays; BFS over large frontiers and subgraph extraction over
+large keep sets are vectorized, and the sequential kernels read cached
+plain-list copies (see :meth:`FrozenGraph.csr_lists`).
 
 The intended workflow is *freeze at the boundary*: build or mutate a
 :class:`Graph`, call :meth:`Graph.freeze` once, and hand the frozen view to
@@ -45,20 +45,12 @@ import os
 from collections.abc import Iterable, Iterator
 from typing import Any, Protocol, runtime_checkable
 
-try:  # numpy is the fast backend; the library works without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
-
-if os.environ.get("REPRO_FORCE_PYTHON_BACKEND"):  # CI runs the suite both ways
-    _np = None
+import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.graph import Edge, Graph, Vertex
 
-__all__ = ["FrozenGraph", "GraphLike", "freeze", "HAS_NUMPY", "NPZ_FORMAT_VERSION"]
-
-HAS_NUMPY = _np is not None
+__all__ = ["FrozenGraph", "GraphLike", "freeze", "NPZ_FORMAT_VERSION"]
 
 #: version tag written into (and required from) the npz on-disk form
 NPZ_FORMAT_VERSION = 1
@@ -160,8 +152,7 @@ class FrozenGraph:
     """
 
     __slots__ = ("_labels", "_index", "_offsets", "_neighbors", "name",
-                 "metadata", "_use_numpy", "_peel_cache", "_list_cache",
-                 "_density_cache")
+                 "metadata", "_peel_cache", "_list_cache", "_density_cache")
 
     def __init__(
         self,
@@ -170,11 +161,7 @@ class FrozenGraph:
         neighbors,
         name: str = "",
         metadata: dict[str, Any] | None = None,
-        use_numpy: bool | None = None,
     ) -> None:
-        if use_numpy is None:
-            use_numpy = HAS_NUMPY
-        self._use_numpy = bool(use_numpy and HAS_NUMPY)
         if isinstance(labels, range) and labels == range(len(labels)):
             # identity labels (0..n-1): keep the range and a virtual index
             # instead of materializing n boxed ints plus an n-entry dict
@@ -185,12 +172,8 @@ class FrozenGraph:
             self._index = {v: i for i, v in enumerate(self._labels)}
             if len(self._index) != len(self._labels):
                 raise GraphError("duplicate vertex labels in FrozenGraph")
-        if self._use_numpy:
-            self._offsets = _np.asarray(offsets, dtype=_np.int64)
-            self._neighbors = _np.asarray(neighbors, dtype=_np.int64)
-        else:
-            self._offsets = list(offsets)
-            self._neighbors = list(neighbors)
+        self._offsets = np.asarray(offsets, dtype=np.int64)
+        self._neighbors = np.asarray(neighbors, dtype=np.int64)
         self.name = name
         self.metadata: dict[str, Any] = dict(metadata or {})
         self._peel_cache: tuple | None = None
@@ -201,19 +184,10 @@ class FrozenGraph:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_graph(cls, graph: "Graph | FrozenGraph", use_numpy: bool | None = None) -> "FrozenGraph":
-        """Freeze ``graph`` (returns it unchanged if already frozen with the same backend)."""
+    def from_graph(cls, graph: "Graph | FrozenGraph") -> "FrozenGraph":
+        """Freeze ``graph`` (returns it unchanged if already frozen)."""
         if isinstance(graph, FrozenGraph):
-            if use_numpy is None or bool(use_numpy and HAS_NUMPY) == graph._use_numpy:
-                return graph
-            return cls(
-                graph._labels,
-                list(graph._offsets),
-                list(graph._neighbors),
-                name=graph.name,
-                metadata=graph.metadata,
-                use_numpy=use_numpy,
-            )
+            return graph
         labels = graph.vertices()
         index = {v: i for i, v in enumerate(labels)}
         offsets = [0] * (len(labels) + 1)
@@ -228,7 +202,6 @@ class FrozenGraph:
             neighbors,
             name=graph.name,
             metadata=graph.metadata,
-            use_numpy=use_numpy,
         )
 
     @classmethod
@@ -237,12 +210,9 @@ class FrozenGraph:
         edges: Iterable[Edge],
         vertices: Iterable[Vertex] | None = None,
         name: str = "",
-        use_numpy: bool | None = None,
     ) -> "FrozenGraph":
         """Freeze an edge list directly (convenience for generators and tests)."""
-        return cls.from_graph(
-            Graph(vertices=vertices, edges=edges, name=name), use_numpy=use_numpy
-        )
+        return cls.from_graph(Graph(vertices=vertices, edges=edges, name=name))
 
     @classmethod
     def from_edge_array(
@@ -262,16 +232,7 @@ class FrozenGraph:
         """
         if n < 0:
             raise GraphError(f"negative vertex count {n}")
-        if not HAS_NUMPY:
-            # correctness fallback for numpy-less installs; the million-node
-            # path always has numpy
-            g = Graph(vertices=range(n), name=name, metadata=metadata)
-            for u, v in edges:
-                u, v = int(u), int(v)
-                if u != v:
-                    g.add_edge(u, v)
-            return cls.from_graph(g, use_numpy=False)
-        edge_arr = _np.asarray(edges, dtype=_np.int64)
+        edge_arr = np.asarray(edges, dtype=np.int64)
         if edge_arr.size == 0:
             edge_arr = edge_arr.reshape(0, 2)
         if edge_arr.ndim != 2 or edge_arr.shape[1] != 2:
@@ -280,22 +241,22 @@ class FrozenGraph:
             )
         if edge_arr.size and (int(edge_arr.min()) < 0 or int(edge_arr.max()) >= n):
             raise GraphError(f"edge endpoints must lie in [0, {n})")
-        lo = _np.minimum(edge_arr[:, 0], edge_arr[:, 1])
-        hi = _np.maximum(edge_arr[:, 0], edge_arr[:, 1])
+        lo = np.minimum(edge_arr[:, 0], edge_arr[:, 1])
+        hi = np.maximum(edge_arr[:, 0], edge_arr[:, 1])
         keep = lo != hi  # self-loops have no place in a simple graph
-        keys = _np.sort(lo[keep] * n + hi[keep])  # n^2 < 2^63 for any real n
+        keys = np.sort(lo[keep] * n + hi[keep])  # n^2 < 2^63 for any real n
         if keys.size:  # drop duplicate edges (sort + adjacent-diff dedupe
             # is an order of magnitude faster than np.unique here)
-            keys = keys[_np.concatenate(([True], keys[1:] != keys[:-1]))]
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         lo, hi = keys // n, keys % n
-        src = _np.concatenate([lo, hi])
-        dst = _np.concatenate([hi, lo])
+        src = np.concatenate([lo, hi])
+        dst = np.concatenate([hi, lo])
         # keys are distinct, so the default (unstable) sort is safe
-        order = _np.argsort(src * n + dst)
-        counts = _np.bincount(src, minlength=n)
-        offsets = _np.concatenate(
-            ([0], _np.cumsum(counts, dtype=_np.int64))
-        ).astype(_np.int64, copy=False)
+        order = np.argsort(src * n + dst)
+        counts = np.bincount(src, minlength=n)
+        offsets = np.concatenate(
+            ([0], np.cumsum(counts, dtype=np.int64))
+        ).astype(np.int64, copy=False)
         return cls(range(n), offsets, dst[order], name=name, metadata=metadata)
 
     def freeze(self) -> "FrozenGraph":
@@ -314,8 +275,6 @@ class FrozenGraph:
         string array.  Uncompressed storage is deliberate: it lets
         :meth:`load_npz` hand back memory-mapped CSR arrays.
         """
-        if not self._use_numpy:
-            raise GraphError("save_npz requires the numpy backend")
         import ast
         import json
 
@@ -327,17 +286,17 @@ class FrozenGraph:
             except (ValueError, SyntaxError):
                 continue  # not repr-round-trippable: drop, never corrupt
         arrays: dict[str, Any] = {
-            "format_version": _np.array([NPZ_FORMAT_VERSION], dtype=_np.int64),
-            "n": _np.array([len(self._labels)], dtype=_np.int64),
-            "indptr": _np.ascontiguousarray(self._offsets, dtype=_np.int64),
-            "indices": _np.ascontiguousarray(self._neighbors, dtype=_np.int64),
-            "name": _np.array(self.name or ""),
-            "meta_json": _np.array(json.dumps(meta, sort_keys=True)),
+            "format_version": np.array([NPZ_FORMAT_VERSION], dtype=np.int64),
+            "n": np.array([len(self._labels)], dtype=np.int64),
+            "indptr": np.ascontiguousarray(self._offsets, dtype=np.int64),
+            "indices": np.ascontiguousarray(self._neighbors, dtype=np.int64),
+            "name": np.array(self.name or ""),
+            "meta_json": np.array(json.dumps(meta, sort_keys=True)),
         }
         if not self.identity_labels:
-            arrays["labels_repr"] = _np.array([repr(v) for v in self._labels])
+            arrays["labels_repr"] = np.array([repr(v) for v in self._labels])
         with open(os.fspath(path), "wb") as fh:
-            _np.savez(fh, **arrays)
+            np.savez(fh, **arrays)
 
     @classmethod
     def load_npz(cls, path, mmap: bool = True) -> "FrozenGraph":
@@ -349,13 +308,11 @@ class FrozenGraph:
         the same file.  Falls back to a regular in-memory load when the
         members cannot be mapped (compressed or foreign files).
         """
-        if not HAS_NUMPY:
-            raise GraphError("load_npz requires numpy")
         import ast
         import json
 
         path = os.fspath(path)
-        with _np.load(path, allow_pickle=False) as data:
+        with np.load(path, allow_pickle=False) as data:
             version = int(data["format_version"][0])
             if version > NPZ_FORMAT_VERSION:
                 raise GraphError(
@@ -438,10 +395,9 @@ class FrozenGraph:
         return self._neighbors[int(self._offsets[i]) : int(self._offsets[i + 1])]
 
     def csr_arrays(self):
-        """The raw CSR pair ``(offsets, neighbors)`` in backend-native form.
+        """The raw CSR pair ``(offsets, neighbors)`` as ``int64`` arrays.
 
-        Zero-copy: numpy ``int64`` arrays on the numpy backend, plain lists
-        otherwise.  This is the read surface the LOCAL simulator's routing
+        Zero-copy.  This is the read surface the LOCAL simulator's routing
         fabric builds on — treat the arrays as immutable.
         """
         return self._offsets, self._neighbors
@@ -471,10 +427,9 @@ class FrozenGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = f" {self.name!r}" if self.name else ""
-        backend = "numpy" if self._use_numpy else "python"
         return (
             f"<FrozenGraph{label} n={self.number_of_vertices()} "
-            f"m={self.number_of_edges()} backend={backend}>"
+            f"m={self.number_of_edges()}>"
         )
 
     def vertices(self) -> list[Vertex]:
@@ -510,25 +465,18 @@ class FrozenGraph:
         }
 
     def degree_array(self):
-        """Per-index degrees (numpy array or list, matching the backend)."""
-        if self._use_numpy:
-            return _np.diff(self._offsets)
-        return [
-            self._offsets[i + 1] - self._offsets[i]
-            for i in range(len(self._labels))
-        ]
+        """Per-index degrees as an ``int64`` array."""
+        return np.diff(self._offsets)
 
     def max_degree(self) -> int:
         if not self._labels:
             return 0
-        degs = self.degree_array()
-        return int(degs.max()) if self._use_numpy else max(degs)
+        return int(self.degree_array().max())
 
     def min_degree(self) -> int:
         if not self._labels:
             return 0
-        degs = self.degree_array()
-        return int(degs.min()) if self._use_numpy else min(degs)
+        return int(self.degree_array().min())
 
     def number_of_vertices(self) -> int:
         return len(self._labels)
@@ -590,7 +538,7 @@ class FrozenGraph:
         # the vectorized path scans every edge of the *parent* graph; for
         # small keep sets (balls, leaf blocks) the scalar walk over just
         # the kept rows is far cheaper
-        if self._use_numpy and len(keep_idx) * 16 < n:
+        if len(keep_idx) * 16 < n:
             offsets_l, neighbors_l = self._csr_lists()
             remap_small = {old: new for new, old in enumerate(keep_idx)}
             small_offsets = [0] * (len(keep_idx) + 1)
@@ -603,40 +551,23 @@ class FrozenGraph:
                 small_offsets[new_i + 1] = len(small_neighbors)
             return FrozenGraph(
                 new_labels, small_offsets, small_neighbors,
-                name=self.name, metadata=self.metadata, use_numpy=True,
+                name=self.name, metadata=self.metadata,
             )
-        if self._use_numpy:
-            mask = _np.zeros(n, dtype=bool)
-            keep_arr = _np.asarray(keep_idx, dtype=_np.int64)
-            mask[keep_arr] = True
-            remap = _np.full(n, -1, dtype=_np.int64)
-            remap[keep_arr] = _np.arange(len(keep_idx), dtype=_np.int64)
-            degs = _np.diff(self._offsets)
-            src = _np.repeat(_np.arange(n, dtype=_np.int64), degs)
-            edge_keep = mask[src] & mask[self._neighbors]
-            new_src = remap[src[edge_keep]]
-            new_dst = remap[self._neighbors[edge_keep]]
-            counts = _np.bincount(new_src, minlength=len(keep_idx))
-            new_offsets = _np.concatenate(
-                ([0], _np.cumsum(counts, dtype=_np.int64))
-            )
-            return FrozenGraph(
-                new_labels, new_offsets, new_dst,
-                name=self.name, metadata=self.metadata, use_numpy=True,
-            )
-        remap_d = {old: new for new, old in enumerate(keep_idx)}
-        new_offsets = [0] * (len(keep_idx) + 1)
-        new_neighbors: list[int] = []
-        for new_i, old_i in enumerate(keep_idx):
-            for k in range(self._offsets[old_i], self._offsets[old_i + 1]):
-                j = self._neighbors[k]
-                mapped = remap_d.get(j)
-                if mapped is not None:
-                    new_neighbors.append(mapped)
-            new_offsets[new_i + 1] = len(new_neighbors)
+        mask = np.zeros(n, dtype=bool)
+        keep_arr = np.asarray(keep_idx, dtype=np.int64)
+        mask[keep_arr] = True
+        remap = np.full(n, -1, dtype=np.int64)
+        remap[keep_arr] = np.arange(len(keep_idx), dtype=np.int64)
+        degs = np.diff(self._offsets)
+        src = np.repeat(np.arange(n, dtype=np.int64), degs)
+        edge_keep = mask[src] & mask[self._neighbors]
+        new_src = remap[src[edge_keep]]
+        new_dst = remap[self._neighbors[edge_keep]]
+        counts = np.bincount(new_src, minlength=len(keep_idx))
+        new_offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
         return FrozenGraph(
-            new_labels, new_offsets, new_neighbors,
-            name=self.name, metadata=self.metadata, use_numpy=False,
+            new_labels, new_offsets, new_dst,
+            name=self.name, metadata=self.metadata,
         )
 
     # ------------------------------------------------------------------
@@ -654,10 +585,7 @@ class FrozenGraph:
         (peel, small-frontier BFS) always run on these.
         """
         if self._list_cache is None:
-            if self._use_numpy:
-                self._list_cache = (self._offsets.tolist(), self._neighbors.tolist())
-            else:
-                self._list_cache = (self._offsets, self._neighbors)
+            self._list_cache = (self._offsets.tolist(), self._neighbors.tolist())
         return self._list_cache
 
     def _bfs_levels_idx(self, source_idx: int, radius: int | None) -> list[list[int]]:
@@ -673,8 +601,7 @@ class FrozenGraph:
         source set (``levels[0]`` is the deduplicated source list, in input
         order).  Adaptive: small frontiers expand with a scalar loop over
         the cached list views; once a frontier outgrows
-        ``_VECTORIZE_FRONTIER`` (and numpy is available) the level
-        expansion switches to one vectorized gather per level.
+        ``_VECTORIZE_FRONTIER`` the level expansion switches to one vectorized gather per level.
         """
         n = len(self._labels)
         offsets, neighbors = self._csr_lists()
@@ -691,9 +618,9 @@ class FrozenGraph:
         depth = 0
         np_visited = None
         while frontier and (radius is None or depth < radius):
-            if self._use_numpy and len(frontier) >= self._VECTORIZE_FRONTIER:
+            if len(frontier) >= self._VECTORIZE_FRONTIER:
                 if np_visited is None:
-                    np_visited = _np.frombuffer(visited, dtype=_np.uint8).astype(bool)
+                    np_visited = np.frombuffer(visited, dtype=np.uint8).astype(bool)
                 nxt = self._expand_frontier_np(frontier, np_visited)
                 for j in nxt:  # keep the scalar bitmap in sync for later levels
                     visited[j] = 1
@@ -722,20 +649,20 @@ class FrozenGraph:
         mirrors every update into its scalar bitmap so both views stay
         authoritative whichever expansion mode the next level picks.
         """
-        front = _np.asarray(frontier, dtype=_np.int64)
+        front = np.asarray(frontier, dtype=np.int64)
         starts = self._offsets[front]
         counts = self._offsets[front + 1] - starts
         total = int(counts.sum())
         if total == 0:
             return []
-        shifts = _np.repeat(
-            starts - _np.concatenate(([0], _np.cumsum(counts)[:-1])), counts
+        shifts = np.repeat(
+            starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts
         )
-        nbrs = self._neighbors[_np.arange(total, dtype=_np.int64) + shifts]
+        nbrs = self._neighbors[np.arange(total, dtype=np.int64) + shifts]
         nbrs = nbrs[~visited[nbrs]]
         if nbrs.size == 0:
             return []
-        nbrs = _np.unique(nbrs)
+        nbrs = np.unique(nbrs)
         visited[nbrs] = True
         return nbrs.tolist()
 
@@ -777,8 +704,7 @@ class FrozenGraph:
         masks — ``ball_{r}(v) = union of ball_{r-1}(N[v])``.  The ORs run at
         C speed on machine words, which beats per-source BFS by a wide
         margin on the dense output this produces (every vertex appears in
-        many balls).  Masks are decoded with numpy when available and with
-        a per-byte bit loop otherwise.
+        many balls).  Masks are decoded in one vectorized batch.
         """
         labels = self._labels
         n = len(labels)
@@ -809,47 +735,32 @@ class FrozenGraph:
             if mask not in decoded:
                 decoded[mask] = set()  # placeholder, filled below
                 unique_indices.append(i)
-        if self._use_numpy:
-            # batch decode of the unique masks: stack them into one byte
-            # matrix, locate the nonzero bytes, and expand each through a
-            # 256-entry bit-position table — work is proportional to the
-            # output, not to n * n bits
-            buf = b"".join(masks[i].to_bytes(nbytes, "little") for i in unique_indices)
-            arr = _np.frombuffer(buf, dtype=_np.uint8).reshape(len(unique_indices), nbytes)
-            rows, cols = _np.nonzero(arr)  # row-major: sorted by mask index
-            vals = arr[rows, cols]
-            counts = _BYTE_POPCOUNT[vals]
-            total = int(counts.sum())
-            starts = _BYTE_TABLE_START[vals]
-            shifts = _np.repeat(
-                starts - _np.concatenate(([0], _np.cumsum(counts)[:-1])), counts
+        # batch decode of the unique masks: stack them into one byte
+        # matrix, locate the nonzero bytes, and expand each through a
+        # 256-entry bit-position table — work is proportional to the
+        # output, not to n * n bits
+        buf = b"".join(masks[i].to_bytes(nbytes, "little") for i in unique_indices)
+        arr = np.frombuffer(buf, dtype=np.uint8).reshape(len(unique_indices), nbytes)
+        rows, cols = np.nonzero(arr)  # row-major: sorted by mask index
+        vals = arr[rows, cols]
+        counts = _BYTE_POPCOUNT[vals]
+        total = int(counts.sum())
+        starts = _BYTE_TABLE_START[vals]
+        shifts = np.repeat(
+            starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts
+        )
+        bitpos = _BYTE_TABLE_FLAT[np.arange(total, dtype=np.int64) + shifts]
+        members = np.repeat(cols.astype(np.int64) * 8, counts) + bitpos
+        per_row = np.bincount(
+            np.repeat(rows, counts), minlength=len(unique_indices)
+        )
+        boundaries = np.cumsum(per_row)[:-1]
+        identity_labels = self.identity_labels
+        for i, chunk in zip(unique_indices, np.split(members, boundaries)):
+            values = chunk.tolist()
+            decoded[masks[i]] = (
+                set(values) if identity_labels else set(map(get_label, values))
             )
-            bitpos = _BYTE_TABLE_FLAT[_np.arange(total, dtype=_np.int64) + shifts]
-            members = _np.repeat(cols.astype(_np.int64) * 8, counts) + bitpos
-            per_row = _np.bincount(
-                _np.repeat(rows, counts), minlength=len(unique_indices)
-            )
-            boundaries = _np.cumsum(per_row)[:-1]
-            identity_labels = self.identity_labels
-            for i, chunk in zip(unique_indices, _np.split(members, boundaries)):
-                values = chunk.tolist()
-                decoded[masks[i]] = (
-                    set(values) if identity_labels else set(map(get_label, values))
-                )
-        else:
-            for i in unique_indices:
-                members_set: set[Vertex] = set()
-                mask = masks[i]
-                base = 0
-                while mask:
-                    byte = mask & 0xFF
-                    while byte:
-                        low = byte & -byte
-                        members_set.add(get_label(base + low.bit_length() - 1))
-                        byte ^= low
-                    mask >>= 8
-                    base += 8
-                decoded[masks[i]] = members_set
         for i, v in enumerate(labels):
             result[v] = decoded[masks[i]]
         return result
@@ -1049,20 +960,14 @@ class FrozenGraph:
         # CSR arrays pickle natively (raw int64 buffers, no per-element
         # boxing) and identity labels travel as just the vertex count —
         # keeps worker handoff cheap even when a graph must be pickled
-        if self._use_numpy:
-            offsets = _np.ascontiguousarray(self._offsets)
-            neighbors = _np.ascontiguousarray(self._neighbors)
-        else:
-            offsets, neighbors = list(self._offsets), list(self._neighbors)
         identity = isinstance(self._labels, range)
         return {
             "labels": None if identity else list(self._labels),
             "n": len(self._labels),
-            "offsets": offsets,
-            "neighbors": neighbors,
+            "offsets": np.ascontiguousarray(self._offsets),
+            "neighbors": np.ascontiguousarray(self._neighbors),
             "name": self.name,
             "metadata": self.metadata,
-            "use_numpy": self._use_numpy,
         }
 
     def __setstate__(self, state):
@@ -1075,7 +980,6 @@ class FrozenGraph:
             state["neighbors"],
             name=state["name"],
             metadata=state["metadata"],
-            use_numpy=state["use_numpy"],
         )
 
 
@@ -1109,16 +1013,16 @@ def _npz_memmaps(path: str, members: tuple[str, ...]):
                 name_len = int.from_bytes(local[26:28], "little")
                 extra_len = int.from_bytes(local[28:30], "little")
                 fh.seek(info.header_offset + 30 + name_len + extra_len)
-                version = _np.lib.format.read_magic(fh)
+                version = np.lib.format.read_magic(fh)
                 if version == (1, 0):
-                    shape, fortran, dtype = _np.lib.format.read_array_header_1_0(fh)
+                    shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
                 elif version == (2, 0):
-                    shape, fortran, dtype = _np.lib.format.read_array_header_2_0(fh)
+                    shape, fortran, dtype = np.lib.format.read_array_header_2_0(fh)
                 else:
                     return None
                 if dtype.hasobject:
                     return None
-                out[member] = _np.memmap(
+                out[member] = np.memmap(
                     path,
                     dtype=dtype,
                     mode="r",
@@ -1131,20 +1035,15 @@ def _npz_memmaps(path: str, members: tuple[str, ...]):
     return out
 
 
-def freeze(graph: GraphLike, use_numpy: bool | None = None) -> FrozenGraph:
+def freeze(graph: GraphLike) -> FrozenGraph:
     """Freeze any :class:`GraphLike` into a :class:`FrozenGraph` (idempotent)."""
-    return FrozenGraph.from_graph(graph, use_numpy=use_numpy)
+    return FrozenGraph.from_graph(graph)
 
 
-if HAS_NUMPY:
-    # byte-value -> bit positions lookup used by the all_balls batch decode
-    _BYTE_POPCOUNT = _np.array(
-        [bin(b).count("1") for b in range(256)], dtype=_np.int64
-    )
-    _BYTE_TABLE_FLAT = _np.array(
-        [bit for b in range(256) for bit in range(8) if b >> bit & 1],
-        dtype=_np.int64,
-    )
-    _BYTE_TABLE_START = _np.concatenate(
-        ([0], _np.cumsum(_BYTE_POPCOUNT)[:-1])
-    )
+# byte-value -> bit positions lookup used by the all_balls batch decode
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+_BYTE_TABLE_FLAT = np.array(
+    [bit for b in range(256) for bit in range(8) if b >> bit & 1],
+    dtype=np.int64,
+)
+_BYTE_TABLE_START = np.concatenate(([0], np.cumsum(_BYTE_POPCOUNT)[:-1]))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import GeneratorError
 from repro.graphs.graph import Graph
@@ -96,7 +97,6 @@ def delaunay_triangulation(n_points: int, seed: int | None = None) -> Graph:
     """
     if n_points < 3:
         raise GeneratorError("need at least 3 points")
-    import numpy as np
     from scipy.spatial import Delaunay
 
     rng = np.random.default_rng(seed)

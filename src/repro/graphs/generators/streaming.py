@@ -25,16 +25,9 @@ construction order proves the bound, duplicate edges dropped by
 
 from __future__ import annotations
 
-import os
 from typing import Any
 
-try:  # same backend rule as repro.graphs.frozen
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less installs
-    _np = None
-
-if os.environ.get("REPRO_FORCE_PYTHON_BACKEND"):
-    _np = None
+import numpy as np
 
 from repro.errors import GeneratorError
 from repro.graphs.frozen import FrozenGraph
@@ -53,21 +46,13 @@ __all__ = [
 _CHUNK = 1 << 18
 
 
-def _require_numpy() -> None:
-    if _np is None:
-        raise GeneratorError(
-            "streaming generators require numpy "
-            "(unset REPRO_FORCE_PYTHON_BACKEND or install numpy)"
-        )
-
-
 def _empty_edges():
-    return _np.empty((0, 2), dtype=_np.int64)
+    return np.empty((0, 2), dtype=np.int64)
 
 
 def _pairs(src, dst):
-    return _np.stack(
-        [_np.asarray(src, dtype=_np.int64), _np.asarray(dst, dtype=_np.int64)],
+    return np.stack(
+        [np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)],
         axis=1,
     )
 
@@ -85,26 +70,25 @@ def stream_degenerate_edges(n: int, degeneracy: int, seed: int, chunk: int = _CH
     degree).  Each vertex has back-degree <= k by construction, so the
     graph is k-degenerate and ``mad <= 2k``.
     """
-    _require_numpy()
     if n < 0 or degeneracy < 0:
         raise GeneratorError("need n >= 0 and degeneracy >= 0")
     k = degeneracy
-    rng = _np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     parts = []
     head = min(n, k + 1)
     if head > 1:
-        i, j = _np.triu_indices(head, k=1)
+        i, j = np.triu_indices(head, k=1)
         parts.append(_pairs(i, j))
     start = head
     while start < n and k > 0:
         stop = min(n, start + chunk)
-        v = _np.arange(start, stop, dtype=_np.int64)
+        v = np.arange(start, stop, dtype=np.int64)
         targets = rng.integers(0, v[:, None], size=(stop - start, k))
-        parts.append(_pairs(_np.repeat(v, k), targets.reshape(-1)))
+        parts.append(_pairs(np.repeat(v, k), targets.reshape(-1)))
         start = stop
     if not parts:
         return _empty_edges()
-    return _np.concatenate(parts, axis=0)
+    return np.concatenate(parts, axis=0)
 
 
 def stream_forest_union_edges(n: int, arboricity: int, seed: int):
@@ -114,19 +98,18 @@ def stream_forest_union_edges(n: int, arboricity: int, seed: int):
     attaches to a uniform earlier position — one vectorized draw per
     forest.  Arboricity <= a and ``mad <= 2a`` by construction.
     """
-    _require_numpy()
     if n < 0 or arboricity < 0:
         raise GeneratorError("need n >= 0 and arboricity >= 0")
     if n < 2 or arboricity == 0:
         return _empty_edges()
-    rng = _np.random.default_rng(seed)
-    positions = _np.arange(1, n, dtype=_np.int64)
+    rng = np.random.default_rng(seed)
+    positions = np.arange(1, n, dtype=np.int64)
     parts = []
     for _ in range(arboricity):
-        perm = rng.permutation(n).astype(_np.int64)
+        perm = rng.permutation(n).astype(np.int64)
         parent_pos = rng.integers(0, positions)
         parts.append(_pairs(perm[parent_pos], perm[positions]))
-    return _np.concatenate(parts, axis=0)
+    return np.concatenate(parts, axis=0)
 
 
 def stream_k_tree_edges(n: int, k: int, seed: int):
@@ -136,30 +119,29 @@ def stream_k_tree_edges(n: int, k: int, seed: int):
     preallocated ``(F, k)`` int64 array and all face choices are drawn up
     front, so the per-vertex loop is pure index arithmetic.
     """
-    _require_numpy()
     if k < 1:
         raise GeneratorError("need k >= 1")
     if n <= k + 1:
         if n < 2:
             return _empty_edges()
-        i, j = _np.triu_indices(n, k=1)
+        i, j = np.triu_indices(n, k=1)
         return _pairs(i, j)
-    rng = _np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     grow = n - (k + 1)
     # face count before the t-th added vertex: (k+1) + t*k
-    picks = rng.integers(0, (k + 1) + k * _np.arange(grow, dtype=_np.int64))
-    faces = _np.empty(((k + 1) + k * grow, k), dtype=_np.int64)
-    base = _np.arange(k + 1, dtype=_np.int64)
+    picks = rng.integers(0, (k + 1) + k * np.arange(grow, dtype=np.int64))
+    faces = np.empty(((k + 1) + k * grow, k), dtype=np.int64)
+    base = np.arange(k + 1, dtype=np.int64)
     for x in range(k + 1):
-        faces[x] = _np.delete(base, x)
-    ci, cj = _np.triu_indices(k + 1, k=1)
+        faces[x] = np.delete(base, x)
+    ci, cj = np.triu_indices(k + 1, k=1)
     total_edges = len(ci) + grow * k
-    edges = _np.empty((total_edges, 2), dtype=_np.int64)
+    edges = np.empty((total_edges, 2), dtype=np.int64)
     edges[: len(ci), 0] = ci
     edges[: len(ci), 1] = cj
     eidx = len(ci)
     fc = k + 1
-    diag = _np.arange(k)
+    diag = np.arange(k)
     for t in range(grow):
         v = k + 1 + t
         face = faces[picks[t]]
@@ -182,17 +164,16 @@ def stream_power_law_edges(n: int, m: int, seed: int, chunk: int = 4096):
     targets are always *earlier* vertices, so back-degree <= m certifies
     m-degeneracy exactly).
     """
-    _require_numpy()
     if m < 1:
         raise GeneratorError("need m >= 1")
     head = min(n, m + 1)
     if head < 2:
         return _empty_edges()
-    rng = _np.random.default_rng(seed)
-    hi, hj = _np.triu_indices(head, k=1)
+    rng = np.random.default_rng(seed)
+    hi, hj = np.triu_indices(head, k=1)
     max_edges = len(hi) + (n - head) * m
-    edges = _np.empty((max_edges, 2), dtype=_np.int64)
-    urn = _np.empty(2 * max_edges, dtype=_np.int64)
+    edges = np.empty((max_edges, 2), dtype=np.int64)
+    urn = np.empty(2 * max_edges, dtype=np.int64)
     edges[: len(hi), 0] = hi
     edges[: len(hi), 1] = hj
     urn[: len(hi)] = hi
@@ -201,9 +182,9 @@ def stream_power_law_edges(n: int, m: int, seed: int, chunk: int = 4096):
     start = head
     while start < n:
         stop = min(n, start + chunk)
-        block = _np.arange(start, stop, dtype=_np.int64)
+        block = np.arange(start, stop, dtype=np.int64)
         targets = urn[rng.integers(0, uidx, size=(stop - start, m))].reshape(-1)
-        src = _np.repeat(block, m)
+        src = np.repeat(block, m)
         count = len(src)
         edges[eidx : eidx + count, 0] = src
         edges[eidx : eidx + count, 1] = targets
@@ -226,20 +207,19 @@ def stream_torus_edges(rows: int, cols: int, shuffle_seed: int | None = None):
     chains, while shuffled labels keep greedy local-maxima rounds
     logarithmic.
     """
-    _require_numpy()
     if rows < 3 or cols < 3:
         raise GeneratorError("need rows >= 3 and cols >= 3")
     n = rows * cols
-    v = _np.arange(n, dtype=_np.int64)
+    v = np.arange(n, dtype=np.int64)
     i, j = v // cols, v % cols
     right = i * cols + (j + 1) % cols
     down = ((i + 1) % rows) * cols + j
     diag = ((i + 1) % rows) * cols + (j + 1) % cols
-    edges = _np.concatenate(
+    edges = np.concatenate(
         [_pairs(v, right), _pairs(v, down), _pairs(v, diag)], axis=0
     )
     if shuffle_seed is not None:
-        perm = _np.random.default_rng(shuffle_seed).permutation(n).astype(_np.int64)
+        perm = np.random.default_rng(shuffle_seed).permutation(n).astype(np.int64)
         edges = perm[edges]
     return edges
 

@@ -290,18 +290,17 @@ class Graph:
     # ------------------------------------------------------------------
     # Interop
     # ------------------------------------------------------------------
-    def freeze(self, use_numpy: bool | None = None):
+    def freeze(self):
         """Return an immutable CSR snapshot (:class:`~repro.graphs.frozen.FrozenGraph`).
 
         Freeze once at the boundary between construction and computation:
         the frozen view answers degree/neighbour/subgraph/ball queries from
         flat arrays and caches global statistics (degeneracy order, core
-        numbers, greedy mad bound) across calls.  ``use_numpy=False`` forces
-        the pure-Python array backend (mainly for tests).
+        numbers, greedy mad bound) across calls.
         """
         from repro.graphs.frozen import FrozenGraph
 
-        return FrozenGraph.from_graph(self, use_numpy=use_numpy)
+        return FrozenGraph.from_graph(self)
 
     def to_networkx(self) -> nx.Graph:
         g = nx.Graph()

@@ -80,7 +80,7 @@ def greedy_color_along(
 def _degeneracy_ordering_sets(graph: Graph) -> tuple[int, list[Vertex]]:
     """Pre-CSR heap-on-dict-of-sets peeling, kept as the benchmark baseline.
 
-    ``bench_primitives.py`` times this against the CSR bucket peel to record
+    The ``primitives`` scenario times this against the CSR bucket peel to record
     the speedup; it is also a handy independent oracle for parity tests.
     """
     degrees = graph.degrees()

@@ -20,145 +20,21 @@ This module is the only place that identity is exploited; everything
 above it (the simulator, the faults engine, the batched node programs)
 talks in terms of :func:`gather`, :func:`deliver_slots`,
 :func:`deliver_masked` and :func:`compact_segments`.
-
-Native build
-------------
-Set ``REPRO_NATIVE=1`` to require the numba-jitted variants (falls back
-with a warning when numba is missing), ``REPRO_NATIVE=0`` to pin the
-pure-numpy path, and leave it unset for auto-detection.  Both variants
-are bit-identical — all kernels are integer gathers/permutations with
-no floating-point arithmetic — and the parity is pinned by
-``tests/test_kernel_parity.py`` plus the existing locality-audit
-oracles.
+``tests/test_kernel_parity.py`` pins them against plain Python loops and
+:func:`reference_broadcast`.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from typing import Any
-
-try:  # pragma: no cover - exercised via the pure-python CI lane
-    import numpy as np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-    HAS_NUMPY = False
+import numpy as np
 
 __all__ = [
-    "HAS_NUMPY",
-    "native_available",
-    "native_active",
-    "native_mode",
     "gather",
     "deliver_slots",
     "deliver_masked",
     "compact_segments",
     "reference_broadcast",
 ]
-
-# --------------------------------------------------------------------------
-# native (numba) detection
-# --------------------------------------------------------------------------
-
-_NATIVE_CACHE: dict[str, Any] = {}
-
-
-def native_mode() -> str:
-    """The requested native mode: ``"off"``, ``"require"`` or ``"auto"``."""
-    raw = os.environ.get("REPRO_NATIVE", "").strip()
-    if raw == "0":
-        return "off"
-    if raw == "1":
-        return "require"
-    return "auto"
-
-
-def native_available() -> bool:
-    """True when numba imports and the jitted kernels compiled."""
-    if "available" not in _NATIVE_CACHE:
-        _NATIVE_CACHE["available"] = _try_build_native()
-    return bool(_NATIVE_CACHE["available"])
-
-
-def native_active() -> bool:
-    """True when the jitted kernel variants are in use for this process."""
-    mode = native_mode()
-    if mode == "off" or not HAS_NUMPY:
-        return False
-    if mode == "require":
-        if native_available():
-            return True
-        if "warned" not in _NATIVE_CACHE:
-            _NATIVE_CACHE["warned"] = True
-            warnings.warn(
-                "REPRO_NATIVE=1 but numba is not importable; "
-                "falling back to the pure-numpy kernels",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return False
-    return native_available()
-
-
-def _reset_native_cache() -> None:
-    """Test hook: drop the memoized numba probe."""
-    _NATIVE_CACHE.clear()
-
-
-def _try_build_native() -> bool:
-    if not HAS_NUMPY:
-        return False
-    if native_mode() == "off":
-        # don't even import numba when explicitly disabled
-        return False
-    try:
-        import numba
-    except ImportError:
-        return False
-    try:
-        njit = numba.njit(cache=False, nogil=True)
-
-        @njit
-        def _gather_nb(values, index, out):  # pragma: no cover - jitted
-            for k in range(index.shape[0]):
-                out[k] = values[index[k]]
-            return out
-
-        @njit
-        def _deliver_masked_nb(  # pragma: no cover - jitted
-            values, mask, reverse, inbox, delivered
-        ):
-            count = 0
-            for k in range(reverse.shape[0]):
-                r = reverse[k]
-                inbox[k] = values[r]
-                delivered[k] = mask[r]
-                if mask[k]:
-                    count += 1
-            return count
-
-        # force compilation now so a broken toolchain degrades to numpy
-        probe = np.arange(4, dtype=np.int64)
-        _gather_nb(probe, probe[::-1].copy(), np.empty(4, dtype=np.int64))
-        _deliver_masked_nb(
-            probe,
-            np.ones(4, dtype=np.bool_),
-            probe[::-1].copy(),
-            np.empty(4, dtype=np.int64),
-            np.empty(4, dtype=np.bool_),
-        )
-    except Exception:  # pragma: no cover - defensive: any jit failure
-        return False
-    _NATIVE_CACHE["gather"] = _gather_nb
-    _NATIVE_CACHE["deliver_masked"] = _deliver_masked_nb
-    return True
-
-
-# --------------------------------------------------------------------------
-# kernels
-# --------------------------------------------------------------------------
 
 
 def gather(values, index, out=None):
@@ -171,8 +47,6 @@ def gather(values, index, out=None):
     match, so callers may pass it unconditionally.
     """
     if out is not None and out.dtype == values.dtype and out.shape == index.shape:
-        if native_active():
-            return _NATIVE_CACHE["gather"](values, index, out)
         return np.take(values, index, out=out)
     return values[index]
 
@@ -188,18 +62,8 @@ def deliver_masked(values, mask, reverse, inbox_out=None, delivered_out=None):
     ``values``/``mask`` are per-slot payloads and send flags;
     ``delivered[k]`` tells the receiver whether anything arrived on
     port-slot ``k``, and ``messages`` counts the slots that actually
-    sent.  Single fused pass under the native build.
+    sent.
     """
-    if (
-        native_active()
-        and inbox_out is not None
-        and delivered_out is not None
-        and inbox_out.dtype == values.dtype
-    ):
-        count = _NATIVE_CACHE["deliver_masked"](
-            values, mask, reverse, inbox_out, delivered_out
-        )
-        return inbox_out, delivered_out, int(count)
     inbox = gather(values, reverse, out=inbox_out)
     delivered = gather(mask, reverse, out=delivered_out)
     return inbox, delivered, int(mask.sum())

@@ -40,13 +40,10 @@ from collections.abc import Mapping
 from functools import cached_property
 from typing import Any
 
-from repro.graphs.frozen import HAS_NUMPY, FrozenGraph, GraphLike
-from repro.graphs.graph import Vertex
+import numpy as np
 
-if HAS_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+from repro.graphs.frozen import FrozenGraph, GraphLike
+from repro.graphs.graph import Vertex
 
 __all__ = ["Network", "RoutingFabric"]
 
@@ -54,11 +51,11 @@ __all__ = ["Network", "RoutingFabric"]
 class RoutingFabric:
     """Flat-array routing tables of a port-numbered network.
 
-    The tables are ``int64`` numpy arrays (the batched engine's data plane)
-    when numpy is available.  Each is also exposed as a plain Python list —
-    fast scalar access for the per-node round loop — built from its array
-    on first read and cached.  A table passed in as a list (the dict builds
-    and numpy-less installs) is kept and serves as its own list view.
+    The tables are ``int64`` numpy arrays (the batched engine's data plane).
+    Each is also exposed as a plain Python list — fast scalar access for
+    the per-node round loop — built from its array on first read and
+    cached.  A table passed in as a list (the dict builds) is kept and
+    serves as its own list view.
 
     Attributes
     ----------
@@ -87,15 +84,10 @@ class RoutingFabric:
             self.endpoints = endpoints
         if isinstance(reverse_slot, list):
             self.reverse_slot = reverse_slot
-        self.has_numpy = HAS_NUMPY
-        if HAS_NUMPY:
-            self.offsets_np = _np.asarray(offsets, dtype=_np.int64)
-            self.endpoints_np = _np.asarray(endpoints, dtype=_np.int64)
-            self.reverse_np = _np.asarray(reverse_slot, dtype=_np.int64)
-            self.degrees_np = _np.diff(self.offsets_np)
-        else:  # pragma: no cover - exercised on numpy-less installs
-            self.offsets_np = self.endpoints_np = self.reverse_np = None
-            self.degrees_np = None
+        self.offsets_np = np.asarray(offsets, dtype=np.int64)
+        self.endpoints_np = np.asarray(endpoints, dtype=np.int64)
+        self.reverse_np = np.asarray(reverse_slot, dtype=np.int64)
+        self.degrees_np = np.diff(self.offsets_np)
         self._sources_np = sources_np
 
     @cached_property
@@ -112,9 +104,6 @@ class RoutingFabric:
 
     @cached_property
     def degrees(self) -> list[int]:
-        if not self.has_numpy:  # pragma: no cover - exercised on numpy-less installs
-            offsets = self.offsets
-            return [offsets[i + 1] - offsets[i] for i in range(self.n)]
         return self.degrees_np.tolist()
 
     def sources_np(self):
@@ -122,11 +111,10 @@ class RoutingFabric:
 
         The natural companion of ``endpoints`` for batched programs
         ("broadcast my value on every port" is ``values[sources]``).
-        Numpy backend only; ``None`` without numpy.
         """
-        if self._sources_np is None and self.has_numpy:
-            self._sources_np = _np.repeat(
-                _np.arange(self.n, dtype=_np.int64), self.degrees_np
+        if self._sources_np is None:
+            self._sources_np = np.repeat(
+                np.arange(self.n, dtype=np.int64), self.degrees_np
             )
         return self._sources_np
 
@@ -150,11 +138,11 @@ def _fabric_from_csr(offsets, endpoints) -> RoutingFabric:
     No Python list is built here; the fabric's list views stay lazy.
     """
     n = len(offsets) - 1
-    sources = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(offsets))
+    sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
     # slots are in CSR order, i.e. sorted by (src, dst), and the edge set is
     # symmetric: ordering the slots by their distinct (dst, src) keys lists
     # the reverse of slot k at position k
-    reverse = _np.argsort(endpoints * n + sources)
+    reverse = np.argsort(endpoints * n + sources)
     return RoutingFabric(offsets, endpoints, reverse, sources_np=sources)
 
 
@@ -264,25 +252,17 @@ class Network:
 
     @cached_property
     def identifiers_np(self):
-        """``identifiers_list`` as a cached ``int64`` array (numpy only)."""
-        if not HAS_NUMPY:  # pragma: no cover - exercised on numpy-less installs
-            return None
+        """``identifiers_list`` as a cached ``int64`` array."""
         if self._default_order:
-            return _np.arange(1, len(self._order) + 1, dtype=_np.int64)
-        return _np.asarray(self.identifiers_list, dtype=_np.int64)
+            return np.arange(1, len(self._order) + 1, dtype=np.int64)
+        return np.asarray(self.identifiers_list, dtype=np.int64)
 
     def _build_fabric(self) -> RoutingFabric:
         graph = self.graph
         if self._default_order and isinstance(graph, FrozenGraph):
             # zero-copy fast path: identifiers follow the CSR vertex indices
             # and each neighbour slice is already sorted by index
-            offsets, neighbors = graph.csr_arrays()
-            if graph._use_numpy:
-                return _fabric_from_csr(offsets, neighbors)
-            # pure-Python backend: the CSR tables are plain lists
-            return RoutingFabric(
-                offsets, neighbors, _reverse_slots_python(offsets, neighbors)
-            )
+            return _fabric_from_csr(*graph.csr_arrays())
         # general path: sort each neighbourhood by identifier
         index = self._index
         offsets_list = [0] * (len(self._order) + 1)

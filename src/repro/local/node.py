@@ -27,6 +27,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
+import numpy as np
+
 __all__ = [
     "NodeContext",
     "NodeAlgorithm",
@@ -165,9 +167,8 @@ class BatchNodeAlgorithm:
     batched port of a per-node algorithm must produce the same
     ``SimulationResult`` (the parity tests enforce this for the shipped
     ports).  Set :attr:`fallback` to the equivalent per-node factory; the
-    simulator transparently runs it when numpy is unavailable or
-    :meth:`can_run` declines the instance (e.g. values too wide for the
-    vectorized bit tricks).
+    simulator transparently runs it when :meth:`can_run` declines the
+    instance (e.g. values too wide for the vectorized bit tricks).
 
     Exchange modes
     --------------
@@ -199,8 +200,8 @@ class BatchNodeAlgorithm:
         instead of O(n).
     """
 
-    #: Per-node factory the simulator falls back to when the batched path
-    #: cannot run (numpy missing, or :meth:`can_run` returned False).
+    #: Per-node factory the simulator falls back to when :meth:`can_run`
+    #: returns False.
     fallback: ClassVar[Callable[[], NodeAlgorithm] | None] = None
 
     #: How ``send_batch`` payloads are routed: "slots", "broadcast" or
@@ -242,8 +243,6 @@ def segment_reduce(ufunc, values, offsets, empty=0):
     segments skipped in between are empty — so trailing empty segments
     cannot truncate the last real one.
     """
-    import numpy as np
-
     n = len(offsets) - 1
     out = np.full(n, empty, dtype=np.int64)
     if n == 0 or len(values) == 0:
@@ -265,7 +264,5 @@ def lowest_free_bit(used):
     ``used + 1`` cannot overflow and the isolated bit is a power of two
     that float64 represents exactly.
     """
-    import numpy as np
-
     isolated = ~used & (used + 1)
     return np.log2(isolated.astype(np.float64)).astype(np.int64)

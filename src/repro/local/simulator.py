@@ -29,7 +29,8 @@ The data plane runs on the network's flat-array routing fabric
 * a :class:`~repro.local.node.BatchNodeAlgorithm` opts into the fully
   vectorized path: one ``send_batch``/``receive_batch`` numpy-array
   exchange per round for all nodes at once, falling back transparently to
-  its per-node twin when numpy is unavailable;
+  its per-node twin when :meth:`~repro.local.node.BatchNodeAlgorithm.can_run`
+  declines the instance;
 * the batched exchange itself runs on the fused kernels of
   :mod:`repro.local.kernels` — broadcast rounds are delivered with a
   single gather by ``endpoints`` (instead of the historical send-gather +
@@ -50,6 +51,8 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 from repro.errors import NonTerminationError, SimulationError
 from repro.graphs.frozen import GraphLike, freeze
@@ -356,33 +359,28 @@ class SynchronousSimulator:
         fabric = network.fabric
         inputs_list = network.inputs_list(inputs)
 
-        context: BatchContext | None = None
-        if fabric.has_numpy:
-            context = BatchContext(
-                n=fabric.n,
-                identifiers=network.identifiers_np,
-                degrees=fabric.degrees_np,
-                offsets=fabric.offsets_np,
-                endpoints=fabric.endpoints_np,
-                reverse_slot=fabric.reverse_np,
-                sources=fabric.sources_np(),
-                inputs=inputs_list,
-                network=network,
-                declared_n=network.declared_n,
-            )
-        if context is None or not program.can_run(context):
+        context = BatchContext(
+            n=fabric.n,
+            identifiers=network.identifiers_np,
+            degrees=fabric.degrees_np,
+            offsets=fabric.offsets_np,
+            endpoints=fabric.endpoints_np,
+            reverse_slot=fabric.reverse_np,
+            sources=fabric.sources_np(),
+            inputs=inputs_list,
+            network=network,
+            declared_n=network.declared_n,
+        )
+        if not program.can_run(context):
             factory = type(program).fallback
             if factory is None:
                 raise SimulationError(
                     f"{type(program).__name__} cannot run batched here "
-                    "(numpy unavailable or can_run() declined) and declares "
-                    "no per-node fallback"
+                    "(can_run() declined) and declares no per-node fallback"
                 )
             return self._run_per_node(
                 factory(), factory, inputs, max_rounds, strict, debug
             )
-
-        import numpy as np
 
         reverse = fabric.reverse_np
         endpoints = fabric.endpoints_np

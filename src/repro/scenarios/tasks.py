@@ -2,9 +2,9 @@
 
 Every function here is one :class:`~repro.analysis.runner.BatchTask` body:
 it generates its instance, runs one algorithm, verifies the output, and
-returns a metric mapping.  The bodies are ports of the former standalone
-``benchmarks/bench_*.py`` scripts — the scripts are now thin shims and the
-single source of truth for "how experiment X is measured" lives here.
+returns a metric mapping.  These bodies are the single source of truth
+for "how experiment X is measured"; ``python -m repro run <scenario>``
+drives them.
 
 Conventions:
 
@@ -26,6 +26,8 @@ from __future__ import annotations
 import time
 from collections import deque
 from typing import Any
+
+import numpy as np
 
 from repro.coloring import (
     degeneracy_greedy_coloring,
@@ -615,8 +617,6 @@ def simulator_throughput(
     from repro.local.network import Network
     from repro.local.reference import ReferenceSimulator
     from repro.local.simulator import SynchronousSimulator
-
-    import numpy as np
 
     prof = StageProfile(profile)
     with prof("generate"):

@@ -42,7 +42,10 @@ __all__ = ["ALGORITHMS", "compute_job", "execute_jobs", "JobSpec"]
 ALGORITHMS: dict[str, str] = {
     "greedy": "degeneracy-ordered greedy, budget = degeneracy + 1",
     "delta-plus-one": "batched Linial + color reduction, budget = maxdeg + 1",
-    "theorem13": "Theorem 1.3 flat pipeline, budget = d (param d, default degeneracy)",
+    "theorem13": (
+        "Theorem 1.3 flat pipeline, budget = min(d, max(maxdeg + 1, 3)) "
+        "(param d, default max(degeneracy + 1, 3))"
+    ),
     "crash": "fault injection: dies mid-request (requires --fault-injection)",
 }
 
@@ -70,6 +73,10 @@ def _run_theorem13(graph, params: dict[str, Any]) -> tuple[dict, int, int]:
         d = max(graph.degeneracy() + 1, 3)
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ServeError("bad-request", f"param d must be a positive integer, got {d!r}")
+    # colors beyond max(Δ+1, 3) buy nothing: no (d+1)-clique fits under
+    # d >= Δ+1, and the pipeline's cost grows with d, so a huge d would
+    # otherwise hold a worker for minutes
+    d = min(d, max(graph.max_degree() + 1, 3))
     try:
         result = color_sparse_graph(graph, d=d, backend="flat")
     except ValueError as exc:  # e.g. the theorem's d >= 3 precondition

@@ -33,7 +33,6 @@ from repro.faults import (
     palette_bound,
     run_stabilizing,
 )
-from repro.graphs.frozen import HAS_NUMPY
 from repro.graphs.generators import classic, planar, sparse
 from repro.verify.recovery import (
     ContainmentOracle,
@@ -42,7 +41,7 @@ from repro.verify.recovery import (
     rounds_to_recovery,
 )
 
-BACKENDS = ("dict", "flat") if HAS_NUMPY else ("dict",)
+BACKENDS = ("dict", "flat")
 PROTOCOLS = tuple(sorted(STABILIZING_PROTOCOLS))
 
 
@@ -152,7 +151,6 @@ def test_edit_semantics_applied_vs_skipped():
     assert pnet.has_edge(0, 1) and not pnet.has_edge(0, 2)
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="flat fabric needs numpy")
 def test_fabric_parity_after_identical_edits():
     graph = sparse.union_of_random_forests(30, 2, seed=4)
     edits = [("i", 0, 9), ("d", 0, 9), ("i", 3, 17), ("i", 5, 21), ("d", 3, 17)]

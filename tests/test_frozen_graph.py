@@ -3,8 +3,9 @@
 The central invariant of the CSR core: freezing never changes the answer of
 any read query.  The parity tests run both representations over >= 100
 random instances (plus structured families) and compare degrees, edges,
-balls, BFS distances, components, subgraphs and the degeneracy machinery;
-both array backends (numpy and pure Python) are exercised.
+balls, BFS distances, components, subgraphs and the degeneracy machinery.
+Hub instances push BFS frontiers past ``FrozenGraph._VECTORIZE_FRONTIER``,
+so both level expansions (scalar and vectorized) are compared as well.
 """
 
 import pickle
@@ -14,7 +15,6 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graphs import FrozenGraph, Graph, freeze
-from repro.graphs.frozen import HAS_NUMPY
 from repro.graphs.generators import classic, sparse
 from repro.graphs.properties.degeneracy import (
     _degeneracy_ordering_sets,
@@ -22,8 +22,6 @@ from repro.graphs.properties.degeneracy import (
     degeneracy_ordering,
 )
 from repro.graphs.properties.mad import mad_lower_bound_greedy, maximum_average_degree
-
-BACKENDS = [True, False] if HAS_NUMPY else [False]
 
 
 def random_instance(seed: int) -> Graph:
@@ -58,13 +56,12 @@ def as_edge_set(graph):
     return {frozenset(e) for e in graph.edges()}
 
 
-@pytest.mark.parametrize("use_numpy", BACKENDS)
-def test_parity_on_100_random_instances(use_numpy):
+def test_parity_on_100_random_instances():
     """Acceptance: identical degrees, balls, components, degeneracy order."""
     checked = 0
     for seed in range(100):
         g = random_instance(seed)
-        f = g.freeze(use_numpy=use_numpy)
+        f = g.freeze()
         assert len(f) == len(g)
         assert set(f.vertices()) == set(g.vertices())
         assert f.degrees() == g.degrees()
@@ -84,11 +81,10 @@ def test_parity_on_100_random_instances(use_numpy):
     assert checked == 100
 
 
-@pytest.mark.parametrize("use_numpy", BACKENDS)
-def test_parity_bfs_subgraph_has_edge(use_numpy):
+def test_parity_bfs_subgraph_has_edge():
     for seed in range(40):
         g = random_instance(seed)
-        f = g.freeze(use_numpy=use_numpy)
+        f = g.freeze()
         rng = random.Random(seed)
         vertices = g.vertices()
         for v in vertices:
@@ -104,12 +100,11 @@ def test_parity_bfs_subgraph_has_edge(use_numpy):
         assert as_edge_set(fs) == as_edge_set(gs)
 
 
-@pytest.mark.parametrize("use_numpy", BACKENDS)
-def test_parity_degeneracy_oracles(use_numpy):
+def test_parity_degeneracy_oracles():
     """CSR peel agrees with the legacy heap implementation and is valid."""
     for seed in range(30):
         g = random_instance(seed)
-        f = g.freeze(use_numpy=use_numpy)
+        f = g.freeze()
         degen_legacy, order_legacy = _degeneracy_ordering_sets(g)
         degen, order = f.degeneracy_ordering()
         assert degen == degen_legacy
@@ -126,25 +121,74 @@ def test_parity_degeneracy_oracles(use_numpy):
             assert exact / 2 - 1e-9 <= lower <= exact + 1e-9
 
 
-@pytest.mark.parametrize("use_numpy", BACKENDS)
-def test_all_balls_matches_per_vertex(use_numpy):
+def test_all_balls_matches_per_vertex():
     for seed in range(20):
         g = random_instance(seed)
-        f = g.freeze(use_numpy=use_numpy)
+        f = g.freeze()
         for radius in (0, 1, 2, 7):
             assert f.all_balls(radius) == {v: g.ball(v, radius) for v in g}
 
 
-def test_backends_produce_identical_orderings():
-    if not HAS_NUMPY:
-        pytest.skip("numpy not installed")
-    g = classic.grid_2d(7, 9)
-    fn, fp = g.freeze(use_numpy=True), g.freeze(use_numpy=False)
-    assert fn.degeneracy_ordering() == fp.degeneracy_ordering()
-    assert fn.core_numbers() == fp.core_numbers()
-    assert fn.peel_density_lower_bound() == pytest.approx(
-        fp.peel_density_lower_bound()
-    )
+def hub_instances() -> list[Graph]:
+    """Graphs with a hub of degree above ``FrozenGraph._VECTORIZE_FRONTIER``.
+
+    A star whose leaves each carry a pendant vertex, and random degenerate
+    graphs with a hub joined to 300 of their vertices plus a separate small
+    component.
+    """
+    star = Graph(name="star-with-pendants")
+    for leaf in range(1, 301):
+        star.add_edge(0, leaf)
+        star.add_edge(leaf, leaf + 300)
+    graphs = [star]
+    for seed in range(5):
+        g = sparse.random_degenerate_graph(400 + 20 * seed, 1 + seed % 3, seed=seed)
+        hub = len(g)
+        rng = random.Random(seed)
+        for v in rng.sample(g.vertices(), 300):
+            g.add_edge(hub, v)
+        g.add_edges([(("tail", i), ("tail", i + 1)) for i in range(3)])
+        graphs.append(g)
+    return graphs
+
+
+def graph_levels(g: Graph, sources, radius) -> list[set]:
+    """BFS frontiers of ``Graph`` from a source set, as label sets."""
+    distance: dict = {}
+    for s in sources:
+        for v, d in g.bfs_distances(s, radius).items():
+            distance[v] = min(d, distance.get(v, d))
+    levels: list[set] = [set() for _ in range(max(distance.values(), default=-1) + 1)]
+    for v, d in distance.items():
+        levels[d].add(v)
+    return levels
+
+
+def test_vectorized_bfs_levels_match_graph():
+    """Frontiers of 256+ vertices take ``_expand_frontier_np``; the answers
+    must not change (balls, distances, components, multi-source levels)."""
+    for g in hub_instances():
+        f = g.freeze()
+        hub = max(g.vertices(), key=g.degree)
+        frontier_sizes = [len(level) for level in f.multi_source_levels([f.index_of(hub)])]
+        assert max(frontier_sizes) >= FrozenGraph._VECTORIZE_FRONTIER
+        rng = random.Random(len(g))
+        probes = [hub] + rng.sample(g.vertices(), 12)
+        for v in probes:
+            assert f.bfs_distances(v) == g.bfs_distances(v)
+            assert f.bfs_distances(v, radius=2) == g.bfs_distances(v, radius=2)
+            for radius in (0, 1, 2, 3):
+                assert f.ball(v, radius) == g.ball(v, radius)
+        assert set(map(frozenset, f.connected_components())) == set(
+            map(frozenset, g.connected_components())
+        )
+        for radius in (None, 1, 2, 3):
+            sources = probes[:4] + probes[:1]  # a duplicate source is ignored
+            levels = f.multi_source_levels([f.index_of(v) for v in sources], radius)
+            assert levels[0] == list(dict.fromkeys(f.index_of(v) for v in sources))
+            assert [{f.label_of(i) for i in level} for level in levels] == graph_levels(
+                g, sources, radius
+            )
 
 
 def test_freeze_thaw_round_trip():

@@ -1,6 +1,6 @@
 """Parity suite for the fused round kernels (:mod:`repro.local.kernels`).
 
-Four layers of pinning:
+Three layers of pinning:
 
 * kernel unit tests — every kernel against a naive per-slot loop;
 * ``reverse_slot`` of the array-first fabric builds (the frozen CSR fast
@@ -9,21 +9,17 @@ Four layers of pinning:
   batched engine, the unfused three-pass reference (``reference_exchange``),
   the flat per-node engine and the frozen seed engine must agree on
   outputs, rounds, total and per-round message counts for Cole–Vishkin,
-  the greedy baseline and the wave 2-coloring;
-* native-build gating — ``REPRO_NATIVE`` semantics, the missing-numba
-  warning, and numpy-vs-numba bit parity when numba is importable.
+  the greedy baseline and the wave 2-coloring.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-
-np = pytest.importorskip("numpy")
 
 from repro.distributed.cole_vishkin import (
     BatchColeVishkinForestColoring,
@@ -36,15 +32,12 @@ from repro.distributed.greedy_baseline import (
 )
 from repro.distributed.wave import BatchWaveTwoColoring, WaveTwoColoring
 from repro.faults import PerturbableNetwork
-from repro.graphs.frozen import HAS_NUMPY
 from repro.graphs.generators import classic, sparse
 from repro.graphs.graph import Graph
 from repro.local import Network, ReferenceSimulator, SynchronousSimulator
 from repro.local import kernels
 from repro.local.network import _reverse_slots_python
 from repro.verify import assert_simulation_parity
-
-HAS_NUMBA = importlib.util.find_spec("numba") is not None
 
 seeds = st.integers(min_value=0, max_value=2**20)
 
@@ -156,11 +149,6 @@ def small_graphs(draw, min_n=0):
     )
 
 
-needs_numpy_backend = pytest.mark.skipif(
-    not HAS_NUMPY, reason="the array-first fabric needs the numpy backend"
-)
-
-
 def _assert_reverse_slot(fabric):
     reverse = fabric.reverse_np
     expected = _reverse_slots_python(
@@ -171,7 +159,6 @@ def _assert_reverse_slot(fabric):
     assert (fabric.endpoints_np[reverse] == fabric.sources_np()).all()
 
 
-@needs_numpy_backend
 @given(small_graphs())
 @example(Graph())
 @example(Graph(vertices=[7]))
@@ -186,7 +173,6 @@ def test_csr_fast_path_reverse_slot(graph):
     _assert_reverse_slot(fabric)
 
 
-@needs_numpy_backend
 @given(
     small_graphs(min_n=1),
     st.lists(
@@ -326,111 +312,6 @@ def test_active_mode_charges_frontier_messages():
     assert result.per_round_messages[0] == 1
     assert result.per_round_messages[-1] == 1
     assert all(m == 2 for m in result.per_round_messages[1:-1])
-
-
-# ---------------------------------------------------------------------------
-# native-build gating
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def native_cache_reset():
-    kernels._reset_native_cache()
-    yield
-    kernels._reset_native_cache()
-
-
-def test_repro_native_off_pins_numpy(monkeypatch, native_cache_reset):
-    monkeypatch.setenv("REPRO_NATIVE", "0")
-    assert kernels.native_mode() == "off"
-    assert not kernels.native_active()
-    # "off" must not even probe numba
-    assert not kernels.native_available()
-
-
-@pytest.mark.skipif(HAS_NUMBA, reason="numba is installed")
-def test_repro_native_require_warns_without_numba(monkeypatch, native_cache_reset):
-    monkeypatch.setenv("REPRO_NATIVE", "1")
-    assert kernels.native_mode() == "require"
-    with pytest.warns(RuntimeWarning, match="REPRO_NATIVE=1 but numba"):
-        assert not kernels.native_active()
-    # the warning fires once per process, not once per round
-    with warnings_none():
-        assert not kernels.native_active()
-
-
-class warnings_none:
-    """Context asserting no warnings are emitted inside the block."""
-
-    def __enter__(self):
-        import warnings as _w
-
-        self._catcher = _w.catch_warnings(record=True)
-        self._records = self._catcher.__enter__()
-        import warnings as _w2
-
-        _w2.simplefilter("always")
-        return self._records
-
-    def __exit__(self, *exc):
-        self._catcher.__exit__(*exc)
-        assert not self._records, [str(r.message) for r in self._records]
-        return False
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_native_kernels_bit_identical(monkeypatch, native_cache_reset):
-    monkeypatch.setenv("REPRO_NATIVE", "1")
-    assert kernels.native_active()
-    fabric = _random_fabric(7, n=60)
-    endpoints = fabric.endpoints_np
-    reverse = fabric.reverse_np
-    m = endpoints.shape[0]
-    node_values = np.arange(len(fabric.offsets_np) - 1, dtype=np.int64) * 11
-    rng = np.random.default_rng(7)
-    values = rng.integers(0, 1000, size=m, dtype=np.int64)
-    mask = rng.integers(0, 2, size=m).astype(bool)
-    native_gather = kernels.gather(
-        node_values, endpoints, out=np.empty(m, dtype=np.int64)
-    ).copy()
-    native_inbox, native_delivered, native_count = kernels.deliver_masked(
-        values, mask, reverse,
-        inbox_out=np.empty(m, dtype=np.int64),
-        delivered_out=np.empty(m, dtype=np.bool_),
-    )
-    native_inbox = native_inbox.copy()
-    native_delivered = native_delivered.copy()
-
-    kernels._reset_native_cache()
-    monkeypatch.setenv("REPRO_NATIVE", "0")
-    assert not kernels.native_active()
-    assert (kernels.gather(node_values, endpoints) == native_gather).all()
-    inbox, delivered, count = kernels.deliver_masked(values, mask, reverse)
-    assert (inbox == native_inbox).all()
-    assert (delivered == native_delivered).all()
-    assert count == native_count
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_native_engine_bit_identical(monkeypatch, native_cache_reset):
-    """Full engine runs agree bit-for-bit between numba and numpy kernels."""
-    graph = sparse.union_of_random_forests(50, 2, seed=3).freeze()
-    net = Network(graph)
-    delta = max(1, graph.max_degree())
-    inputs = {v: delta for v in graph.vertices()}
-
-    monkeypatch.setenv("REPRO_NATIVE", "1")
-    native = SynchronousSimulator(net).run(
-        BatchGreedyLocalMaximaAlgorithm, inputs=inputs,
-        max_rounds=52, strict=True,
-    )
-    kernels._reset_native_cache()
-    monkeypatch.setenv("REPRO_NATIVE", "0")
-    plain = SynchronousSimulator(net).run(
-        BatchGreedyLocalMaximaAlgorithm, inputs=inputs,
-        max_rounds=52, strict=True,
-    )
-    assert_simulation_parity(native, plain, labels=("numba", "numpy"))
 
 
 # ---------------------------------------------------------------------------

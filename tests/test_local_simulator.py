@@ -7,7 +7,6 @@ import pytest
 
 from repro.distributed.greedy_baseline import greedy_distributed_coloring
 from repro.errors import NonTerminationError, SimulationError
-from repro.graphs.frozen import HAS_NUMPY
 from repro.graphs.generators import classic, sparse, streaming
 from repro.graphs.graph import Graph
 from repro.local import (
@@ -52,8 +51,6 @@ def test_network_identifier_order_override():
 
 def _graph_of_kind(kind):
     if kind == "identity":
-        if not HAS_NUMPY:
-            pytest.skip("streaming generators need numpy")
         return streaming.stream_torus(4, 5)  # labels are range(n)
     graph = sparse.union_of_random_forests(24, 2, seed=5)
     # string labels in a shuffled insertion order, so labels != CSR indices
@@ -95,8 +92,7 @@ def test_lazy_network_maps_match_eager_definitions(kind, path):
     assert net.identifier_of == ids
     assert net.vertex_of == {i: v for v, i in ids.items()}
     assert net.identifiers_list == [ids[v] for v in order]
-    if HAS_NUMPY:
-        assert net.identifiers_np.tolist() == net.identifiers_list
+    assert net.identifiers_np.tolist() == net.identifiers_list
     for v in graph:
         ports = sorted(graph.neighbors(v), key=ids.__getitem__)
         assert net.degree(v) == len(ports) == graph.degree(v)
@@ -111,7 +107,6 @@ def test_lazy_network_maps_match_eager_definitions(kind, path):
     }
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="list views are built from numpy arrays")
 @pytest.mark.parametrize("path", ["default", "identifier_order", "identifiers"])
 @pytest.mark.parametrize("kind", ["frozen", "mutable", "identity"])
 def test_fabric_list_views_match_arrays(kind, path):
@@ -143,7 +138,6 @@ def test_fabric_list_views_match_arrays(kind, path):
 MAX_PEAK_BYTES_PER_SLOT = 100
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="the array-first fabric needs numpy")
 def test_fabric_and_batched_greedy_stay_array_only():
     graph = streaming.stream_torus(200, 200)
     assert graph.identity_labels

@@ -22,11 +22,10 @@ from hypothesis import strategies as st
 from repro.analysis import ExperimentRunner, shared
 from repro.corpus import InstanceCorpus, InstanceSpec, graph_digest
 from repro.errors import GraphError
-from repro.graphs.frozen import HAS_NUMPY, FrozenGraph, freeze
+from repro.graphs.frozen import FrozenGraph, freeze
 from repro.graphs.generators import streaming
 from repro.graphs.graph import Graph
 
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy backend")
 
 # one small spec per streaming family: (builder kwargs are positional-ready)
 _FAMILY_SPECS = [
@@ -54,7 +53,6 @@ def _thaw(graph: FrozenGraph) -> Graph:
 # from_edge_array parity with the Graph path
 # ---------------------------------------------------------------------------
 
-@needs_numpy
 def test_from_edge_array_matches_graph_path():
     import numpy as np
 
@@ -75,7 +73,6 @@ def test_from_edge_array_matches_graph_path():
     }
 
 
-@needs_numpy
 @pytest.mark.parametrize("family,kwargs", _FAMILY_SPECS)
 def test_streaming_builders_produce_identity_frozen_graphs(family, kwargs):
     graph = _build(family, **kwargs)
@@ -92,7 +89,6 @@ def test_streaming_builders_produce_identity_frozen_graphs(family, kwargs):
 # npz round trip + memmap parity (hypothesis over the generator matrix)
 # ---------------------------------------------------------------------------
 
-@needs_numpy
 @settings(max_examples=15, deadline=None)
 @given(
     index=st.integers(0, len(_FAMILY_SPECS) - 1),
@@ -130,7 +126,6 @@ def test_npz_roundtrip_and_memmap_parity(index, seed):
 # digest: vectorized fast path == scalar slow path, stable across save/load
 # ---------------------------------------------------------------------------
 
-@needs_numpy
 @pytest.mark.parametrize("family,kwargs", _FAMILY_SPECS)
 def test_digest_fast_path_matches_slow_path(family, kwargs):
     graph = _build(family, **kwargs)
@@ -139,7 +134,6 @@ def test_digest_fast_path_matches_slow_path(family, kwargs):
     assert graph_digest(graph) == graph_digest(_thaw(graph))
 
 
-@needs_numpy
 def test_digest_fast_path_edge_cases():
     import numpy as np
 
@@ -154,7 +148,6 @@ def test_digest_fast_path_edge_cases():
         assert graph_digest(g) == graph_digest(_thaw(g))
 
 
-@needs_numpy
 def test_digest_stable_across_save_load(tmp_path):
     graph = streaming.stream_degenerate_graph(500, 3, seed=11)
     # golden pin: the content address the corpus npz cache files carry in
@@ -194,7 +187,6 @@ def _worker_attach(handle):
         shared.detach_all()
 
 
-@needs_numpy
 def test_publish_is_idempotent_and_local_attach_is_zero_copy():
     graph = streaming.stream_degenerate_graph(200, 3, seed=2)
     handle = shared.publish(graph)
@@ -212,7 +204,6 @@ def test_publish_is_idempotent_and_local_attach_is_zero_copy():
     assert handle.digest not in shared.published_digests()
 
 
-@needs_numpy
 def test_shared_memory_attach_in_real_process_pool():
     graph = streaming.stream_k_tree(150, 3, seed=4)
     handle = shared.publish(graph)
@@ -237,7 +228,6 @@ def test_shared_memory_attach_in_real_process_pool():
         shared.release(handle.digest)
 
 
-@needs_numpy
 def test_npz_handle_attach_validates_digest(tmp_path):
     graph = streaming.stream_forest_union(80, 2, seed=6)
     path = tmp_path / "g.npz"
@@ -264,7 +254,6 @@ def test_npz_handle_attach_validates_digest(tmp_path):
 # corpus npz cache: content addressing, LRU cap, prune
 # ---------------------------------------------------------------------------
 
-@needs_numpy
 def test_corpus_caches_streaming_instances_as_npz(tmp_path):
     spec = InstanceSpec.of("stream-degenerate", n=120, degeneracy=3, seed=1)
     corpus = InstanceCorpus(cache_dir=tmp_path)
@@ -281,7 +270,6 @@ def test_corpus_caches_streaming_instances_as_npz(tmp_path):
     assert graph_digest(regenerated) == graph_digest(graph)
 
 
-@needs_numpy
 def test_corpus_cache_cap_evicts_least_recently_used(tmp_path):
     specs = [
         InstanceSpec.of("stream-degenerate", n=100, degeneracy=2, seed=s)
@@ -336,7 +324,6 @@ def test_rows_carry_peak_rss_and_artifact_carries_iso_timestamp():
     assert stamp.tzinfo is not None
 
 
-@needs_numpy
 def test_scale_scenario_rows_are_digest_checked(tmp_path):
     from repro.scenarios import run_scenario
 
@@ -361,7 +348,6 @@ def test_scale_scenario_rows_are_digest_checked(tmp_path):
 # identity-label index
 # ---------------------------------------------------------------------------
 
-@needs_numpy
 def test_identity_index_behaves_like_a_dict():
     graph = streaming.stream_degenerate_graph(30, 2, seed=1)
     index = graph._index
@@ -398,7 +384,6 @@ def _worker_warm_corpus(cache_dir: str) -> str:
     return graph_digest(corpus.frozen(spec))
 
 
-@needs_numpy
 def test_corpus_cache_dir_creation_races_are_benign(tmp_path):
     # the directory (including a parent) must not exist yet: creation itself
     # is the contended step
@@ -421,7 +406,6 @@ def test_corpus_cache_dir_creation_races_are_benign(tmp_path):
     assert graph_digest(warm.frozen(spec)) == digests[0]
 
 
-@needs_numpy
 def test_corpus_same_process_concurrent_stores_use_unique_tmp_names(tmp_path):
     # one process, many threads (the serving layer's warm pattern): pid-only
     # tmp names would collide; the per-process serial keeps them distinct
@@ -457,7 +441,6 @@ def test_corpus_degrades_gracefully_when_cache_dir_is_unusable(tmp_path):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.slow
-@needs_numpy
 def test_stream_degenerate_100k_peel_and_digest_fast_path():
     graph = streaming.stream_degenerate_graph(100_000, 3, seed=1)
     assert len(graph) == 100_000
@@ -472,7 +455,6 @@ def test_stream_degenerate_100k_peel_and_digest_fast_path():
 
 
 @pytest.mark.slow
-@needs_numpy
 def test_shared_fanout_100k_roundtrips_degeneracy():
     graph = streaming.stream_forest_union(100_000, 2, seed=3)
     handle = shared.publish(graph)

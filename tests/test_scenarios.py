@@ -239,18 +239,10 @@ def test_cli_campaign_only_filter(tmp_path):
     assert not (tmp_path / "BENCH_lowerbound-grids.json").exists()
 
 
-def test_benchmark_shims_delegate_to_registry():
-    """The old bench_* entry points still work, now as registry shims."""
-    import importlib
-    import sys
-    from pathlib import Path
-
-    bench_dir = str(Path(__file__).resolve().parent.parent / "benchmarks")
-    sys.path.insert(0, bench_dir)
-    try:
-        module = importlib.import_module("bench_lowerbound_fisk")
-        runner = module.build_table(cases=((29, 3),))
-        assert runner.name == "lowerbound-fisk"
-        assert runner.rows and runner.rows[0].metrics["colors_ruled_out"] == 4
-    finally:
-        sys.path.remove(bench_dir)
+def test_lowerbound_fisk_rules_out_four_colors():
+    """Fisk's construction (Theorem 1.5) on case (29, 3) rules out 4 colors."""
+    runner = run_scenario(
+        "lowerbound-fisk", overrides={"cases": ((29, 3),)}, workers=1, export=False
+    ).runner
+    assert runner.name == "lowerbound-fisk"
+    assert runner.rows and runner.rows[0].metrics["colors_ruled_out"] == 4

@@ -617,6 +617,32 @@ def test_compute_job_self_verifies_and_reports_domain_errors():
         shared.release(handle.digest)
 
 
+def test_theorem13_budget_is_clamped_to_max_degree_plus_one():
+    """A huge ``d`` is clamped to ``max(Δ+1, 3)``: same palette guarantee,
+    bounded run time, and the budget oracle checks the tighter bound."""
+    import time
+
+    from repro.analysis import shared
+
+    graph = _GRAPHS["planar-tri-60-s3"]
+    delta = graph.max_degree()
+    handle = shared.local_handle(graph)
+    try:
+        payload = compute_job(handle, "theorem13", {"d": delta + 5})
+        assert payload.get("error") is None, payload
+        assert payload["budget"] == delta + 1
+        assert payload["valid"] is True
+        start = time.perf_counter()
+        payload = compute_job(handle, "theorem13", {"d": 10**6})
+        assert time.perf_counter() - start < 5.0
+        assert payload.get("error") is None, payload
+        assert payload["budget"] == delta + 1
+        assert payload["valid"] is True
+        assert payload["colors"] <= payload["budget"]
+    finally:
+        shared.release(handle.digest)
+
+
 # ---------------------------------------------------------------------------
 # result cache unit behavior (byte cap, LRU, stats)
 # ---------------------------------------------------------------------------
