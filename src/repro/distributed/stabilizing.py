@@ -10,6 +10,9 @@ changes state again until the next perturbation.  The run-until-
 quiescent loop lives in :mod:`repro.faults.engine`; this module only
 defines the node programs, in both the per-node and batched forms the
 static engine uses (the dict/flat parity axis extends to recovery runs).
+The batched forms run at every palette width — the hubs of a planar
+graph can push the palette past any fixed bitmask — so the flat backend
+never falls back to per-node objects.
 
 Two protocols, following the min+1 line of Dubois–Masuzawa–Tixeuil
 (see PAPERS.md and docs/fault_tolerance.md):
@@ -54,8 +57,8 @@ from repro.local.node import (
     BatchNodeAlgorithm,
     NodeAlgorithm,
     NodeContext,
-    lowest_free_bit,
     segment_reduce,
+    smallest_free_color,
 )
 
 __all__ = [
@@ -154,10 +157,10 @@ class BatchMinPlusOneRecoloring(BatchNodeAlgorithm):
 
     Messages pack ``color * 2 + dirty`` into one int64 per slot
     (identifiers are read off the fabric, as in the greedy baseline
-    port); the repair rule is replayed with segmented reductions.  The
-    used-color bit trick needs the palette below 62, hence
-    :meth:`can_run`; injected colors are clamped non-negative by the
-    plan, so the packing stays order-preserving.
+    port); the repair rule is replayed with segmented reductions, and the
+    min+1 choice is :func:`~repro.local.node.smallest_free_color`, which
+    works at any palette width.  Injected colors are clamped non-negative
+    by the plan, so the packing stays order-preserving.
 
     Broadcast exchange mode: ``send_batch`` returns the packed per-node
     value and the engines deliver it with the fused endpoint gather
@@ -166,14 +169,7 @@ class BatchMinPlusOneRecoloring(BatchNodeAlgorithm):
     duplications can edit individual slots before :meth:`receive_batch`.
     """
 
-    fallback = MinPlusOneRecoloring
     exchange_mode = "broadcast"
-
-    def can_run(self, context: BatchContext) -> bool:
-        budget = max(
-            (_unpack_input(x)[0] for x in context.inputs if x is not None), default=0
-        )
-        return budget < 62
 
     def initialize_batch(self, context: BatchContext) -> None:
         super().initialize_batch(context)
@@ -224,22 +220,23 @@ class BatchMinPlusOneRecoloring(BatchNodeAlgorithm):
         )
         illegal = (self.colors < 1) | (self.colors > self.budget)
         enabled = (self.dirty > 0) & (self.context.identifiers > rival)
-        in_palette = (nbr_color >= 1) & (nbr_color <= self.budget)
-        used = segment_reduce(
-            np.bitwise_or,
-            np.where(in_palette, 1 << np.where(in_palette, nbr_color, 0), 0),
-            offsets,
-            empty=0,
-        ) | 1
-        free = lowest_free_bit(used)
-        self.colors = np.where(enabled, free, self.colors)
-        self.dirty = np.where(enabled, 0, (illegal | conflict).astype(np.int64))
+        free = smallest_free_color(nbr_color, offsets, self._src)
+        # an enabled node with every palette color taken stays put and dirty
+        moves = enabled & (free <= self.budget)
+        self.colors = np.where(moves, free, self.colors)
+        self.dirty = np.where(
+            moves, 0, np.where(enabled, 1, (illegal | conflict).astype(np.int64))
+        )
 
     def is_finished_batch(self) -> bool:
         return False
 
     def results_batch(self) -> list[int]:
         return self.colors.tolist()
+
+    def colors_array(self):
+        """The color registers as an ``int64`` array copy, by node index."""
+        return self.colors.copy()
 
 
 class StabilizingGreedyAlgorithm(StabilizingNodeAlgorithm):
@@ -282,14 +279,7 @@ class BatchStabilizingGreedy(BatchNodeAlgorithm):
     like :class:`BatchMinPlusOneRecoloring`.
     """
 
-    fallback = StabilizingGreedyAlgorithm
     exchange_mode = "broadcast"
-
-    def can_run(self, context: BatchContext) -> bool:
-        budget = max(
-            (_unpack_input(x)[0] for x in context.inputs if x is not None), default=0
-        )
-        return budget < 62
 
     def initialize_batch(self, context: BatchContext) -> None:
         super().initialize_batch(context)
@@ -339,14 +329,9 @@ class BatchStabilizingGreedy(BatchNodeAlgorithm):
             & (self.colors == 0)
             & (self.context.identifiers > rival)
         )
-        in_palette = (values >= 1) & (values <= self.budget)
-        used = segment_reduce(
-            np.bitwise_or,
-            np.where(in_palette, 1 << np.where(in_palette, values, 0), 0),
-            offsets,
-            empty=0,
-        ) | 1
-        free = lowest_free_bit(used)
+        free = smallest_free_color(values, offsets, self._src)
+        # a picking node with every palette color taken stays uncolored
+        pick &= free <= self.budget
         self.colors = np.where(
             illegal | conflict, 0, np.where(pick, free, self.colors)
         )
@@ -356,6 +341,10 @@ class BatchStabilizingGreedy(BatchNodeAlgorithm):
 
     def results_batch(self) -> list[int]:
         return self.colors.tolist()
+
+    def colors_array(self):
+        """The color registers as an ``int64`` array copy, by node index."""
+        return self.colors.copy()
 
 
 #: protocol name -> (per-node factory, batched factory); the scenario's

@@ -25,7 +25,10 @@ Per round, in order:
 3. record a :class:`RoundRecord`: what fired, which vertices changed
    color (with the new color — the trace is *replayable*, which is how
    the :class:`~repro.verify.recovery.RecoveryOracle` catches tampered
-   logs), the number of conflicting edges and the legality flag.
+   logs), the number of conflicting edges and the legality flag.  Both
+   paths hand the colors over as an ``int64`` array, so the deltas are a
+   ``flatnonzero`` of the color diff and the conflict count one gather
+   over the fabric, whatever the backend.
 
 Every record lands in a :class:`StabilizationTrace`, the single witness
 object the recovery oracles, the containment auditor and the E18
@@ -34,7 +37,6 @@ scenario metrics all read.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -115,11 +117,16 @@ class StabilizationTrace:
 
 def _slot_towards(fabric, dst: int, src: int) -> int | None:
     """The inbox slot of ``dst`` whose other endpoint is ``src`` (or None)."""
-    lo, hi = fabric.offsets[dst], fabric.offsets[dst + 1]
-    pos = bisect_left(fabric.endpoints, src, lo, hi)
-    if pos < hi and fabric.endpoints[pos] == src:
+    lo, hi = fabric.offsets_np[dst], fabric.offsets_np[dst + 1]
+    pos = int(lo + np.searchsorted(fabric.endpoints_np[lo:hi], src))
+    if pos < hi and fabric.endpoints_np[pos] == src:
         return pos
     return None
+
+
+def _clashes(fabric, colors):
+    """Per-slot mask: the slot's two endpoints share a color (both ways)."""
+    return colors[fabric.sources_np()] == colors[fabric.endpoints_np]
 
 
 class _FaultState:
@@ -232,14 +239,6 @@ def run_stabilizing(
     probe = algorithm_factory()
     if isinstance(probe, BatchNodeAlgorithm):
         runner = _BatchedStabilizer(pnet, probe, budget, initial)
-        if not runner.usable():
-            fallback = type(probe).fallback
-            if fallback is None:
-                raise SimulationError(
-                    f"{type(probe).__name__} cannot run batched here and "
-                    "declares no per-node fallback"
-                )
-            runner = _PerNodeStabilizer(pnet, fallback, budget, initial)
     else:
         runner = _PerNodeStabilizer(pnet, algorithm_factory, budget, initial)
 
@@ -247,6 +246,7 @@ def run_stabilizing(
     last_event_round = plan.last_round()
     previous_snapshot = runner.snapshot()
     colors = runner.colors()
+    labels = trace.labels
 
     for round_number in range(1, max_rounds + 1):
         state.next_round()
@@ -257,14 +257,13 @@ def run_stabilizing(
             runner.rebind_topology()
         messages = runner.exchange(round_number, state)
         new_colors = runner.colors()
+        moved = np.flatnonzero(new_colors != colors)
         changes = tuple(
-            (trace.labels[i], new_colors[i])
-            for i in range(pnet.n)
-            if new_colors[i] != colors[i]
+            zip(map(labels.__getitem__, moved.tolist()), new_colors[moved].tolist())
         )
-        conflicts, conflicted_vertices = runner.conflicts(new_colors)
-        legal = conflicts == 0 and all(
-            1 <= c <= budget for c in new_colors
+        conflicts = int(np.count_nonzero(_clashes(runner.fabric, new_colors))) // 2
+        legal = conflicts == 0 and bool(
+            ((new_colors >= 1) & (new_colors <= budget)).all()
         )
         trace.records.append(
             RoundRecord(
@@ -289,6 +288,9 @@ def run_stabilizing(
         previous_snapshot = snapshot
     else:
         if strict:
+            fabric = runner.fabric
+            clash = _clashes(fabric, colors)
+            conflicted_vertices = int(np.unique(fabric.sources_np()[clash]).size)
             raise NonTerminationError(
                 f"stabilizing run hit max_rounds={max_rounds} without "
                 f"quiescing ({conflicted_vertices} vertex(es) in conflict)",
@@ -296,7 +298,7 @@ def run_stabilizing(
                 active=conflicted_vertices,
             )
 
-    trace.final_coloring = dict(zip(trace.labels, colors))
+    trace.final_coloring = dict(zip(labels, colors.tolist()))
     return trace
 
 
@@ -324,9 +326,6 @@ class _PerNodeStabilizer:
             self.nodes.append(node)
         self.fabric = pnet.network.fabric
 
-    def usable(self) -> bool:
-        return True
-
     def rebind_topology(self) -> None:
         self.fabric = self.pnet.network.fabric
         for i, node in enumerate(self.nodes):
@@ -341,8 +340,10 @@ class _PerNodeStabilizer:
     def snapshot(self) -> tuple:
         return tuple(node.snapshot() for node in self.nodes)
 
-    def colors(self) -> list[int]:
-        return [int(node.result()) for node in self.nodes]
+    def colors(self):
+        return np.fromiter(
+            (node.result() for node in self.nodes), dtype=np.int64, count=len(self.nodes)
+        )
 
     def exchange(self, round_number: int, state: _FaultState) -> int:
         fabric = self.fabric
@@ -389,21 +390,6 @@ class _PerNodeStabilizer:
             )
         return messages
 
-    def conflicts(self, colors: list[int]) -> tuple[int, int]:
-        fabric = self.fabric
-        offsets, endpoints = fabric.offsets, fabric.endpoints
-        count = 0
-        vertices: set[int] = set()
-        for i in range(len(self.nodes)):
-            ci = colors[i]
-            for k in range(offsets[i], offsets[i + 1]):
-                j = endpoints[k]
-                if j > i and colors[j] == ci:
-                    count += 1
-                    vertices.add(i)
-                    vertices.add(j)
-        return count, len(vertices)
-
 
 # ---------------------------------------------------------------------------
 # batched path
@@ -416,21 +402,13 @@ class _BatchedStabilizer:
     def __init__(self, pnet, program, budget, initial):
         self.pnet = pnet
         self.program = program
-        self.budget = budget
-        self.initial = initial
-        self._ready = False
-        context = self._context()
-        if not program.can_run(context):
-            return
-        program.initialize_batch(context)
-        self._ready = True
-
-    def usable(self) -> bool:
-        return self._ready
+        # built once: a topology edit changes the fabric, never the inputs
+        self.inputs = [(budget, initial[v]) for v in pnet.labels]
+        program.initialize_batch(self._context())
 
     def _context(self) -> BatchContext:
         network = self.pnet.network
-        fabric = network.fabric
+        fabric = self.fabric = network.fabric
         return BatchContext(
             n=fabric.n,
             identifiers=network.identifiers_np,
@@ -439,7 +417,7 @@ class _BatchedStabilizer:
             endpoints=fabric.endpoints_np,
             reverse_slot=fabric.reverse_np,
             sources=fabric.sources_np(),
-            inputs=[(self.budget, self.initial[v]) for v in self.pnet.labels],
+            inputs=self.inputs,
             network=network,
             declared_n=self.pnet.n,
         )
@@ -456,11 +434,11 @@ class _BatchedStabilizer:
     def snapshot(self) -> tuple:
         return self.program.snapshot()
 
-    def colors(self) -> list[int]:
-        return self.program.results_batch()
+    def colors(self):
+        return self.program.colors_array()
 
     def exchange(self, round_number: int, state: _FaultState) -> int:
-        fabric = self.pnet.network.fabric
+        fabric = self.fabric
         values = self.program.send_batch(round_number)
         if type(self.program).exchange_mode == "broadcast":
             # per-node broadcast values: the fused kernel delivers them in
@@ -471,7 +449,7 @@ class _BatchedStabilizer:
         else:
             inbox = kernels.deliver_slots(values, fabric.reverse_np)
             captured = lambda src, slot: int(  # noqa: E731
-                values[fabric.reverse_slot[slot]]
+                values[fabric.reverse_np[slot]]
             )
         delivered = None
         messages = fabric.num_slots
@@ -497,12 +475,3 @@ class _BatchedStabilizer:
         state.pending_dups = next_dups
         self.program.receive_batch(round_number, inbox, delivered)
         return messages
-
-    def conflicts(self, colors: list[int]) -> tuple[int, int]:
-        fabric = self.pnet.network.fabric
-        arr = np.asarray(colors, dtype=np.int64)
-        src = fabric.sources_np()
-        clash = arr[src] == arr[fabric.endpoints_np]
-        count = int(clash.sum()) // 2
-        vertices = int(np.union1d(src[clash], fabric.endpoints_np[clash]).size)
-        return count, vertices

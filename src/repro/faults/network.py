@@ -10,18 +10,19 @@ fabric reflects the current topology — ports renumber exactly as the
 LOCAL model prescribes (neighbours enumerated by increasing
 identifier).
 
-Two backends build that fabric, mirroring the dict/flat split of the
-static engine:
+Every rebuild flattens the maintained per-node sorted adjacency into
+routing-fabric tables, and the :class:`Network` reads its graph through
+a :class:`~repro.graphs.frozen.FrozenGraph` view of the fabric's
+``offsets``/``endpoints`` arrays.  Two backends build the fabric,
+mirroring the dict/flat split of the static engine:
 
-* ``dict`` — rebuild through :class:`Network`'s general path (python
-  lists, per-slot bisection for ``reverse_slot``); the reference.
-* ``flat`` — patch the edge-slot tables directly: the maintained
-  per-node sorted adjacency is flattened into ``offsets``/``endpoints``
-  int64 arrays and handed to the frozen CSR fast path's builder
+* ``dict`` — Python-list tables with per-slot bisection for
+  ``reverse_slot``; the reference.
+* ``flat`` — ``int64`` arrays handed to the frozen CSR fast path
   (:func:`repro.local.network._fabric_from_csr`), which recovers
   ``reverse_slot`` with one sort over ``(dst, src)`` keys and leaves the
   fabric's Python list views to be built on first read (only the per-node
-  engine and the drop/duplicate slot lookups read them).
+  engine reads them).
 
 The parity tests assert both backends produce identical tables after
 identical edit sequences, which is what licenses the flat backend in
@@ -37,7 +38,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.frozen import FrozenGraph, GraphLike, freeze
-from repro.graphs.graph import Graph, Vertex
+from repro.graphs.graph import Vertex
 from repro.local.network import (
     Network,
     RoutingFabric,
@@ -57,15 +58,18 @@ class PerturbableNetwork:
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
         self.backend = backend
-        self.labels: list[Vertex] = list(graph.vertices())
+        frozen = freeze(graph)
+        self.labels: list[Vertex] = frozen.vertices()
         if not self.labels:
             raise GraphError("PerturbableNetwork needs at least one vertex")
         self._index: dict[Vertex, int] = {v: i for i, v in enumerate(self.labels)}
         # ground truth: per-node neighbour indices, kept sorted ascending
         # (index order == identifier order, so slices are already in port
-        # order and both fabric builds read them verbatim)
+        # order and both fabric builds read them verbatim); the CSR slices
+        # of the frozen input are exactly that
+        offsets, neighbors = (a.tolist() for a in frozen.csr_arrays())
         self._adj: list[list[int]] = [
-            sorted(self._index[u] for u in graph.neighbors(v)) for v in self.labels
+            neighbors[offsets[i]:offsets[i + 1]] for i in range(len(self.labels))
         ]
         self.version = 0
         self._network: Network | None = None
@@ -128,17 +132,6 @@ class PerturbableNetwork:
         ]
 
     # ------------------------------------------------------------------
-    # snapshots
-    # ------------------------------------------------------------------
-    def graph(self) -> Graph:
-        """A mutable :class:`Graph` snapshot of the current topology."""
-        return Graph(vertices=self.labels, edges=self.edges(), name="perturbed")
-
-    def frozen(self) -> FrozenGraph:
-        """A frozen CSR snapshot (oracle-side distance/legality checks)."""
-        return freeze(self.graph())
-
-    # ------------------------------------------------------------------
     # the Network view
     # ------------------------------------------------------------------
     @property
@@ -150,11 +143,15 @@ class PerturbableNetwork:
         return self._network
 
     def _build_network(self) -> Network:
-        network = Network(self.graph())
-        if self.backend == "flat":
-            network._fabric = self._flat_fabric()
-        else:
-            network._fabric = self._dict_fabric()
+        fabric = self._flat_fabric() if self.backend == "flat" else self._dict_fabric()
+        # the fabric's offsets/endpoints arrays are the current CSR, so the
+        # Network's graph is a zero-copy frozen view of them
+        network = Network(
+            FrozenGraph(
+                self.labels, fabric.offsets_np, fabric.endpoints_np, name="perturbed"
+            )
+        )
+        network._fabric = fabric
         return network
 
     def _dict_fabric(self) -> RoutingFabric:

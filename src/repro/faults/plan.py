@@ -94,8 +94,13 @@ class FaultEvent:
         if self.round < 1:
             raise ValueError(f"event rounds start at 1, got {self.round}")
         if self.kind == "corrupt-color":
-            if self.value is None or int(self.value) < 0:
-                raise ValueError("corrupt-color events need a value >= 0")
+            # color registers are int64 on both backends, and min+1 packs
+            # ``color * 2 + dirty`` into one: values must stay below 2**62
+            if self.value is None or not 0 <= int(self.value) < 2**62:
+                raise ValueError(
+                    "corrupt-color events need a value in [0, 2**62), "
+                    f"got {self.value!r}"
+                )
 
     def key(self) -> tuple:
         """Canonical tuple used by digests and the determinism tests."""

@@ -36,6 +36,7 @@ __all__ = [
     "BatchNodeAlgorithm",
     "segment_reduce",
     "lowest_free_bit",
+    "smallest_free_color",
 ]
 
 
@@ -266,3 +267,30 @@ def lowest_free_bit(used):
     """
     isolated = ~used & (used + 1)
     return np.log2(isolated.astype(np.float64)).astype(np.int64)
+
+
+def smallest_free_color(values, offsets, sources):
+    """Per node, the smallest color ``>= 1`` absent from its slots' ``values``.
+
+    The palette-width-free companion of :func:`lowest_free_bit`: node ``i``
+    reads ``values[offsets[i]:offsets[i+1]]`` and gets the minimum excluded
+    color of those values, ignoring anything below 1 (uncolored, a ``-1``
+    drop sentinel, a slot the caller masked to 0).  A node of degree ``d``
+    sees at most ``d`` colors, so its answer is at most ``d + 1`` and a
+    flat presence table with one row of ``d + 2`` cells (colors
+    ``0 .. d+1``) per node holds every color that can matter: one scatter
+    marks the present ones, one ``flatnonzero`` lists the free cells and
+    one ``searchsorted`` finds each row's first.  ``sources`` is the
+    per-slot node index (the fabric's ``sources_np()``).
+    """
+    n = len(offsets) - 1
+    degrees = np.diff(offsets)
+    # node i's row starts at offsets[i] + 2i: rows before it hold d_j + 2 cells
+    row_start = offsets[:-1] + 2 * np.arange(n, dtype=np.int64)
+    present = np.zeros(int(offsets[-1]) + 2 * n, dtype=bool)
+    present[row_start] = True  # cell 0: color 0 is never a choice
+    # values outside 1 .. d+1 land on cell 0, which is already marked
+    colors = np.where((values >= 1) & (values <= degrees[sources] + 1), values, 0)
+    present[row_start[sources] + colors] = True
+    free = np.flatnonzero(~present)
+    return free[np.searchsorted(free, row_start)] - row_start

@@ -9,6 +9,12 @@ what the run recorded, so a log that hides an illegal intermediate
 coloring (or smuggles in an unrecorded recolor) is rejected — the
 mutation tests pin this down.
 
+The replay runs on arrays indexed by label position, whatever the labels
+are: the coloring is an ``int64`` array, the edge set a sorted array of
+index-pair keys, and a round's conflict recount is one gather-compare
+over the endpoint arrays.  Containment distances come from depth-bounded
+BFS on a :class:`~repro.graphs.frozen.FrozenGraph` of the union topology.
+
 Three consumers:
 
 :class:`RecoveryOracle`
@@ -31,9 +37,12 @@ Three consumers:
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import chain
 from typing import Any
 
+import numpy as np
+
+from repro.graphs.frozen import FrozenGraph
 from repro.verify.oracle import Verdict, collector
 
 __all__ = [
@@ -50,54 +59,61 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _edge_key(u: Any, v: Any) -> tuple:
-    return (u, v) if repr(u) <= repr(v) else (v, u)
+def _index_pairs(index: dict, pairs) -> np.ndarray:
+    """Vertex-label pairs as an ``(m, 2)`` int64 array of label indices."""
+    return np.fromiter(
+        map(index.__getitem__, chain.from_iterable(pairs)),
+        dtype=np.int64,
+        count=2 * len(pairs),
+    ).reshape(-1, 2)
 
 
 class _Replay:
-    """Steps a trace forward round by round, re-deriving legality."""
+    """Steps a trace forward round by round, re-deriving legality.
+
+    The edge set is a sorted array of distinct ``lo * n + hi`` index
+    keys; an applied edge event inserts or deletes one key.
+    """
 
     def __init__(self, trace):
-        self.adj: dict[Any, set] = {v: set() for v in trace.labels}
-        for u, v in trace.initial_edges:
-            self.adj[u].add(v)
-            self.adj[v].add(u)
-        self.coloring = dict(trace.initial_coloring)
+        self.index = {v: i for i, v in enumerate(trace.labels)}
+        self.n = len(trace.labels)
+        pairs = _index_pairs(self.index, trace.initial_edges)
+        self.keys = np.unique(pairs.min(axis=1) * self.n + pairs.max(axis=1))
+        self._split_keys()
+        self.colors = np.array(
+            [trace.initial_coloring[v] for v in trace.labels], dtype=np.int64
+        )
         self.budget = trace.budget
+
+    def _split_keys(self) -> None:
+        self.lo, self.hi = np.divmod(self.keys, self.n)
 
     def apply(self, record) -> tuple[int, bool]:
         """Apply one record's faults + deltas; return (conflicts, legal)."""
+        edited = False
         for fault in record.faults:
-            if not fault.applied:
+            if not fault.applied or fault.kind not in ("edge-insert", "edge-delete"):
                 continue
-            if fault.kind == "edge-insert":
-                u, v = fault.vertices
-                self.adj[u].add(v)
-                self.adj[v].add(u)
-            elif fault.kind == "edge-delete":
-                u, v = fault.vertices
-                self.adj[u].discard(v)
-                self.adj[v].discard(u)
+            i, j = (self.index[v] for v in fault.vertices)
+            key = min(i, j) * self.n + max(i, j)
+            pos = int(np.searchsorted(self.keys, key))
+            present = pos < len(self.keys) and self.keys[pos] == key
+            if fault.kind == "edge-insert" and not present:
+                self.keys = np.insert(self.keys, pos, key)
+            elif fault.kind == "edge-delete" and present:
+                self.keys = np.delete(self.keys, pos)
+            edited = True
+        if edited:
+            self._split_keys()
         for vertex, color in record.changes:
-            self.coloring[vertex] = color
-        conflicts = self.conflicts()
-        legal = conflicts == 0 and all(
-            1 <= c <= self.budget for c in self.coloring.values()
+            self.colors[self.index[vertex]] = color
+        colors = self.colors
+        conflicts = int(np.count_nonzero(colors[self.lo] == colors[self.hi]))
+        legal = conflicts == 0 and bool(
+            ((colors >= 1) & (colors <= self.budget)).all()
         )
         return conflicts, legal
-
-    def conflicts(self) -> int:
-        seen: set[tuple] = set()
-        count = 0
-        for u, neighbours in self.adj.items():
-            for v in neighbours:
-                key = _edge_key(u, v)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if self.coloring[u] == self.coloring[v]:
-                    count += 1
-        return count
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +130,7 @@ class RecoveryOracle:
         trace = subject["trace"]
         out = collector(self.name)
         replay = _Replay(trace)
-        known = set(trace.labels)
+        known = replay.index
         expected_round = 0
         for record in trace.records:
             expected_round += 1
@@ -144,11 +160,12 @@ class RecoveryOracle:
                     "intermediate coloring"
                 )
         out.saw()
-        if trace.final_coloring != replay.coloring:
+        replayed = dict(zip(trace.labels, replay.colors.tolist()))
+        if trace.final_coloring != replayed:
             diff = [
                 v
                 for v in trace.labels
-                if trace.final_coloring.get(v) != replay.coloring.get(v)
+                if trace.final_coloring.get(v) != replayed.get(v)
             ]
             out.fail(
                 f"final coloring disagrees with the replayed deltas on "
@@ -179,31 +196,6 @@ class RecoveryOracle:
 # ---------------------------------------------------------------------------
 
 
-def _union_adjacency(trace) -> dict[Any, set]:
-    adj: dict[Any, set] = {v: set() for v in trace.labels}
-    for u, v in trace.initial_edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    for fault in trace.applied_events():
-        if fault.kind == "edge-insert":
-            u, v = fault.vertices
-            adj[u].add(v)
-            adj[v].add(u)
-    return adj
-
-
-def _bfs_distances(adj: dict, sources: list) -> dict[Any, int]:
-    dist = {s: 0 for s in sources if s in adj}
-    queue = deque(dist)
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
 def measure_containment(trace) -> tuple[int, list[str]]:
     """(containment radius, violations) of a trace's recolor pattern.
 
@@ -216,31 +208,55 @@ def measure_containment(trace) -> tuple[int, list[str]]:
     round.)  The radius is the largest seed distance any recolor
     attained — how far the damage spread before the protocol contained
     it.
+
+    Distances come from one BFS per applied fault on the union topology
+    (a :class:`~repro.graphs.frozen.FrozenGraph` over label indices),
+    cut at the depth the last recolor round can still admit.
     """
-    adj = _union_adjacency(trace)
-    waves = [
-        (fault.round, _bfs_distances(adj, list(fault.vertices)))
-        for fault in trace.applied_events()
+    index = {v: i for i, v in enumerate(trace.labels)}
+    recolors = [
+        (record.round, vertex)
+        for record in trace.records
+        for vertex, _color in record.changes
     ]
-    radius = 0
-    violations: list[str] = []
-    for record in trace.records:
-        for vertex, _color in record.changes:
-            admissible = [
-                dist[vertex]
-                for p, dist in waves
-                if p <= record.round
-                and vertex in dist
-                and dist[vertex] <= record.round - p + 1
-            ]
-            if not admissible:
-                violations.append(
-                    f"vertex {vertex!r} recolored at round {record.round} "
-                    "outside the causal cone of every applied perturbation"
-                )
-                continue
-            radius = max(radius, min(admissible))
-    return radius, violations
+    if not recolors:
+        return 0, []
+    rounds = np.fromiter((r for r, _v in recolors), dtype=np.int64, count=len(recolors))
+    # an unknown label gets index -1, the cell past the last vertex below,
+    # which no BFS reaches: it lies outside every cone
+    positions = np.fromiter(
+        (index.get(v, -1) for _r, v in recolors), dtype=np.int64, count=len(recolors)
+    )
+    applied = trace.applied_events()
+    inserted = [f.vertices for f in applied if f.kind == "edge-insert"]
+    union = FrozenGraph.from_edge_array(
+        len(trace.labels),
+        np.concatenate(
+            (_index_pairs(index, trace.initial_edges), _index_pairs(index, inserted))
+        ),
+    )
+    last_round = int(rounds.max())
+    # the smallest admissible seed distance per recolor (-1: none yet)
+    best = np.full(len(recolors), -1, dtype=np.int64)
+    for fault in applied:
+        p = fault.round
+        if p > last_round:
+            continue
+        sources = [index[v] for v in fault.vertices if v in index]
+        dist = np.full(len(trace.labels) + 1, -1, dtype=np.int64)
+        for depth, frontier in enumerate(
+            union.multi_source_levels(sources, last_round - p + 1)
+        ):
+            dist[frontier] = depth
+        seen = dist[positions]
+        ok = (rounds >= p) & (seen >= 0) & (seen <= rounds - p + 1)
+        best = np.where(ok & ((best < 0) | (seen < best)), seen, best)
+    violations = [
+        f"vertex {recolors[k][1]!r} recolored at round {recolors[k][0]} "
+        "outside the causal cone of every applied perturbation"
+        for k in np.flatnonzero(best < 0).tolist()
+    ]
+    return int(best.max(initial=0)), violations
 
 
 class ContainmentOracle:

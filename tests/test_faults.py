@@ -1,6 +1,6 @@
 """Fault plane tests: plans, perturbable networks, stabilizing runs.
 
-Four layers of coverage:
+Five layers of coverage:
 
 * **FaultPlan** — validation, canonical event ordering, deterministic
   seeding, digest stability;
@@ -12,11 +12,16 @@ Four layers of coverage:
   round cap raising the structured ``NonTerminationError``;
 * a **hypothesis property** pinning perturbation determinism: the same
   ``FaultPlan`` seed yields bit-identical event logs and final
-  colorings across the dict and flat backends and across repeated runs.
+  colorings across the dict and flat backends and across repeated runs;
+* **wide palettes** — the batched stabilizers' smallest-free-color
+  kernel against a brute-force reference, and a second property that
+  replays the per-node programs round for round at palettes too wide
+  for an int64 bitmask, plus the full-palette edge case.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +39,7 @@ from repro.faults import (
     run_stabilizing,
 )
 from repro.graphs.generators import classic, planar, sparse
+from repro.local.node import smallest_free_color
 from repro.verify.recovery import (
     ContainmentOracle,
     RecoveryOracle,
@@ -78,6 +84,13 @@ def _fingerprint(trace) -> tuple:
     )
 
 
+def _round_fingerprint(trace) -> tuple:
+    """:func:`_fingerprint` plus every round's deltas, conflicts and flags."""
+    return _fingerprint(trace) + tuple(
+        (r.changes, r.conflicts, r.legal, r.messages) for r in trace.records
+    )
+
+
 # ---------------------------------------------------------------------------
 # FaultPlan
 # ---------------------------------------------------------------------------
@@ -91,6 +104,20 @@ def test_fault_event_validation():
         FaultEvent(1, "edge-insert", (0,))  # edge events need two endpoints
     with pytest.raises(ValueError):
         FaultEvent(1, "corrupt-color", (0, 1), value=2)
+
+
+def test_corrupt_values_must_fit_the_color_registers():
+    with pytest.raises(ValueError, match="2\\*\\*62"):
+        FaultEvent(1, "corrupt-color", (0,), value=2**62)
+    # the largest admissible value is survivable on both backends alike
+    graph = classic.cycle(6)
+    plan = FaultPlan(
+        events=(FaultEvent(1, "corrupt-color", (0,), value=2**62 - 1),), seed=0
+    )
+    for protocol in PROTOCOLS:
+        traces = [_run(graph, plan, protocol, backend) for backend in BACKENDS]
+        assert all(t.quiescent and t.records[-1].legal for t in traces)
+        assert _round_fingerprint(traces[0]) == _round_fingerprint(traces[1])
 
 
 def test_fault_plan_sorts_events_canonically():
@@ -285,3 +312,100 @@ def test_same_seed_yields_bit_identical_runs(seed, protocol):
         for _repeat in range(2)
     }
     assert len(fingerprints) == 1
+
+
+# ---------------------------------------------------------------------------
+# wide palettes: the smallest-free-color kernel and batched/per-node parity
+# ---------------------------------------------------------------------------
+
+def _mex_per_node(values, offsets) -> list[int]:
+    """Brute-force reference: the smallest color >= 1 absent from each row."""
+    out = []
+    for i in range(len(offsets) - 1):
+        seen = set(values[offsets[i]:offsets[i + 1]].tolist())
+        color = 1
+        while color in seen:
+            color += 1
+        out.append(color)
+    return out
+
+
+def test_smallest_free_color_matches_brute_force():
+    offsets = np.array([0, 3, 3, 5, 5, 9, 10, 10], dtype=np.int64)
+    sources = np.repeat(np.arange(7, dtype=np.int64), np.diff(offsets))
+    values = np.array(
+        [
+            2, 3, 1,  # full row: 1..deg all taken -> deg + 1
+            # degree 0 -> 1
+            -1, 1,  # a drop sentinel is no color -> 2
+            # degree 0 -> 1
+            7, 2, 0, 1,  # above deg + 1 and uncolored are ignored -> 3
+            9,  # only a color above deg + 1 -> 1
+            # trailing degree 0 -> 1
+        ],
+        dtype=np.int64,
+    )
+    assert smallest_free_color(values, offsets, sources).tolist() == [4, 1, 2, 1, 3, 1, 1]
+    # a slot masked to 0 no longer occupies its color
+    masked = np.where(np.arange(len(values)) == 1, 0, values)
+    assert smallest_free_color(masked, offsets, sources).tolist() == [3, 1, 2, 1, 3, 1, 1]
+
+    rng = np.random.default_rng(5)
+    for _trial in range(50):
+        degrees = rng.integers(0, 9, size=rng.integers(1, 30))
+        degrees[rng.random(len(degrees)) < 0.2] = 0
+        offsets = np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
+        values = rng.integers(-1, 12, size=int(offsets[-1])).astype(np.int64)
+        values = np.where(rng.random(len(values)) < 0.2, 0, values)
+        sources = np.repeat(np.arange(len(degrees), dtype=np.int64), degrees)
+        assert smallest_free_color(values, offsets, sources).tolist() == (
+            _mex_per_node(values, offsets)
+        )
+
+
+@pytest.mark.parametrize(
+    "protocol, rounds", [("min-plus-one", 3), ("stabilizing-greedy", 4)]
+)
+def test_full_palette_keeps_state_on_both_backends(protocol, rounds):
+    """An enabled node that sees every palette color keeps its state.
+
+    K4 with budget 2, all vertices colored 1: no repair can succeed, and
+    the batched program must not move to ``budget + 1`` where its
+    per-node twin stays put (uncolored for greedy, dirty for min+1).
+    """
+    graph = classic.complete_graph(4)
+    traces = [
+        run_stabilizing(
+            PerturbableNetwork(graph, backend=backend),
+            _factory(protocol, backend),
+            plan=FaultPlan(events=(), seed=0),
+            budget=2,
+            initial_coloring={v: 1 for v in graph},
+            max_rounds=12,
+            protocol=protocol,
+        )
+        for backend in BACKENDS
+    ]
+    for trace in traces:
+        assert trace.quiescent and trace.rounds == rounds
+        assert max(trace.final_coloring.values()) <= 2
+    assert _round_fingerprint(traces[0]) == _round_fingerprint(traces[1])
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    protocol=st.sampled_from(PROTOCOLS),
+    uncolored=st.booleans(),
+)
+def test_wide_palette_batched_run_matches_per_node(seed, protocol, uncolored):
+    """Palettes of 62+ colors: the flat backend stays batched and replays
+    the per-node programs round for round (deltas, conflicts, messages)."""
+    graph = planar.stacked_triangulation(400, seed=7)
+    plan = FaultPlan.random(graph, seed=seed, kinds=FAULT_KINDS, events=6, window=4)
+    assert palette_bound(graph, plan) >= 62  # wider than an int64 color bitmask
+    initial = {} if uncolored else None
+    per_node = _run(graph, plan, protocol, "dict", initial=initial)
+    batched = _run(graph, plan, protocol, "flat", initial=initial)
+    assert per_node.quiescent and per_node.records[-1].legal
+    assert _round_fingerprint(batched) == _round_fingerprint(per_node)

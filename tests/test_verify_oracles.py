@@ -9,6 +9,8 @@ count, fabricate global knowledge in a node program) and asserts the
 oracle rejects it and the diagnostic names the corruption.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.coloring import degeneracy_greedy_coloring, random_lists, uniform_lists
@@ -24,6 +26,7 @@ from repro.faults import (
     run_stabilizing,
 )
 from repro.graphs.generators import classic, sparse
+from repro.graphs.graph import Graph
 from repro.local import run_node_algorithm
 from repro.local.node import BatchNodeAlgorithm, NodeAlgorithm
 from repro.verify import (
@@ -527,6 +530,85 @@ def test_containment_oracle_enforces_declared_radius_bound():
     verdict = ContainmentOracle().check(trace=trace, radius_bound=0)
     assert not verdict.ok
     assert any("exceeds the declared" in d for d in verdict.diagnostics)
+
+
+def _churn_trace():
+    """A dynamic-run witness over tuple labels with edge churn.
+
+    A 30-path of ``("p", i)`` vertices: a corrupt-color at ``p5`` (round
+    2), an edge insert ``p4 -- p24`` between two equally colored vertices
+    (round 6, a conflict the protocol repairs) and an edge delete (round
+    7).  The oracles must replay it on label indices exactly as they
+    would on integer labels.
+    """
+    labels = [("p", i) for i in range(30)]
+    graph = Graph(vertices=labels, edges=list(zip(labels, labels[1:])))
+    initial = degeneracy_greedy_coloring(graph)
+    assert initial[("p", 4)] == initial[("p", 24)]  # the insert conflicts
+    plan = FaultPlan(
+        events=(
+            FaultEvent(2, "corrupt-color", (("p", 5),), value=initial[("p", 4)]),
+            FaultEvent(6, "edge-insert", (("p", 4), ("p", 24))),
+            FaultEvent(7, "edge-delete", (("p", 27), ("p", 28))),
+        ),
+        seed=0,
+    )
+    per_node, _batched = STABILIZING_PROTOCOLS["min-plus-one"]
+    trace = run_stabilizing(
+        PerturbableNetwork(graph, backend="dict"),
+        per_node,
+        plan=plan,
+        budget=palette_bound(graph, plan),
+        initial_coloring=initial,
+        max_rounds=50,
+        protocol="min-plus-one",
+    )
+    assert trace.quiescent
+    assert [f.kind for f in trace.applied_events()] == [
+        "corrupt-color", "edge-insert", "edge-delete"
+    ]
+    return trace
+
+
+def _mark_insert_skipped(trace) -> None:
+    record = next(
+        r for r in trace.records if any(f.kind == "edge-insert" for f in r.faults)
+    )
+    record.faults = tuple(
+        dataclasses.replace(f, applied=False) if f.kind == "edge-insert" else f
+        for f in record.faults
+    )
+
+
+def test_recovery_oracles_accept_genuine_churn_trace_over_tuple_labels():
+    trace = _churn_trace()
+    assert RecoveryOracle().check(trace=trace).ok
+    assert ContainmentOracle().check(trace=trace).ok
+
+
+def test_recovery_oracle_rejects_flipped_edge_event():
+    # the insert really created a conflicting edge; claim it never applied
+    trace = _churn_trace()
+    _mark_insert_skipped(trace)
+    verdict = RecoveryOracle().check(trace=trace)
+    assert not verdict.ok
+    assert any("replay finds" in d for d in verdict.diagnostics)
+
+
+def test_containment_cone_follows_inserted_edges_only_when_applied():
+    # p23 is 18 path hops from the round-2 corruption at p5, but 3 hops
+    # (p5 - p4 - p24 - p23) over the inserted edge: a round-4 recolor
+    # there is inside the union topology's cone only through that edge
+    trace = _churn_trace()
+    record = next(r for r in trace.records if r.round == 4)
+    record.changes = record.changes + ((("p", 23), trace.final_coloring[("p", 23)]),)
+    assert ContainmentOracle().check(trace=trace).ok
+    _mark_insert_skipped(trace)
+    verdict = ContainmentOracle().check(trace=trace)
+    assert not verdict.ok
+    assert any(
+        "('p', 23)" in d and "causal cone" in d for d in verdict.diagnostics
+    )
 
 
 def _dynamic_artifact():
