@@ -38,11 +38,15 @@ The public entry point :func:`degree_list_coloring` also accepts instances
 whose guarantee comes from a slack vertex even if the graph *is* a Gallai
 tree, because this is exactly the situation of a happy vertex whose rich
 ball contains a vertex of degree at most ``d - 1`` (Lemma 3.2).
+
+:func:`greedy_towards_masks` is the slack case on interned color masks
+over CSR arrays, for many pairwise non-adjacent components in one call;
+the flat path of Lemma 3.2 colors all of its root balls with it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.coloring.assignment import Color, ListAssignment
 from repro.coloring.exact import list_coloring_search
@@ -54,7 +58,11 @@ from repro.graphs.properties.gallai import (
     block_is_odd_cycle,
 )
 
-__all__ = ["degree_list_coloring", "is_degree_choosable_instance"]
+__all__ = [
+    "degree_list_coloring",
+    "greedy_towards_masks",
+    "is_degree_choosable_instance",
+]
 
 
 def is_degree_choosable_instance(graph: Graph, lists: ListAssignment) -> bool:
@@ -167,6 +175,59 @@ def _greedy_towards(
             )
         coloring[v] = min(available, key=repr)
     return coloring
+
+
+def greedy_towards_masks(
+    offsets: Sequence[int],
+    neighbors: Sequence[int],
+    labels: Sequence[Vertex],
+    masks: Mapping[int, int],
+    targets: Iterable[int],
+) -> tuple[list[int], dict[int, int]]:
+    """:func:`_greedy_towards` on color masks, for many components at once.
+
+    ``offsets``/``neighbors`` are a CSR pair, ``labels`` names its
+    indices, and ``masks`` maps a set of indices to their lists as
+    bitmasks over a repr-sorted
+    :class:`~repro.coloring.palette.PaletteUniverse`.  The components of
+    the subgraph induced by ``masks`` must be pairwise non-adjacent; each
+    one that holds a target is colored towards it, the others are left
+    alone.  The order is ``_greedy_towards``' — decreasing BFS distance
+    from the target inside the component, ties by ``repr`` of the label —
+    and each vertex takes the lowest bit of its mask that no colored
+    neighbour holds, which is ``min(available, key=repr)``.  As no edge
+    joins two components, one multi-source BFS and one sort serve them
+    all, and each component gets the colors it would get alone.  Masks are
+    Python ints, so any palette width works.
+
+    Returns ``(order, picks)``: the colored indices in coloring order and
+    the bit each one took, ``-1`` where its mask ran out (the slack-vertex
+    promise was violated; the caller raises).
+    """
+    distance = {t: 0 for t in targets}
+    frontier = list(distance)
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for i in frontier:
+            for k in range(offsets[i], offsets[i + 1]):
+                j = neighbors[k]
+                if j in masks and j not in distance:
+                    distance[j] = depth
+                    nxt.append(j)
+        frontier = nxt
+    order = sorted(distance, key=lambda i: (-distance[i], repr(labels[i])))
+    picks: dict[int, int] = {}
+    for i in order:
+        used = 0
+        for k in range(offsets[i], offsets[i + 1]):
+            bit = picks.get(neighbors[k], -1)
+            if bit >= 0:
+                used |= 1 << bit
+        free = masks[i] & ~used
+        picks[i] = (free & -free).bit_length() - 1
+    return order, picks
 
 
 # ---------------------------------------------------------------------------

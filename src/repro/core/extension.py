@@ -26,6 +26,17 @@ Lemma 3.2:
 
 Every phase charges rounds to the shared ledger with a reference to the
 paper's accounting.
+
+The ``"dict"`` backend runs step 5 root by root.  The ``"flat"`` backend
+does it for all roots in one pass over the CSR arrays, with the same
+colors: one multi-source BFS from the roots labels every ball vertex with
+its root (two balls that meet or touch raise, as the one pass needs them
+disjoint and non-adjacent), one sweep gives every ball vertex its pruned
+list mask and its degree inside the ball, and
+:func:`~repro.coloring.borodin_ert.greedy_towards_masks` colors each ball
+towards its first slack vertex (``|L(v)| > d(v)``, in CSR order) — the
+slack case of Theorem 1.1, which a single-vertex ball always takes.  Only
+a ball without a slack vertex goes to ``degree_list_coloring`` itself.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.coloring.assignment import Color, ListAssignment
-from repro.coloring.borodin_ert import degree_list_coloring
+from repro.coloring.borodin_ert import degree_list_coloring, greedy_towards_masks
 from repro.coloring.palette import FlatListAssignment
 from repro.errors import ColoringError, ListAssignmentError
 from repro.graphs.frozen import FrozenGraph
@@ -88,11 +99,12 @@ def extend_coloring_to_happy_set(
         The color budget (only used for the size of the stable partition).
     backend:
         ``"dict"`` runs the historical per-vertex set algebra; ``"flat"``
-        (frozen graphs) runs the same phases on the flat substrate — CSR
-        ruling probes, the batched Linial/color-reduction stable
-        partition, and bitmask pruning/tie-breaks over the interned
-        palette.  Colorings and charged rounds are identical between the
-        two (the parity suite asserts it).
+        (frozen graphs) runs the same phases on the flat substrate — the
+        per-component CSR ruling set, the batched Linial/color-reduction
+        stable partition, bitmask pruning/tie-breaks over the interned
+        palette, and all root balls in one pass.  Colorings and charged
+        rounds are identical between the two (the parity suite asserts
+        it).
 
     Returns
     -------
@@ -194,18 +206,24 @@ def extend_coloring_to_happy_set(
 
     # Roots: uncolor the whole rich ball and apply Theorem 1.1.
     ball_rounds = 0
-    for root in forest.roots:
-        ball = rich_graph.ball(root, radius)
-        for v in ball:
-            if v in new_coloring:
-                del new_coloring[v]
-                if flat_state is not None:
-                    flat_state.uncolor(v)
-                if v not in happy:
-                    report.recolored_sad_vertices += 1
-        if flat_state is not None:
-            ball_lists = flat_state.pruned_ball_lists(ball)
-        else:
+    if flat_state is not None:
+        for ball_coloring in flat_state.color_root_balls(forest.roots, rich, radius):
+            for v in ball_coloring:
+                if v in new_coloring:
+                    del new_coloring[v]
+                    if v not in happy:
+                        report.recolored_sad_vertices += 1
+            new_coloring.update(ball_coloring)
+            uncolored.difference_update(ball_coloring)
+        ball_rounds = 2 * radius if forest.roots else 0
+    else:
+        for root in forest.roots:
+            ball = rich_graph.ball(root, radius)
+            for v in ball:
+                if v in new_coloring:
+                    del new_coloring[v]
+                    if v not in happy:
+                        report.recolored_sad_vertices += 1
             pruned: dict[Vertex, frozenset] = {}
             for v in ball:
                 used = {
@@ -214,21 +232,17 @@ def extend_coloring_to_happy_set(
                     if u in new_coloring and u not in ball
                 }
                 pruned[v] = lists[v] - used
-            ball_lists = ListAssignment(pruned)
-        ball_graph = graph.subgraph(ball)
-        try:
-            ball_coloring = degree_list_coloring(ball_graph, ball_lists)
-        except ColoringError as exc:
-            raise ColoringError(
-                f"Theorem 1.1 extension failed on the rich ball of root {root!r}: {exc}"
-            ) from exc
-        new_coloring.update(ball_coloring)
-        if flat_state is not None:
-            for v, color in ball_coloring.items():
-                flat_state.set_color(v, color)
-        for v in ball:
-            uncolored.discard(v)
-        ball_rounds = max(ball_rounds, 2 * radius)
+            ball_graph = graph.subgraph(ball)
+            try:
+                ball_coloring = degree_list_coloring(ball_graph, ListAssignment(pruned))
+            except ColoringError as exc:
+                raise ColoringError(
+                    f"Theorem 1.1 extension failed on the rich ball of root {root!r}: {exc}"
+                ) from exc
+            new_coloring.update(ball_coloring)
+            for v in ball:
+                uncolored.discard(v)
+            ball_rounds = max(ball_rounds, 2 * radius)
     ledger.charge(
         "Lemma 3.2: Theorem 1.1 on the root balls",
         ball_rounds,
@@ -248,10 +262,11 @@ class _FlatColoringState:
     """Interned mirror of a partial coloring over a frozen graph's indices.
 
     Keeps ``color_index[i]`` (the palette-universe index of the color of
-    the vertex at CSR index ``i``, or ``-1``) in sync with the label dict,
-    so the hot kernels — layered tree coloring, Observation 5.1 pruning on
-    the root balls — run as integer mask ops over the CSR arrays instead
-    of per-vertex set algebra.  Tie-breaks read the lowest set bit, which
+    the vertex at CSR index ``i``, or ``-1``) in sync with the label dict
+    through the layered tree coloring, so the hot kernels — that coloring,
+    and the Observation 5.1 pruning of the root balls that follows it —
+    run as integer mask ops over the CSR arrays instead of per-vertex set
+    algebra.  Tie-breaks read the lowest set bit, which
     by the universe's repr-sorted interning equals the dict pipeline's
     ``min(available, key=repr)``.
     """
@@ -277,22 +292,13 @@ class _FlatColoringState:
             if i is not None:
                 self.color_index[i] = get_index(color)
 
-    def uncolor(self, v: Vertex) -> None:
-        self.color_index[self._index[v]] = -1
-
-    def set_color(self, v: Vertex, color: Color) -> None:
-        self.color_index[self._index[v]] = self.universe.get_index(color)
-
-    def _used_mask(self, i: int, skip=None) -> int:
-        """OR of the color bits of ``i``'s colored neighbours (skipping a set)."""
+    def _used_mask(self, i: int) -> int:
+        """OR of the color bits of ``i``'s colored neighbours."""
         used = 0
         color_index = self.color_index
         neighbors = self._neighbors
         for k in range(self._offsets[i], self._offsets[i + 1]):
-            j = neighbors[k]
-            if skip is not None and j in skip:
-                continue
-            c = color_index[j]
+            c = color_index[neighbors[k]]
             if c >= 0:
                 used |= 1 << c
         return used
@@ -322,19 +328,127 @@ class _FlatColoringState:
             coloring[v] = color
             self.color_index[i] = get_index(color)
 
-    def pruned_ball_lists(self, ball: set[Vertex]) -> ListAssignment:
-        """Observation 5.1 pruning of a root ball, as mask operations."""
+    def color_root_balls(
+        self, roots: list[Vertex], rich: set[Vertex], radius: int
+    ) -> list[dict[Vertex, Color]]:
+        """Theorem 1.1 on the rich ball of every root, in one pass.
+
+        The flat twin of the per-root loop, with the same colors:
+
+        1. one multi-source BFS from all roots through the rich vertices,
+           to depth ``radius``, records each vertex's root.  The one pass
+           relies on the ruling forest keeping the balls disjoint and
+           non-adjacent, so an edge between two balls raises;
+        2. one sweep over the ball vertices in CSR order gives each its
+           Observation 5.1 mask (its list minus the colors of its
+           neighbours outside the ball) and its degree inside the ball,
+           and finds each ball's first slack vertex (``|L(v)| > d(v)``);
+        3. :func:`~repro.coloring.borodin_ert.greedy_towards_masks` colors
+           every ball that has one towards it, exactly as
+           :func:`~repro.coloring.borodin_ert.degree_list_coloring` would;
+           a ball without a slack vertex, or with a vertex whose list is
+           shorter than its degree, goes to ``degree_list_coloring``
+           itself, which colors it or raises.
+
+        Returns one coloring per root, in ``roots`` order, each in the
+        order the per-root solver produces it.
+        """
+        offsets, neighbors = self._offsets, self._neighbors
         index = self._index
-        ball_idx = {index[v] for v in ball}
-        vertices = []
-        masks = []
+        labels = self.graph.vertices()
+        # owner[i]: position in ``roots`` of the ball holding i, -1 for a
+        # rich vertex outside every ball, -2 for a vertex that is not rich
+        owner = [-2] * len(labels)
+        for v in rich:
+            owner[index[v]] = -1
+        frontier = []
+        for position, root in enumerate(roots):
+            i = index[root]
+            owner[i] = position
+            frontier.append(i)
+        members = list(frontier)
+        for _ in range(radius):
+            nxt = []
+            for i in frontier:
+                position = owner[i]
+                for k in range(offsets[i], offsets[i + 1]):
+                    j = neighbors[k]
+                    if owner[j] == -1:
+                        owner[j] = position
+                        nxt.append(j)
+            if not nxt:
+                break
+            members += nxt
+            frontier = nxt
+
+        color_index = self.color_index
         mask_of = self.lists.mask_of
-        for v in ball:
-            vertices.append(v)
-            masks.append(mask_of(v) & ~self._used_mask(index[v], skip=ball_idx))
-        return ListAssignment(
-            FlatListAssignment.from_masks(self.universe, vertices, masks)
+        masks: dict[int, int] = {}
+        ball_members: list[list[int]] = [[] for _ in roots]
+        # per ball: its first slack vertex, -1 while none is found, -2 once
+        # a list is shorter than its degree (degree_list_coloring refuses it)
+        slack = [-1] * len(roots)
+        members.sort()
+        for i in members:
+            position = owner[i]
+            used = 0
+            degree = 0
+            for k in range(offsets[i], offsets[i + 1]):
+                j = neighbors[k]
+                other = owner[j]
+                if other == position:
+                    degree += 1
+                elif other >= 0:
+                    raise ColoringError(
+                        f"the rich balls of roots {roots[position]!r} and "
+                        f"{roots[other]!r} meet or touch; the ruling forest "
+                        "must keep them disjoint and non-adjacent"
+                    )
+                elif color_index[j] >= 0:
+                    used |= 1 << color_index[j]
+            mask = mask_of(labels[i]) & ~used
+            masks[i] = mask
+            ball_members[position].append(i)
+            size = mask.bit_count()
+            if size < degree:
+                slack[position] = -2
+            elif size > degree and slack[position] == -1:
+                slack[position] = i
+
+        order, picks = greedy_towards_masks(
+            offsets, neighbors, labels, masks, [t for t in slack if t >= 0]
         )
+        greedy_order: list[list[int]] = [[] for _ in roots]
+        for i in order:
+            greedy_order[owner[i]].append(i)
+        colors = self.universe.colors
+        balls: list[dict[Vertex, Color]] = []
+        for position, root in enumerate(roots):
+            try:
+                if slack[position] < 0:
+                    ball = [labels[i] for i in ball_members[position]]
+                    ball_lists = FlatListAssignment.from_masks(
+                        self.universe, ball,
+                        [masks[i] for i in ball_members[position]],
+                    )
+                    ball_coloring = degree_list_coloring(
+                        self.graph.subgraph(ball), ListAssignment(ball_lists)
+                    )
+                else:
+                    ball_coloring = {}
+                    for i in greedy_order[position]:
+                        if picks[i] < 0:
+                            raise ColoringError(
+                                f"greedy-towards ran out of colors at {labels[i]!r}; "
+                                "the slack-vertex promise was violated"
+                            )
+                        ball_coloring[labels[i]] = colors[picks[i]]
+            except ColoringError as exc:
+                raise ColoringError(
+                    f"Theorem 1.1 extension failed on the rich ball of root {root!r}: {exc}"
+                ) from exc
+            balls.append(ball_coloring)
+        return balls
 
 
 def _color_batch(

@@ -24,7 +24,15 @@ classical deterministic construction based on identifier bits:
 The implementation is *phase-structured*: the computation itself is
 centralized (it only uses information available within the probed radii)
 and the rounds are charged to a :class:`~repro.local.ledger.RoundLedger`
-following the analysis above.
+following the analysis above: ``k`` rounds per identifier bit for the
+ruling set (the merges of one bit run in parallel) plus the tree depth.
+
+The ``"csr"`` engine (frozen graphs) decides the ruling set one connected
+component at a time, which changes nothing as probes never cross
+components.  A component of at most ``k`` vertices keeps exactly its
+minimum-identifier candidate — every probe inside it reaches every
+target, so the zero half wins each merge — and only the candidates of
+larger components run the bit recursion, on the CSR index arrays.
 """
 
 from __future__ import annotations
@@ -125,22 +133,18 @@ def _component_info(graph: FrozenGraph) -> tuple[list[int], list[int]]:
     return comp_id, sizes
 
 
-def _make_csr_probe(graph: FrozenGraph):
+def _make_csr_probe(graph: FrozenGraph, comp_id: list[int]):
     """A :func:`_distance_at_most` twin specialized to one frozen graph.
 
-    Precomputes the connected components once and then answers each probe
-    per component: a target sharing a component of at most ``limit + 1``
-    vertices with some source is trivially within distance ``limit``
-    (every path inside the component fits), components without a source
-    contribute nothing, and only oversized components run an actual
-    depth-bounded BFS — with an early exit once all their targets are
-    reached.  Same result set as the label walk, a fraction of the work at
-    the paper's ``alpha ~ log n`` probe radii.
+    Answers each probe per connected component (``comp_id`` from
+    :func:`_component_info`): components without a source contribute
+    nothing, and the others run a depth-bounded BFS over the CSR index
+    arrays, with an early exit once all their targets are reached.  Same
+    result set as the label walk.
     """
     offsets, neighbors = graph.csr_lists()
     index = graph._index
     labels = graph.vertices()
-    comp_id, comp_sizes = _component_info(graph)
 
     def probe(
         _graph, sources: set[Vertex], targets: set[Vertex], limit: int
@@ -159,11 +163,7 @@ def _make_csr_probe(graph: FrozenGraph):
             comp_sources = sources_by_comp.get(cid)
             if comp_sources is None:
                 continue
-            if comp_sizes[cid] <= limit + 1:
-                reached |= comp_targets
-                continue
-            # oversized component: depth-bounded BFS, early exit on the
-            # last target
+            # depth-bounded BFS, early exit on the last target
             missing = set(comp_targets)
             visited = set(comp_sources)
             frontier = sorted(comp_sources)
@@ -205,21 +205,44 @@ def ruling_set(
     Returns ``(ruling_vertices, rounds_charged)``.  Every vertex of
     ``subset`` is within ``alpha * ceil(log2 n)`` of the ruling set (in
     ``graph``), and ruling vertices are pairwise at distance >= ``alpha``.
-    ``engine="csr"`` (frozen graphs only) runs the distance probes on the
-    CSR index arrays instead of label dicts; the result is identical.
+    The merges of one identifier bit run in parallel, so the construction
+    charges ``alpha`` rounds per bit, once, to ``ledger``.
+    ``engine="csr"`` (frozen graphs only) computes the connected
+    components once and decides each one on its own, as the module
+    docstring describes; the result is identical.
     """
     ledger = ledger if ledger is not None else RoundLedger()
     if not subset:
         return set(), 0
     if identifiers is None:
         identifiers = {v: i + 1 for i, v in enumerate(graph.vertices())}
-    probe = (
-        _make_csr_probe(graph)
-        if engine == "csr" and isinstance(graph, FrozenGraph)
-        else _distance_at_most
-    )
-    n = graph.number_of_vertices()
     bits = max(1, (max(identifiers[v] for v in subset)).bit_length())
+    rounds = alpha * bits
+    ledger.charge(
+        "ruling set: distance probes",
+        rounds,
+        reference="Awerbuch et al. [3], one level merge per identifier bit",
+    )
+
+    probe = _distance_at_most
+    candidates = set(subset)
+    kept: set[Vertex] = set()
+    if engine == "csr" and isinstance(graph, FrozenGraph):
+        comp_id, comp_sizes = _component_info(graph)
+        probe = _make_csr_probe(graph, comp_id)
+        index = graph._index
+        lowest: dict[int, int] = {}  # small component -> least identifier
+        candidates = set()
+        for v in subset:
+            cid = comp_id[index[v]]
+            if comp_sizes[cid] > alpha:
+                candidates.add(v)
+            elif cid not in lowest or identifiers[v] < lowest[cid]:
+                lowest[cid] = identifiers[v]
+        kept = {
+            v for v in subset
+            if v not in candidates and identifiers[v] == lowest[comp_id[index[v]]]
+        }
 
     def recurse(candidates: set[Vertex], bit: int) -> set[Vertex]:
         if not candidates:
@@ -233,18 +256,10 @@ def ruling_set(
         ones = candidates - zeros
         kept_zero = recurse(zeros, bit - 1)
         kept_one = recurse(ones, bit - 1)
-        ledger.charge(
-            "ruling set: distance probe",
-            alpha,
-            reference="Awerbuch et al. [3], level merge",
-        )
         close = probe(graph, kept_zero, kept_one, alpha - 1)
         return kept_zero | (kept_one - close)
 
-    result = recurse(set(subset), bits - 1)
-    rounds = alpha * bits
-    del n
-    return result, rounds
+    return kept | recurse(candidates, bits - 1), rounds
 
 
 def _grow_trees_labels(
@@ -351,7 +366,6 @@ def ruling_forest(
         # The domination radius analysis guarantees coverage; growing the
         # BFS further (and charging the extra rounds) keeps the construction
         # total even in degenerate corner cases.
-        queue = deque(v for v in parent)
         extra = 0
         while uncovered:
             extra += 1

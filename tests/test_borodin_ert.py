@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from repro.coloring.assignment import ListAssignment, uniform_lists
 from repro.coloring.borodin_ert import (
+    _greedy_towards,
     degree_list_coloring,
     extend_partial_coloring,
+    greedy_towards_masks,
     is_degree_choosable_instance,
 )
+from repro.coloring.palette import PaletteUniverse
 from repro.coloring.verification import verify_list_coloring
 from repro.errors import ColoringError
 from repro.graphs.generators import classic, planar
@@ -209,3 +212,69 @@ def test_planar_triangulations_with_degree_lists(seed):
     lists = degree_lists(g)
     coloring = degree_list_coloring(g, lists)
     verify_list_coloring(g, coloring, lists)
+
+
+# -- the mask kernel of the slack case ------------------------------------------
+
+# colors whose repr order differs from their numeric or insertion order
+MASK_COLORS = [1, 2, 10, "1", "red", "blue", (0, 1), ("x",), -3, None, 2.5, 3, 20, "b"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_greedy_towards_masks_matches_greedy_towards(seed):
+    """Disjoint components colored in one call get the colors, in the
+    order, that ``_greedy_towards`` gives each of them alone."""
+    rng = random.Random(seed)
+    g = Graph()
+    components = []
+    for c in range(rng.randint(1, 4)):
+        tree = classic.random_tree(rng.randint(1, 10), seed=seed + c)
+        # gappy integer labels, so repr order is not numeric order
+        label = {v: 7 * v + 100 * c for v in tree}
+        g.add_vertices(label.values())
+        for u, v in tree.edges():
+            g.add_edge(label[u], label[v])
+        members = list(label.values())
+        for _ in range(rng.randint(0, 3) if len(members) > 2 else 0):
+            u, v = rng.sample(members, 2)
+            if not g.has_edge(u, v):
+                g.add_edge(u, v)
+        components.append(members)
+    lists = {v: frozenset(rng.sample(MASK_COLORS, g.degree(v))) for v in g}
+    targets = {}
+    for c, members in enumerate(components):
+        if c == 0 or rng.random() < 0.8:  # the others stay uncolored
+            target = rng.choice(members)
+            lists[target] = frozenset(rng.sample(MASK_COLORS, g.degree(target) + 1))
+            targets[c] = target
+    frozen = g.freeze()
+    offsets, neighbors = frozen.csr_lists()
+    labels = frozen.vertices()
+    universe = PaletteUniverse(MASK_COLORS)
+    masks = {frozen.index_of(v): universe.encode(lists[v]) for v in frozen}
+
+    order, picks = greedy_towards_masks(
+        offsets, neighbors, labels, masks,
+        [frozen.index_of(t) for t in targets.values()],
+    )
+    assert len(order) == sum(len(components[c]) for c in targets)
+    for c, target in targets.items():
+        members = set(components[c])
+        alone = _greedy_towards(
+            frozen.subgraph(members),
+            ListAssignment({v: lists[v] for v in members}),
+            target,
+        )
+        mine = [i for i in order if labels[i] in members]
+        assert [labels[i] for i in mine] == list(alone)
+        assert [universe.color_of(picks[i]) for i in mine] == list(alone.values())
+
+
+def test_greedy_towards_masks_reports_an_empty_mask():
+    # path a - b colored towards a: b first takes bit 0, then a has none left
+    order, picks = greedy_towards_masks(
+        [0, 1, 2], [1, 0], ["a", "b"], {0: 0b1, 1: 0b1}, [0]
+    )
+    assert order == [1, 0]
+    assert picks == {1: 0, 0: -1}

@@ -11,8 +11,9 @@ from repro.core import (
     color_sparse_graph,
     color_triangle_free_planar_graph,
 )
-from repro.core.extension import extend_coloring_to_happy_set
+from repro.core.extension import _FlatColoringState, extend_coloring_to_happy_set
 from repro.core.happy import classify_vertices
+from repro.errors import ColoringError
 from repro.graphs.generators import classic, planar, sparse
 
 
@@ -121,6 +122,17 @@ def test_extension_step_extends_partial_coloring():
     verify_list_coloring(g, coloring, lists)
     assert report.roots >= 1
     assert report.rounds > 0
+
+
+@pytest.mark.parametrize("roots", [[0, 3], [0, 2]])
+def test_flat_root_balls_refuse_balls_that_meet_or_touch(roots):
+    """The one-pass ball coloring needs the ruling forest's guarantee that
+    root balls are disjoint and non-adjacent; on a path, radius-1 balls
+    around roots 3 apart touch and around roots 2 apart meet."""
+    g = classic.path(6).freeze()
+    state = _FlatColoringState(g, uniform_lists(g, 3).flat, {})
+    with pytest.raises(ColoringError, match=f"roots {roots[0]} and {roots[1]}"):
+        state.color_root_balls(roots, set(g.vertices()), radius=1)
 
 
 def test_extension_with_no_happy_vertices_is_identity():

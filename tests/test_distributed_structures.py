@@ -1,6 +1,10 @@
 """Tests for ruling forests, H-partitions, Barenboim–Elkin and GPS baselines."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.coloring.verification import verify_coloring
 from repro.errors import ColoringError, SimulationError
@@ -79,6 +83,55 @@ def test_ruling_forest_on_disconnected_graph():
         frozenset(g.subgraph(g.ball(r, len(g))).vertices()) for r in forest.roots
     }
     assert len(roots_components) == 2
+
+
+@pytest.mark.parametrize("engine", ["labels", "csr"])
+def test_ruling_forest_ledger_matches_its_rounds(engine):
+    """The merges of one identifier bit run in parallel: the ruling set
+    charges ``alpha`` rounds per bit once, not once per merge."""
+    g = sparse.union_of_random_forests(60, 2, seed=3).freeze()
+    forest = ruling_forest(g, set(g.vertices()), 3, engine=engine)
+    assert forest.rounds == 36
+    assert forest.ledger.total() == forest.rounds
+
+
+def _ruling_instance(family: str, seed: int, alpha: int):
+    rng = random.Random(seed)
+    if family == "forest":
+        # edge_density < 1 splits the forest into trees of many sizes
+        g = sparse.union_of_random_forests(rng.randint(10, 60), 1, 0.6, seed=seed)
+    elif family == "planar":
+        g = planar.stacked_triangulation(rng.randint(4, 30), seed=seed)
+    elif family == "grid":
+        g = classic.grid_2d(rng.randint(1, 6), rng.randint(1, 6))
+    else:
+        # a path of alpha + 1 vertices is the smallest component whose
+        # candidates can both survive: its ends are alpha apart
+        g = classic.path(alpha + rng.choice([0, 1, 2]))
+    return g.freeze()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["forest", "planar", "grid", "path"]),
+    seed=st.integers(0, 10_000),
+    # from below the smallest component size to above the largest
+    alpha=st.integers(2, 16),
+)
+def test_csr_ruling_forest_matches_label_engine(family, seed, alpha):
+    graph = _ruling_instance(family, seed, alpha)
+    rng = random.Random(seed)
+    subset = {v for v in graph if family == "path" or rng.random() < 0.5}
+    # unique but gappy identifiers, as Lemma 3.2 passes for a subgraph
+    identifiers = dict(zip(graph.vertices(), rng.sample(range(1, 4 * len(graph) + 1), len(graph))))
+    a = ruling_forest(graph, subset, alpha, identifiers=identifiers, engine="labels")
+    b = ruling_forest(graph, subset, alpha, identifiers=identifiers, engine="csr")
+    assert a.roots == b.roots
+    assert list(a.parent.items()) == list(b.parent.items())
+    assert list(a.depth.items()) == list(b.depth.items())
+    assert list(a.tree_of.items()) == list(b.tree_of.items())
+    assert (a.alpha, a.beta, a.rounds) == (b.alpha, b.beta, b.rounds)
+    assert a.ledger.total() == b.ledger.total() == b.rounds
 
 
 # -- H-partition -----------------------------------------------------------------

@@ -58,6 +58,18 @@ def _instance(seed: int):
     return planar.stacked_triangulation(n, seed=seed).freeze(), 6
 
 
+def _near_regular_instance(seed: int):
+    """A d-regular graph (d in {3, 4}), frozen, plus d as the budget.
+
+    No vertex has a spare color, so some root balls lack a slack vertex
+    and Lemma 3.2 needs the full Borodin–ERT solver on them.
+    """
+    rng = random.Random(seed)
+    d = rng.choice([3, 4])
+    n = 2 * rng.randint(10, 20)
+    return sparse.near_regular_sparse_graph(n, d, seed=seed).freeze(), d
+
+
 # -- FlatListAssignment vs naive set algebra --------------------------------
 
 
@@ -183,17 +195,26 @@ def test_classification_engines_agree(seed, radius):
     assert scan.poor == flat.poor
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10_000), use_random_lists=st.booleans())
-def test_sparse_coloring_backends_bit_identical(seed, use_random_lists):
-    graph, d = _instance(seed)
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    use_random_lists=st.booleans(),
+    # a small radius gives a small ruling alpha (2 * radius + 2), below the
+    # size of some rich components, so the csr engine runs its bit recursion
+    radius=st.sampled_from([1, 2, None]),
+    near_regular=st.booleans(),
+)
+def test_sparse_coloring_backends_bit_identical(
+    seed, use_random_lists, radius, near_regular
+):
+    graph, d = _near_regular_instance(seed) if near_regular else _instance(seed)
     lists = (
         random_lists(graph, d, palette_size=2 * d, seed=seed)
         if use_random_lists
         else None
     )
-    a = color_sparse_graph(graph, d, lists=lists, backend="dict")
-    b = color_sparse_graph(graph, d, lists=lists, backend="flat")
+    a = color_sparse_graph(graph, d, lists=lists, radius=radius, backend="dict")
+    b = color_sparse_graph(graph, d, lists=lists, radius=radius, backend="flat")
     ColoringParityOracle().check(
         coloring_a=a.coloring, coloring_b=b.coloring,
         rounds_a=a.rounds, rounds_b=b.rounds, labels=("dict", "flat"),

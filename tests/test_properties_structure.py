@@ -1,10 +1,15 @@
 """Tests for structural properties: degeneracy, girth, blocks, Gallai trees, cliques."""
 
 import math
+import random
+from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.graphs.generators import classic, planar
+from repro.graphs.generators import classic, planar, sparse
 from repro.graphs.properties.blocks import (
     biconnected_components,
     block_cut_tree,
@@ -29,6 +34,7 @@ from repro.graphs.properties.gallai import (
     non_gallai_blocks,
 )
 from repro.graphs.properties.girth import girth, has_triangle, shortest_cycle_through
+from repro.verify import CliqueWitnessOracle
 
 
 # -- degeneracy -------------------------------------------------------------
@@ -193,6 +199,32 @@ def test_find_clique_of_size():
     assert find_clique_of_size(g, 5) is None      # but no K5 (planar)
     assert find_clique_of_size(classic.complete_graph(6), 6) is not None
     assert find_clique_of_size(classic.cycle(8), 3) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    size=st.integers(3, 5),
+    # below size - 1 the (size - 1)-core is empty; from size - 1 up it may not be
+    degeneracy=st.integers(1, 5),
+    plant=st.booleans(),
+    frozen=st.booleans(),
+)
+def test_find_clique_of_size_agrees_with_networkx(seed, size, degeneracy, plant, frozen):
+    rng = random.Random(seed)
+    g = sparse.random_degenerate_graph(rng.randint(size, 40), degeneracy, seed=seed)
+    if plant:
+        for u, v in combinations(rng.sample(g.vertices(), size), 2):
+            if not g.has_edge(u, v):
+                g.add_edge(u, v)
+    graph = g.freeze() if frozen else g
+    found = find_clique_of_size(graph, size)
+    exists = any(len(c) >= size for c in nx.find_cliques(g.to_networkx()))
+    assert (found is None) == (not exists)
+    if found is not None:
+        CliqueWitnessOracle().check(
+            graph=graph, clique=found, size=size
+        ).raise_if_failed()
 
 
 def test_find_clique_small_sizes():
