@@ -7,10 +7,9 @@ sequentially we search each closed neighbourhood, which is fast because the
 graphs of interest have small maximum average degree (a (d+1)-clique can
 only live inside the closed neighbourhood of a vertex of degree >= d).
 
-The search runs on the core only: a clique on ``size`` vertices lies in
-the ``(size - 1)``-core, whose core numbers come from the peel that frozen
-graphs cache.  On a graph of degeneracy below ``size - 1`` that core is
-empty and the search ends before looking at a single neighbourhood.
+A clique on ``size`` vertices has degeneracy ``size - 1``, so on a graph
+of degeneracy below ``size - 1`` (read from the peel that frozen graphs
+cache) the search returns ``None`` at once.
 """
 
 from __future__ import annotations
@@ -32,13 +31,13 @@ def is_clique(graph: Graph, vertices) -> bool:
 def find_clique_of_size(graph: Graph, size: int) -> tuple[Vertex, ...] | None:
     """Find a clique on exactly ``size`` vertices, or return ``None``.
 
-    The search enumerates, for every vertex ``v`` of the ``(size - 1)``-core,
-    the subsets of ``size - 1`` neighbours of ``v`` restricted to
-    neighbours in that core.  For sparse graphs (bounded mad) the
-    neighbourhoods are small, so this is fast; the enumeration is
-    additionally pruned by a greedy intersection test.  Vertices outside
-    the core are in no such clique, so skipping them leaves the witness
-    unchanged.
+    Returns ``None`` at once when the graph's degeneracy is below
+    ``size - 1``.  Otherwise the search enumerates, for every vertex ``v``
+    of degree at least ``size - 1``, the subsets of ``size - 1`` neighbours
+    of ``v`` restricted to neighbours that themselves have degree at least
+    ``size - 1``.  For sparse graphs (bounded mad) the neighbourhoods are
+    small, so this is fast; the enumeration is additionally pruned by a
+    greedy intersection test.
     """
     if size <= 0:
         return ()
@@ -50,17 +49,11 @@ def find_clique_of_size(graph: Graph, size: int) -> tuple[Vertex, ...] | None:
         for u, v in graph.edges():
             return (u, v)
         return None
-    frozen = FrozenGraph.from_graph(graph)
-    if frozen.degeneracy() < size - 1:
-        return None  # the (size - 1)-core is empty
-    cores = frozen.core_numbers()
-    # the order of this degree-filtered set decides which clique is found
-    # first, so the core filter skips within it instead of replacing it
+    if FrozenGraph.from_graph(graph).degeneracy() < size - 1:
+        return None
     candidates = {v for v in graph if graph.degree(v) >= size - 1}
     for v in candidates:
-        if cores[v] < size - 1:
-            continue
-        nbrs = [u for u in graph.neighbors(v) if cores[u] >= size - 1]
+        nbrs = [u for u in graph.neighbors(v) if u in candidates]
         if len(nbrs) < size - 1:
             continue
         found = _clique_in_neighborhood(graph, nbrs, size - 1)

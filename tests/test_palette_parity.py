@@ -195,7 +195,7 @@ def test_classification_engines_agree(seed, radius):
     assert scan.poor == flat.poor
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
     use_random_lists=st.booleans(),

@@ -205,7 +205,7 @@ def test_find_clique_of_size():
 @given(
     seed=st.integers(0, 10_000),
     size=st.integers(3, 5),
-    # below size - 1 the (size - 1)-core is empty; from size - 1 up it may not be
+    # below size - 1 the search returns at once; from size - 1 up it runs
     degeneracy=st.integers(1, 5),
     plant=st.booleans(),
     frozen=st.booleans(),
