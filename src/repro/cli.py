@@ -117,7 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(stabilizes BENCH artifacts for tools/bench_diff.py)")
     p_run.add_argument("--set", dest="overrides", metavar="KEY=VALUE",
                        action="append", default=[],
-                       help="override any scenario parameter (repeatable)")
+                       help="override any scenario parameter (repeatable); the value "
+                            "must have the default's type, so one value of a tuple "
+                            "parameter is written sizes=1000,")
     p_run.add_argument("--no-check", action="store_true",
                        help="report paper-reference check failures without failing")
     p_run.add_argument("--verify", action="store_true",

@@ -48,6 +48,7 @@ from repro.coloring.palette import (
     ListAssignmentError,
 )
 from repro.graphs.frozen import GraphLike, freeze
+from repro.local import kernels
 from repro.local.network import Network
 from repro.local.node import (
     BatchContext,
@@ -307,16 +308,8 @@ class BatchRandomizedDeltaPlusOne(BatchNodeAlgorithm):
             k = (bits % counts).astype(np.int64)
             self.trial[unc] = _kth_set_bit(self.avail[unc], k)
         node_values = np.where(self.pending, -self.colors, self.trial)
-        starts = context.offsets[front]
-        counts_f = context.degrees[front]
-        total = int(counts_f.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        bounds = np.cumsum(counts_f)
-        slots = np.repeat(starts - (bounds - counts_f), counts_f)
-        slots += np.arange(total, dtype=np.int64)
-        values = np.repeat(node_values[front], counts_f)
+        slots, compact_offsets = kernels.compact_segments(context.offsets, front)
+        values = np.repeat(node_values[front], np.diff(compact_offsets))
         return slots, values
 
     def receive_active(self, round_number: int, dest_slots, values) -> None:

@@ -20,6 +20,14 @@ the ``simulator`` scenario runs the large-n lower-bound rows on the
 batched engine only, with cross-engine parity pinned at small n by the
 test suite.
 
+The batched round works on Python ints (a color list, a frontier list,
+slot ranges read one node at a time) rather than on numpy arrays: a path's
+frontier is one or two nodes, where numpy's fixed cost per call would
+dominate the round.  Each node broadcasts exactly once, so the per-slot
+Python work summed over a run is O(m) whatever shape the frontier takes;
+only a fixed handful of numpy calls per round remain (the slot array the
+engine routes and one gather naming the receivers).
+
 The protocol works on any tree (colors = distance parity from the
 root); nodes unreachable from a root never finish, exactly like a
 quiescence property should fail on a disconnected instance.
@@ -77,8 +85,10 @@ class BatchWaveTwoColoring(BatchNodeAlgorithm):
 
     ``send_batch`` returns only the frontier's ``(slots, values)``; the
     engine charges ``len(slots)`` messages and hands the destinations to
-    :meth:`receive_active`.  Rounds, per-round message counts and colors
-    are identical to the per-node program.
+    :meth:`receive_active`, which walks them in destination-slot order so
+    each receiver adopts its lowest port's color and joins the next
+    frontier once.  Rounds, per-round message counts and colors are
+    identical to the per-node program.
     """
 
     exchange_mode = "active"
@@ -88,59 +98,49 @@ class BatchWaveTwoColoring(BatchNodeAlgorithm):
         n = context.n
         inputs = context.inputs
         if isinstance(inputs, np.ndarray):
-            roots = np.flatnonzero(inputs != 0)
+            roots = np.flatnonzero(inputs != 0).tolist()
         else:
-            roots = np.array(
-                [i for i, x in enumerate(inputs) if x], dtype=np.int64
-            )
-        self.colors = np.full(n, -1, dtype=np.int64)
-        self.colors[roots] = 0
+            roots = [i for i, x in enumerate(inputs) if x]
+        self.colors = [-1] * n
+        for root in roots:
+            self.colors[root] = 0
         self._front = roots
-        self._uncolored = n - roots.size
+        self._uncolored = n - len(roots)
         self.done = n == 0
 
-    def _front_slots(self, front):
-        """The frontier's outgoing ``(slots, values)`` pair."""
-        offsets = self.context.offsets
-        degrees = self.context.degrees
-        starts = offsets[front]
-        counts = degrees[front]
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        bounds = np.cumsum(counts)
-        slots = np.repeat(starts - (bounds - counts), counts)
-        slots += np.arange(total, dtype=np.int64)
-        values = np.repeat(self.colors[front], counts)
-        return slots, values
-
     def send_batch(self, round_number: int):
-        if self._front.size == 0:
+        if not self._front:
             return None
-        return self._front_slots(self._front)
+        offsets = self.context.offsets
+        colors = self.colors
+        slots: list[int] = []
+        values: list[int] = []
+        for v in self._front:
+            lo, hi = offsets[v:v + 2].tolist()
+            slots.extend(range(lo, hi))
+            values.extend([colors[v]] * (hi - lo))
+        return np.array(slots, dtype=np.int64), values
 
     def receive_active(self, round_number: int, dest_slots, values) -> None:
-        if dest_slots is None or len(dest_slots) == 0:
-            newly = np.empty(0, dtype=np.int64)
-        else:
+        newly: list[int] = []
+        if dest_slots is not None and len(dest_slots):
+            colors = self.colors
+            receivers = self.context.sources[dest_slots].tolist()
             # inbox slots of a node are contiguous and port-ordered, so
-            # sorting by destination slot groups receivers and puts the
-            # lowest port first — the per-node tie-break
-            order = np.argsort(dest_slots, kind="stable")
-            receivers = self.context.sources[dest_slots[order]]
-            arriving = values[order]
-            first = np.ones(receivers.size, dtype=bool)
-            first[1:] = receivers[1:] != receivers[:-1]
-            take = first & (self.colors[receivers] < 0)
-            newly = receivers[take]
-            self.colors[newly] = 1 - arriving[take]
+            # walking the deliveries by destination slot puts each
+            # receiver's lowest port first — the per-node tie-break
+            for _, receiver, color in sorted(
+                zip(dest_slots.tolist(), receivers, values)
+            ):
+                if colors[receiver] < 0:
+                    colors[receiver] = 1 - color
+                    newly.append(receiver)
         self._front = newly
-        self._uncolored -= newly.size
-        self.done = newly.size == 0 and self._uncolored == 0
+        self._uncolored -= len(newly)
+        self.done = not newly and self._uncolored == 0
 
     def is_finished_batch(self) -> bool:
         return self.done
 
     def results_batch(self) -> list[int]:
-        return self.colors.tolist()
+        return self.colors

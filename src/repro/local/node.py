@@ -196,9 +196,11 @@ class BatchNodeAlgorithm:
         pair listing only the slots that carry a message (``len(slots)``
         messages are charged).  The engine maps them to destination slots
         through ``reverse_slot`` and calls
-        ``receive_active(round_number, dest_slots, values)``.  This is how
-        wave-style Omega(n)-round protocols keep each round O(frontier)
-        instead of O(n).
+        ``receive_active(round_number, dest_slots, values)``.  ``slots``
+        must be an integer array; ``values`` may be any sequence aligned
+        with it (an array, or a plain list), because the engine passes it
+        through unread.  This is how wave-style Omega(n)-round protocols
+        keep each round O(frontier) instead of O(n).
     """
 
     #: Per-node factory the simulator falls back to when :meth:`can_run`

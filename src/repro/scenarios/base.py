@@ -120,7 +120,12 @@ class Scenario:
     def params_for(
         self, *, smoke: bool = False, overrides: Mapping[str, Any] | None = None
     ) -> dict[str, Any]:
-        """Resolve the effective parameter grid (defaults < smoke < overrides)."""
+        """Resolve the effective parameter grid (defaults < smoke < overrides).
+
+        Each override must have its default's type: a tuple default takes a
+        tuple or list, an int default an int, a float default an int or a
+        float (bools are refused for both), anything else its own type.
+        """
         params = dict(self.defaults)
         if smoke:
             params.update(self.smoke_overrides)
@@ -130,8 +135,28 @@ class Scenario:
                     f"scenario {self.name!r} has no parameter {key!r}; "
                     f"known parameters: {sorted(params)}"
                 )
+            self._check_override(key, value, params[key])
             params[key] = value
         return params
+
+    def _check_override(self, key: str, value: Any, default: Any) -> None:
+        if isinstance(default, tuple):
+            accepted, expected = (tuple, list), "a tuple or list"
+        elif isinstance(default, float):
+            accepted, expected = (int, float), "an int or float"
+        else:
+            accepted = type(default)
+            expected = f"a value of type {accepted.__name__}"
+        bool_for_number = isinstance(value, bool) and not isinstance(default, bool)
+        if isinstance(value, accepted) and not bool_for_number:
+            return
+        hint = ""
+        if isinstance(default, tuple):
+            hint = f"; for a single value use the trailing-comma form {key}={value!r},"
+        raise ScenarioError(
+            f"scenario {self.name!r} parameter {key!r} expects {expected}, "
+            f"got {type(value).__name__} {value!r}{hint}"
+        )
 
     def artifact_path(self, out: str | Path | None = None) -> Path:
         """Where :func:`run_scenario` writes the artifact (``BENCH_<name>.json``).

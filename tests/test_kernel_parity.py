@@ -212,20 +212,20 @@ def _random_tree(n: int, seed: int) -> Graph:
     return graph
 
 
-def _four_engines(net, per_node, batched, inputs, max_rounds):
+def _four_engines(net, per_node, batched, inputs, max_rounds, strict=True):
     """Run all four data planes on one instance; return the results."""
     fused = SynchronousSimulator(net).run(
-        batched, inputs=inputs, max_rounds=max_rounds, strict=True
+        batched, inputs=inputs, max_rounds=max_rounds, strict=strict
     )
     unfused = SynchronousSimulator(net).run(
-        batched, inputs=inputs, max_rounds=max_rounds, strict=True,
+        batched, inputs=inputs, max_rounds=max_rounds, strict=strict,
         reference_exchange=True,
     )
     flat = SynchronousSimulator(net).run(
-        per_node, inputs=inputs, max_rounds=max_rounds, strict=True
+        per_node, inputs=inputs, max_rounds=max_rounds, strict=strict
     )
     seed_result = ReferenceSimulator(net).run(
-        per_node, inputs=inputs, max_rounds=max_rounds, strict=True
+        per_node, inputs=inputs, max_rounds=max_rounds, strict=strict
     )
     return fused, unfused, flat, seed_result
 
@@ -270,21 +270,65 @@ def test_greedy_engine_parity(seed, n):
     ))
 
 
-@given(seeds, st.integers(min_value=1, max_value=40))
-@settings(max_examples=20, deadline=None)
-def test_wave_engine_parity(seed, n):
-    graph = _random_tree(n, seed).freeze()
+@st.composite
+def _wave_instances(draw):
+    """``(n, edges, roots)``: a random tree, up to three chords, 1-3 roots.
+
+    Chords and extra roots let an uncolored node hear several frontier
+    nodes in one round, which exercises the lowest-port tie-break.
+    """
+    seed = draw(seeds)
+    n = draw(st.integers(min_value=1, max_value=40))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    chords = draw(st.lists(st.tuples(vertex, vertex), max_size=3))
+    roots = draw(st.lists(vertex, min_size=1, max_size=3))
+    edges = _random_tree(n, seed).edges()
+    edges += [(u, v) for u, v in chords if u != v]
+    return n, edges, roots
+
+
+def _wave_graph(n, edges):
+    graph = Graph()
+    graph.add_vertices(range(n))
+    graph.add_edges(edges)
+    return graph.freeze()
+
+
+@given(_wave_instances())
+# the 4-cycle rooted at 0: vertex 2 hears both 1 and 3 in round 2
+@example((4, [(0, 1), (1, 2), (2, 3), (3, 0)], [0]))
+@settings(max_examples=120, deadline=None)
+def test_wave_engine_parity(instance):
+    n, edges, roots = instance
+    graph = _wave_graph(n, edges)
     net = Network(graph)
-    inputs = {v: v == 0 for v in graph.vertices()}
+    inputs = {v: v in roots for v in graph.vertices()}
     fused, unfused, flat, seed_result = _four_engines(
         net, WaveTwoColoring, BatchWaveTwoColoring, inputs, n + 2
     )
     _assert_all_match(fused, unfused, flat, seed_result)
-    # 2-coloring by distance parity: every tree edge is bichromatic
-    outputs = fused.outputs
-    for v in graph.vertices():
-        for u in graph.neighbors(v):
-            assert outputs[u] != outputs[v]
+    if len(set(roots)) == 1 and graph.number_of_edges() == n - 1:
+        # one root on a tree: colors are distance parity, so every edge
+        # is bichromatic
+        outputs = fused.outputs
+        for v in graph.vertices():
+            for u in graph.neighbors(v):
+                assert outputs[u] != outputs[v]
+
+
+def test_wave_rootless_component_never_finishes():
+    """A component without a root stays uncolored on all four engines."""
+    graph = _wave_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)])
+    net = Network(graph)
+    inputs = {v: v == 0 for v in graph.vertices()}
+    results = _four_engines(
+        net, WaveTwoColoring, BatchWaveTwoColoring, inputs, 8, strict=False
+    )
+    assert not any(result.finished for result in results)
+    _assert_all_match(*results)
+    fused = results[0]
+    assert fused.rounds == 8
+    assert [fused.outputs[v] for v in range(6)] == [0, 1, 0, -1, -1, -1]
 
 
 def test_wave_path_lower_bound_signature():

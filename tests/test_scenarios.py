@@ -133,6 +133,29 @@ def test_unknown_scenario_and_unknown_override_raise():
         run_scenario("theorem13-colors", overrides={"bogus": 1}, workers=1, export=False)
 
 
+def test_overrides_are_type_checked_against_defaults(capsys):
+    simulator = get_scenario("simulator")
+    # a bare int for a tuple parameter used to die as a TypeError in build_tasks
+    assert cli_main(["run", "simulator", "--smoke", "--set", "lowerbound_sizes=1500"]) == 2
+    err = capsys.readouterr().err
+    assert "'lowerbound_sizes'" in err and "tuple" in err
+    assert "lowerbound_sizes=1500," in err
+    with pytest.raises(ScenarioError, match=r"backends='flat',"):
+        get_scenario("dynamic").params_for(overrides={"backends": "flat"})
+    for bad in (True, 2.5, "7"):
+        with pytest.raises(ScenarioError, match="'id_seed'.*int"):
+            simulator.params_for(overrides={"id_seed": bad})
+    with pytest.raises(ScenarioError, match="'batch_window_ms'"):
+        get_scenario("serve").params_for(overrides={"batch_window_ms": False})
+    # matching types pass: list for tuple, int for float
+    assert simulator.params_for(
+        overrides={"lowerbound_sizes": [1500], "id_seed": 3}
+    )["lowerbound_sizes"] == [1500]
+    assert get_scenario("serve").params_for(
+        overrides={"batch_window_ms": 3}
+    )["batch_window_ms"] == 3
+
+
 def test_validate_artifact_flags_broken_shapes():
     assert validate_artifact([]) != []
     assert any("schema_version" in p for p in validate_artifact({}))
