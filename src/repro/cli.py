@@ -55,8 +55,20 @@ from repro.scenarios import (
 __all__ = ["main", "build_parser"]
 
 
+def _literal_or_str(raw: str) -> Any:
+    try:
+        return ast.literal_eval(raw)
+    except (ValueError, SyntaxError):
+        return raw
+
+
 def _parse_set(pairs: Sequence[str]) -> dict[str, Any]:
-    """Parse ``--set key=value`` overrides (values via literal_eval, else str)."""
+    """Parse ``--set key=value`` overrides (values via literal_eval, else str).
+
+    A comma list that is no literal (``families=planar,`` or
+    ``families=planar,regular``) becomes a tuple of such values, so string
+    tuples take the same trailing-comma form as number tuples.
+    """
     overrides: dict[str, Any] = {}
     for pair in pairs:
         key, sep, raw = pair.partition("=")
@@ -65,7 +77,10 @@ def _parse_set(pairs: Sequence[str]) -> dict[str, Any]:
         try:
             overrides[key] = ast.literal_eval(raw)
         except (ValueError, SyntaxError):
-            overrides[key] = raw
+            overrides[key] = raw if "," not in raw else tuple(
+                _literal_or_str(part.strip())
+                for part in raw.removesuffix(",").split(",")
+            )
     return overrides
 
 

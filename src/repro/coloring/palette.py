@@ -41,7 +41,7 @@ from repro.graphs.graph import Vertex
 
 Color = Hashable
 
-__all__ = ["Color", "PaletteUniverse", "FlatListAssignment", "first_set_bits"]
+__all__ = ["Color", "PaletteUniverse", "FlatListAssignment", "first_set_bits", "kth_set_bits"]
 
 
 class PaletteUniverse:
@@ -136,6 +136,37 @@ def first_set_bits(rows):
         if pending.size == 0:
             break
     return result
+
+
+def kth_set_bits(rows, k):
+    """Per row, the index of the ``k[i]``-th (0-based) set bit of a packed row.
+
+    ``rows`` is a ``(m, blocks)`` uint64 array in the
+    :meth:`FlatListAssignment.rows` format and every row must have more
+    than ``k[i]`` set bits.  Walking the blocks, a row whose count is not
+    used up by the current block's popcount moves on to the next block;
+    inside the block that holds the bit, the lowest set bit is cleared as
+    often as the count left says.  This is the uniform draw of the
+    randomized programs (``k = bits % popcount``).
+    """
+    word = rows[:, 0].copy()
+    remaining = np.array(k, dtype=np.int64)
+    block = np.zeros(len(rows), dtype=np.int64)
+    for b in range(1, rows.shape[1]):
+        count = np.bitwise_count(word)
+        later = remaining >= count
+        remaining[later] -= count[later]
+        block[later] = b
+        word[later] = rows[later, b]
+    one = np.uint64(1)
+    while True:
+        active = remaining > 0
+        if not active.any():
+            break
+        word[active] &= word[active] - one
+        remaining[active] -= 1
+    low = word & (np.uint64(0) - word)
+    return 64 * block + np.bitwise_count(low - one).astype(np.int64)
 
 
 def _pack_rows(masks: Sequence[int], blocks: int):

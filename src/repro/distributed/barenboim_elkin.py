@@ -42,7 +42,6 @@ Two substrates implement the procedure:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,8 +54,9 @@ from repro.local.ledger import RoundLedger
 from repro.local.node import (
     BatchContext,
     BatchNodeAlgorithm,
-    lowest_free_bit,
+    announced_constant,
     segment_reduce,
+    smallest_free_color,
 )
 from repro.local.simulator import run_node_algorithm
 from repro.distributed.forest_decomposition import HPartition, h_partition
@@ -99,36 +99,24 @@ class BatchSlotColorSelection(BatchNodeAlgorithm):
     broadcast their current color (0 encodes "uncolored").  This is
     exactly the sequential sweep of the dict backend; one simulator round
     per (class, slot) pair keeps the charged-round accounting identical.
-
-    The free-color pick uses an int64 bit trick, so ``palette_size < 63``
-    is required; the real Barenboim–Elkin palettes (``(2+ε)a + 1``) are
-    far below that.  There is no per-node fallback — the dict backend *is*
-    the fallback, and :func:`barenboim_elkin_coloring` routes to it when
-    the palette is too wide.
+    The free-color pick is :func:`~repro.local.node.smallest_free_color`,
+    so any palette width runs here; nodes announced different palettes
+    or schedules raise :class:`~repro.errors.SimulationError`.
     """
-
-    fallback = None
-
-    def can_run(self, context: BatchContext) -> bool:
-        inputs = context.inputs
-        if not inputs:
-            return False
-        palettes = {p for (_c, _s, p, _sc) in inputs}
-        schedules = {sc for (_c, _s, _p, sc) in inputs}
-        # < 62, not < 63: on an underestimated arboricity a node can see
-        # all palette colors used, and lowest_free_bit needs bit 62 clear
-        # in that saturated mask to report the out-of-palette overflow
-        return len(palettes) == 1 and len(schedules) == 1 and max(palettes) < 62
 
     def initialize_batch(self, context: BatchContext) -> None:
         super().initialize_batch(context)
         inputs = context.inputs
         self.class_of = np.asarray([c for (c, _s, _p, _sc) in inputs], dtype=np.int64)
         self.slot_of = np.asarray([s for (_c, s, _p, _sc) in inputs], dtype=np.int64)
-        self.palette_size = int(inputs[0][2]) if inputs else 0
+        palette_size, slot_counts = announced_constant(
+            self, ((p, sc) for (_c, _s, p, sc) in inputs),
+            "palette and slot schedule", default=(0, ()),
+        )
+        self.palette_size = int(palette_size)
         # schedule: classes from the last down to 0, slots ascending within
         # each class, sized by the announced per-class slot counts
-        slot_counts = tuple(inputs[0][3]) if inputs else ()
+        slot_counts = tuple(slot_counts)
         schedule: list[tuple[int, int]] = []
         for class_index in range(len(slot_counts) - 1, -1, -1):
             schedule.extend(
@@ -147,12 +135,7 @@ class BatchSlotColorSelection(BatchNodeAlgorithm):
         self.step += 1
         scheduled = (self.class_of == class_index) & (self.slot_of == slot)
         if scheduled.any():
-            bits = np.where(inbox > 0, np.int64(1) << inbox.clip(0, 62), 0)
-            used = segment_reduce(
-                np.bitwise_or, bits, self.context.offsets, empty=0
-            )
-            used |= 1  # color 0 is "uncolored", never pickable
-            free = lowest_free_bit(used)
+            free = smallest_free_color(inbox, self.context.offsets, self._src)
             if bool((scheduled & (free > self.palette_size)).any()):
                 raise ColoringError(
                     "Barenboim–Elkin ran out of colors; the arboricity "
@@ -231,38 +214,17 @@ def _h_partition_flat(graph, arboricity: int, epsilon: float) -> HPartition:
 
 def barenboim_elkin_coloring(
     graph: Graph, arboricity: int, epsilon: float = 1.0, backend: str = "flat",
-    *, strict_backend: bool = False,
 ) -> BarenboimElkinResult:
     """Color ``graph`` with ``floor((2+ε)a) + 1`` colors (Barenboim–Elkin).
 
     ``backend="flat"`` runs the H-partition, the per-class slot coloring
     and the slot-selection phase on the flat substrate (see the module
-    docstring).  When the palette ``floor((2+ε)a)+1`` is too wide for the
-    flat path's int64 slot kernel, the dict backend takes over with a
-    :class:`RuntimeWarning` so perf measurements never silently compare
-    the wrong substrate; pass ``strict_backend=True`` to get a
-    :class:`ValueError` instead.
+    docstring), at any palette width; ``backend="dict"`` is the
+    per-vertex reference.
     """
     if backend not in ("dict", "flat"):
         raise ValueError(f"unknown backend {backend!r}; use 'dict' or 'flat'")
     palette_size = int(math.floor((2.0 + epsilon) * arboricity)) + 1
-    if backend == "flat" and palette_size >= 62:
-        reason = (
-            f"palette floor((2+{epsilon:g})*{arboricity})+1 = {palette_size} "
-            "exceeds the int64 slot kernel's 61-color limit"
-        )
-        if strict_backend:
-            raise ValueError(
-                f"backend='flat' cannot run: {reason}; pass backend='dict' "
-                "or drop strict_backend"
-            )
-        warnings.warn(
-            f"barenboim_elkin_coloring: falling back to backend='dict' "
-            f"({reason})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        backend = "dict"
     ledger = RoundLedger()
     if graph.number_of_vertices() == 0:
         return BarenboimElkinResult({}, 0, 0, 0, HPartition([], {}, 0, 0), ledger)

@@ -24,8 +24,8 @@ from repro.local.node import (
     BatchNodeAlgorithm,
     NodeAlgorithm,
     NodeContext,
-    lowest_free_bit,
     segment_reduce,
+    smallest_free_color,
 )
 from repro.local.simulator import run_node_algorithm
 from repro.distributed.linial import DistributedColoringResult
@@ -88,38 +88,24 @@ class BatchGreedyLocalMaximaAlgorithm(BatchNodeAlgorithm):
     information the per-node protocol re-broadcasts every round), and the
     per-node decision rule is replayed with segmented numpy reductions: an
     uncolored node whose identifier beats the max uncolored-neighbour id
-    takes the lowest bit absent from the OR of its neighbours' color bits.
+    takes the smallest color its neighbours do not hold
+    (:func:`~repro.local.node.smallest_free_color`, at any palette width).
     Rounds, message counts and outputs match the per-node run exactly.
-
-    The color-set bit trick needs ``Δ + 1 < 63``; wider palettes decline
-    :meth:`can_run` and fall back to the per-node program transparently.
 
     The program runs in ``"broadcast"`` exchange mode and
     ``receive_broadcast`` adds *active-set compaction*: only uncolored
     nodes can change state, so once fewer than half the nodes remain
-    uncolored the rival/used reductions run over just the active nodes'
-    slots (:func:`repro.local.kernels.compact_segments`) instead of the
-    whole fabric.  The decision rule — and hence every output, round and
-    message count — is identical to the dense path, which
+    uncolored the decision runs over just the active nodes' slots
+    (:func:`repro.local.kernels.compact_segments`) instead of the whole
+    fabric.  Every path applies the one rule of :meth:`_decide`, so every
+    output, round and message count is identical to the dense path, which
     ``receive_batch`` keeps alive as the unfused reference.
     """
 
-    fallback = GreedyLocalMaximaAlgorithm
     exchange_mode = "broadcast"
-
-    def can_run(self, context: BatchContext) -> bool:
-        inputs = context.inputs
-        if isinstance(inputs, np.ndarray):
-            max_degree = int(inputs.max()) if inputs.size else 0
-        else:
-            max_degree = max(
-                (int(x) for x in inputs if x is not None), default=0
-            )
-        return max_degree + 1 < 63
 
     def initialize_batch(self, context: BatchContext) -> None:
         super().initialize_batch(context)
-        self._src = context.sources
         self.colors = np.zeros(context.n, dtype=np.int64)  # 0 = uncolored
         self.nbr_ids = context.identifiers[context.endpoints]
         self.done = context.n == 0
@@ -128,13 +114,19 @@ class BatchGreedyLocalMaximaAlgorithm(BatchNodeAlgorithm):
     def send_batch(self, round_number: int):
         return self.colors
 
-    def _commit(self, active, eligible, free) -> None:
-        """Color the eligible active nodes and refresh the active set."""
-        winners = active[eligible]
-        self.colors[winners] = free[eligible]
-        remaining = active[~eligible]
-        self._active = remaining
-        self.done = remaining.size == 0
+    @staticmethod
+    def _decide(ids, nbr_colors, nbr_ids, offsets, sources):
+        """Eligibility and free color of the nodes whose slots are given.
+
+        ``nbr_colors``/``nbr_ids`` are per slot, ``offsets`` delimits each
+        node's slots and ``sources`` names each slot's node (0-based over
+        the given nodes).  A node is eligible when its identifier beats
+        every uncolored neighbour's.
+        """
+        rival = segment_reduce(
+            np.maximum, np.where(nbr_colors == 0, nbr_ids, 0), offsets, empty=0
+        )
+        return ids > rival, smallest_free_color(nbr_colors, offsets, sources)
 
     def receive_broadcast(self, round_number: int, node_values) -> None:
         from repro.local import kernels
@@ -142,29 +134,12 @@ class BatchGreedyLocalMaximaAlgorithm(BatchNodeAlgorithm):
         context = self.context
         active = self._active
         if active is None and 2 * int((self.colors == 0).sum()) > context.n:
-            # dense round: reduce over the whole fabric (same arithmetic as
+            # dense round: decide over the whole fabric (same arithmetic as
             # receive_batch, minus the inbox materialization)
-            inbox = node_values[context.endpoints]
-            uncolored = self.colors == 0
-            rival = segment_reduce(
-                np.maximum,
-                np.where(inbox == 0, self.nbr_ids, 0),
-                context.offsets,
-                empty=0,
-            )
-            eligible_mask = uncolored & (context.identifiers > rival)
-            used = segment_reduce(
-                np.bitwise_or,
-                np.where(inbox > 0, 1 << inbox, 0),
-                context.offsets,
-                empty=0,
-            ) | 1
-            free = lowest_free_bit(used)
-            self.colors = np.where(eligible_mask, free, self.colors)
+            self.receive_batch(round_number, node_values[context.endpoints], None)
             still = np.flatnonzero(self.colors == 0)
             if 2 * still.size <= context.n:
                 self._active = still
-            self.done = still.size == 0
             return
         if active is None:
             active = np.flatnonzero(self.colors == 0)
@@ -172,40 +147,24 @@ class BatchGreedyLocalMaximaAlgorithm(BatchNodeAlgorithm):
         slots, compact_offsets = kernels.compact_segments(
             context.offsets, active
         )
-        nbr_colors = node_values[context.endpoints[slots]]
-        rival = segment_reduce(
-            np.maximum,
-            np.where(nbr_colors == 0, self.nbr_ids[slots], 0),
+        eligible, free = self._decide(
+            context.identifiers[active],
+            node_values[context.endpoints[slots]],
+            self.nbr_ids[slots],
             compact_offsets,
-            empty=0,
+            np.repeat(np.arange(active.size, dtype=np.int64), np.diff(compact_offsets)),
         )
-        eligible = context.identifiers[active] > rival
-        used = segment_reduce(
-            np.bitwise_or,
-            np.where(nbr_colors > 0, 1 << nbr_colors, 0),
-            compact_offsets,
-            empty=0,
-        ) | 1
-        free = lowest_free_bit(used)
-        self._commit(active, eligible, free)
+        self.colors[active[eligible]] = free[eligible]
+        self._active = active[~eligible]
+        self.done = self._active.size == 0
 
     def receive_batch(self, round_number: int, inbox, delivered) -> None:
-        offsets = self.context.offsets
-        uncolored = self.colors == 0
-        # max identifier among *uncolored* neighbours (0 when none)
-        rival = segment_reduce(
-            np.maximum, np.where(inbox == 0, self.nbr_ids, 0), offsets, empty=0
+        context = self.context
+        eligible, free = self._decide(
+            context.identifiers, inbox, self.nbr_ids, context.offsets,
+            context.sources,
         )
-        eligible = uncolored & (self.context.identifiers > rival)
-        # lowest color >= 1 outside the OR of colored neighbours' bits
-        used = segment_reduce(
-            np.bitwise_or,
-            np.where(inbox > 0, 1 << inbox, 0),
-            offsets,
-            empty=0,
-        ) | 1
-        free = lowest_free_bit(used)
-        self.colors = np.where(eligible, free, self.colors)
+        self.colors = np.where(eligible & (self.colors == 0), free, self.colors)
         self.done = bool((self.colors > 0).all())
 
     def is_finished_batch(self) -> bool:

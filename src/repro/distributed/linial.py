@@ -33,8 +33,8 @@ from repro.local.node import (
     BatchNodeAlgorithm,
     NodeAlgorithm,
     NodeContext,
-    lowest_free_bit,
-    segment_reduce,
+    announced_constant,
+    smallest_free_color,
 )
 from repro.local.simulator import run_node_algorithm
 
@@ -168,16 +168,12 @@ class BatchLinialColoringAlgorithm(BatchNodeAlgorithm):
     unchanged when the flat backend swaps this port in.
     """
 
-    fallback = LinialColoringAlgorithm
-
-    def can_run(self, context: BatchContext) -> bool:
-        # the batched replay needs every node to run the same schedule
-        inputs = context.inputs
-        return bool(inputs) and all(x == inputs[0] for x in inputs)
-
     def initialize_batch(self, context: BatchContext) -> None:
         super().initialize_batch(context)
-        self.max_degree = int(context.inputs[0]) if context.inputs else 1
+        # the batched replay needs every node to run the same schedule
+        self.max_degree = int(
+            announced_constant(self, context.inputs, "max degree", default=1)
+        )
         # schedule and initial palette come from the announced n and the
         # identifiers, never from the array length — this keeps the batched
         # port locality-faithful on truncated r-ball networks
@@ -280,28 +276,22 @@ class BatchColorReductionAlgorithm(BatchNodeAlgorithm):
     """Batched port of :class:`ColorReductionAlgorithm`.
 
     One color class is retired per round exactly as in the per-node
-    protocol; the "smallest free color in ``{0..Δ}``" selection runs as a
-    segmented OR of neighbour color bits plus a lowest-zero-bit extraction
-    (which needs ``Δ + 1 < 63``; wider palettes decline :meth:`can_run`
-    and fall back per node).
+    protocol; the "smallest free color in ``{0..Δ}``" selection is
+    :func:`~repro.local.node.smallest_free_color` on the colors shifted up
+    by one, at any palette width.  Every node must be announced the same
+    palette and Δ.
     """
-
-    fallback = ColorReductionAlgorithm
-
-    def can_run(self, context: BatchContext) -> bool:
-        inputs = context.inputs
-        if not inputs:
-            return False
-        palettes = {p for (_c, p, _d) in inputs}
-        deltas = {d for (_c, _p, d) in inputs}
-        return len(palettes) == 1 and len(deltas) == 1 and max(deltas) + 1 < 63
 
     def initialize_batch(self, context: BatchContext) -> None:
         super().initialize_batch(context)
         inputs = context.inputs
         self.colors = np.asarray([int(c) for (c, _p, _d) in inputs], dtype=np.int64)
-        self.palette = int(inputs[0][1])
-        self.max_degree = int(inputs[0][2])
+        palette, max_degree = announced_constant(
+            self, ((p, d) for (_c, p, d) in inputs), "palette and max degree",
+            default=(0, 0),
+        )
+        self.palette = int(palette)
+        self.max_degree = int(max_degree)
         self.target = self.palette - 1
         self._src = context.sources
 
@@ -310,9 +300,7 @@ class BatchColorReductionAlgorithm(BatchNodeAlgorithm):
 
     def receive_batch(self, round_number: int, inbox, delivered) -> None:
         delta = self.max_degree
-        bits = np.where(inbox <= delta, np.int64(1) << inbox.clip(0, 62), 0)
-        used = segment_reduce(np.bitwise_or, bits, self.context.offsets, empty=0)
-        free = lowest_free_bit(used)
+        free = smallest_free_color(inbox + 1, self.context.offsets, self._src) - 1
         moving = (self.colors == self.target) & (free <= delta)
         self.colors = np.where(moving, free, self.colors)
         self.target -= 1
@@ -347,8 +335,8 @@ def delta_plus_one_coloring(
     ``batched=True`` runs the vectorized
     :class:`BatchLinialColoringAlgorithm` /
     :class:`BatchColorReductionAlgorithm` ports on the flat round engine;
-    rounds, messages and colors are identical to the per-node run (and the
-    ports fall back to their per-node twins when ``can_run`` declines).
+    rounds, messages and colors are identical to the per-node run at any
+    Δ.
     """
     from repro.graphs.frozen import freeze
     from repro.local.network import Network

@@ -46,6 +46,8 @@ import numpy as np
 from repro.coloring.palette import (
     FlatListAssignment,
     ListAssignmentError,
+    _pack_rows,
+    kth_set_bits,
 )
 from repro.graphs.frozen import GraphLike, freeze
 from repro.local import kernels
@@ -162,21 +164,6 @@ def _kth_set_bit_scalar(mask: int, k: int) -> int:
     return low.bit_length() - 1
 
 
-def _kth_set_bit(masks, k):
-    """Vectorized :func:`_kth_set_bit_scalar` over int64 masks."""
-    m = masks.astype(np.uint64)
-    remaining = k.astype(np.int64).copy()
-    one = np.uint64(1)
-    while True:
-        active = remaining > 0
-        if not active.any():
-            break
-        m[active] &= m[active] - one
-        remaining[active] -= 1
-    low = m & (np.uint64(0) - m)
-    return np.bitwise_count(low - one).astype(np.int64)
-
-
 # -- randomized (Δ+1)-coloring: trial-color + conflict-retreat ------------
 
 
@@ -252,28 +239,17 @@ class BatchRandomizedDeltaPlusOne(BatchNodeAlgorithm):
     ``send_batch`` routes only the frontier's slots — the uncolored
     vertices plus the just-committed ones owing their final broadcast —
     so per-round cost (and the engine's message ledger) tracks the
-    shrinking frontier exactly like the per-node program's.  The palette
-    bit trick needs ``Δ + 2 < 63``; wider instances decline
-    :meth:`can_run` and fall back per-node transparently.
+    shrinking frontier exactly like the per-node program's.  Palettes are
+    packed ``(n, blocks)`` uint64 rows (the :class:`FlatListAssignment`
+    row format; color ``c`` is bit ``c & 63`` of block ``c >> 6``) and the
+    draw is :func:`~repro.coloring.palette.kth_set_bits`, so any Δ works.
 
     ``frontier_log[r-1]`` records the uncolored count at round ``r``'s
     send — the conflict-set trace consumed by
     :class:`repro.verify.randomized.RandomizedRoundsOracle`.
     """
 
-    fallback = RandomizedDeltaPlusOne
     exchange_mode = "active"
-
-    def can_run(self, context: BatchContext) -> bool:
-        delta = self._input_delta(context.inputs)
-        return delta is not None and delta + 2 < 63
-
-    @staticmethod
-    def _input_delta(inputs) -> int | None:
-        for item in inputs:
-            if item is not None:
-                return int(item[1])
-        return None
 
     def initialize_batch(self, context: BatchContext) -> None:
         super().initialize_batch(context)
@@ -286,7 +262,8 @@ class BatchRandomizedDeltaPlusOne(BatchNodeAlgorithm):
         self.seed = seed
         self.delta = delta
         full = ((1 << (delta + 1)) - 1) << 1
-        self.avail = np.full(n, full, dtype=np.int64)
+        blocks = (delta + 1) // 64 + 1
+        self.avail = np.repeat(_pack_rows([full], blocks), n, axis=0)
         self.colors = np.zeros(n, dtype=np.int64)
         self.trial = np.zeros(n, dtype=np.int64)
         self.pending = np.zeros(n, dtype=bool)
@@ -304,9 +281,9 @@ class BatchRandomizedDeltaPlusOne(BatchNodeAlgorithm):
         unc = np.flatnonzero(uncolored)
         if unc.size:
             bits = counter_rng(self.seed, context.identifiers[unc], round_number)
-            counts = np.bitwise_count(self.avail[unc].astype(np.uint64))
-            k = (bits % counts).astype(np.int64)
-            self.trial[unc] = _kth_set_bit(self.avail[unc], k)
+            rows = self.avail[unc]
+            k = (bits % np.bitwise_count(rows).sum(axis=1)).astype(np.int64)
+            self.trial[unc] = kth_set_bits(rows, k)
         node_values = np.where(self.pending, -self.colors, self.trial)
         slots, compact_offsets = kernels.compact_segments(context.offsets, front)
         values = np.repeat(node_values[front], np.diff(compact_offsets))
@@ -319,16 +296,20 @@ class BatchRandomizedDeltaPlusOne(BatchNodeAlgorithm):
         conflict = np.zeros(context.n, dtype=bool)
         if dest_slots is not None and len(dest_slots):
             receivers = context.sources[dest_slots]
-            negative = values < 0
-            if negative.any():
-                clear = np.zeros(context.n, dtype=np.int64)
-                np.bitwise_or.at(
-                    clear, receivers[negative],
-                    np.int64(1) << -values[negative],
-                )
-                self.avail &= ~clear
             hit = np.abs(values) == self.trial[receivers]
             np.logical_or.at(conflict, receivers[hit], True)
+            negative = values < 0
+            if negative.any():
+                # color c clears bit c & 63 of block c >> 6 in the receiver's
+                # row (a 1-D scatter: ufunc.at is far slower on tuple indices)
+                pruned = -values[negative]
+                blocks = self.avail.shape[1]
+                clear = np.zeros(self.avail.size, dtype=np.uint64)
+                np.bitwise_or.at(
+                    clear, receivers[negative] * blocks + (pruned >> 6),
+                    np.uint64(1) << (pruned & 63).astype(np.uint64),
+                )
+                self.avail &= ~clear.reshape(self.avail.shape)
         commit = np.flatnonzero(uncolored & ~conflict)
         self.colors[commit] = self.trial[commit]
         self.pending[commit] = True
@@ -392,11 +373,10 @@ def randomized_delta_plus_one_coloring(
         max_rounds = default_round_cap(graph.number_of_vertices())
     inputs = [(int(seed), delta)] * len(network.labels)
     captured: list[Any] = []
-    use_batch = batched and delta + 2 < 63
 
     def factory():
         algorithm = (
-            BatchRandomizedDeltaPlusOne() if use_batch
+            BatchRandomizedDeltaPlusOne() if batched
             else RandomizedDeltaPlusOne()
         )
         captured.append(algorithm)
@@ -410,7 +390,7 @@ def randomized_delta_plus_one_coloring(
         network=network,
         reference_exchange=reference_exchange,
     )
-    if use_batch:
+    if batched:
         programs = [a for a in captured if getattr(a, "frontier_log", None)]
         frontier = tuple(programs[0].frontier_log) if programs else ()
     else:
@@ -525,9 +505,9 @@ def moser_tardos_list_coloring(
         raise ListAssignmentError(f"vertex {empty_at!r} has an empty list")
     if max_steps is None:
         max_steps = 64 + 16 * n
-    # >62-bit universes stay on the int reference path
-    if backend == "flat" and max(masks).bit_length() <= 62:
-        colors, log = _mt_flat(graph, masks, int(seed), max_steps)
+    if backend == "flat":
+        rows = _pack_rows(masks, flat.universe.blocks)
+        colors, log = _mt_flat(graph, rows, int(seed), max_steps)
     else:
         colors, log = _mt_dict(graph, masks, int(seed), max_steps)
     color_of = flat.universe.color_of
@@ -572,20 +552,19 @@ def _mt_dict(graph, masks, seed, max_steps):
             colors[i] = draw(i, step)
 
 
-def _mt_flat(graph, masks, seed, max_steps):
-    """Vectorized Moser–Tardos core over the frozen CSR."""
+def _mt_flat(graph, rows, seed, max_steps):
+    """Vectorized Moser–Tardos core over the frozen CSR and packed list rows."""
     n = graph.number_of_vertices()
     offsets, endpoints = graph.csr_arrays()
     offsets = np.asarray(offsets, dtype=np.int64)
     endpoints = np.asarray(endpoints, dtype=np.int64)
     sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-    masks_arr = np.array(masks, dtype=np.int64)
-    counts = np.bitwise_count(masks_arr.astype(np.uint64))
+    counts = np.bitwise_count(rows).sum(axis=1)
 
     def draw(idx, step):
         bits = counter_rng(seed, (idx + 1).astype(np.uint64), step)
         k = (bits % counts[idx]).astype(np.int64)
-        return _kth_set_bit(masks_arr[idx], k)
+        return kth_set_bits(rows[idx], k)
 
     everyone = np.arange(n, dtype=np.int64)
     colors = draw(everyone, 0)

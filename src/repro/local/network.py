@@ -22,7 +22,10 @@ order, the port tables are the CSR arrays themselves (zero-copy):
 identifiers follow the vertex indices and each CSR neighbour slice is
 already sorted by index, hence by identifier.  ``reverse_slot`` then comes
 from one sort (:func:`_fabric_from_csr`, which also serves the flat
-rebuilds of :mod:`repro.faults.network`).  The plain-list views the
+rebuilds of :mod:`repro.faults.network`).  Every other network (mutable
+graphs, ``identifiers=``, ``identifier_order=``) relabels the frozen CSR
+to node indices, re-sorts it with one argsort and goes through the same
+builder.  The plain-list views the
 per-node round loop reads (``offsets``, ``endpoints``, ``reverse_slot``,
 ``degrees``) are built from the arrays on first read, so batched runs never
 pay for them.  Likewise, a default-order :class:`Network` builds its
@@ -42,7 +45,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.graphs.frozen import FrozenGraph, GraphLike
+from repro.graphs.frozen import FrozenGraph, GraphLike, freeze
 from repro.graphs.graph import Vertex
 
 __all__ = ["Network", "RoutingFabric"]
@@ -263,15 +266,20 @@ class Network:
             # zero-copy fast path: identifiers follow the CSR vertex indices
             # and each neighbour slice is already sorted by index
             return _fabric_from_csr(*graph.csr_arrays())
-        # general path: sort each neighbourhood by identifier
+        # general path: relabel the frozen CSR to node indices and re-sort
+        # it by (node, neighbour), i.e. each neighbourhood by identifier
+        frozen = freeze(graph)
+        offsets, neighbors = frozen.csr_arrays()
+        n = len(self._order)
         index = self._index
-        offsets_list = [0] * (len(self._order) + 1)
-        endpoints_list: list[int] = []
-        for i, v in enumerate(self._order):
-            endpoints_list.extend(sorted(index[u] for u in self.graph.neighbors(v)))
-            offsets_list[i + 1] = len(endpoints_list)
-        reverse = _reverse_slots_python(offsets_list, endpoints_list)
-        return RoutingFabric(offsets_list, endpoints_list, reverse)
+        node_of = np.fromiter(
+            (index[v] for v in frozen.vertices()), dtype=np.int64, count=n
+        )
+        sources = np.repeat(node_of, np.diff(offsets))
+        endpoints = node_of[neighbors]
+        by_node = np.argsort(sources * n + endpoints)
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(sources, minlength=n))))
+        return _fabric_from_csr(offsets, endpoints[by_node])
 
     # ------------------------------------------------------------------
     # Dict-based lookup API (lazy views over the fabric)

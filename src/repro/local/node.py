@@ -23,11 +23,12 @@ information must be learned by communication, exactly as in the model).
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
 import numpy as np
+
+from repro.errors import SimulationError
 
 __all__ = [
     "NodeContext",
@@ -35,7 +36,7 @@ __all__ = [
     "BatchContext",
     "BatchNodeAlgorithm",
     "segment_reduce",
-    "lowest_free_bit",
+    "announced_constant",
     "smallest_free_color",
 ]
 
@@ -167,9 +168,9 @@ class BatchNodeAlgorithm:
     The round/message accounting is identical to the per-node engine: a
     batched port of a per-node algorithm must produce the same
     ``SimulationResult`` (the parity tests enforce this for the shipped
-    ports).  Set :attr:`fallback` to the equivalent per-node factory; the
-    simulator transparently runs it when :meth:`can_run` declines the
-    instance (e.g. values too wide for the vectorized bit tricks).
+    ports, at any palette width).  A program that replays one global
+    schedule reads its announced constants with :func:`announced_constant`,
+    which refuses inputs whose nodes disagree.
 
     Exchange modes
     --------------
@@ -203,17 +204,9 @@ class BatchNodeAlgorithm:
         keep each round O(frontier) instead of O(n).
     """
 
-    #: Per-node factory the simulator falls back to when :meth:`can_run`
-    #: returns False.
-    fallback: ClassVar[Callable[[], NodeAlgorithm] | None] = None
-
     #: How ``send_batch`` payloads are routed: "slots", "broadcast" or
     #: "active" (see the class docstring).
     exchange_mode: ClassVar[str] = "slots"
-
-    def can_run(self, context: BatchContext) -> bool:
-        """Whether the batched path supports this instance (default: yes)."""
-        return True
 
     def initialize_batch(self, context: BatchContext) -> None:
         """Called once before round 1 with the whole-network context."""
@@ -257,36 +250,49 @@ def segment_reduce(ufunc, values, offsets, empty=0):
     return out
 
 
-def lowest_free_bit(used):
-    """Per-element index of the lowest zero bit of an int64 mask array.
+def announced_constant(program, values, what: str, default):
+    """The one value every node was announced, e.g. a shared Δ or palette.
 
-    The "smallest free color" extraction shared by the batched coloring
-    programs: with colors encoded as bits, ``lowest_free_bit(used)`` is
-    the first color absent from each node's used-set.  Masks must leave
-    bit 62 clear (all batched palettes are far below that), so
-    ``used + 1`` cannot overflow and the isolated bit is a power of two
-    that float64 represents exactly.
+    A batched program that replays one global schedule needs the same
+    constants at every node; ``values`` yields each node's copy.  Nodes
+    that disagree raise :class:`~repro.errors.SimulationError` naming the
+    program; a network without nodes gets ``default``.
     """
-    isolated = ~used & (used + 1)
-    return np.log2(isolated.astype(np.float64)).astype(np.int64)
+    values = iter(values)
+    first = next(values, default)
+    if any(value != first for value in values):
+        raise SimulationError(
+            f"{type(program).__name__} needs one {what} at every node"
+        )
+    return first
 
 
 def smallest_free_color(values, offsets, sources):
     """Per node, the smallest color ``>= 1`` absent from its slots' ``values``.
 
-    The palette-width-free companion of :func:`lowest_free_bit`: node ``i``
-    reads ``values[offsets[i]:offsets[i+1]]`` and gets the minimum excluded
-    color of those values, ignoring anything below 1 (uncolored, a ``-1``
-    drop sentinel, a slot the caller masked to 0).  A node of degree ``d``
-    sees at most ``d`` colors, so its answer is at most ``d + 1`` and a
-    flat presence table with one row of ``d + 2`` cells (colors
-    ``0 .. d+1``) per node holds every color that can matter: one scatter
-    marks the present ones, one ``flatnonzero`` lists the free cells and
-    one ``searchsorted`` finds each row's first.  ``sources`` is the
-    per-slot node index (the fabric's ``sources_np()``).
+    The smallest-free-color kernel of every batched coloring program, at
+    any palette width: node ``i`` reads ``values[offsets[i]:offsets[i+1]]``
+    and gets the minimum excluded color of those values, ignoring anything
+    below 1 (uncolored, a ``-1`` drop sentinel, a slot the caller masked
+    to 0).  A node of degree ``d`` sees at most ``d`` colors, so its answer
+    is at most ``d + 1``.  ``sources`` is the per-slot node index (the
+    fabric's ``sources_np()``).
+
+    The presence table's layout follows the input: a dense ``(n, Δmax+2)``
+    table read with one ``argmin`` when it has at most about twice the
+    cells of a ragged one, else ragged rows of ``d + 2`` cells (a hub whose
+    degree dwarfs the rest).  Clipping values to ``0 .. Δmax+1`` is safe in
+    the dense table: cell ``Δmax + 1`` is an answer only when all ``Δmax``
+    neighbours hold ``1 .. Δmax``.
     """
     n = len(offsets) - 1
     degrees = np.diff(offsets)
+    width = int(degrees.max(initial=0)) + 2
+    if n * width <= 2 * (len(values) + 2 * n):
+        present = np.zeros((n, width), dtype=bool)
+        present[:, 0] = True  # color 0 is never a choice
+        present[sources, np.clip(values, 0, width - 1)] = True
+        return present.argmin(axis=1)
     # node i's row starts at offsets[i] + 2i: rows before it hold d_j + 2 cells
     row_start = offsets[:-1] + 2 * np.arange(n, dtype=np.int64)
     present = np.zeros(int(offsets[-1]) + 2 * n, dtype=bool)

@@ -28,9 +28,7 @@ The data plane runs on the network's flat-array routing fabric
   :meth:`NodeAlgorithm.is_finished` must be monotone);
 * a :class:`~repro.local.node.BatchNodeAlgorithm` opts into the fully
   vectorized path: one ``send_batch``/``receive_batch`` numpy-array
-  exchange per round for all nodes at once, falling back transparently to
-  its per-node twin when :meth:`~repro.local.node.BatchNodeAlgorithm.can_run`
-  declines the instance;
+  exchange per round for all nodes at once;
 * the batched exchange itself runs on the fused kernels of
   :mod:`repro.local.kernels` — broadcast rounds are delivered with a
   single gather by ``endpoints`` (instead of the historical send-gather +
@@ -206,7 +204,7 @@ class SynchronousSimulator:
         probe = algorithm_factory()
         if isinstance(probe, BatchNodeAlgorithm):
             return self._run_batched(
-                probe, inputs, max_rounds, strict, debug,
+                probe, inputs, max_rounds, strict,
                 reference_exchange=reference_exchange,
             )
         return self._run_per_node(
@@ -352,7 +350,6 @@ class SynchronousSimulator:
         inputs: Mapping[Vertex, Any] | Any | None,
         max_rounds: int,
         strict: bool,
-        debug: bool = False,
         reference_exchange: bool = False,
     ) -> SimulationResult:
         network = self.network
@@ -371,17 +368,6 @@ class SynchronousSimulator:
             network=network,
             declared_n=network.declared_n,
         )
-        if not program.can_run(context):
-            factory = type(program).fallback
-            if factory is None:
-                raise SimulationError(
-                    f"{type(program).__name__} cannot run batched here "
-                    "(can_run() declined) and declares no per-node fallback"
-                )
-            return self._run_per_node(
-                factory(), factory, inputs, max_rounds, strict, debug
-            )
-
         reverse = fabric.reverse_np
         endpoints = fabric.endpoints_np
         sources = fabric.sources_np()

@@ -152,7 +152,8 @@ class Scenario:
             return
         hint = ""
         if isinstance(default, tuple):
-            hint = f"; for a single value use the trailing-comma form {key}={value!r},"
+            shown = value.removesuffix(",") if isinstance(value, str) else value
+            hint = f"; for a single value use the trailing-comma form {key}={shown!r},"
         raise ScenarioError(
             f"scenario {self.name!r} parameter {key!r} expects {expected}, "
             f"got {type(value).__name__} {value!r}{hint}"

@@ -350,14 +350,31 @@ def test_smallest_free_color_matches_brute_force():
     masked = np.where(np.arange(len(values)) == 1, 0, values)
     assert smallest_free_color(masked, offsets, sources).tolist() == [3, 1, 2, 1, 3, 1, 1]
 
+    # hub rows: alone, a hub fills the dense (n, Δmax + 2) table, whose last
+    # cell takes every value above Δmax; beside small rows it is read from
+    # the ragged table
+    full_hub = np.arange(1, 71, dtype=np.int64)
+    hub_offsets = np.array([0, 70], dtype=np.int64)
+    hub_sources = np.zeros(70, dtype=np.int64)
+    assert smallest_free_color(full_hub, hub_offsets, hub_sources).tolist() == [71]
+    far = np.where(full_hub == 70, 500, full_hub)
+    assert smallest_free_color(far, hub_offsets, hub_sources).tolist() == [70]
+    holed_hub = np.concatenate((full_hub[full_hub != 33], [71, 5, 0]))
+    offsets = np.array([0, 70, 70, 72], dtype=np.int64)
+    sources = np.repeat(np.arange(3, dtype=np.int64), np.diff(offsets))
+    assert smallest_free_color(holed_hub, offsets, sources).tolist() == [33, 1, 1]
+
     rng = np.random.default_rng(5)
-    for _trial in range(50):
+    for trial in range(80):
         degrees = rng.integers(0, 9, size=rng.integers(1, 30))
         degrees[rng.random(len(degrees)) < 0.2] = 0
+        if trial % 2:
+            degrees[rng.integers(len(degrees))] = rng.integers(40, 131)
         offsets = np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
-        values = rng.integers(-1, 12, size=int(offsets[-1])).astype(np.int64)
-        values = np.where(rng.random(len(values)) < 0.2, 0, values)
         sources = np.repeat(np.arange(len(degrees), dtype=np.int64), degrees)
+        # values from -1 to two past each row's degree
+        values = rng.integers(-1, degrees[sources] + 3).astype(np.int64)
+        values = np.where(rng.random(len(values)) < 0.2, 0, values)
         assert smallest_free_color(values, offsets, sources).tolist() == (
             _mex_per_node(values, offsets)
         )

@@ -4,23 +4,28 @@ Three layers of pinning:
 
 * kernel unit tests — every kernel against a naive per-slot loop;
 * ``reverse_slot`` of the array-first fabric builds (the frozen CSR fast
-  path and the flat fault rebuilds) against the per-slot binary search;
+  path, the relabelled general path and the flat fault rebuilds) against
+  the per-slot binary search;
 * engine parity properties (hypothesis over generator seeds) — the fused
   batched engine, the unfused three-pass reference (``reference_exchange``),
   the flat per-node engine and the frozen seed engine must agree on
   outputs, rounds, total and per-round message counts for Cole–Vishkin,
-  the greedy baseline and the wave 2-coloring.
+  the greedy baseline and the wave 2-coloring;
+* width-free palettes — the batched coloring programs at 63 to 131 colors
+  against their per-node twins, and Barenboim–Elkin's flat backend against
+  its dict backend.
 """
 
 from __future__ import annotations
 
 import random
+import warnings
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.distributed.barenboim_elkin import barenboim_elkin_coloring
 from repro.distributed.cole_vishkin import (
     BatchColeVishkinForestColoring,
     ColeVishkinForestColoring,
@@ -30,6 +35,17 @@ from repro.distributed.greedy_baseline import (
     BatchGreedyLocalMaximaAlgorithm,
     GreedyLocalMaximaAlgorithm,
 )
+from repro.distributed.linial import (
+    BatchColorReductionAlgorithm,
+    BatchLinialColoringAlgorithm,
+    ColorReductionAlgorithm,
+    LinialColoringAlgorithm,
+)
+from repro.distributed.randomized import (
+    BatchRandomizedDeltaPlusOne,
+    RandomizedDeltaPlusOne,
+    default_round_cap,
+)
 from repro.distributed.wave import BatchWaveTwoColoring, WaveTwoColoring
 from repro.faults import PerturbableNetwork
 from repro.graphs.generators import classic, sparse
@@ -37,6 +53,7 @@ from repro.graphs.graph import Graph
 from repro.local import Network, ReferenceSimulator, SynchronousSimulator
 from repro.local import kernels
 from repro.local.network import _reverse_slots_python
+from repro.local.simulator import LazyOutputs
 from repro.verify import assert_simulation_parity
 
 seeds = st.integers(min_value=0, max_value=2**20)
@@ -159,18 +176,36 @@ def _assert_reverse_slot(fabric):
     assert (fabric.endpoints_np[reverse] == fabric.sources_np()).all()
 
 
-@given(small_graphs())
-@example(Graph())
-@example(Graph(vertices=[7]))
-@example(classic.star(30))
+def _assert_ports_by_identifier(network):
+    """Each node's ports list its neighbours by increasing identifier."""
+    fabric = network.fabric
+    index = {v: i for i, v in enumerate(network.labels)}
+    for i, v in enumerate(network.labels):
+        start, stop = fabric.offsets[i], fabric.offsets[i + 1]
+        assert fabric.endpoints[start:stop] == sorted(
+            index[u] for u in network.graph.neighbors(v)
+        )
+
+
+@given(small_graphs(), seeds)
+@example(Graph(), 0)
+@example(Graph(vertices=[7]), 0)
+@example(classic.star(30), 0)
 @settings(max_examples=60, deadline=None)
-def test_csr_fast_path_reverse_slot(graph):
+def test_csr_fast_path_reverse_slot(graph, seed):
     frozen = graph.freeze()
     fabric = Network(frozen).fabric
     offsets, neighbors = frozen.csr_arrays()
     assert fabric.offsets_np.tolist() == offsets.tolist()
     assert fabric.endpoints_np.tolist() == neighbors.tolist()
     _assert_reverse_slot(fabric)
+    # the general path (mutable graphs, custom identifier orders) builds
+    # its CSR by relabelling and goes through the same builder
+    order = frozen.vertices()
+    random.Random(seed).shuffle(order)
+    for network in (Network(graph), Network(frozen, identifier_order=order)):
+        _assert_ports_by_identifier(network)
+        _assert_reverse_slot(network.fabric)
 
 
 @given(
@@ -359,25 +394,66 @@ def test_active_mode_charges_frontier_messages():
 
 
 # ---------------------------------------------------------------------------
-# the Barenboim–Elkin backend downgrade is loud (satellite of the flat flip)
+# width-free batched programs: 63- to 131-color palettes stay batched
 # ---------------------------------------------------------------------------
 
 
-def test_barenboim_elkin_wide_palette_warns_and_strict_raises():
-    from repro.distributed.barenboim_elkin import barenboim_elkin_coloring
+@st.composite
+def _hub_graphs(draw):
+    """A hub of degree 62-130 plus random edges among the other vertices."""
+    hub_degree = draw(st.integers(min_value=62, max_value=130))
+    n = hub_degree + 1 + draw(st.integers(min_value=0, max_value=40))
+    rng = random.Random(draw(seeds))
+    graph = Graph(vertices=range(n), edges=[(0, v) for v in range(1, hub_degree + 1)])
+    for _ in range(n):
+        u, v = rng.randrange(1, n), rng.randrange(1, n)
+        if u != v:
+            graph.add_edge(u, v)
+    return graph.freeze()
 
-    graph = sparse.union_of_random_forests(40, 2, seed=5)
-    # floor((2+1)*21)+1 = 64 >= 62: too wide for the int64 slot kernel
-    with pytest.warns(RuntimeWarning, match="falling back to backend='dict'"):
-        result = barenboim_elkin_coloring(graph, arboricity=21)
-    assert result.palette_size == 64
-    with pytest.raises(ValueError, match="backend='flat' cannot run"):
-        barenboim_elkin_coloring(
-            graph, arboricity=21, strict_backend=True
-        )
-    # inside the kernel limit the flat path runs silently
-    import warnings as _w
 
-    with _w.catch_warnings():
-        _w.simplefilter("error")
-        barenboim_elkin_coloring(graph, arboricity=2)
+def _batched_matches_per_node(network, batched, per_node, inputs, max_rounds):
+    run = SynchronousSimulator(network).run(
+        batched, inputs=inputs, max_rounds=max_rounds, strict=True
+    )
+    # only the batched loop returns LazyOutputs: no per-node run stood in
+    assert isinstance(run.outputs, LazyOutputs)
+    reference = SynchronousSimulator(network).run(
+        per_node, inputs=inputs, max_rounds=max_rounds, strict=True
+    )
+    assert_simulation_parity(run, reference, labels=("batched", "per-node"))
+    return run
+
+
+@given(_hub_graphs(), seeds, st.integers(min_value=21, max_value=44))
+@settings(max_examples=8, deadline=None)
+def test_wide_palettes_run_batched(graph, seed, arboricity):
+    network = Network(graph)
+    n = len(graph)
+    delta = graph.max_degree()
+    _batched_matches_per_node(
+        network, BatchGreedyLocalMaximaAlgorithm, GreedyLocalMaximaAlgorithm,
+        [delta] * n, n + 2,
+    )
+    _batched_matches_per_node(
+        network, BatchRandomizedDeltaPlusOne, RandomizedDeltaPlusOne,
+        [(seed, delta)] * n, default_round_cap(n),
+    )
+    linial = _batched_matches_per_node(
+        network, BatchLinialColoringAlgorithm, LinialColoringAlgorithm,
+        [delta] * n, 10_000,
+    )
+    colors = [linial.outputs[v] for v in network.labels]
+    palette = max(p for _c, p in colors)
+    _batched_matches_per_node(
+        network, BatchColorReductionAlgorithm, ColorReductionAlgorithm,
+        [(c, palette, delta) for c, _p in colors], palette + 5,
+    )
+    # floor(3a) + 1 >= 64 colors: the flat backend runs, with no downgrade
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flat = barenboim_elkin_coloring(graph, arboricity, backend="flat")
+    reference = barenboim_elkin_coloring(graph, arboricity, backend="dict")
+    assert flat.palette_size == reference.palette_size >= 64
+    assert flat.coloring == reference.coloring
+    assert flat.rounds == reference.rounds

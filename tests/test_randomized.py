@@ -22,14 +22,16 @@ Four layers of pinning:
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
 from repro.coloring.palette import FlatListAssignment, ListAssignmentError
+from repro.distributed import randomized
 from repro.distributed.randomized import (
     KEY_SALT,
     BatchRandomizedDeltaPlusOne,
@@ -197,10 +199,10 @@ def test_randomized_frontier_is_monotone_and_drains():
 # ---------------------------------------------------------------------------
 
 
-def _mt_instance(n, gseed):
+def _mt_instance(n, gseed, extra_colors=0):
     graph = sparse.union_of_random_forests(n, 2, seed=gseed).freeze()
     delta = max(1, graph.max_degree())
-    universe = 4 * delta + 4
+    universe = 4 * delta + 4 + extra_colors
     width = 2 * delta + 2
     lists = {
         v: [((i * 3 + j) % universe) + 1 for j in range(width)]
@@ -209,11 +211,17 @@ def _mt_instance(n, gseed):
     return graph, lists
 
 
-@given(seeds, seeds, st.integers(min_value=2, max_value=40))
+@given(
+    seeds, seeds, st.integers(min_value=2, max_value=40), st.sampled_from([0, 100])
+)
+@example(1, 2, 40, 100)  # a 137-color universe: three packed blocks
 @settings(max_examples=15, deadline=None)
-def test_moser_tardos_backend_parity(gseed, rseed, n):
-    graph, lists = _mt_instance(n, gseed)
-    flat = moser_tardos_list_coloring(graph, lists, seed=rseed, backend="flat")
+def test_moser_tardos_backend_parity(gseed, rseed, n, extra_colors):
+    # extra colors spread instances of n >= 20 over more than 64 colors
+    graph, lists = _mt_instance(n, gseed, extra_colors)
+    # the flat backend runs the flat core at any universe width
+    with mock.patch.object(randomized, "_mt_dict", side_effect=AssertionError):
+        flat = moser_tardos_list_coloring(graph, lists, seed=rseed, backend="flat")
     dict_ = moser_tardos_list_coloring(graph, lists, seed=rseed, backend="dict")
     assert flat.coloring == dict_.coloring
     assert flat.steps == dict_.steps

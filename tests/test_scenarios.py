@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from repro.cli import main as cli_main
+from repro.cli import _parse_set, main as cli_main
 from repro.scenarios import (
     CAMPAIGNS,
     ScenarioError,
@@ -142,6 +142,17 @@ def test_overrides_are_type_checked_against_defaults(capsys):
     assert "lowerbound_sizes=1500," in err
     with pytest.raises(ScenarioError, match=r"backends='flat',"):
         get_scenario("dynamic").params_for(overrides={"backends": "flat"})
+    # string tuples take the trailing-comma form too, and the hint for a
+    # stray string keeps the comma outside the quotes
+    randomized = get_scenario("randomized")
+    assert _parse_set(["families=planar,"]) == {"families": ("planar",)}
+    assert _parse_set(["families=planar, regular"]) == {"families": ("planar", "regular")}
+    assert _parse_set(["sizes=1600,", "name=x"]) == {"sizes": (1600,), "name": "x"}
+    assert randomized.params_for(
+        overrides=_parse_set(["families=planar,"])
+    )["families"] == ("planar",)
+    with pytest.raises(ScenarioError, match=r"form families='planar',$"):
+        randomized.params_for(overrides={"families": "planar,"})
     for bad in (True, 2.5, "7"):
         with pytest.raises(ScenarioError, match="'id_seed'.*int"):
             simulator.params_for(overrides={"id_seed": bad})

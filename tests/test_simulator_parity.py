@@ -13,6 +13,7 @@ from collections import deque
 
 import pytest
 
+from repro.distributed.barenboim_elkin import BatchSlotColorSelection
 from repro.distributed.cole_vishkin import (
     BatchColeVishkinForestColoring,
     ColeVishkinForestColoring,
@@ -24,13 +25,14 @@ from repro.distributed.greedy_baseline import (
     greedy_distributed_coloring,
 )
 from repro.distributed.linial import (
+    BatchColorReductionAlgorithm,
+    BatchLinialColoringAlgorithm,
     ColorReductionAlgorithm,
     LinialColoringAlgorithm,
 )
 from repro.graphs.generators import classic, planar, sparse
 from repro.local import (
     BallCollectionAlgorithm,
-    BatchNodeAlgorithm,
     Network,
     NodeAlgorithm,
     ReferenceSimulator,
@@ -251,42 +253,23 @@ def test_color_rooted_forest_batched_default_equals_per_node():
     _assert_identical(batched, per_node)
 
 
-class _DecliningBatch(BatchNodeAlgorithm):
-    """A batch program that always declines, to exercise the fallback."""
-
-    fallback = GreedyLocalMaximaAlgorithm
-
-    def can_run(self, context):
-        return False
-
-
-class _NoFallbackBatch(BatchNodeAlgorithm):
-    def can_run(self, context):
-        return False
-
-
-def test_batch_fallback_runs_per_node_twin():
-    graph = classic.cycle(9)
-    network = Network(graph.freeze())
-    inputs = {v: 2 for v in graph}
-    via_fallback = SynchronousSimulator(network).run(
-        _DecliningBatch, inputs=inputs, max_rounds=20, strict=True
-    )
-    direct = SynchronousSimulator(network).run(
-        GreedyLocalMaximaAlgorithm, inputs=inputs, max_rounds=20, strict=True
-    )
-    _assert_identical(via_fallback, direct)
-
-
-def test_batch_without_fallback_raises():
+@pytest.mark.parametrize(
+    "program, inputs",
+    [
+        (BatchLinialColoringAlgorithm, [3, 3, 4, 3]),
+        (BatchColorReductionAlgorithm, [(0, 4, 2), (1, 4, 2), (2, 5, 2), (3, 4, 2)]),
+        (BatchSlotColorSelection, [(0, 0, 7, (1,))] * 3 + [(0, 0, 7, (2,))]),
+    ],
+)
+def test_batch_program_refuses_non_uniform_announced_constants(program, inputs):
     from repro.errors import SimulationError
 
-    with pytest.raises(SimulationError, match="fallback"):
-        run_node_algorithm(classic.cycle(5), _NoFallbackBatch)
+    with pytest.raises(SimulationError, match=program.__name__):
+        run_node_algorithm(classic.path(4), program, inputs=inputs)
 
 
 def test_wide_palette_greedy_falls_back():
-    """Δ + 1 >= 63 exceeds the int64 bit trick: must fall back, not wrap."""
+    """A 71-color palette runs batched and matches the per-node run."""
     graph = classic.star(70)  # center degree 70
     per_node = greedy_distributed_coloring(graph, batched=False)
     batched = greedy_distributed_coloring(graph, batched=True)

@@ -395,8 +395,6 @@ class _GlobalPeeker(BatchNodeAlgorithm):
     no message-passing node could have.  On a truncated r-ball network the
     array is smaller, so the auditor must flag every vertex."""
 
-    fallback = None
-
     def initialize_batch(self, context):
         super().initialize_batch(context)
 
