@@ -6,10 +6,11 @@ its color register if it is in an *illegitimate* state, whatever
 transient faults (corrupted colors, reboots, topology churn, lost or
 duplicated messages) put it there.  Convergence is to a *silent legal
 state*: a proper coloring within the palette, after which no node
-changes state again until the next perturbation.  The run-until-
-quiescent loop lives in :mod:`repro.faults.engine`; this module only
-defines the node programs, in both the per-node and batched forms the
-static engine uses (the dict/flat parity axis extends to recovery runs).
+changes state again until the next perturbation.  Recovery runs use
+the static engine's round loops (per-node and batched), with the fault
+plane of :mod:`repro.faults.engine` attached as round hooks; this module
+only defines the node programs, in both forms (the dict/flat parity axis
+extends to recovery runs).
 The batched forms run at every palette width — the hubs of a planar
 graph can push the palette past any fixed bitmask — so the flat backend
 never falls back to per-node objects.
@@ -42,8 +43,8 @@ Both per-node programs deliberately keep *no port-indexed state across
 rounds* — topology edits renumber ports between rounds, so any decision
 uses only the messages of the current round.  Both report
 ``is_finished() == False`` forever (stabilizing protocols have no
-terminal state); they are driven by the faults engine's quiescence
-detector, not by the static engine's active-set termination.
+terminal state); a run stops when the fault plane's hooks detect
+quiescence, not by the engine's active-set termination.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from repro.local.node import (
 
 __all__ = [
     "StabilizingNodeAlgorithm",
+    "BatchStabilizingAlgorithm",
     "MinPlusOneRecoloring",
     "BatchMinPlusOneRecoloring",
     "StabilizingGreedyAlgorithm",
@@ -82,7 +84,7 @@ def _unpack_input(value: Any) -> tuple[int, int]:
 class StabilizingNodeAlgorithm(NodeAlgorithm):
     """Shared surface of per-node stabilizing programs.
 
-    The faults engine drives these through three extra duck-typed hooks:
+    The fault plane drives these through three extra methods:
     :meth:`corrupt` / :meth:`reset` inject state faults, and
     :meth:`snapshot` exposes the *full* protocol state (not just the
     output color) so quiescence detection cannot stop while invisible
@@ -107,6 +109,53 @@ class StabilizingNodeAlgorithm(NodeAlgorithm):
 
     def result(self) -> int:
         return self.color
+
+
+class BatchStabilizingAlgorithm(BatchNodeAlgorithm):
+    """Shared surface of batched stabilizing programs.
+
+    The batched twin of :class:`StabilizingNodeAlgorithm`: one ``int64``
+    color register per node, state faults by node index
+    (:meth:`corrupt_batch` / :meth:`reset_batch`), the full-state
+    :meth:`snapshot`, and :meth:`on_topology_change`, which the engine
+    calls with the rebuilt context after an edge edit.  Broadcast
+    exchange mode: ``send_batch`` returns one value per node, and under
+    the fault plane's hooks the engine always materializes the per-slot
+    inbox, so drops and duplications can edit single slots before
+    :meth:`receive_batch`.
+    """
+
+    exchange_mode = "broadcast"
+
+    def initialize_batch(self, context: BatchContext) -> None:
+        pairs = [_unpack_input(x) for x in context.inputs]
+        self.budget = max((b for b, _c in pairs), default=1)
+        self.colors = np.asarray([c for _b, c in pairs], dtype=np.int64)
+        self.on_topology_change(context)
+
+    def on_topology_change(self, context: BatchContext) -> None:
+        self.context = context
+        self._src = context.sources
+        self.nbr_ids = context.identifiers[context.endpoints]
+
+    def corrupt_batch(self, index: int, value: int) -> None:
+        self.colors[index] = int(value)
+
+    def reset_batch(self, index: int) -> None:
+        self.colors[index] = 0
+
+    def snapshot(self) -> tuple:
+        return (self.colors.tobytes(),)
+
+    def is_finished_batch(self) -> bool:
+        return False
+
+    def results_batch(self) -> list[int]:
+        return self.colors.tolist()
+
+    def colors_array(self):
+        """The color registers as an ``int64`` array copy, by node index."""
+        return self.colors.copy()
 
 
 class MinPlusOneRecoloring(StabilizingNodeAlgorithm):
@@ -152,7 +201,7 @@ class MinPlusOneRecoloring(StabilizingNodeAlgorithm):
         self.dirty = illegal or conflict
 
 
-class BatchMinPlusOneRecoloring(BatchNodeAlgorithm):
+class BatchMinPlusOneRecoloring(BatchStabilizingAlgorithm):
     """Batched port of :class:`MinPlusOneRecoloring`.
 
     Messages pack ``color * 2 + dirty`` into one int64 per slot
@@ -161,37 +210,14 @@ class BatchMinPlusOneRecoloring(BatchNodeAlgorithm):
     min+1 choice is :func:`~repro.local.node.smallest_free_color`, which
     works at any palette width.  Injected colors are clamped non-negative
     by the plan, so the packing stays order-preserving.
-
-    Broadcast exchange mode: ``send_batch`` returns the packed per-node
-    value and the engines deliver it with the fused endpoint gather
-    (``values[sources][reverse_slot] == values[endpoints]``); the faults
-    engine still materializes the per-slot inbox so drops and
-    duplications can edit individual slots before :meth:`receive_batch`.
     """
-
-    exchange_mode = "broadcast"
 
     def initialize_batch(self, context: BatchContext) -> None:
         super().initialize_batch(context)
-        pairs = [_unpack_input(x) for x in context.inputs]
-        self.budget = max((b for b, _c in pairs), default=1)
-        self.colors = np.asarray([c for _b, c in pairs], dtype=np.int64)
         self.dirty = np.zeros(context.n, dtype=np.int64)
-        self._bind_topology(context)
-
-    def _bind_topology(self, context: BatchContext) -> None:
-        self.context = context
-        self._src = context.sources
-        self.nbr_ids = context.identifiers[context.endpoints]
-
-    def on_topology_change(self, context: BatchContext) -> None:
-        self._bind_topology(context)
-
-    def corrupt_batch(self, index: int, value: int) -> None:
-        self.colors[index] = int(value)
 
     def reset_batch(self, index: int) -> None:
-        self.colors[index] = 0
+        super().reset_batch(index)
         self.dirty[index] = 0
 
     def snapshot(self) -> tuple:
@@ -228,16 +254,6 @@ class BatchMinPlusOneRecoloring(BatchNodeAlgorithm):
             moves, 0, np.where(enabled, 1, (illegal | conflict).astype(np.int64))
         )
 
-    def is_finished_batch(self) -> bool:
-        return False
-
-    def results_batch(self) -> list[int]:
-        return self.colors.tolist()
-
-    def colors_array(self):
-        """The color registers as an ``int64`` array copy, by node index."""
-        return self.colors.copy()
-
 
 class StabilizingGreedyAlgorithm(StabilizingNodeAlgorithm):
     """Drop-then-repick: conflicted nodes uncolor, greedy repairs the hole."""
@@ -269,41 +285,14 @@ class StabilizingGreedyAlgorithm(StabilizingNodeAlgorithm):
                 return
 
 
-class BatchStabilizingGreedy(BatchNodeAlgorithm):
+class BatchStabilizingGreedy(BatchStabilizingAlgorithm):
     """Batched port of :class:`StabilizingGreedyAlgorithm`.
 
     Raw colors travel on the slots (0 = uncolored); dropped slots are
     encoded as -1 so a lost message is distinguishable from a genuine
     "I am uncolored" broadcast — losing that broadcast is precisely how
-    message faults perturb the greedy repair.  Broadcast exchange mode,
-    like :class:`BatchMinPlusOneRecoloring`.
+    message faults perturb the greedy repair.
     """
-
-    exchange_mode = "broadcast"
-
-    def initialize_batch(self, context: BatchContext) -> None:
-        super().initialize_batch(context)
-        pairs = [_unpack_input(x) for x in context.inputs]
-        self.budget = max((b for b, _c in pairs), default=1)
-        self.colors = np.asarray([c for _b, c in pairs], dtype=np.int64)
-        self._bind_topology(context)
-
-    def _bind_topology(self, context: BatchContext) -> None:
-        self.context = context
-        self._src = context.sources
-        self.nbr_ids = context.identifiers[context.endpoints]
-
-    def on_topology_change(self, context: BatchContext) -> None:
-        self._bind_topology(context)
-
-    def corrupt_batch(self, index: int, value: int) -> None:
-        self.colors[index] = int(value)
-
-    def reset_batch(self, index: int) -> None:
-        self.colors[index] = 0
-
-    def snapshot(self) -> tuple:
-        return (self.colors.tobytes(),)
 
     def send_batch(self, round_number: int):
         return self.colors
@@ -336,19 +325,9 @@ class BatchStabilizingGreedy(BatchNodeAlgorithm):
             illegal | conflict, 0, np.where(pick, free, self.colors)
         )
 
-    def is_finished_batch(self) -> bool:
-        return False
-
-    def results_batch(self) -> list[int]:
-        return self.colors.tolist()
-
-    def colors_array(self):
-        """The color registers as an ``int64`` array copy, by node index."""
-        return self.colors.copy()
-
 
 #: protocol name -> (per-node factory, batched factory); the scenario's
-#: protocol axis and the faults engine resolve through this table.
+#: protocol axis and the fault plane's callers resolve through this table.
 STABILIZING_PROTOCOLS = {
     "min-plus-one": (MinPlusOneRecoloring, BatchMinPlusOneRecoloring),
     "stabilizing-greedy": (StabilizingGreedyAlgorithm, BatchStabilizingGreedy),

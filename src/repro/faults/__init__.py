@@ -15,10 +15,12 @@ job — recovering a legal coloring after a perturbation:
   :class:`~repro.local.network.Network` that patches the edge-slot
   tables between rounds (dict and flat backends, with parity);
 * :mod:`repro.faults.engine` — :func:`~repro.faults.engine.
-  run_stabilizing`, the run-until-quiescent round loop that applies the
-  plan, drives a stabilizing protocol and records a replayable
-  :class:`~repro.faults.engine.StabilizationTrace` for the recovery
-  oracles of :mod:`repro.verify.recovery`.
+  run_stabilizing`, which runs a stabilizing protocol to quiescence on
+  the simulator's own round loops
+  (:class:`~repro.local.simulator.SynchronousSimulator`), with the fault
+  plane attached as round hooks that apply the plan and record a
+  replayable :class:`~repro.faults.engine.StabilizationTrace` for the
+  recovery oracles of :mod:`repro.verify.recovery`.
 """
 
 from repro.faults.engine import (

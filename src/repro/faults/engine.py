@@ -1,32 +1,36 @@
-"""The run-until-quiescent round loop with fault application.
+"""Fault injection and quiescence detection as round hooks of the simulator.
 
 :func:`run_stabilizing` drives a stabilizing node program (per-node or
 batched, see :mod:`repro.distributed.stabilizing`) on a
 :class:`~repro.faults.network.PerturbableNetwork` while applying a
-:class:`~repro.faults.plan.FaultPlan`.  Stabilizing protocols have no
-terminal state, so the static engine's active-set termination does not
-apply; instead the loop stops at *quiescence* — a round in which the
-full protocol state (not just the output colors: invisible flags count)
-did not change, no fault fired and none remains scheduled — or at the
-round cap, which with ``strict=True`` raises the structured
+:class:`~repro.faults.plan.FaultPlan`.  The rounds themselves run on the
+static engine, :class:`~repro.local.simulator.SynchronousSimulator`, with
+the fault plane passed as its ``hooks``; this module only edits rounds
+and records them.  Stabilizing protocols have no terminal state, so the
+engine's active-set termination never fires; instead the hooks stop the
+run at *quiescence* — a round in which the full protocol state (not just
+the output colors: invisible flags count) did not change, no fault fired
+and none remains scheduled — or the round cap stops it, which with
+``strict=True`` raises the structured
 :class:`~repro.errors.NonTerminationError`.
 
 Per round, in order:
 
-1. apply the plan's events for this round (topology edits first — the
-   plan's canonical event order sorts edge edits before message faults,
-   so a message fault is judged against the topology it will run on);
-   rebuild the port tables and re-bind node contexts if edges changed;
-2. the synchronous exchange on the *current* fabric, with this round's
-   message drops filtered out of delivery and last round's captured
-   duplicates re-delivered on top of (i.e. overwriting) the fresh
-   message of the same slot — a stale duplicate is exactly "the
-   receiver acts on outdated neighbour state";
-3. record a :class:`RoundRecord`: what fired, which vertices changed
-   color (with the new color — the trace is *replayable*, which is how
-   the :class:`~repro.verify.recovery.RecoveryOracle` catches tampered
-   logs), the number of conflicting edges and the legality flag.  Both
-   paths hand the colors over as an ``int64`` array, so the deltas are a
+1. before the sends, apply the plan's events for this round (topology
+   edits first — the plan's canonical event order sorts edge edits
+   before message faults, so a message fault is judged against the
+   topology it will run on) and, if edges changed, hand the engine the
+   rebuilt network, whose fabric it rebinds;
+2. between delivery and receive, drop this round's lost messages and
+   re-deliver last round's captured duplicates on top of (i.e.
+   overwriting) the fresh message of the same slot — a stale duplicate
+   is exactly "the receiver acts on outdated neighbour state";
+3. after the receives, record a :class:`RoundRecord`: what fired, which
+   vertices changed color (with the new color — the trace is
+   *replayable*, which is how the
+   :class:`~repro.verify.recovery.RecoveryOracle` catches tampered logs),
+   the number of conflicting edges and the legality flag.  Both loops
+   hand the colors over as an ``int64`` array, so the deltas are a
    ``flatnonzero`` of the color diff and the conflict count one gather
    over the fabric, whatever the backend.
 
@@ -46,8 +50,8 @@ from repro.errors import NonTerminationError, SimulationError
 from repro.faults.network import PerturbableNetwork
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.graphs.graph import Vertex
-from repro.local import kernels
-from repro.local.node import BatchContext, BatchNodeAlgorithm, NodeContext
+from repro.local.network import Network
+from repro.local.simulator import SynchronousSimulator
 
 __all__ = [
     "AppliedFault",
@@ -111,7 +115,7 @@ class StabilizationTrace:
 
 
 # ---------------------------------------------------------------------------
-# fault application helpers
+# the fault plane as round hooks
 # ---------------------------------------------------------------------------
 
 
@@ -129,74 +133,185 @@ def _clashes(fabric, colors):
     return colors[fabric.sources_np()] == colors[fabric.endpoints_np]
 
 
-class _FaultState:
-    """Per-round fault bookkeeping shared by both engine paths."""
-
-    def __init__(self) -> None:
-        self.drops: set[tuple[int, int]] = set()  # (src, dst) this round
-        self.dup_pairs: set[tuple[int, int]] = set()  # capture this round
-        self.pending_dups: list[tuple[int, int, Any]] = []  # deliver this round
-
-    def next_round(self) -> None:
-        self.drops.clear()
-        self.dup_pairs.clear()
+def _colors(nodes):
+    """The color registers by node index, off a node list or a batched program."""
+    if isinstance(nodes, list):
+        return np.fromiter(
+            (node.result() for node in nodes), dtype=np.int64, count=len(nodes)
+        )
+    return nodes.colors_array()
 
 
-def _apply_events(
-    events: list[FaultEvent],
-    pnet: PerturbableNetwork,
-    state: _FaultState,
-    corrupt: Callable[[int, int], None],
-    reset: Callable[[int], None],
-) -> tuple[list[AppliedFault], bool]:
-    """Apply one round's events; returns (log entries, topology changed)."""
-    log: list[AppliedFault] = []
-    topo_changed = False
+def _snapshot(nodes) -> tuple:
+    if isinstance(nodes, list):
+        return tuple(node.snapshot() for node in nodes)
+    return nodes.snapshot()
 
-    def done(event: FaultEvent, applied: bool, note: str = "") -> None:
-        log.append(
-            AppliedFault(
-                event.round, event.kind, event.vertices, event.value, applied, note
+
+class _FaultHooks:
+    """Applies a :class:`FaultPlan` and records the trace, round by round.
+
+    Passed as ``hooks=`` to :meth:`SynchronousSimulator.run
+    <repro.local.simulator.SynchronousSimulator.run>`; ``nodes`` is the
+    per-node program list or the batched program.
+    """
+
+    def __init__(self, pnet: PerturbableNetwork, plan: FaultPlan,
+                 trace: StabilizationTrace) -> None:
+        self.pnet = pnet
+        self.plan = plan
+        self.trace = trace
+        self.last_event_round = plan.last_round()
+        self.fabric = pnet.network.fabric
+        self.log: list[AppliedFault] = []
+        self.drops: set[tuple[int, int]] = set()  # (src, dst): lost this round
+        self.dup_pairs: set[tuple[int, int]] = set()  # (src, dst): captured
+        self.pending: list[tuple[int, int, Any]] = []  # delivered this round
+        self.colors = None
+        self.snapshot: tuple = ()
+
+    def before_round(self, round_number: int, nodes) -> Network | None:
+        if self.colors is None:  # the state the first round starts from
+            self.colors = _colors(nodes)
+            self.snapshot = _snapshot(nodes)
+        pnet = self.pnet
+        log = self.log = []
+        self.drops, self.dup_pairs = set(), set()
+        topo_changed = False
+
+        def done(event: FaultEvent, applied: bool, note: str = "") -> None:
+            log.append(
+                AppliedFault(
+                    event.round, event.kind, event.vertices, event.value,
+                    applied, note,
+                )
+            )
+
+        # the plan sorts edge edits first, so a message fault is judged
+        # against the topology its round runs on
+        for event in self.plan.events_for(round_number):
+            kind = event.kind
+            if kind == "edge-insert":
+                applied = pnet.insert_edge(*event.vertices)
+                topo_changed |= applied
+                done(event, applied, "" if applied else "edge already present")
+            elif kind == "edge-delete":
+                applied = pnet.delete_edge(*event.vertices)
+                topo_changed |= applied
+                done(event, applied, "" if applied else "edge not present")
+            elif kind in ("corrupt-color", "node-reset"):
+                index = pnet.index_of(event.vertices[0])
+                if index is None:
+                    done(event, False, "unknown vertex")
+                    continue
+                if isinstance(nodes, list):
+                    node = nodes[index]
+                    if kind == "corrupt-color":
+                        node.corrupt(int(event.value))
+                    else:
+                        node.reset()
+                elif kind == "corrupt-color":
+                    nodes.corrupt_batch(index, int(event.value))
+                else:
+                    nodes.reset_batch(index)
+                done(event, True)
+            else:  # message-drop / message-duplicate
+                u, v = event.vertices
+                i, j = pnet.index_of(u), pnet.index_of(v)
+                if i is None or j is None or not pnet.has_edge(u, v):
+                    done(event, False, "edge not present")
+                    continue
+                (self.drops if kind == "message-drop" else self.dup_pairs).add((i, j))
+                done(event, True)
+        if not topo_changed:
+            return None
+        network = pnet.network
+        self.fabric = network.fabric
+        return network
+
+    # Both delivery edits keep one order, so the backends stay in parity:
+    # capture this round's duplicates from the fresh messages, drop, then
+    # land last round's captures on top of the fresh message of their slot.
+
+    def edit_received(self, payloads: list, received: list[list[int]]) -> int:
+        fabric = self.fabric
+        captured = []
+        # in send order, so captures land in the order they were sent
+        for src, dst in sorted(self.dup_pairs):
+            slot = _slot_towards(fabric, dst, src)
+            if slot in received[dst]:
+                captured.append((src, dst, payloads[slot]))
+        change = 0
+        for src, dst in self.drops:
+            slot = _slot_towards(fabric, dst, src)
+            if slot in received[dst]:
+                received[dst].remove(slot)
+                change -= 1
+        for src, dst, payload in self.pending:
+            slot = _slot_towards(fabric, dst, src)
+            if slot is not None:  # else the edge is gone since the capture
+                payloads[slot] = payload
+                received[dst].append(slot)
+                change += 1
+        self.pending = captured
+        return change
+
+    def edit_inbox(self, inbox, delivered):
+        fabric = self.fabric
+        captured = []
+        for src, dst in self.dup_pairs:
+            slot = _slot_towards(fabric, dst, src)
+            if slot is not None and (delivered is None or delivered[slot]):
+                captured.append((src, dst, int(inbox[slot])))
+        change = 0
+        if self.drops or self.pending:
+            if delivered is None:
+                delivered = np.ones(len(inbox), dtype=np.bool_)
+            for src, dst in self.drops:
+                slot = _slot_towards(fabric, dst, src)
+                if slot is not None and delivered[slot]:
+                    delivered[slot] = False
+                    change -= 1
+            for src, dst, payload in self.pending:
+                slot = _slot_towards(fabric, dst, src)
+                if slot is not None:
+                    inbox[slot] = payload
+                    delivered[slot] = True
+                    change += 1
+        self.pending = captured
+        return delivered, change
+
+    def after_round(self, round_number: int, nodes, messages: int) -> bool:
+        """Record the round; True once it is quiescent."""
+        trace = self.trace
+        labels = trace.labels
+        colors = _colors(nodes)
+        moved = np.flatnonzero(colors != self.colors)
+        changes = tuple(
+            zip(map(labels.__getitem__, moved.tolist()), colors[moved].tolist())
+        )
+        conflicts = int(np.count_nonzero(_clashes(self.fabric, colors))) // 2
+        legal = conflicts == 0 and bool(
+            ((colors >= 1) & (colors <= trace.budget)).all()
+        )
+        trace.records.append(
+            RoundRecord(
+                round=round_number,
+                faults=tuple(self.log),
+                changes=changes,
+                conflicts=conflicts,
+                legal=legal,
+                messages=messages,
             )
         )
-
-    for event in events:
-        kind = event.kind
-        if kind == "edge-insert":
-            applied = pnet.insert_edge(*event.vertices)
-            topo_changed |= applied
-            done(event, applied, "" if applied else "edge already present")
-        elif kind == "edge-delete":
-            applied = pnet.delete_edge(*event.vertices)
-            topo_changed |= applied
-            done(event, applied, "" if applied else "edge not present")
-        elif kind in ("corrupt-color", "node-reset"):
-            index = pnet.index_of(event.vertices[0])
-            if index is None:
-                done(event, False, "unknown vertex")
-                continue
-            if kind == "corrupt-color":
-                corrupt(index, int(event.value))
-            else:
-                reset(index)
-            done(event, True)
-        else:  # message-drop / message-duplicate
-            u, v = event.vertices
-            i, j = pnet.index_of(u), pnet.index_of(v)
-            if i is None or j is None or not pnet.has_edge(u, v):
-                done(event, False, "edge not present")
-                continue
-            if kind == "message-drop":
-                state.drops.add((i, j))
-            else:
-                state.dup_pairs.add((i, j))
-            done(event, True)
-    return log, topo_changed
-
-
-# ---------------------------------------------------------------------------
-# the engine
-# ---------------------------------------------------------------------------
+        self.colors = colors
+        snapshot, self.snapshot = self.snapshot, _snapshot(nodes)
+        return (
+            snapshot == self.snapshot
+            and not self.log
+            and not self.pending
+            and round_number >= self.last_event_round
+        )
 
 
 def run_stabilizing(
@@ -236,242 +351,24 @@ def run_stabilizing(
         backend=pnet.backend,
         protocol=protocol,
     )
-    probe = algorithm_factory()
-    if isinstance(probe, BatchNodeAlgorithm):
-        runner = _BatchedStabilizer(pnet, probe, budget, initial)
-    else:
-        runner = _PerNodeStabilizer(pnet, algorithm_factory, budget, initial)
-
-    state = _FaultState()
-    last_event_round = plan.last_round()
-    previous_snapshot = runner.snapshot()
-    colors = runner.colors()
-    labels = trace.labels
-
-    for round_number in range(1, max_rounds + 1):
-        state.next_round()
-        log, topo_changed = _apply_events(
-            plan.events_for(round_number), pnet, state, runner.corrupt, runner.reset
+    hooks = _FaultHooks(pnet, plan, trace)
+    result = SynchronousSimulator(pnet.network).run(
+        algorithm_factory,
+        inputs=[(budget, initial[v]) for v in pnet.labels],
+        max_rounds=max_rounds,
+        hooks=hooks,
+    )
+    trace.quiescent = result.finished
+    colors = hooks.colors
+    if strict and not trace.quiescent:
+        fabric = hooks.fabric
+        clash = _clashes(fabric, colors)
+        conflicted_vertices = int(np.unique(fabric.sources_np()[clash]).size)
+        raise NonTerminationError(
+            f"stabilizing run hit max_rounds={max_rounds} without "
+            f"quiescing ({conflicted_vertices} vertex(es) in conflict)",
+            rounds=max_rounds,
+            active=conflicted_vertices,
         )
-        if topo_changed:
-            runner.rebind_topology()
-        messages = runner.exchange(round_number, state)
-        new_colors = runner.colors()
-        moved = np.flatnonzero(new_colors != colors)
-        changes = tuple(
-            zip(map(labels.__getitem__, moved.tolist()), new_colors[moved].tolist())
-        )
-        conflicts = int(np.count_nonzero(_clashes(runner.fabric, new_colors))) // 2
-        legal = conflicts == 0 and bool(
-            ((new_colors >= 1) & (new_colors <= budget)).all()
-        )
-        trace.records.append(
-            RoundRecord(
-                round=round_number,
-                faults=tuple(log),
-                changes=changes,
-                conflicts=conflicts,
-                legal=legal,
-                messages=messages,
-            )
-        )
-        colors = new_colors
-        snapshot = runner.snapshot()
-        if (
-            snapshot == previous_snapshot
-            and not log
-            and not state.pending_dups
-            and round_number >= last_event_round
-        ):
-            trace.quiescent = True
-            break
-        previous_snapshot = snapshot
-    else:
-        if strict:
-            fabric = runner.fabric
-            clash = _clashes(fabric, colors)
-            conflicted_vertices = int(np.unique(fabric.sources_np()[clash]).size)
-            raise NonTerminationError(
-                f"stabilizing run hit max_rounds={max_rounds} without "
-                f"quiescing ({conflicted_vertices} vertex(es) in conflict)",
-                rounds=max_rounds,
-                active=conflicted_vertices,
-            )
-
-    trace.final_coloring = dict(zip(labels, colors.tolist()))
+    trace.final_coloring = dict(zip(trace.labels, colors.tolist()))
     return trace
-
-
-# ---------------------------------------------------------------------------
-# per-node path
-# ---------------------------------------------------------------------------
-
-
-class _PerNodeStabilizer:
-    """Drives one NodeAlgorithm instance per vertex (the dict backend)."""
-
-    def __init__(self, pnet, factory, budget, initial):
-        self.pnet = pnet
-        self.nodes = []
-        for i, label in enumerate(pnet.labels):
-            node = factory()
-            node.initialize(
-                NodeContext(
-                    identifier=i + 1,
-                    n=pnet.n,
-                    degree=pnet.degree_of_index(i),
-                    input=(budget, initial[label]),
-                )
-            )
-            self.nodes.append(node)
-        self.fabric = pnet.network.fabric
-
-    def rebind_topology(self) -> None:
-        self.fabric = self.pnet.network.fabric
-        for i, node in enumerate(self.nodes):
-            node.context.degree = self.fabric.degrees[i]
-
-    def corrupt(self, index: int, value: int) -> None:
-        self.nodes[index].corrupt(value)
-
-    def reset(self, index: int) -> None:
-        self.nodes[index].reset()
-
-    def snapshot(self) -> tuple:
-        return tuple(node.snapshot() for node in self.nodes)
-
-    def colors(self):
-        return np.fromiter(
-            (node.result() for node in self.nodes), dtype=np.int64, count=len(self.nodes)
-        )
-
-    def exchange(self, round_number: int, state: _FaultState) -> int:
-        fabric = self.fabric
-        offsets = fabric.offsets
-        endpoints = fabric.endpoints
-        reverse_slot = fabric.reverse_slot
-        payloads: list[Any] = [None] * fabric.num_slots
-        received: list[list[int]] = [[] for _ in range(len(self.nodes))]
-        messages = 0
-        next_dups: list[tuple[int, int, Any]] = []
-        drops, dup_pairs = state.drops, state.dup_pairs
-        for i, node in enumerate(self.nodes):
-            out = node.send(round_number)
-            if not out:
-                continue
-            base = offsets[i]
-            for port, payload in out.items():
-                slot = base + port
-                j = endpoints[slot]
-                if dup_pairs and (i, j) in dup_pairs:
-                    next_dups.append((i, j, payload))
-                if drops and (i, j) in drops:
-                    continue
-                dest = reverse_slot[slot]
-                payloads[dest] = payload
-                received[j].append(dest)
-                messages += 1
-        # stale duplicates captured last round land on top of (replace)
-        # this round's fresh message on the same port
-        for src, dst, payload in state.pending_dups:
-            slot = _slot_towards(fabric, dst, src)
-            if slot is None:
-                continue  # the edge has gone away since the capture
-            payloads[slot] = payload
-            received[dst].append(slot)
-            messages += 1
-        state.pending_dups = next_dups
-        for j, node in enumerate(self.nodes):
-            slots = received[j]
-            base = offsets[j]
-            node.receive(
-                round_number,
-                {slot - base: payloads[slot] for slot in slots} if slots else {},
-            )
-        return messages
-
-
-# ---------------------------------------------------------------------------
-# batched path
-# ---------------------------------------------------------------------------
-
-
-class _BatchedStabilizer:
-    """Drives one BatchNodeAlgorithm over the flat fabric arrays."""
-
-    def __init__(self, pnet, program, budget, initial):
-        self.pnet = pnet
-        self.program = program
-        # built once: a topology edit changes the fabric, never the inputs
-        self.inputs = [(budget, initial[v]) for v in pnet.labels]
-        program.initialize_batch(self._context())
-
-    def _context(self) -> BatchContext:
-        network = self.pnet.network
-        fabric = self.fabric = network.fabric
-        return BatchContext(
-            n=fabric.n,
-            identifiers=network.identifiers_np,
-            degrees=fabric.degrees_np,
-            offsets=fabric.offsets_np,
-            endpoints=fabric.endpoints_np,
-            reverse_slot=fabric.reverse_np,
-            sources=fabric.sources_np(),
-            inputs=self.inputs,
-            network=network,
-            declared_n=self.pnet.n,
-        )
-
-    def rebind_topology(self) -> None:
-        self.program.on_topology_change(self._context())
-
-    def corrupt(self, index: int, value: int) -> None:
-        self.program.corrupt_batch(index, value)
-
-    def reset(self, index: int) -> None:
-        self.program.reset_batch(index)
-
-    def snapshot(self) -> tuple:
-        return self.program.snapshot()
-
-    def colors(self):
-        return self.program.colors_array()
-
-    def exchange(self, round_number: int, state: _FaultState) -> int:
-        fabric = self.fabric
-        values = self.program.send_batch(round_number)
-        if type(self.program).exchange_mode == "broadcast":
-            # per-node broadcast values: the fused kernel delivers them in
-            # one endpoint gather, and the payload of any (src, dst) pair
-            # is just values[src] — no slot lookup needed for captures
-            inbox = kernels.gather(values, fabric.endpoints_np)
-            captured = lambda src, slot: int(values[src])  # noqa: E731
-        else:
-            inbox = kernels.deliver_slots(values, fabric.reverse_np)
-            captured = lambda src, slot: int(  # noqa: E731
-                values[fabric.reverse_np[slot]]
-            )
-        delivered = None
-        messages = fabric.num_slots
-        next_dups: list[tuple[int, int, Any]] = []
-        for src, dst in state.dup_pairs:
-            slot = _slot_towards(fabric, dst, src)
-            if slot is not None:
-                next_dups.append((src, dst, captured(src, slot)))
-        if state.drops or state.pending_dups:
-            delivered = np.ones(fabric.num_slots, dtype=bool)
-            for src, dst in state.drops:
-                slot = _slot_towards(fabric, dst, src)
-                if slot is not None:
-                    delivered[slot] = False
-                    messages -= 1
-            for src, dst, payload in state.pending_dups:
-                slot = _slot_towards(fabric, dst, src)
-                if slot is None:
-                    continue
-                inbox[slot] = payload
-                delivered[slot] = True
-                messages += 1
-        state.pending_dups = next_dups
-        self.program.receive_batch(round_number, inbox, delivered)
-        return messages

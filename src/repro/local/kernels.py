@@ -17,7 +17,7 @@ kernels here collapse the first two passes into one:
                   = node_values[endpoints[k]]   # fused
 
 This module is the only place that identity is exploited; everything
-above it (the simulator, the faults engine, the batched node programs)
+above it (the simulator and the batched node programs)
 talks in terms of :func:`gather`, :func:`deliver_slots`,
 :func:`deliver_masked` and :func:`compact_segments`.
 ``tests/test_kernel_parity.py`` pins them against plain Python loops and
@@ -94,7 +94,7 @@ def compact_segments(offsets, active):
     return slots, compact_offsets
 
 
-def reference_broadcast(node_values, sources, reverse, endpoints=None):
+def reference_broadcast(node_values, sources, reverse):
     """The unfused three-pass delivery of a broadcast round.
 
     Materializes the per-slot send values (``node_values[sources]``)

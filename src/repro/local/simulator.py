@@ -37,6 +37,12 @@ The data plane runs on the network's flat-array routing fabric
   ``run(..., reference_exchange=True)`` forces the unfused three-pass
   delivery, kept as the oracle the parity tests pin the kernels against.
 
+``run(..., hooks=...)`` edits each round before the sends, between
+delivery and receive, and after the receives (see
+:meth:`SynchronousSimulator.run`): the fault plane of
+:mod:`repro.faults.engine` runs its recoveries on these loops that way.
+Static runs pass no hooks and pay one ``is not None`` test per point.
+
 Note that finished nodes still ``send`` and ``receive`` every round until
 the whole network terminates — protocols like the greedy baseline rely on
 finished nodes broadcasting their state — so the per-round work is O(n + m)
@@ -175,9 +181,9 @@ class SynchronousSimulator:
         inputs: Mapping[Vertex, Any] | Any | None = None,
         max_rounds: int = 10_000,
         strict: bool = False,
-        debug: bool = False,
         *,
         reference_exchange: bool = False,
+        hooks: Any = None,
     ) -> SimulationResult:
         """Execute the algorithm until all nodes finish or ``max_rounds`` is hit.
 
@@ -191,24 +197,42 @@ class SynchronousSimulator:
 
         Malformed sends always raise :class:`~repro.errors.SimulationError`
         (non-mapping returns, out-of-range ports — the latter validated with
-        one comparison per message against the routing table); ``debug=True``
-        upgrades the port errors to descriptive ones naming the vertex and
-        its valid port range.
+        one comparison per message against the routing table, and reported
+        with the vertex's identifier and valid port range).
 
         ``reference_exchange=True`` routes batched broadcast rounds through
         the historical unfused three-pass delivery (send-gather by
         ``sources`` + permutation by ``reverse_slot`` + ``receive_batch``)
         instead of the fused kernels — the parity oracle for
         :mod:`repro.local.kernels`.
+
+        ``hooks`` edits every round; ``nodes`` below is the node list of the
+        per-node loop or the program of the batched one:
+
+        * ``before_round(round_number, nodes)`` runs before the sends and
+          returns a new :class:`~repro.local.network.Network` when the
+          topology changed (the vertex order must stay), else ``None``.  The
+          engine then rebinds its fabric: per-node contexts get their new
+          degree, a batched program gets ``on_topology_change(context)``.
+        * ``edit_received(payloads, received)`` (per-node) or
+          ``edit_inbox(inbox, delivered)`` (batched) runs between delivery
+          and receive.  The first edits the per-slot payloads and the
+          per-receiver slot lists in place and returns the change in the
+          round's message count; the second returns ``(delivered,
+          change)``, ``delivered`` being the slot mask to hand on (or
+          ``None`` when every slot carries a message).  Batched programs
+          under hooks always receive through ``receive_batch``, and the
+          ``"active"`` exchange mode, which has no inbox, is refused.
+        * ``after_round(round_number, nodes, messages)`` runs after the
+          receives; a true return stops the run with ``finished=True``.
         """
         probe = algorithm_factory()
         if isinstance(probe, BatchNodeAlgorithm):
             return self._run_batched(
-                probe, inputs, max_rounds, strict,
-                reference_exchange=reference_exchange,
+                probe, inputs, max_rounds, strict, reference_exchange, hooks
             )
         return self._run_per_node(
-            probe, algorithm_factory, inputs, max_rounds, strict, debug
+            probe, algorithm_factory, inputs, max_rounds, strict, hooks
         )
 
     # ------------------------------------------------------------------
@@ -221,7 +245,7 @@ class SynchronousSimulator:
         inputs: Mapping[Vertex, Any] | None,
         max_rounds: int,
         strict: bool,
-        debug: bool,
+        hooks: Any,
     ) -> SimulationResult:
         network = self.network
         fabric = network.fabric
@@ -272,6 +296,17 @@ class SynchronousSimulator:
                 return self._result(labels, nodes, rounds, total_messages,
                                     per_round, finished=False)
             rounds += 1
+            if hooks is not None:
+                rebuilt = hooks.before_round(rounds, nodes)
+                if rebuilt is not None:
+                    self.network = network = rebuilt
+                    fabric = network.fabric
+                    offsets = fabric.offsets
+                    endpoints = fabric.endpoints
+                    reverse_slot = fabric.reverse_slot
+                    payloads = [None] * fabric.num_slots
+                    for node, degree in zip(nodes, fabric.degrees):
+                        node.context.degree = degree
             round_messages = 0
             for i, node in enumerate(nodes):
                 out = node.send(rounds)
@@ -288,12 +323,14 @@ class SynchronousSimulator:
                 degree = offsets[i + 1] - base
                 for port, payload in items:
                     if not 0 <= port < degree:
-                        raise self._port_error(i, port, degree, debug)
+                        raise self._port_error(i, port, degree)
                     slot = base + port
                     dest = reverse_slot[slot]
                     payloads[dest] = payload
                     stage[endpoints[slot]](dest)
                 round_messages += len(out)
+            if hooks is not None:
+                round_messages += hooks.edit_received(payloads, received)
             # receive phase: every node hears its (possibly empty) inbox
             for j, node in enumerate(nodes):
                 slots = received[j]
@@ -306,23 +343,20 @@ class SynchronousSimulator:
                 node.receive(rounds, messages)
             total_messages += round_messages
             per_round.append(round_messages)
+            if hooks is not None and hooks.after_round(rounds, nodes, round_messages):
+                break
             active = [i for i in active if not nodes[i].is_finished()]
 
         return self._result(labels, nodes, rounds, total_messages, per_round,
                             finished=True)
 
-    def _port_error(
-        self, index: int, port: Any, degree: int, debug: bool
-    ) -> SimulationError:
-        label = self.network.labels[index]
-        if debug:
-            identifier = self.network.identifiers_list[index]
-            return SimulationError(
-                f"node {label!r} (identifier {identifier}) sent on invalid "
-                f"port {port!r}; valid ports are 0..{degree - 1} "
-                f"(degree {degree})"
-            )
-        return SimulationError(f"node {label!r} sent on invalid port {port}")
+    def _port_error(self, index: int, port: Any, degree: int) -> SimulationError:
+        network = self.network
+        return SimulationError(
+            f"node {network.labels[index]!r} (identifier "
+            f"{network.identifiers_list[index]}) sent on invalid port "
+            f"{port!r}; valid ports are 0..{degree - 1} (degree {degree})"
+        )
 
     @staticmethod
     def _result(
@@ -350,33 +384,27 @@ class SynchronousSimulator:
         inputs: Mapping[Vertex, Any] | Any | None,
         max_rounds: int,
         strict: bool,
-        reference_exchange: bool = False,
+        reference_exchange: bool,
+        hooks: Any,
     ) -> SimulationResult:
         network = self.network
         fabric = network.fabric
         inputs_list = network.inputs_list(inputs)
-
-        context = BatchContext(
-            n=fabric.n,
-            identifiers=network.identifiers_np,
-            degrees=fabric.degrees_np,
-            offsets=fabric.offsets_np,
-            endpoints=fabric.endpoints_np,
-            reverse_slot=fabric.reverse_np,
-            sources=fabric.sources_np(),
-            inputs=inputs_list,
-            network=network,
-            declared_n=network.declared_n,
-        )
+        context = _batch_context(network, inputs_list)
         reverse = fabric.reverse_np
         endpoints = fabric.endpoints_np
-        sources = fabric.sources_np()
+        sources = context.sources
         num_slots = fabric.num_slots
         labels = network.labels
         mode = type(program).exchange_mode
+        if hooks is not None and mode == "active":
+            raise SimulationError(
+                "round hooks edit the inbox, which the 'active' exchange "
+                "mode does not build"
+            )
         receive_broadcast = (
             getattr(program, "receive_broadcast", None)
-            if mode == "broadcast" and not reference_exchange
+            if mode == "broadcast" and not reference_exchange and hooks is None
             else None
         )
         receive_active = (
@@ -408,6 +436,22 @@ class SynchronousSimulator:
                     per_round_messages=per_round,
                 )
             rounds += 1
+            if hooks is not None:
+                rebuilt = hooks.before_round(rounds, program)
+                if rebuilt is not None:
+                    # drop every reference to the old topology
+                    self.network = network = rebuilt
+                    fabric = network.fabric
+                    context = _batch_context(network, inputs_list)
+                    reverse = fabric.reverse_np
+                    endpoints = fabric.endpoints_np
+                    sources = context.sources
+                    num_slots = fabric.num_slots
+                    program.on_topology_change(context)
+                    # reallocated only once the program has dropped the
+                    # old context, so they never coexist with the old fabric
+                    inbox_buf = np.empty(num_slots, dtype=np.int64)
+                    delivered_buf = np.empty(num_slots, dtype=np.bool_)
             sent = program.send_batch(rounds)
             if sent is None:
                 round_messages = 0
@@ -415,36 +459,41 @@ class SynchronousSimulator:
                     receive_active(rounds, None, None)
                 else:
                     program.receive_batch(rounds, None, None)
-            elif mode == "broadcast":
-                # sources[reverse_slot] == endpoints: the send-gather and
-                # the reverse permutation fuse into one endpoint gather
-                round_messages = num_slots
-                if receive_broadcast is not None:
-                    receive_broadcast(rounds, sent)
-                else:
-                    if reference_exchange:
-                        inbox = kernels.reference_broadcast(sent, sources, reverse)
-                    else:
-                        inbox = kernels.gather(sent, endpoints, out=inbox_buf)
-                    program.receive_batch(rounds, inbox, None)
             elif mode == "active":
                 slots, values = sent
                 round_messages = len(slots)
                 # the message sent from slot s arrives at slot reverse[s]
                 receive_active(rounds, reverse[slots], values)
-            elif isinstance(sent, tuple):
-                values, mask = sent
-                inbox, delivered, round_messages = kernels.deliver_masked(
-                    values, mask, reverse,
-                    inbox_out=inbox_buf, delivered_out=delivered_buf,
-                )
-                program.receive_batch(rounds, inbox, delivered)
-            else:
-                inbox = kernels.deliver_slots(sent, reverse, out=inbox_buf)
+            elif receive_broadcast is not None:
                 round_messages = num_slots
-                program.receive_batch(rounds, inbox, None)
+                receive_broadcast(rounds, sent)
+            else:
+                delivered = None
+                round_messages = num_slots
+                if mode == "broadcast":
+                    # sources[reverse_slot] == endpoints: the send-gather
+                    # and the reverse permutation fuse into one endpoint
+                    # gather
+                    if reference_exchange:
+                        inbox = kernels.reference_broadcast(sent, sources, reverse)
+                    else:
+                        inbox = kernels.gather(sent, endpoints, out=inbox_buf)
+                elif isinstance(sent, tuple):
+                    values, mask = sent
+                    inbox, delivered, round_messages = kernels.deliver_masked(
+                        values, mask, reverse,
+                        inbox_out=inbox_buf, delivered_out=delivered_buf,
+                    )
+                else:
+                    inbox = kernels.deliver_slots(sent, reverse, out=inbox_buf)
+                if hooks is not None:
+                    delivered, change = hooks.edit_inbox(inbox, delivered)
+                    round_messages += change
+                program.receive_batch(rounds, inbox, delivered)
             total_messages += round_messages
             per_round.append(round_messages)
+            if hooks is not None and hooks.after_round(rounds, program, round_messages):
+                break
 
         return SimulationResult(
             rounds=rounds,
@@ -455,6 +504,23 @@ class SynchronousSimulator:
         )
 
 
+def _batch_context(network: Network, inputs_list: list[Any]) -> BatchContext:
+    """The whole-network view a batched program reads, off ``network``'s fabric."""
+    fabric = network.fabric
+    return BatchContext(
+        n=fabric.n,
+        identifiers=network.identifiers_np,
+        degrees=fabric.degrees_np,
+        offsets=fabric.offsets_np,
+        endpoints=fabric.endpoints_np,
+        reverse_slot=fabric.reverse_np,
+        sources=fabric.sources_np(),
+        inputs=inputs_list,
+        network=network,
+        declared_n=network.declared_n,
+    )
+
+
 def run_node_algorithm(
     graph: GraphLike,
     algorithm_factory: Callable[[], NodeAlgorithm | BatchNodeAlgorithm],
@@ -463,7 +529,6 @@ def run_node_algorithm(
     strict: bool = False,
     *,
     network: Network | None = None,
-    debug: bool = False,
     reference_exchange: bool = False,
 ) -> SimulationResult:
     """Convenience wrapper: build the network and run the algorithm.
@@ -484,6 +549,5 @@ def run_node_algorithm(
         inputs=inputs,
         max_rounds=max_rounds,
         strict=strict,
-        debug=debug,
         reference_exchange=reference_exchange,
     )

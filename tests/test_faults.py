@@ -8,8 +8,10 @@ Five layers of coverage:
   dict/flat fabric parity after identical edit sequences;
 * **run_stabilizing** — both protocols on both backends recover a legal
   quiescent coloring under every fault kind, with the recovery and
-  containment oracles passing on the resulting trace, and the strict
-  round cap raising the structured ``NonTerminationError``;
+  containment oracles passing on the resulting trace; the strict round
+  cap raises the structured ``NonTerminationError`` and a malformed send
+  fails the run; absolute pins (a round-by-round trace digest, exact
+  drop/duplicate message counts) catch a drift both backends would share;
 * a **hypothesis property** pinning perturbation determinism: the same
   ``FaultPlan`` seed yields bit-identical event logs and final
   colorings across the dict and flat backends and across repeated runs;
@@ -21,13 +23,18 @@ Five layers of coverage:
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coloring import degeneracy_greedy_coloring
-from repro.distributed.stabilizing import STABILIZING_PROTOCOLS
+from repro.distributed.stabilizing import (
+    STABILIZING_PROTOCOLS,
+    MinPlusOneRecoloring,
+)
 from repro.errors import NonTerminationError, SimulationError
 from repro.faults import (
     FAULT_KINDS,
@@ -273,6 +280,75 @@ def test_engine_rejects_degenerate_parameters():
         run_stabilizing(pnet, factory, plan=plan, budget=0)
     with pytest.raises(SimulationError, match="max_rounds"):
         run_stabilizing(pnet, factory, plan=plan, budget=3, max_rounds=0)
+
+
+class _PastLastPort(MinPlusOneRecoloring):
+    """Identifier 1 also sends on port ``degree``, one past its last port."""
+
+    def send(self, round_number):
+        out = super().send(round_number)
+        if self.context.identifier == 1:
+            out[self.context.degree] = out[0]
+        return out
+
+
+class _ListSender(MinPlusOneRecoloring):
+    def send(self, round_number):
+        return list(super().send(round_number).values())
+
+
+@pytest.mark.parametrize(
+    "program, message",
+    [(_PastLastPort, r"invalid port 1; valid ports are 0\.\.0"),
+     (_ListSender, "expected a port -> payload mapping")],
+)
+def test_per_node_stabilizer_sends_are_validated(program, message):
+    """A malformed send fails the run instead of being lost or crashing."""
+    graph = classic.path(4)
+    with pytest.raises(SimulationError, match=message):
+        run_stabilizing(
+            PerturbableNetwork(graph, backend="dict"),
+            program,
+            plan=FaultPlan(events=(), seed=0),
+            budget=3,
+            initial_coloring=degeneracy_greedy_coloring(graph),
+        )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "protocol, digest",
+    [("min-plus-one", "84a6b2c2cb75e0e5"),
+     ("stabilizing-greedy", "312d07737fb53da8")],
+)
+def test_mixed_fault_trace_is_pinned(protocol, digest, backend):
+    """The run of the mixed-faults test above, round for round, as a digest.
+
+    The backend-parity properties compare two runs with each other; this
+    pin also catches a drift both loops would share.
+    """
+    graph = planar.stacked_triangulation(48, seed=5)
+    plan = FaultPlan.random(graph, seed=9, kinds=FAULT_KINDS, events=8, window=4)
+    trace = _run(graph, plan, protocol, backend)
+    pinned = hashlib.sha256(repr(_round_fingerprint(trace)).encode()).hexdigest()
+    assert pinned[:16] == digest
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_drop_and_duplicate_message_accounting(protocol, backend):
+    """A drop costs its round one message; a duplicate adds one a round later."""
+    graph = classic.cycle(8)  # 16 slots
+    plan = FaultPlan(
+        events=(
+            FaultEvent(2, "message-drop", (0, 1)),
+            FaultEvent(3, "message-duplicate", (2, 3)),
+        ),
+        seed=0,
+    )
+    trace = _run(graph, plan, protocol, backend)
+    assert [r.messages for r in trace.records] == [16, 15, 16, 17]
+    assert trace.quiescent and trace.rounds == 4
 
 
 def test_trace_is_replayable_and_message_counts_are_consistent():

@@ -213,7 +213,7 @@ def test_invalid_port_raises():
 
 def test_invalid_port_debug_mode_names_the_range():
     with pytest.raises(SimulationError, match=r"valid ports are 0\.\.1"):
-        run_node_algorithm(classic.cycle(4), BadPortSender, debug=True)
+        run_node_algorithm(classic.cycle(4), BadPortSender)
 
 
 class ListSender(NodeAlgorithm):
@@ -224,10 +224,9 @@ class ListSender(NodeAlgorithm):
         return False
 
 
-@pytest.mark.parametrize("debug", [False, True])
-def test_non_mapping_send_raises_simulation_error(debug):
+def test_non_mapping_send_raises_simulation_error():
     with pytest.raises(SimulationError, match="expected a port -> payload"):
-        run_node_algorithm(classic.cycle(4), ListSender, debug=debug, max_rounds=2)
+        run_node_algorithm(classic.cycle(4), ListSender, max_rounds=2)
 
 
 def test_prebuilt_network_is_reused():
