@@ -6,10 +6,17 @@ if it is *complete* (every vertex colored), *proper* (no monochromatic
 edge) and, in the list setting, *respects the lists*.
 
 On a :class:`~repro.graphs.frozen.FrozenGraph` the properness check runs
-as one vectorized comparison over the CSR arrays (the per-edge loop is
+as one vectorized gather-compare over the CSR arrays (the per-edge loop is
 kept for mutable graphs and for producing the exact offending edge in the
 error message), and the list check reads the interned bitmasks of the
 flat palette backend instead of materializing ``frozenset`` values.
+
+A batched engine result aligned with the graph's CSR (see
+:func:`aligned_colors`) is read as its ``int64`` color array: completeness
+is one length test, properness the same gather-compare without the
+interning loop, and :func:`number_of_colors` one ``np.unique``.  The
+oracles of :mod:`repro.verify.coloring` call these predicates, so the
+gather-compare has this one copy.
 """
 
 from __future__ import annotations
@@ -23,8 +30,10 @@ from repro.coloring.palette import FlatListAssignment
 from repro.errors import ColoringError
 from repro.graphs.frozen import FrozenGraph
 from repro.graphs.graph import Graph, Vertex
+from repro.local.simulator import LazyOutputs
 
 __all__ = [
+    "aligned_colors",
     "is_proper_coloring",
     "respects_lists",
     "is_complete",
@@ -37,18 +46,40 @@ __all__ = [
 _VECTORIZE_MIN_VERTICES = 128
 
 
+def aligned_colors(graph, coloring) -> np.ndarray | None:
+    """The ``int64`` colors of a batched result aligned with ``graph``'s CSR.
+
+    A :class:`~repro.local.simulator.LazyOutputs` view holding an array,
+    built on this very ``graph`` object in its default node order, has one
+    color per CSR vertex at that vertex's index; the checks below then
+    read the array instead of the mapping.  ``None`` for anything else —
+    dicts, list-valued views, and views built on another graph object or
+    in another order (whose positions are not this CSR's).
+    """
+    if isinstance(coloring, LazyOutputs) and coloring.graph is graph:
+        return coloring.colors
+    return None
+
+
 def is_complete(graph: Graph, coloring: Mapping[Vertex, Color]) -> bool:
     """Whether every vertex of ``graph`` has a color."""
+    colors = aligned_colors(graph, coloring)
+    if colors is not None:
+        return len(colors) == len(graph)
     return all(v in coloring for v in graph)
 
 
-def _proper_fast(graph, coloring) -> bool | None:
-    """Vectorized properness check; ``None`` when the fast path is off.
+def _color_codes(graph, coloring) -> np.ndarray | None:
+    """Per-CSR-index color codes, or ``None`` when the fast path is off.
 
-    Colors are interned to dense codes (uncolored vertices get a sentinel
-    that never matches), and the edge test is one gather-and-compare over
-    the CSR arrays.
+    An aligned view's colors are the codes as they stand.  Otherwise the
+    colors are interned to dense codes (uncolored vertices get a sentinel
+    that never matches); below ``_VECTORIZE_MIN_VERTICES`` that loop costs
+    more than the per-edge scan it replaces.
     """
+    colors = aligned_colors(graph, coloring)
+    if colors is not None:
+        return colors
     if not isinstance(graph, FrozenGraph) or len(graph) < _VECTORIZE_MIN_VERTICES:
         return None
     labels = graph.vertices()
@@ -65,10 +96,16 @@ def _proper_fast(graph, coloring) -> bool | None:
             code = len(codes)
             codes[color] = code
         arr[i] = code
+    return arr
+
+
+def _proper_fast(graph, coloring) -> bool | None:
+    """The properness kernel, one gather-compare over the CSR; ``None`` when off."""
+    codes = _color_codes(graph, coloring)
+    if codes is None:
+        return None
     offsets, neighbors = graph.csr_arrays()
-    degrees = np.diff(offsets)
-    src = np.repeat(np.arange(len(labels), dtype=np.int64), degrees)
-    return not bool((arr[src] == arr[neighbors]).any())
+    return not bool((np.repeat(codes, np.diff(offsets)) == codes[neighbors]).any())
 
 
 def is_proper_coloring(graph: Graph, coloring: Mapping[Vertex, Color]) -> bool:
@@ -108,6 +145,8 @@ def _flat_of(lists) -> FlatListAssignment | None:
 
 def number_of_colors(coloring: Mapping[Vertex, Color]) -> int:
     """The number of distinct colors used."""
+    if isinstance(coloring, LazyOutputs) and coloring.colors is not None:
+        return int(np.unique(coloring.colors).size)
     return len(set(coloring.values()))
 
 

@@ -41,7 +41,8 @@ class GreedyLocalMaximaAlgorithm(NodeAlgorithm):
     """Node program for the local-maxima greedy coloring.
 
     Input (per node): the maximum degree Δ (int).  Output: a color in
-    ``{1..Δ+1}``.
+    ``{1..Δ+1}``, or 0 while the node is uncolored (a run cut short by its
+    round cap).
     """
 
     def initialize(self, context: NodeContext) -> None:
@@ -76,8 +77,9 @@ class GreedyLocalMaximaAlgorithm(NodeAlgorithm):
     def is_finished(self) -> bool:
         return self.color is not None
 
-    def result(self) -> int | None:
-        return self.color
+    def result(self) -> int:
+        # 0 while uncolored, like the batched twin's register
+        return 0 if self.color is None else self.color
 
 
 class BatchGreedyLocalMaximaAlgorithm(BatchNodeAlgorithm):
@@ -170,8 +172,8 @@ class BatchGreedyLocalMaximaAlgorithm(BatchNodeAlgorithm):
     def is_finished_batch(self) -> bool:
         return self.done
 
-    def results_batch(self) -> list[int]:
-        return self.colors.tolist()
+    def results_batch(self) -> np.ndarray:
+        return self.colors.copy()
 
 
 def greedy_distributed_coloring(
@@ -183,7 +185,11 @@ def greedy_distributed_coloring(
 
     The graph is frozen at the boundary (pass a prebuilt ``network=`` to
     amortize that across repeated runs); ``batched=False`` forces the
-    per-node program.
+    per-node program.  A batched run returns the engine's
+    :class:`~repro.local.simulator.LazyOutputs` view as the coloring; a run
+    that hits its round cap raises
+    :class:`~repro.errors.NonTerminationError` rather than return a
+    partial coloring.
     """
     if graph.number_of_vertices() == 0:
         return DistributedColoringResult({}, 0, 0, 1)
@@ -201,10 +207,11 @@ def greedy_distributed_coloring(
         algorithm,
         inputs=[delta] * len(network.labels),
         max_rounds=graph.number_of_vertices() + 2,
+        strict=True,
         network=network,
     )
     return DistributedColoringResult(
-        coloring=run.outputs.copy(),
+        coloring=run.outputs,
         rounds=run.rounds,
         messages=run.messages_sent,
         palette_size=delta + 1,

@@ -22,6 +22,7 @@ subroutine of Lemma 3.2.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
 
@@ -314,9 +315,13 @@ class BatchColorReductionAlgorithm(BatchNodeAlgorithm):
 
 @dataclass
 class DistributedColoringResult:
-    """Coloring plus measured round/message counts of a simulator run."""
+    """Coloring plus measured round/message counts of a simulator run.
 
-    coloring: dict[Vertex, int]
+    ``coloring`` is a dict, or the batched engine's
+    :class:`~repro.local.simulator.LazyOutputs` view (the greedy baseline).
+    """
+
+    coloring: Mapping[Vertex, int]
     rounds: int
     messages: int
     palette_size: int
@@ -366,7 +371,7 @@ def delta_plus_one_coloring(
         network=network,
     )
     return DistributedColoringResult(
-        coloring=dict(reduction_run.outputs),
+        coloring=dict(reduction_run.outputs.items()),
         rounds=linial_run.rounds + reduction_run.rounds,
         messages=linial_run.messages_sent + reduction_run.messages_sent,
         palette_size=delta + 1,

@@ -320,8 +320,8 @@ class BatchRandomizedDeltaPlusOne(BatchNodeAlgorithm):
     def is_finished_batch(self) -> bool:
         return self.done
 
-    def results_batch(self) -> list[int]:
-        return self.colors.tolist()
+    def results_batch(self) -> np.ndarray:
+        return self.colors.copy()
 
 
 @dataclass(frozen=True)
@@ -333,7 +333,7 @@ class RandomizedColoringResult:
     (non-increasing, drains to 0, O(log n) length).
     """
 
-    coloring: dict[Any, int]
+    coloring: Mapping[Any, int]
     rounds: int
     messages: int
     palette_size: int
@@ -360,6 +360,11 @@ def randomized_delta_plus_one_coloring(
     ``batched=False`` forces the per-node program; both paths reconstruct
     the same frontier trace and — by the counter-based RNG contract —
     the same coloring, rounds and message counts for the same ``seed``.
+    A batched run returns the engine's
+    :class:`~repro.local.simulator.LazyOutputs` view as the coloring.  A run
+    that hits ``max_rounds`` raises
+    :class:`~repro.errors.NonTerminationError` rather than return a
+    partial coloring (uncolored vertices would read 0).
     """
     if graph.number_of_vertices() == 0:
         return RandomizedColoringResult({}, 0, 0, 1, (), int(seed))
@@ -387,6 +392,7 @@ def randomized_delta_plus_one_coloring(
         factory,
         inputs=inputs,
         max_rounds=max_rounds,
+        strict=True,
         network=network,
         reference_exchange=reference_exchange,
     )
@@ -404,7 +410,7 @@ def randomized_delta_plus_one_coloring(
             for r in range(1, run.rounds + 1)
         )
     return RandomizedColoringResult(
-        coloring=run.outputs.copy(),
+        coloring=run.outputs,
         rounds=run.rounds,
         messages=run.messages_sent,
         palette_size=delta + 1,

@@ -142,5 +142,6 @@ class BatchWaveTwoColoring(BatchNodeAlgorithm):
     def is_finished_batch(self) -> bool:
         return self.done
 
-    def results_batch(self) -> list[int]:
-        return self.colors
+    def results_batch(self) -> np.ndarray:
+        # the rounds keep Python lists; the result is one int64 array
+        return np.array(self.colors, dtype=np.int64)

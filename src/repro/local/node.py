@@ -224,7 +224,11 @@ class BatchNodeAlgorithm:
         return True
 
     def results_batch(self) -> list[Any]:
-        """Per-node outputs by node index."""
+        """Per-node outputs by node index.
+
+        A list, or an ``int64`` array of colors the caller then owns (a
+        fresh copy, never a register the program keeps writing).
+        """
         return [None] * self.context.n
 
 

@@ -37,6 +37,14 @@ The data plane runs on the network's flat-array routing fabric
   ``run(..., reference_exchange=True)`` forces the unfused three-pass
   delivery, kept as the oracle the parity tests pin the kernels against.
 
+A batched run ends without a per-vertex Python step: its
+:attr:`SimulationResult.outputs` is a :class:`LazyOutputs` view over the
+program's final register (an ``int64`` color array for greedy, randomized
+Δ+1 and the wave) and the network's label order.  When the network numbers
+a :class:`~repro.graphs.frozen.FrozenGraph` in its default order, the
+view's positions are the graph's CSR indices, and the coloring checks read
+the array directly (:mod:`repro.coloring.verification`).
+
 ``run(..., hooks=...)`` edits each round before the sends, between
 delivery and receive, and after the receives (see
 :meth:`SynchronousSimulator.run`): the fault plane of
@@ -52,14 +60,14 @@ what the ``simulator`` scenario measures.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from repro.errors import NonTerminationError, SimulationError
-from repro.graphs.frozen import GraphLike, freeze
+from repro.errors import GraphError, NonTerminationError, SimulationError
+from repro.graphs.frozen import FrozenGraph, GraphLike, freeze
 from repro.graphs.graph import Vertex
 from repro.local import kernels
 from repro.local.network import Network
@@ -79,63 +87,105 @@ __all__ = [
 
 
 class LazyOutputs(Mapping):
-    """Per-vertex outputs materialized on first dict-style access.
+    """Per-vertex outputs of a batched run, read off the program's register.
 
-    The batched engine produces outputs as a label list plus a value
-    list; building the ``{label: value}`` dict eagerly costs more than a
-    whole fused round at n = 10^5.  This view defers that build until a
-    consumer actually indexes, iterates or compares it — oracles and
-    callers see a regular mapping (``Mapping`` supplies dict-equality in
-    both directions), and pure round/message measurements never pay for
-    it.
+    The batched engine ends with a label list plus one value per node
+    index.  A ``{label: value}`` dict of them costs more than a whole fused
+    round at n = 10^5, and at n = 10^6 building one and reading it back in
+    the oracles took longer than building the routing fabric.  This view
+    keeps the two sequences and never builds that dict:
+
+    * ``labels`` — the vertex labels by node index;
+    * the values — an ``int64`` array (:attr:`colors`) for the programs
+      that keep their colors in one (greedy, randomized Δ+1, the wave),
+      a list for every other program (:attr:`colors` is then ``None``);
+    * ``graph`` — the :class:`~repro.graphs.frozen.FrozenGraph` whose CSR
+      index the positions follow, set only when the network numbers the
+      nodes of a frozen graph in its default order, else ``None``.  The
+      coloring checks of :mod:`repro.coloring.verification` read
+      :attr:`colors` as an array only when ``graph`` *is* the graph they
+      check.
+
+    Keyed reads (``[]``, ``get``, ``in``) find the position through the
+    graph's label index (or the network's, when ``graph`` is ``None``);
+    an unknown label raises :class:`KeyError`.  Iteration walks the
+    labels, and ``items()``/``values()`` stream Python ints out of the
+    array, so ``dict(view.items())`` is one pass (``dict(view)``
+    reads one key at a time) and a digest of the view equals the digest of
+    that dict.  ``Mapping`` supplies dict-equality in both directions.
+    The view owns its array: the program that filled it cannot change a
+    returned result.
     """
 
-    __slots__ = ("_labels", "_values", "_dict")
+    __slots__ = ("labels", "_values", "graph", "_index")
 
-    def __init__(self, labels, values):
-        self._labels = labels
+    def __init__(self, labels, values, graph=None, *, index=None):
+        self.labels = labels
         self._values = values
-        self._dict: dict[Vertex, Any] | None = None
+        self.graph = graph
+        self._index = index
 
-    def _materialize(self) -> dict[Vertex, Any]:
-        if self._dict is None:
-            self._dict = dict(zip(self._labels, self._values))
-            self._labels = self._values = None
-        return self._dict
+    @property
+    def colors(self):
+        """The values as an ``int64`` array by position, or ``None`` for a list."""
+        values = self._values
+        return values if isinstance(values, np.ndarray) else None
+
+    def _position(self, key) -> int:
+        if self.graph is None:
+            return self._index[key]
+        try:
+            return self.graph.index_of(key)
+        except GraphError:
+            raise KeyError(key) from None
 
     def __getitem__(self, key):
-        return self._materialize()[key]
-
-    def __iter__(self):
-        return iter(self._materialize())
-
-    def __len__(self) -> int:
-        d = self._dict
-        return len(d) if d is not None else len(self._labels)
+        values = self._values
+        i = self._position(key)
+        return int(values[i]) if isinstance(values, np.ndarray) else values[i]
 
     def __contains__(self, key) -> bool:
-        return key in self._materialize()
+        try:
+            self._position(key)
+        except KeyError:
+            return False
+        return True
 
-    def keys(self):
-        return self._materialize().keys()
+    def __iter__(self):
+        return iter(self.labels)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def _stream(self):
+        values = self._values
+        # tolist() hands out Python ints: a numpy scalar's repr would
+        # change every digest taken of the view
+        return iter(values.tolist() if isinstance(values, np.ndarray) else values)
 
     def items(self):
-        return self._materialize().items()
+        return _StreamedItems(self)
 
     def values(self):
-        return self._materialize().values()
-
-    def get(self, key, default=None):
-        return self._materialize().get(key, default)
-
-    def copy(self) -> dict[Vertex, Any]:
-        """A plain ``{label: value}`` dict, built in one pass (like ``dict.copy``)."""
-        if self._dict is not None:
-            return self._dict.copy()
-        return dict(zip(self._labels, self._values))
+        return _StreamedValues(self)
 
     def __repr__(self) -> str:
-        return repr(self._materialize())
+        return repr(dict(self.items()))
+
+
+class _StreamedItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        view = self._mapping
+        return zip(view.labels, view._stream())
+
+
+class _StreamedValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return self._mapping._stream()
 
 
 @dataclass
@@ -148,9 +198,11 @@ class SimulationResult:
         Number of synchronous rounds executed.
     outputs:
         Per-vertex outputs (keyed by the original vertex labels).  The
-        batched engine returns a :class:`LazyOutputs` mapping view —
-        equal to and interchangeable with the eager dict of the per-node
-        engine, but built only when someone looks at it.
+        per-node engine returns a dict; the batched engine returns a
+        :class:`LazyOutputs` view over the program's final register and the
+        label order — equal to and interchangeable with that dict, but
+        never built into one.  Its :attr:`LazyOutputs.colors` is the
+        ``int64`` color array of greedy, randomized Δ+1 and the wave.
     messages_sent:
         Total number of messages delivered over the run.
     finished:
@@ -395,7 +447,6 @@ class SynchronousSimulator:
         endpoints = fabric.endpoints_np
         sources = context.sources
         num_slots = fabric.num_slots
-        labels = network.labels
         mode = type(program).exchange_mode
         if hooks is not None and mode == "active":
             raise SimulationError(
@@ -430,7 +481,7 @@ class SynchronousSimulator:
                     )
                 return SimulationResult(
                     rounds=rounds,
-                    outputs=LazyOutputs(labels, program.results_batch()),
+                    outputs=_outputs(network, program.results_batch()),
                     messages_sent=total_messages,
                     finished=False,
                     per_round_messages=per_round,
@@ -497,11 +548,21 @@ class SynchronousSimulator:
 
         return SimulationResult(
             rounds=rounds,
-            outputs=LazyOutputs(labels, program.results_batch()),
+            outputs=_outputs(network, program.results_batch()),
             messages_sent=total_messages,
             finished=True,
             per_round_messages=per_round,
         )
+
+
+def _outputs(network: Network, values) -> LazyOutputs:
+    """The batched result view over ``network``'s labels."""
+    graph = network.graph
+    if network._default_order and isinstance(graph, FrozenGraph):
+        # node i is CSR vertex i: positions are the graph's own index
+        return LazyOutputs(network.labels, values, graph)
+    # any other order: the label index the general fabric path built
+    return LazyOutputs(network.labels, values, index=network._index)
 
 
 def _batch_context(network: Network, inputs_list: list[Any]) -> BatchContext:

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.coloring import (
     degeneracy_greedy_coloring,
+    number_of_colors,
     random_lists,
     uniform_lists,
     verify_coloring,
@@ -616,7 +617,7 @@ def simulator_throughput(
     from repro.distributed.wave import BatchWaveTwoColoring, WaveTwoColoring
     from repro.local.network import Network
     from repro.local.reference import ReferenceSimulator
-    from repro.local.simulator import SynchronousSimulator
+    from repro.local.simulator import LazyOutputs, SynchronousSimulator
 
     prof = StageProfile(profile)
     with prof("generate"):
@@ -716,7 +717,10 @@ def simulator_throughput(
         PaletteBudgetOracle().check(
             coloring=outputs, budget=palette
         ).raise_if_failed()
-        assert all(offset <= outputs[v] < palette + offset for v in frozen)
+        colors = outputs.colors if isinstance(outputs, LazyOutputs) else None
+        if colors is None:
+            colors = np.fromiter(outputs.values(), dtype=np.int64, count=len(outputs))
+        assert not n or (offset <= colors.min() and colors.max() < palette + offset)
     return {
         "n": n,
         "rounds": result.rounds,
@@ -830,7 +834,8 @@ def scale_coloring(handle, profile: bool = False) -> dict[str, Any]:
     Attaches zero-copy like :func:`scale_peel`, then runs the batched
     greedy local-maxima program through the synchronous simulator — the
     identity labels of the attached graph feed the flat fabric directly,
-    so the engine never materializes a vertex dict.
+    so the engine never materializes a vertex dict, and the oracles and
+    the color count read the result's color array.
     """
     from repro.analysis import shared
     from repro.distributed.greedy_baseline import BatchGreedyLocalMaximaAlgorithm
@@ -864,7 +869,7 @@ def scale_coloring(handle, profile: bool = False) -> dict[str, Any]:
         "n": len(graph),
         "m": graph.number_of_edges(),
         "delta": delta,
-        "colors": len(set(result.outputs.values())),
+        "colors": number_of_colors(result.outputs),
         "budget": delta + 1,
         "rounds": result.rounds,
         "messages": result.messages_sent,
@@ -1116,7 +1121,7 @@ def randomized_delta_plus_one(
         "n": vertices,
         "rounds": result.rounds,
         "messages": result.messages,
-        "colors": len(set(result.coloring.values())),
+        "colors": number_of_colors(result.coloring),
         "budget": result.palette_size,
         "frontier_rounds": len(result.frontier),
         "frontier_monotone": all(
@@ -1176,7 +1181,7 @@ def deterministic_delta_plus_one(
         "n": frozen.number_of_vertices(),
         "rounds": result.rounds,
         "messages": result.messages,
-        "colors": len(set(result.coloring.values())),
+        "colors": number_of_colors(result.coloring),
         "budget": result.palette_size,
         "coloring_sha": _coloring_digest(result.coloring),
         "solve_seconds": round(elapsed, 6),

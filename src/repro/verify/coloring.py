@@ -5,6 +5,11 @@ the fast in-pipeline checks) into the :class:`~repro.verify.oracle.Oracle`
 protocol: instead of raising on the first violation, they sweep the whole
 witness and report *every* monochromatic edge, missing vertex, out-of-list
 color or non-adjacent clique pair, capped for readability.
+
+A batched engine result aligned with the checked graph's CSR is accepted
+on its color array (completeness, properness and the palette budget are
+one array operation each, through the same predicates); the dict scans
+run only once a check has failed, so the diagnostics never change.
 """
 
 from __future__ import annotations
@@ -13,7 +18,12 @@ from collections.abc import Iterable, Mapping
 from typing import Any
 
 from repro.coloring.assignment import Color, ListAssignment
-from repro.coloring.verification import is_proper_coloring, number_of_colors
+from repro.coloring.verification import (
+    aligned_colors,
+    is_complete,
+    is_proper_coloring,
+    number_of_colors,
+)
 from repro.graphs.graph import Vertex
 from repro.verify.oracle import Verdict, collector
 
@@ -39,6 +49,16 @@ class ProperColoringOracle:
         require_complete: bool = True,
     ) -> Verdict:
         out = collector(self.name)
+        if (
+            aligned_colors(graph, coloring) is not None
+            and is_complete(graph, coloring)
+            and is_proper_coloring(graph, coloring)
+        ):
+            # fast accept on the batched engine's color array: one length
+            # test and one gather-compare; any failure takes the scans
+            # below, which name the offending vertices and edges
+            out.saw((len(graph) if require_complete else 0) + graph.number_of_edges())
+            return out.verdict()
         if require_complete:
             for v in graph:
                 out.saw()

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 np = pytest.importorskip("numpy")
 
 from repro.coloring.palette import FlatListAssignment, ListAssignmentError
+from repro.errors import NonTerminationError
 from repro.distributed import randomized
 from repro.distributed.randomized import (
     KEY_SALT,
@@ -177,6 +178,23 @@ def test_randomized_empty_graph():
     assert result.coloring == {}
     assert result.rounds == 0
     assert result.frontier == ()
+
+
+def test_randomized_driver_refuses_a_coloring_cut_by_its_round_cap():
+    """A run that hits max_rounds raises instead of returning zeros.
+
+    Two rounds leave vertex 23 of this forest union uncolored (frontier
+    ``(40, 10)``); its 0 used to come back as a color that both coloring
+    oracles accepted.
+    """
+    graph = sparse.union_of_random_forests(40, 2, seed=30).freeze()
+    for batched in (True, False):
+        with pytest.raises(NonTerminationError):
+            randomized_delta_plus_one_coloring(
+                graph, seed=30, batched=batched, max_rounds=2
+            )
+    result = randomized_delta_plus_one_coloring(graph, seed=30)
+    assert 0 not in result.coloring.values()
 
 
 def test_randomized_frontier_is_monotone_and_drains():

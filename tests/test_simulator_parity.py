@@ -6,7 +6,8 @@ return an *identical* :class:`~repro.local.simulator.SimulationResult`
 dict-routed engine (:mod:`repro.local.reference`) for every node algorithm
 in the library, across random sparse and planar graphs — and the batched
 ports of Cole–Vishkin and the greedy baseline must match their per-node
-twins exactly.
+twins exactly.  Greedy, randomized Δ+1 and the wave also match when a run
+is cut short by its round cap.
 """
 
 from collections import deque
@@ -30,6 +31,11 @@ from repro.distributed.linial import (
     ColorReductionAlgorithm,
     LinialColoringAlgorithm,
 )
+from repro.distributed.randomized import (
+    BatchRandomizedDeltaPlusOne,
+    RandomizedDeltaPlusOne,
+)
+from repro.distributed.wave import BatchWaveTwoColoring, WaveTwoColoring
 from repro.graphs.generators import classic, planar, sparse
 from repro.local import (
     BallCollectionAlgorithm,
@@ -174,6 +180,33 @@ def test_greedy_batched_matches_per_node(graph_name, graph):
     assert batched.palette_size == per_node.palette_size
     for u, v in graph.edges():
         assert batched.coloring[u] != batched.coloring[v]
+
+
+@pytest.mark.parametrize("max_rounds", [1, 2, 3])
+@pytest.mark.parametrize("graph_name,graph", GRAPHS, ids=[n for n, _ in GRAPHS])
+def test_unfinished_runs_match_per_node(graph_name, graph, max_rounds):
+    """A run cut by its round cap reports the same partial outputs on both loops.
+
+    Uncolored vertices read 0 for greedy and randomized Δ+1 and -1 for the
+    wave, per node and batched alike.
+    """
+    network = Network(graph.freeze())
+    n = len(network.labels)
+    delta = max(1, graph.max_degree())
+    root = network.labels[0]
+    cases = [
+        (GreedyLocalMaximaAlgorithm, BatchGreedyLocalMaximaAlgorithm, [delta] * n),
+        (RandomizedDeltaPlusOne, BatchRandomizedDeltaPlusOne, [(7, delta)] * n),
+        (WaveTwoColoring, BatchWaveTwoColoring, {root: 1}),
+    ]
+    for per_node, batched, inputs in cases:
+        reference = SynchronousSimulator(network).run(
+            per_node, inputs=inputs, max_rounds=max_rounds
+        )
+        run = SynchronousSimulator(network).run(
+            batched, inputs=inputs, max_rounds=max_rounds
+        )
+        assert_simulation_parity(reference, run, labels=("per-node", "batched"))
 
 
 def test_parity_with_shuffled_identifier_order():
