@@ -11,12 +11,12 @@ kept for mutable graphs and for producing the exact offending edge in the
 error message), and the list check reads the interned bitmasks of the
 flat palette backend instead of materializing ``frozenset`` values.
 
-A batched engine result aligned with the graph's CSR (see
-:func:`aligned_colors`) is read as its ``int64`` color array: completeness
-is one length test, properness the same gather-compare without the
-interning loop, and :func:`number_of_colors` one ``np.unique``.  The
-oracles of :mod:`repro.verify.coloring` call these predicates, so the
-gather-compare has this one copy.
+A batched engine result (a :class:`~repro.local.simulator.LazyOutputs`
+view) aligned with the graph's CSR is read as its ``int64`` color array:
+completeness is one length test, properness the same gather-compare
+without the interning loop, and :func:`number_of_colors` one
+``np.unique``.  The oracles of :mod:`repro.verify.coloring` call these
+predicates, so the gather-compare has this one copy.
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ from repro.coloring.palette import FlatListAssignment
 from repro.errors import ColoringError
 from repro.graphs.frozen import FrozenGraph
 from repro.graphs.graph import Graph, Vertex
-from repro.local.simulator import LazyOutputs
 
 __all__ = [
-    "aligned_colors",
     "is_proper_coloring",
     "respects_lists",
     "is_complete",
@@ -46,24 +44,24 @@ __all__ = [
 _VECTORIZE_MIN_VERTICES = 128
 
 
-def aligned_colors(graph, coloring) -> np.ndarray | None:
+def _aligned_colors(graph, coloring) -> np.ndarray | None:
     """The ``int64`` colors of a batched result aligned with ``graph``'s CSR.
 
-    A :class:`~repro.local.simulator.LazyOutputs` view holding an array,
-    built on this very ``graph`` object in its default node order, has one
-    color per CSR vertex at that vertex's index; the checks below then
-    read the array instead of the mapping.  ``None`` for anything else —
-    dicts, list-valued views, and views built on another graph object or
-    in another order (whose positions are not this CSR's).
+    A result view whose ``graph`` *is* this ``graph`` object was built in
+    its default node order, so its :attr:`colors` array holds one color per
+    CSR vertex at that vertex's index; the checks below then read the array
+    instead of the mapping.  ``None`` for anything else — dicts, list-valued
+    views (``colors`` is ``None``), and views built on another graph object
+    or in another order (whose positions are not this CSR's).
     """
-    if isinstance(coloring, LazyOutputs) and coloring.graph is graph:
+    if getattr(coloring, "graph", None) is graph:
         return coloring.colors
     return None
 
 
 def is_complete(graph: Graph, coloring: Mapping[Vertex, Color]) -> bool:
     """Whether every vertex of ``graph`` has a color."""
-    colors = aligned_colors(graph, coloring)
+    colors = _aligned_colors(graph, coloring)
     if colors is not None:
         return len(colors) == len(graph)
     return all(v in coloring for v in graph)
@@ -77,7 +75,7 @@ def _color_codes(graph, coloring) -> np.ndarray | None:
     that never matches); below ``_VECTORIZE_MIN_VERTICES`` that loop costs
     more than the per-edge scan it replaces.
     """
-    colors = aligned_colors(graph, coloring)
+    colors = _aligned_colors(graph, coloring)
     if colors is not None:
         return colors
     if not isinstance(graph, FrozenGraph) or len(graph) < _VECTORIZE_MIN_VERTICES:
@@ -145,8 +143,9 @@ def _flat_of(lists) -> FlatListAssignment | None:
 
 def number_of_colors(coloring: Mapping[Vertex, Color]) -> int:
     """The number of distinct colors used."""
-    if isinstance(coloring, LazyOutputs) and coloring.colors is not None:
-        return int(np.unique(coloring.colors).size)
+    colors = getattr(coloring, "colors", None)
+    if colors is not None:
+        return int(np.unique(colors).size)
     return len(set(coloring.values()))
 
 

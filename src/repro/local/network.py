@@ -235,8 +235,29 @@ class Network:
         return list(range(1, len(self._order) + 1))
 
     @cached_property
-    def _index(self) -> dict[Vertex, int]:
+    def _index(self) -> Mapping[Vertex, int]:
+        """Label -> node index; an unknown label raises :class:`KeyError`.
+
+        On a :attr:`csr_graph` this is the graph's own label index, so no
+        second n-entry dict is built.
+        """
+        graph = self.csr_graph
+        if graph is not None:
+            return graph._index
         return {v: i for i, v in enumerate(self._order)}
+
+    @property
+    def csr_graph(self) -> FrozenGraph | None:
+        """The frozen graph whose CSR index is the node index, else ``None``.
+
+        Set when the network numbers a :class:`FrozenGraph` in its default
+        order: node ``i`` is then CSR vertex ``i``, so the fabric is the
+        graph's own CSR and a batched result's positions are its indices.
+        """
+        graph = self.graph
+        if self._default_order and isinstance(graph, FrozenGraph):
+            return graph
+        return None
 
     # ------------------------------------------------------------------
     # Flat-array data plane
@@ -261,14 +282,14 @@ class Network:
         return np.asarray(self.identifiers_list, dtype=np.int64)
 
     def _build_fabric(self) -> RoutingFabric:
-        graph = self.graph
-        if self._default_order and isinstance(graph, FrozenGraph):
+        csr = self.csr_graph
+        if csr is not None:
             # zero-copy fast path: identifiers follow the CSR vertex indices
             # and each neighbour slice is already sorted by index
-            return _fabric_from_csr(*graph.csr_arrays())
+            return _fabric_from_csr(*csr.csr_arrays())
         # general path: relabel the frozen CSR to node indices and re-sort
         # it by (node, neighbour), i.e. each neighbourhood by identifier
-        frozen = freeze(graph)
+        frozen = freeze(self.graph)
         offsets, neighbors = frozen.csr_arrays()
         n = len(self._order)
         index = self._index

@@ -66,8 +66,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import GraphError, NonTerminationError, SimulationError
-from repro.graphs.frozen import FrozenGraph, GraphLike, freeze
+from repro.errors import NonTerminationError, SimulationError
+from repro.graphs.frozen import GraphLike, freeze
 from repro.graphs.graph import Vertex
 from repro.local import kernels
 from repro.local.network import Network
@@ -100,15 +100,15 @@ class LazyOutputs(Mapping):
       that keep their colors in one (greedy, randomized Δ+1, the wave),
       a list for every other program (:attr:`colors` is then ``None``);
     * ``graph`` — the :class:`~repro.graphs.frozen.FrozenGraph` whose CSR
-      index the positions follow, set only when the network numbers the
-      nodes of a frozen graph in its default order, else ``None``.  The
+      index the positions follow (the network's
+      :attr:`~repro.local.network.Network.csr_graph`), else ``None``.  The
       coloring checks of :mod:`repro.coloring.verification` read
       :attr:`colors` as an array only when ``graph`` *is* the graph they
-      check.
+      check;
+    * ``index`` — the label -> position mapping (the network's node index).
 
-    Keyed reads (``[]``, ``get``, ``in``) find the position through the
-    graph's label index (or the network's, when ``graph`` is ``None``);
-    an unknown label raises :class:`KeyError`.  Iteration walks the
+    Keyed reads (``[]``, ``get``, ``in``) find the position through
+    ``index``; an unknown label raises :class:`KeyError`.  Iteration walks the
     labels, and ``items()``/``values()`` stream Python ints out of the
     array, so ``dict(view.items())`` is one pass (``dict(view)``
     reads one key at a time) and a digest of the view equals the digest of
@@ -119,7 +119,7 @@ class LazyOutputs(Mapping):
 
     __slots__ = ("labels", "_values", "graph", "_index")
 
-    def __init__(self, labels, values, graph=None, *, index=None):
+    def __init__(self, labels, values, graph, index):
         self.labels = labels
         self._values = values
         self.graph = graph
@@ -131,25 +131,13 @@ class LazyOutputs(Mapping):
         values = self._values
         return values if isinstance(values, np.ndarray) else None
 
-    def _position(self, key) -> int:
-        if self.graph is None:
-            return self._index[key]
-        try:
-            return self.graph.index_of(key)
-        except GraphError:
-            raise KeyError(key) from None
-
     def __getitem__(self, key):
         values = self._values
-        i = self._position(key)
+        i = self._index[key]
         return int(values[i]) if isinstance(values, np.ndarray) else values[i]
 
     def __contains__(self, key) -> bool:
-        try:
-            self._position(key)
-        except KeyError:
-            return False
-        return True
+        return key in self._index
 
     def __iter__(self):
         return iter(self.labels)
@@ -557,12 +545,7 @@ class SynchronousSimulator:
 
 def _outputs(network: Network, values) -> LazyOutputs:
     """The batched result view over ``network``'s labels."""
-    graph = network.graph
-    if network._default_order and isinstance(graph, FrozenGraph):
-        # node i is CSR vertex i: positions are the graph's own index
-        return LazyOutputs(network.labels, values, graph)
-    # any other order: the label index the general fabric path built
-    return LazyOutputs(network.labels, values, index=network._index)
+    return LazyOutputs(network.labels, values, network.csr_graph, network._index)
 
 
 def _batch_context(network: Network, inputs_list: list[Any]) -> BatchContext:

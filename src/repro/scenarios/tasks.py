@@ -617,7 +617,7 @@ def simulator_throughput(
     from repro.distributed.wave import BatchWaveTwoColoring, WaveTwoColoring
     from repro.local.network import Network
     from repro.local.reference import ReferenceSimulator
-    from repro.local.simulator import LazyOutputs, SynchronousSimulator
+    from repro.local.simulator import SynchronousSimulator
 
     prof = StageProfile(profile)
     with prof("generate"):
@@ -717,9 +717,7 @@ def simulator_throughput(
         PaletteBudgetOracle().check(
             coloring=outputs, budget=palette
         ).raise_if_failed()
-        colors = outputs.colors if isinstance(outputs, LazyOutputs) else None
-        if colors is None:
-            colors = np.fromiter(outputs.values(), dtype=np.int64, count=len(outputs))
+        colors = np.fromiter(outputs.values(), dtype=np.int64, count=len(outputs))
         assert not n or (offset <= colors.min() and colors.max() < palette + offset)
     return {
         "n": n,

@@ -8,8 +8,9 @@ color or non-adjacent clique pair, capped for readability.
 
 A batched engine result aligned with the checked graph's CSR is accepted
 on its color array (completeness, properness and the palette budget are
-one array operation each, through the same predicates); the dict scans
-run only once a check has failed, so the diagnostics never change.
+one array operation each, inside the predicates); the per-vertex and
+per-edge scans run only once a check has failed, so the diagnostics never
+change.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Any
 
 from repro.coloring.assignment import Color, ListAssignment
 from repro.coloring.verification import (
-    aligned_colors,
     is_complete,
     is_proper_coloring,
     number_of_colors,
@@ -49,21 +49,15 @@ class ProperColoringOracle:
         require_complete: bool = True,
     ) -> Verdict:
         out = collector(self.name)
-        if (
-            aligned_colors(graph, coloring) is not None
-            and is_complete(graph, coloring)
-            and is_proper_coloring(graph, coloring)
-        ):
-            # fast accept on the batched engine's color array: one length
-            # test and one gather-compare; any failure takes the scans
-            # below, which name the offending vertices and edges
-            out.saw((len(graph) if require_complete else 0) + graph.number_of_edges())
-            return out.verdict()
         if require_complete:
-            for v in graph:
-                out.saw()
-                if v not in coloring:
-                    out.fail(f"vertex {v!r} is uncolored")
+            # the per-vertex scan only runs to *name* the uncolored vertices
+            if is_complete(graph, coloring):
+                out.saw(graph.number_of_vertices())
+            else:
+                for v in graph:
+                    out.saw()
+                    if v not in coloring:
+                        out.fail(f"vertex {v!r} is uncolored")
         # fast accept: one vectorized pass when the coloring is proper; the
         # edge scan below only runs to *name* the offending edges
         if not out.failures and is_proper_coloring(graph, coloring):
