@@ -10,9 +10,11 @@ Five subcommands drive the scenario registry
 * ``campaign [name]`` — run a named scenario set and merge the artifacts
   into one ``BENCH_campaign_<name>.json``;
 * ``verify [artifacts...]`` — replay the conformance oracle suite (schema,
-  paper budgets, cross-variant parity, round envelopes) against existing
-  BENCH artifacts, or — with ``--smoke`` — against a freshly run smoke
-  campaign.  This is the CI gate documented in ``docs/verification.md``;
+  paper budgets, cross-variant parity, round envelopes, recovery and each
+  scenario's own check) against existing BENCH artifacts, or — with
+  ``--smoke`` — against a freshly run smoke campaign.  ``run`` and
+  ``campaign`` judge their rows with the same suite.  This is the CI gate
+  documented in ``docs/verification.md``;
 * ``corpus`` — inspect the on-disk instance cache (``REPRO_CORPUS_DIR``)
   and prune it back under its size cap with ``--prune``;
 * ``serve`` — run the always-on coloring service (JSONL over TCP,
@@ -22,10 +24,10 @@ Five subcommands drive the scenario registry
 Examples::
 
     python -m repro list
-    python -m repro run theorem13-colors --smoke --verify
+    python -m repro run theorem13-colors --smoke
     python -m repro run theorem13-rounds --n 60,120,240 --seed 7 --profile
     python -m repro run scale --set sizes=1000000,
-    python -m repro run serve --smoke --verify
+    python -m repro run serve --smoke
     python -m repro campaign --smoke --out artifacts/
     python -m repro verify BENCH_coloring.json
     python -m repro verify --smoke --out ci-artifacts/
@@ -136,9 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "must have the default's type, so one value of a tuple "
                             "parameter is written sizes=1000,")
     p_run.add_argument("--no-check", action="store_true",
-                       help="report paper-reference check failures without failing")
-    p_run.add_argument("--verify", action="store_true",
-                       help="replay the conformance oracle suite on the artifact")
+                       help="report check failures without failing")
     p_run.add_argument("--quiet", action="store_true", help="suppress the result table")
 
     p_camp = sub.add_parser("campaign", help="run a named scenario set, merge artifacts")
@@ -154,8 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--only", default=None, metavar="NAME[,NAME...]",
                         help="restrict the campaign to a subset of its scenarios")
     p_camp.add_argument("--no-check", action="store_true")
-    p_camp.add_argument("--verify", action="store_true",
-                        help="replay the conformance oracle suite on every artifact")
 
     p_verify = sub.add_parser(
         "verify",
@@ -260,7 +258,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         out=args.out,
         strict=False,
         repeat=args.repeat,
-        verify=args.verify,
     )
     if not args.quiet:
         run.runner.print_table()
@@ -301,7 +298,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         out=args.out,
         strict=False,
         progress=lambda name: print(f"[campaign {args.name}] running {name} ..."),
-        verify=args.verify,
     )
     print(f"\n{'scenario':<24} {'rows':>5} {'seconds':>8}  checks")
     for run in campaign.runs:
@@ -344,9 +340,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 f"known campaigns: {', '.join(CAMPAIGNS)}"
             ) from None
         out_dir = Path(args.out)
-        # verify=False here: the post-hoc replay below re-checks every
-        # exported artifact anyway (the stronger, file-level check), so
-        # running the suite inside the campaign too would be double work
+        # each run already judged its rows; the replay below re-checks the
+        # files as written, like any other artifact path
         campaign = run_campaign(
             members,
             campaign=args.campaign_name,

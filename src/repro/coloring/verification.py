@@ -168,21 +168,8 @@ def verify_list_coloring(
 ) -> None:
     """Raise unless the coloring is complete, proper, and within the lists."""
     verify_coloring(graph, coloring)
-    flat = _flat_of(lists)
-    if flat is not None:
-        get_index = flat.universe.get_index
-        mask_of = flat.mask_of
-        for v, color in coloring.items():
-            if v not in flat:
-                continue
-            i = get_index(color)
-            if i >= 0 and mask_of(v) >> i & 1:
-                continue
-            raise ColoringError(
-                f"vertex {v!r} uses color {color!r} outside its list "
-                f"{sorted(map(repr, lists[v]))}"
-            )
-        return
+    if respects_lists(coloring, lists):
+        return  # the scan below only runs to name the offending vertex
     for v, color in coloring.items():
         if v in lists and color not in lists[v]:
             raise ColoringError(

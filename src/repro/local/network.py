@@ -39,7 +39,7 @@ fabric.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from functools import cached_property
 from typing import Any
 
@@ -195,11 +195,14 @@ class Network:
             if set(order) != set(graph.vertices()):
                 raise ValueError("identifier_order must be a permutation of the vertices")
             self.identifier_of = {v: i + 1 for i, v in enumerate(order)}
-        else:
+        elif isinstance(graph, FrozenGraph) and isinstance(graph._labels, range):
             # identifiers 1..n in vertex order: the maps below are built
-            # only if a caller reads them
+            # only if a caller reads them, and identity labels stay the
+            # graph's own range instead of a list(range(n)) copy
+            order = graph._labels
+        else:
             order = graph.vertices()
-        self._order: list[Vertex] = order
+        self._order: Sequence[Vertex] = order
         if declared_n is None:
             self.declared_n = len(order)
         else:
@@ -263,8 +266,11 @@ class Network:
     # Flat-array data plane
     # ------------------------------------------------------------------
     @property
-    def labels(self) -> list[Vertex]:
-        """Vertex labels by node index (``labels[i]`` has identifier ``i+1``)."""
+    def labels(self) -> Sequence[Vertex]:
+        """Vertex labels by node index (``labels[i]`` has identifier ``i+1``).
+
+        The graph's own ``range`` when identity labels keep their order.
+        """
         return self._order
 
     @property

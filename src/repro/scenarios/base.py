@@ -96,7 +96,10 @@ class Scenario:
     qualified name) — the workers live in :mod:`repro.scenarios.tasks`.
     ``reference`` records the paper values the measured quantities are read
     against (documented per scenario in ``docs/experiments.md``); ``check``
-    turns the load-bearing ones into assertions on the finished runner.
+    turns the scenario-specific ones into assertions.  Budgets, ``valid``
+    flags, cross-variant parity, round envelopes and recovery are the
+    generic oracles of :mod:`repro.verify.artifact`, which also runs
+    ``check`` on a runner rebuilt from the artifact.
     """
 
     name: str
@@ -114,7 +117,8 @@ class Scenario:
     serial_only: bool = False
     #: Post-run hook computing derived rows/metadata (fits, speedups).
     finalize: Callable[[ExperimentRunner, Mapping[str, Any]], None] | None = None
-    #: Post-run hook returning a list of failure strings (empty = pass).
+    #: Scenario-specific claims: failure strings (empty = pass) for a runner
+    #: rebuilt from the artifact and its JSON ``params``.
     check: Callable[[ExperimentRunner, Mapping[str, Any]], list[str]] | None = None
 
     def params_for(
@@ -125,6 +129,9 @@ class Scenario:
         Each override must have its default's type: a tuple default takes a
         tuple or list, an int default an int, a float default an int or a
         float (bools are refused for both), anything else its own type.
+        Its range is checked too, before any work starts: no int in it may
+        be negative unless the default holds a negative int, and every int
+        in :attr:`size_param` must be at least 1.
         """
         params = dict(self.defaults)
         if smoke:
@@ -136,6 +143,7 @@ class Scenario:
                     f"known parameters: {sorted(params)}"
                 )
             self._check_override(key, value, params[key])
+            self._check_range(key, value, params[key])
             params[key] = value
         return params
 
@@ -159,6 +167,16 @@ class Scenario:
             f"got {type(value).__name__} {value!r}{hint}"
         )
 
+    def _check_range(self, key: str, value: Any, default: Any) -> None:
+        floor = 1 if key == self.size_param else 0
+        if not floor and any(i < 0 for i in _ints(default)):
+            return  # a default that is itself negative somewhere sets no floor
+        if any(i < floor for i in _ints(value)):
+            raise ScenarioError(
+                f"scenario {self.name!r} parameter {key!r} must be "
+                f"{'positive' if floor else 'non-negative'}, got {value!r}"
+            )
+
     def artifact_path(self, out: str | Path | None = None) -> Path:
         """Where :func:`run_scenario` writes the artifact (``BENCH_<name>.json``).
 
@@ -171,6 +189,15 @@ class Scenario:
         if path.suffix == ".json" and not path.is_dir():
             return path
         return path / f"BENCH_{self.name}.json"
+
+
+def _ints(value: Any):
+    """Every int inside ``value``, through nested tuples and lists (bools excluded)."""
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _ints(item)
+    elif isinstance(value, int) and not isinstance(value, bool):
+        yield value
 
 
 @dataclass
@@ -259,7 +286,6 @@ def run_scenario(
     out: str | Path | None = None,
     strict: bool = True,
     repeat: int = 1,
-    verify: bool = False,
 ) -> ScenarioRun:
     """Execute one scenario through :meth:`ExperimentRunner.run_batch`.
 
@@ -268,15 +294,14 @@ def run_scenario(
     pick one worker per core.  ``seed`` is the batch's ``base_seed``: every
     task receives a deterministic seed derived from it and the task index,
     so a scenario's artifact is reproducible bit-for-bit at any worker
-    count.  With ``strict`` (the default) failing paper-reference checks
-    raise :class:`ScenarioCheckError`; the failures are always recorded on
-    the returned :class:`ScenarioRun` and in the artifact metadata.
-
-    ``verify=True`` additionally replays the conformance oracle suite of
-    :mod:`repro.verify.artifact` on the finished rows (schema, paper
-    budgets, cross-variant parity, round-complexity envelopes — see
-    ``docs/verification.md``); oracle failures are recorded under
-    ``metadata.verify`` in the artifact and count as check failures.
+    count.  The failures are those of the artifact oracle suite
+    (:func:`repro.verify.artifact.artifact_failures`: schema, paper
+    budgets, cross-variant parity, round envelopes, recovery and the
+    scenario's own ``check`` — see ``docs/verification.md``) on the
+    finished runner's JSON form, the same call ``repro verify`` makes on
+    the exported file.  With ``strict`` (the default) a failure raises
+    :class:`ScenarioCheckError`; the failures are always recorded on the
+    returned :class:`ScenarioRun` and under ``metadata.check_failures``.
 
     ``repeat=K`` runs the whole batch K times (same derived seeds) and
     reports the median wall time per row — both ``seconds`` and any
@@ -300,7 +325,6 @@ def run_scenario(
             out=out,
             strict=strict,
             repeat=repeat,
-            verify=verify,
         )
     finally:
         # graphs published for zero-copy fan-out (the scale scenario) must
@@ -322,7 +346,6 @@ def _run_resolved(
     out: str | Path | None,
     strict: bool,
     repeat: int,
-    verify: bool,
 ) -> ScenarioRun:
     tasks = scenario.build_tasks(params, profile)
     if not tasks:
@@ -370,18 +393,9 @@ def _run_resolved(
 
     if scenario.finalize is not None:
         scenario.finalize(runner, params)
-    failures = list(scenario.check(runner, params)) if scenario.check is not None else []
-    if verify:
-        from repro.verify.artifact import artifact_failures
+    from repro.verify.artifact import artifact_failures
 
-        oracle_failures = artifact_failures(
-            runner.to_json_dict(), expected_name=scenario.name
-        )
-        runner.metadata["verify"] = {
-            "enabled": True,
-            "failures": oracle_failures,
-        }
-        failures += [f"verify: {failure}" for failure in oracle_failures]
+    failures = artifact_failures(runner.to_json_dict(), expected_name=scenario.name)
     runner.metadata["check_failures"] = failures
 
     path: Path | None = None
@@ -418,7 +432,6 @@ def run_campaign(
     out: str | Path | None = None,
     strict: bool = True,
     progress: Callable[[str], None] | None = None,
-    verify: bool = False,
 ) -> CampaignRun:
     """Run a named set of scenarios and merge their artifacts.
 
@@ -444,7 +457,6 @@ def run_campaign(
                 profile=profile,
                 out=out_dir,
                 strict=strict,
-                verify=verify,
             )
         )
 

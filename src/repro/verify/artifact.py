@@ -1,9 +1,9 @@
-"""The BENCH-artifact oracle suite: replay conformance checks on artifacts.
+"""The BENCH-artifact oracle suite: the one check a scenario's rows pass.
 
-A finished scenario run leaves a ``BENCH_<scenario>.json`` artifact; this
-module re-checks such artifacts *after the fact* — the machinery behind
-``python -m repro verify`` and the ``verify=`` axis of
-:func:`repro.scenarios.base.run_scenario`:
+:func:`repro.scenarios.base.run_scenario` calls :func:`artifact_failures`
+on the finished runner's JSON form and ``python -m repro verify`` on the
+exported ``BENCH_<scenario>.json``, so a run and a later replay read the
+same data through the same code:
 
 * **schema** — the artifact conforms to schema version 1 (delegates to
   :mod:`repro.scenarios.schema`);
@@ -11,27 +11,33 @@ module re-checks such artifacts *after the fact* — the machinery behind
   within its paper budget, and ``valid`` flags are true;
 * **variant-parity** — rows of the same instance whose algorithm labels
   differ only by a ``[variant]`` suffix (backend/engine axes) agree on
-  every deterministic metric (``coloring_sha``, ``rounds``, ``messages``,
-  ``colors``, ``palette``, ``layers``) — the artifact-level form of the
-  parity promises;
+  every deterministic metric of :data:`_PARITY_METRICS` — the
+  artifact-level form of the parity promises;
 * **round-envelope** — measured round totals of the known pipelines stay
   inside the statement envelopes of :mod:`repro.verify.rounds`;
 * **recovery** — rows of the dynamic (E18) scenario recovered: every row
   carrying ``rounds_to_recovery`` reached a legal quiescent state within
   its declared round cap, with zero containment violations and a
-  containment radius inside its declared bound.
+  containment radius inside its declared bound;
+* **scenario-check** — the registered scenario's own ``check`` (its
+  scenario-specific claims), run on an
+  :class:`~repro.analysis.runner.ExperimentRunner` rebuilt from the rows
+  and ``metadata.params``; a stored ``metadata.check_failures`` is never
+  trusted.
 
-The suite is generic over scenarios: oracles inspect whatever rows carry
-the metrics they understand and skip the rest, so every registered
-scenario can run with ``verify=`` enabled.
+The generic oracles inspect whatever rows carry the metrics they
+understand and skip the rest.  An oracle that raises on a malformed
+artifact fails with a diagnostic naming the exception instead.
 """
 
 from __future__ import annotations
 
 import re
+import traceback
+from pathlib import Path
 from typing import Any
 
-from repro.verify.oracle import Verdict, collector
+from repro.verify.oracle import Verdict, collector, failed
 from repro.verify.rounds import RoundEnvelopeOracle
 
 __all__ = ["verify_artifact_dict", "artifact_failures", "ARTIFACT_ORACLE_NAMES"]
@@ -42,10 +48,16 @@ ARTIFACT_ORACLE_NAMES = (
     "variant-parity",
     "round-envelope",
     "recovery",
+    "scenario-check",
 )
 
-#: deterministic metrics that must agree across backend/engine variants
-_PARITY_METRICS = ("coloring_sha", "rounds", "messages", "colors", "palette", "layers")
+#: deterministic metrics that must agree across backend/engine variants:
+#: colorings, ledgers and counts, the event-log and resample-log digests,
+#: and the recovery figures of the dynamic track
+_PARITY_METRICS = (
+    "coloring_sha", "rounds", "messages", "colors", "palette", "layers",
+    "log_sha", "rounds_to_recovery", "containment_radius",
+)
 
 _VARIANT_RE = re.compile(r"^(?P<base>.*?) \[(?P<variant>[^\]]+)\]$")
 _PARAM_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)=(-?\d+)")
@@ -263,11 +275,45 @@ def _check_recovery(rows: list[dict]) -> Verdict:
     return out.verdict()
 
 
+def _check_scenario(scenario: str | None, metadata: Any, rows: list[dict]) -> Verdict:
+    """Run the registered scenario's own ``check`` on the artifact's rows."""
+    from repro.analysis.runner import ExperimentRow, ExperimentRunner
+    from repro.scenarios.registry import all_scenarios
+
+    out = collector("scenario-check")
+    registered = next((s for s in all_scenarios() if s.name == scenario), None)
+    if registered is None or registered.check is None:
+        return out.verdict()
+    params = metadata.get("params") if isinstance(metadata, dict) else None
+    if not isinstance(params, dict):
+        out.fail(f"metadata.params is missing, so the {scenario} check cannot run")
+        return out.verdict()
+    runner = ExperimentRunner(scenario, metadata=metadata)
+    runner.rows = [
+        ExperimentRow(r.get("instance"), r.get("algorithm"), r.get("metrics"), r.get("seconds"))
+        for r in rows
+    ]
+    out.saw(len(runner.rows))
+    for failure in registered.check(runner, params):
+        out.fail(failure)
+    return out.verdict()
+
+
+def _guarded(oracle: str, check, *args) -> Verdict:
+    """``check(*args)``; a malformed artifact that makes it raise fails it instead."""
+    try:
+        return check(*args)
+    except Exception as exc:  # noqa: BLE001 - outside input, reported
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        at = f"{Path(where.filename).name}:{where.lineno}"
+        return failed(oracle, f"raised {type(exc).__name__} at {at} on this artifact: {exc}")
+
+
 def verify_artifact_dict(
     artifact: Any, expected_name: str | None = None
 ) -> list[Verdict]:
     """Run the full artifact oracle suite; one verdict per oracle."""
-    verdicts = [_check_schema(artifact, expected_name)]
+    verdicts = [_guarded("schema", _check_schema, artifact, expected_name)]
     if not isinstance(artifact, dict):
         return verdicts
     rows = artifact.get("rows")
@@ -282,10 +328,13 @@ def verify_artifact_dict(
             scenario_params = metadata["params"]
     if scenario is None and isinstance(artifact.get("name"), str):
         scenario = artifact["name"]
-    verdicts.append(_check_budgets(rows))
-    verdicts.append(_check_variant_parity(rows))
-    verdicts.append(_check_round_envelopes(scenario, rows, scenario_params))
-    verdicts.append(_check_recovery(rows))
+    verdicts.append(_guarded("budget", _check_budgets, rows))
+    verdicts.append(_guarded("variant-parity", _check_variant_parity, rows))
+    verdicts.append(_guarded(
+        "round-envelope", _check_round_envelopes, scenario, rows, scenario_params
+    ))
+    verdicts.append(_guarded("recovery", _check_recovery, rows))
+    verdicts.append(_guarded("scenario-check", _check_scenario, scenario, metadata, rows))
     return verdicts
 
 

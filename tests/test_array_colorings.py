@@ -12,7 +12,11 @@ this module pins the array path to it:
   integer, string and tuple labels, for batched greedy, randomized Δ+1 and
   wave results and for corrupted copies of their colors;
 * a memory pin: checking and digesting a 10^5-vertex view leaves less
-  traced memory behind than one ``{label: color}`` dict of it.
+  traced memory behind than one ``{label: color}`` dict of it, and an
+  identity-labelled graph's network and views share its label ``range``.
+
+The list-coloring oracle accepts through ``respects_lists``; a test pins
+its ``checked`` count to the per-vertex scan's.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coloring.assignment import uniform_lists
+from repro.coloring.assignment import ListAssignment, uniform_lists
 from repro.coloring.verification import (
     is_complete,
     is_proper_coloring,
@@ -249,3 +253,47 @@ def test_checking_a_batched_coloring_builds_no_vertex_dict():
     finally:
         tracemalloc.stop()
     assert current < sys.getsizeof(dict(view.items()))
+
+
+def test_identity_labelled_network_lends_its_label_range():
+    """No ``list(range(n))`` copy: 38 MiB at n = 10^6, held by every view."""
+    graph = streaming.stream_torus(30, 40)
+    network = Network(graph)
+    assert isinstance(network.labels, range)
+    assert network.labels == range(len(graph))
+    delta = graph.max_degree()
+    view = SynchronousSimulator(network).run(
+        BatchGreedyLocalMaximaAlgorithm, inputs=[delta] * len(graph),
+        max_rounds=len(graph) + 2, strict=True,
+    ).outputs
+    assert view.labels is network.labels
+    assert list(view) == graph.vertices()
+    _assert_same_verdicts(graph, view, delta + 1)
+
+
+def test_list_oracle_accept_counts_every_listed_colored_vertex():
+    """The ``respects_lists`` accept gives the per-vertex scan's ``checked``."""
+    graph = sparse.union_of_random_forests(60, 2, seed=2).freeze()
+    coloring = dict(greedy_distributed_coloring(graph, batched=True).coloring.items())
+    vertices = graph.vertices()
+    palette = sorted(set(coloring.values()))
+    lists = ListAssignment({v: palette for v in vertices[1:]})  # vertices[0]: none
+    del coloring[vertices[2]]
+    proper = ProperColoringOracle().check(
+        graph=graph, coloring=coloring, require_complete=False
+    )
+    oracle = ListColoringOracle()
+    verdict = oracle.check(
+        graph=graph, coloring=coloring, lists=lists, require_complete=False
+    )
+    assert verdict.ok
+    assert verdict.checked == proper.checked + len(coloring) - 1
+    coloring[vertices[3]] = "not-a-color"
+    rejected = oracle.check(
+        graph=graph, coloring=coloring, lists=lists, require_complete=False
+    )
+    assert not rejected.ok and rejected.checked == verdict.checked
+    assert rejected.diagnostics == [
+        f"vertex {vertices[3]!r} uses color 'not-a-color' outside its list "
+        f"{sorted(map(repr, palette))}"
+    ]

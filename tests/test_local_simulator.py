@@ -88,7 +88,7 @@ def test_lazy_network_maps_match_eager_definitions(kind, path):
     graph = _graph_of_kind(kind)
     net, ids = _network_paths(graph)[path]
     order = sorted(ids, key=ids.__getitem__)
-    assert net.labels == order
+    assert list(net.labels) == order
     assert net.identifier_of == ids
     assert net.vertex_of == {i: v for v, i in ids.items()}
     assert net.identifiers_list == [ids[v] for v in order]

@@ -6,8 +6,10 @@ name unique and aligned with the artifact filename — the contract the
 ``python -m repro`` CLI and the CI smoke job rely on.
 """
 
+import copy
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.scenarios import (
 )
 
 NAMES = scenario_names()
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_registry_has_all_paper_experiments():
@@ -53,21 +56,27 @@ def test_campaigns_reference_registered_scenarios():
 
 @pytest.mark.parametrize("name", NAMES)
 def test_scenario_smoke_runs_inline_to_valid_artifact(name, tmp_path):
-    # verify=True replays the conformance oracle suite (schema, budgets,
-    # variant parity, round envelopes) on the finished rows: every
-    # registered scenario must pass it
-    run = run_scenario(name, smoke=True, workers=1, out=tmp_path, verify=True)
+    # every run is judged by the conformance oracle suite (schema, budgets,
+    # variant parity, round envelopes, recovery, the scenario's own check):
+    # every registered scenario must pass it
+    run = run_scenario(name, smoke=True, workers=1, out=tmp_path)
     assert run.ok and run.failures == []
     assert run.path == tmp_path / f"BENCH_{name}.json"
     artifact = json.loads(run.path.read_text())
     assert validate_artifact(artifact, expected_name=name) == []
     assert artifact["metadata"]["scenario"]["paper_ref"] == get_scenario(name).paper_ref
-    assert artifact["metadata"]["verify"] == {"enabled": True, "failures": []}
+    assert artifact["metadata"]["check_failures"] == []
     assert len(artifact["rows"]) == len(run.runner.rows)
     # the exported artifact replays clean through the post-hoc suite too
-    from repro.verify import artifact_failures
+    from repro.verify import artifact_failures, verify_artifact_dict
 
     assert artifact_failures(artifact, expected_name=name) == []
+    # and the scenario's own check really ran on the file's rows
+    if get_scenario(name).check is not None:
+        verdict = next(
+            v for v in verify_artifact_dict(artifact) if v.oracle == "scenario-check"
+        )
+        assert verdict.ok and verdict.checked > 0
 
 
 def test_smoke_run_is_deterministic(tmp_path):
@@ -167,6 +176,29 @@ def test_overrides_are_type_checked_against_defaults(capsys):
     )["batch_window_ms"] == 3
 
 
+def test_out_of_range_overrides_are_refused_before_any_work(capsys):
+    # used to end in a worker's ValueError traceback
+    assert cli_main([
+        "run", "dynamic", "--smoke", "--workers", "1", "--set", "events=-5",
+    ]) == 2
+    assert "'events'" in capsys.readouterr().err
+    # used to end in AttributeError: 'NoneType' has no 'number_of_layers'
+    assert cli_main([
+        "run", "theorem13-rounds", "--smoke", "--workers", "1", "--set", "sizes=0,",
+    ]) == 2
+    assert "'sizes'" in capsys.readouterr().err
+    assert cli_main(["run", "corollary23-planar", "--smoke", "--n", "0"]) == 2
+    assert "'n'" in capsys.readouterr().err
+    # negative ints nested in a grid, and zero in a non-size parameter
+    with pytest.raises(ScenarioError, match="'cases'"):
+        get_scenario("lemma32-extension").params_for(
+            overrides={"cases": (("planar", 80, 6, -3),)}
+        )
+    assert get_scenario("dynamic").params_for(
+        smoke=True, overrides={"events": 0}
+    )["events"] == 0
+
+
 def test_validate_artifact_flags_broken_shapes():
     assert validate_artifact([]) != []
     assert any("schema_version" in p for p in validate_artifact({}))
@@ -247,6 +279,104 @@ def test_cli_verify_passes_and_fails(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
     assert "budget" in captured.err
+
+
+def _verify_exit(artifact, tmp_path, capsys) -> tuple[int, str]:
+    path = tmp_path / "BENCH_doctored.json"
+    path.write_text(json.dumps(artifact))
+    capsys.readouterr()
+    code = cli_main(["verify", str(path), "--quiet"])
+    return code, capsys.readouterr().err
+
+
+def test_cli_verify_runs_the_scenario_check(tmp_path, capsys):
+    """Corollary 1.4's claim (a strictly smaller palette than
+    Barenboim-Elkin) lives only in the scenario's check; `repro verify`
+    must run it on the file."""
+    run = run_scenario(
+        "corollary14-arboricity", smoke=True, workers=1, out=tmp_path
+    )
+    artifact = json.loads(run.path.read_text())
+    assert _verify_exit(artifact, tmp_path, capsys)[0] == 0
+    baseline = {
+        (row["instance"], row["algorithm"].removeprefix("Barenboim-Elkin")):
+            row["metrics"]["palette"]
+        for row in artifact["rows"]
+        if row["algorithm"].startswith("Barenboim-Elkin")
+    }
+    ours = [r for r in artifact["rows"] if r["algorithm"].startswith("Cor 1.4")]
+    assert ours
+    for row in ours:
+        suffix = row["algorithm"].removeprefix("Cor 1.4 (2a colors)")
+        row["metrics"]["palette"] = baseline[row["instance"], suffix]
+    code, err = _verify_exit(artifact, tmp_path, capsys)
+    assert code == 1
+    assert "scenario-check" in err and "palette not strictly smaller" in err
+
+
+@pytest.mark.parametrize(
+    "metric", ["log_sha", "rounds_to_recovery", "containment_radius"]
+)
+def test_cli_verify_rejects_dynamic_backend_divergence(metric, tmp_path, capsys):
+    artifact = json.loads((REPO_ROOT / "BENCH_dynamic.json").read_text())
+    assert _verify_exit(artifact, tmp_path, capsys)[0] == 0
+    row = next(r for r in artifact["rows"] if r["algorithm"].endswith("[flat]"))
+    value = row["metrics"][metric]
+    row["metrics"][metric] = value + 1 if isinstance(value, int) else value[::-1]
+    code, err = _verify_exit(artifact, tmp_path, capsys)
+    assert code == 1
+    assert "variant-parity" in err and f"{metric} diverges" in err
+
+
+def test_cli_verify_rejects_resample_log_divergence(tmp_path, capsys):
+    artifact = json.loads((REPO_ROOT / "BENCH_randomized.json").read_text())
+    assert _verify_exit(artifact, tmp_path, capsys)[0] == 0
+    row = next(
+        r for r in artifact["rows"] if r["algorithm"] == "Moser-Tardos lists [dict]"
+    )
+    row["metrics"]["log_sha"] = "0" * len(row["metrics"]["log_sha"])
+    code, err = _verify_exit(artifact, tmp_path, capsys)
+    assert code == 1
+    assert "variant-parity" in err and "log_sha diverges" in err
+
+
+def test_scenario_check_reports_malformed_artifacts():
+    from repro.verify import artifact_failures
+
+    artifact = run_scenario(
+        "lemma31-happy-fraction", smoke=True, workers=1, export=False
+    ).runner.to_json_dict()
+    assert artifact_failures(artifact) == []
+    # a check that raises on the rows becomes a failure naming the exception
+    broken = copy.deepcopy(artifact)
+    del broken["rows"][0]["metrics"]["happy_fraction"]
+    failures = artifact_failures(broken)
+    assert any(
+        f.startswith("scenario-check:") and "KeyError" in f for f in failures
+    ), failures
+    # a registered scenario with a check is never skipped for want of params
+    unparameterized = copy.deepcopy(artifact)
+    del unparameterized["metadata"]["params"]
+    failures = artifact_failures(unparameterized)
+    assert any(
+        f.startswith("scenario-check:") and "metadata.params" in f for f in failures
+    ), failures
+
+
+def test_cli_verify_reports_mistyped_metrics_without_traceback(tmp_path, capsys):
+    artifact = json.loads((REPO_ROOT / "BENCH_dynamic.json").read_text())
+    artifact["rows"][0]["metrics"]["rounds_to_recovery"] = "soon"
+    code, err = _verify_exit(artifact, tmp_path, capsys)
+    assert code == 1
+    assert "recovery: raised TypeError" in err
+
+
+def test_cli_run_and_campaign_have_no_verify_flag(capsys):
+    for argv in (["run", "lowerbound-fisk", "--verify"], ["campaign", "--verify"]):
+        with pytest.raises(SystemExit) as info:
+            cli_main(argv)
+        assert info.value.code == 2
+        assert "--verify" in capsys.readouterr().err
 
 
 def test_cli_verify_unpacks_campaign_merge(tmp_path, capsys):
