@@ -286,7 +286,7 @@ def _check_scenario(scenario: str | None, metadata: Any, rows: list[dict]) -> Ve
         return out.verdict()
     params = metadata.get("params") if isinstance(metadata, dict) else None
     if not isinstance(params, dict):
-        out.fail(f"metadata.params is missing, so the {scenario} check cannot run")
+        out.fail(f"no metadata.params mapping to run the {scenario} check with")
         return out.verdict()
     runner = ExperimentRunner(scenario, metadata=metadata)
     runner.rows = [
