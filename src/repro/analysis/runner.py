@@ -161,13 +161,15 @@ class ExperimentRunner:
         algorithm: str,
         fn: Callable[[], Mapping[str, Any]],
     ) -> ExperimentRow:
-        """Execute ``fn`` (returning a metric mapping) and record a row."""
-        start = time.perf_counter()
-        metrics = dict(fn())
-        elapsed = time.perf_counter() - start
-        peak = _peak_rss_bytes()
-        if peak is not None:
-            metrics.setdefault("peak_rss_bytes", peak)
+        """Execute ``fn`` (returning a metric mapping) and record a row.
+
+        The row is measured by :func:`_execute_batch_task`, like every
+        batch row: its ``seconds`` and ``peak_rss_bytes``.
+        """
+        task = BatchTask(instance, algorithm, fn, seed_arg=None)
+        _, metrics, elapsed, error = _execute_batch_task((0, task))
+        if error is not None:
+            raise error
         row = ExperimentRow(
             instance=instance, algorithm=algorithm, metrics=metrics, seconds=elapsed
         )
@@ -352,8 +354,3 @@ def _jsonify(value: Any) -> Any:
             items = sorted(items, key=repr)
         return [_jsonify(v) for v in items]
     return repr(value)
-
-
-def sweep(values: Iterable[Any]) -> list[Any]:
-    """Convenience helper so benchmark files read declaratively."""
-    return list(values)

@@ -6,7 +6,8 @@ Five subcommands drive the scenario registry
 * ``list`` — show every registered scenario (name, paper statement,
   parameters) and the named campaigns;
 * ``run <scenario>`` — execute one scenario through the batched process-pool
-  engine and export its ``BENCH_<scenario>.json`` artifact;
+  engine and export its ``BENCH_<scenario>.json`` artifact, every task row
+  with its per-stage wall times (``stage_seconds``);
 * ``campaign [name]`` — run a named scenario set and merge the artifacts
   into one ``BENCH_campaign_<name>.json``;
 * ``verify [artifacts...]`` — replay the conformance oracle suite (schema,
@@ -25,7 +26,7 @@ Examples::
 
     python -m repro list
     python -m repro run theorem13-colors --smoke
-    python -m repro run theorem13-rounds --n 60,120,240 --seed 7 --profile
+    python -m repro run theorem13-rounds --n 60,120,240 --seed 7
     python -m repro run scale --set sizes=1000000,
     python -m repro run serve --smoke
     python -m repro campaign --smoke --out artifacts/
@@ -127,8 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="process-pool size (1 = inline, default: one per core)")
     p_run.add_argument("--out", default=None,
                        help="artifact path or directory (default BENCH_<scenario>.json)")
-    p_run.add_argument("--profile", action="store_true",
-                       help="record per-stage wall time (generate/freeze/solve/verify)")
     p_run.add_argument("--repeat", type=int, default=1, metavar="K",
                        help="run the batch K times, report median-of-K wall times "
                             "(stabilizes BENCH artifacts for tools/bench_diff.py)")
@@ -150,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--workers", type=int, default=None)
     p_camp.add_argument("--out", default=".",
                         help="output directory for all artifacts (default: .)")
-    p_camp.add_argument("--profile", action="store_true")
     p_camp.add_argument("--only", default=None, metavar="NAME[,NAME...]",
                         help="restrict the campaign to a subset of its scenarios")
     p_camp.add_argument("--no-check", action="store_true")
@@ -233,7 +231,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
     print("\ncampaigns:")
     for name, members in CAMPAIGNS.items():
         print(f"  {name}: {', '.join(members)}")
-    print("\nrun one with:  python -m repro run <scenario> [--smoke] [--profile]")
+    print("\nrun one with:  python -m repro run <scenario> [--smoke] [--n N[,N...]]")
     return 0
 
 
@@ -254,7 +252,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides=overrides or None,
         seed=args.seed,
         workers=args.workers,
-        profile=args.profile,
         out=args.out,
         strict=False,
         repeat=args.repeat,
@@ -294,7 +291,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         smoke=args.smoke,
         seed=args.seed,
         workers=args.workers,
-        profile=args.profile,
         out=args.out,
         strict=False,
         progress=lambda name: print(f"[campaign {args.name}] running {name} ..."),

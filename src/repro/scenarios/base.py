@@ -37,7 +37,7 @@ __all__ = [
     "run_campaign",
 ]
 
-#: The canonical pipeline stages reported by ``--profile``.
+#: The pipeline stages of every scenario task row's ``stage_seconds``.
 PROFILE_STAGES = ("generate", "freeze", "solve", "verify")
 
 
@@ -57,24 +57,25 @@ class ScenarioCheckError(ScenarioError):
 
 
 class StageProfile:
-    """Per-stage wall-time accounting for ``--profile`` runs.
+    """Per-stage wall time of one scenario task: the row's one stage clock.
 
     Tasks wrap their pipeline stages in ``with prof("generate"): ...`` etc.
-    and merge ``prof.metrics()`` into their metric mapping.  All four
-    canonical stages are always present in the output (0.0 when a task has
-    no such stage), so artifacts stay directly comparable across scenarios.
-    When profiling is disabled, :meth:`metrics` is empty and the timing
-    overhead is two clock reads per stage.
+    and merge ``prof.metrics()`` into their metric mapping, so every task
+    row carries ``stage_seconds``.  All four canonical stages are always
+    present (0.0 when a task has no such stage), so artifacts stay directly
+    comparable across scenarios.  A task's named timing metric that spans
+    one whole stage (``solve_seconds``, ``engine_seconds``, ...) is a read
+    of ``seconds[stage]``, not a second clock.  The cost is two clock reads
+    per stage.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.seconds: dict[str, float] = dict.fromkeys(PROFILE_STAGES, 0.0)
 
     @contextmanager
     def __call__(self, stage: str):
         if stage not in self.seconds:
-            raise ValueError(f"unknown profile stage {stage!r}; use one of {PROFILE_STAGES}")
+            raise ValueError(f"unknown stage {stage!r}; use one of {PROFILE_STAGES}")
         start = time.perf_counter()
         try:
             yield
@@ -82,8 +83,6 @@ class StageProfile:
             self.seconds[stage] += time.perf_counter() - start
 
     def metrics(self) -> dict[str, Any]:
-        if not self.enabled:
-            return {}
         return {"stage_seconds": {k: round(v, 6) for k, v in self.seconds.items()}}
 
 
@@ -91,9 +90,9 @@ class StageProfile:
 class Scenario:
     """One paper experiment, declared: grid, tasks, references, checks.
 
-    ``build_tasks(params, profile)`` must return :class:`BatchTask`\\ s whose
-    ``fn`` is a module-level callable (process-pool workers pickle it by
-    qualified name) — the workers live in :mod:`repro.scenarios.tasks`.
+    ``build_tasks(params)`` must return :class:`BatchTask`\\ s whose ``fn``
+    is a module-level callable (process-pool workers pickle it by qualified
+    name) — the workers live in :mod:`repro.scenarios.tasks`.
     ``reference`` records the paper values the measured quantities are read
     against (documented per scenario in ``docs/experiments.md``); ``check``
     turns the scenario-specific ones into assertions.  Budgets, ``valid``
@@ -106,7 +105,7 @@ class Scenario:
     title: str
     paper_ref: str
     description: str
-    build_tasks: Callable[[Mapping[str, Any], bool], list[BatchTask]]
+    build_tasks: Callable[[Mapping[str, Any]], list[BatchTask]]
     defaults: Mapping[str, Any] = field(default_factory=dict)
     smoke_overrides: Mapping[str, Any] = field(default_factory=dict)
     reference: Mapping[str, Any] = field(default_factory=dict)
@@ -281,7 +280,6 @@ def run_scenario(
     overrides: Mapping[str, Any] | None = None,
     seed: int = 0,
     workers: int | None = None,
-    profile: bool = False,
     export: bool = True,
     out: str | Path | None = None,
     strict: bool = True,
@@ -302,6 +300,7 @@ def run_scenario(
     the exported file.  With ``strict`` (the default) a failure raises
     :class:`ScenarioCheckError`; the failures are always recorded on the
     returned :class:`ScenarioRun` and under ``metadata.check_failures``.
+    Every task row carries its ``stage_seconds`` (:class:`StageProfile`).
 
     ``repeat=K`` runs the whole batch K times (same derived seeds) and
     reports the median wall time per row — both ``seconds`` and any
@@ -320,7 +319,6 @@ def run_scenario(
             smoke=smoke,
             seed=seed,
             workers=workers,
-            profile=profile,
             export=export,
             out=out,
             strict=strict,
@@ -341,13 +339,12 @@ def _run_resolved(
     smoke: bool,
     seed: int,
     workers: int | None,
-    profile: bool,
     export: bool,
     out: str | Path | None,
     strict: bool,
     repeat: int,
 ) -> ScenarioRun:
-    tasks = scenario.build_tasks(params, profile)
+    tasks = scenario.build_tasks(params)
     if not tasks:
         raise ScenarioError(f"scenario {scenario.name!r} built an empty task list")
 
@@ -359,7 +356,6 @@ def _run_resolved(
                 "title": scenario.title,
                 "paper_ref": scenario.paper_ref,
                 "smoke": smoke,
-                "profile": profile,
                 "seed": seed,
                 "workers": workers,
                 "serial": scenario.serial_only or workers == 1,
@@ -377,7 +373,7 @@ def _run_resolved(
         again = ExperimentRunner(scenario.name)
         repeat_rows.append(
             again.run_batch(
-                scenario.build_tasks(params, profile),
+                scenario.build_tasks(params),
                 max_workers=workers, base_seed=seed, parallel=parallel,
             )
         )
@@ -403,7 +399,7 @@ def _run_resolved(
         from repro.scenarios.schema import assert_valid_artifact
 
         artifact = runner.to_json_dict()
-        assert_valid_artifact(artifact, expected_name=scenario.name, profile=profile)
+        assert_valid_artifact(artifact, expected_name=scenario.name)
         path = scenario.artifact_path(out)
         path.parent.mkdir(parents=True, exist_ok=True)
         runner.export_json(path)
@@ -428,7 +424,6 @@ def run_campaign(
     smoke: bool = False,
     seed: int = 0,
     workers: int | None = None,
-    profile: bool = False,
     out: str | Path | None = None,
     strict: bool = True,
     progress: Callable[[str], None] | None = None,
@@ -454,7 +449,6 @@ def run_campaign(
                 smoke=smoke,
                 seed=seed,
                 workers=workers,
-                profile=profile,
                 out=out_dir,
                 strict=strict,
             )

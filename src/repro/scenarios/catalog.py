@@ -38,7 +38,7 @@ def _backend_label(algorithm: str, backend: str) -> str:
     return algorithm if backend == "dict" else f"{algorithm} [{backend}]"
 
 
-def _build_theorem13_colors(params: Params, profile: bool) -> list[BatchTask]:
+def _build_theorem13_colors(params: Params) -> list[BatchTask]:
     built = []
     for d in params["ds"]:
         for n in params["sizes"]:
@@ -56,7 +56,6 @@ def _build_theorem13_colors(params: Params, profile: bool) -> list[BatchTask]:
                         instance, _backend_label(algorithm, backend),
                         tasks.theorem13_colors,
                         args=(n, d, variant, backend),
-                        kwargs={"profile": profile},
                         seed_group=instance,
                     ))
     return built
@@ -86,14 +85,14 @@ register(Scenario(
 # E2 — theorem13-rounds
 # ---------------------------------------------------------------------------
 
-def _build_theorem13_rounds(params: Params, profile: bool) -> list[BatchTask]:
+def _build_theorem13_rounds(params: Params) -> list[BatchTask]:
     # seed_group (see _build_theorem13_colors): both backend rows of an
     # instance must measure the same graph for the parity oracle
     return [
         BatchTask(
             f"n={n}", _backend_label("thm1.3 (paper radius)", backend),
             tasks.theorem13_rounds,
-            args=(n, params["d"], backend), kwargs={"profile": profile},
+            args=(n, params["d"], backend),
             seed_group=f"n={n}",
         )
         for n in params["sizes"]
@@ -167,7 +166,7 @@ register(Scenario(
 # E5 — corollary14-arboricity
 # ---------------------------------------------------------------------------
 
-def _build_corollary14(params: Params, profile: bool) -> list[BatchTask]:
+def _build_corollary14(params: Params) -> list[BatchTask]:
     built = []
     for a in params["arboricities"]:
         for n in params["ns"]:
@@ -178,14 +177,13 @@ def _build_corollary14(params: Params, profile: bool) -> list[BatchTask]:
                 built.append(BatchTask(
                     instance, _backend_label("Cor 1.4 (2a colors)", backend),
                     tasks.corollary14_arboricity,
-                    args=(n, a, "ours", backend), kwargs={"profile": profile},
+                    args=(n, a, "ours", backend),
                     seed_group=instance,
                 ))
                 built.append(BatchTask(
                     instance, _backend_label("Barenboim-Elkin", backend),
                     tasks.corollary14_arboricity,
                     args=(n, a, "barenboim-elkin", backend),
-                    kwargs={"profile": profile},
                     seed_group=instance,
                 ))
     return built
@@ -234,7 +232,7 @@ register(Scenario(
 # E7 — corollary21-brooks
 # ---------------------------------------------------------------------------
 
-def _build_corollary21(params: Params, profile: bool) -> list[BatchTask]:
+def _build_corollary21(params: Params) -> list[BatchTask]:
     built = []
     for degree in params["degrees"]:
         for n in params["ns"]:
@@ -248,7 +246,7 @@ def _build_corollary21(params: Params, profile: bool) -> list[BatchTask]:
             ):
                 built.append(BatchTask(
                     instance, algorithm, tasks.corollary21_brooks,
-                    args=(n, degree, variant), kwargs={"profile": profile},
+                    args=(n, degree, variant),
                 ))
     return built
 
@@ -274,7 +272,7 @@ register(Scenario(
 # E6 — corollary23-planar
 # ---------------------------------------------------------------------------
 
-def _build_corollary23(params: Params, profile: bool) -> list[BatchTask]:
+def _build_corollary23(params: Params) -> list[BatchTask]:
     n = params["n"]
     cases = [
         ("triangulation", "cor23", f"planar triangulation n={n}", "Cor 2.3 (6 colors)"),
@@ -285,7 +283,7 @@ def _build_corollary23(params: Params, profile: bool) -> list[BatchTask]:
     return [
         BatchTask(
             instance, algorithm, tasks.corollary23_planar,
-            args=(family, n, solver), kwargs={"profile": profile},
+            args=(family, n, solver),
         )
         for family, solver, instance, algorithm in cases
     ]
@@ -315,15 +313,14 @@ register(Scenario(
 # E8 — corollary211-genus
 # ---------------------------------------------------------------------------
 
-def _build_corollary211(params: Params, profile: bool) -> list[BatchTask]:
+def _build_corollary211(params: Params) -> list[BatchTask]:
     built = []
     for k, length in params["sizes"]:
         instance = f"torus triangulation {k}x{length} (n={k * length})"
         for improved, algorithm in ((False, "H(g)=7 budget"), (True, "H(g)-1=6 budget")):
             built.append(BatchTask(
                 instance, algorithm, tasks.corollary211_genus,
-                args=(k, length, improved), kwargs={"profile": profile},
-                seed_arg=None,
+                args=(k, length, improved), seed_arg=None,
             ))
     return built
 
@@ -351,11 +348,11 @@ register(Scenario(
 # E3 — lemma31-happy-fraction
 # ---------------------------------------------------------------------------
 
-def _build_lemma31(params: Params, profile: bool) -> list[BatchTask]:
+def _build_lemma31(params: Params) -> list[BatchTask]:
     return [
         BatchTask(
             f"{family} n={n}", f"classification d={d}", tasks.lemma31_happy_fraction,
-            args=(family, n, d), kwargs={"profile": profile},
+            args=(family, n, d),
         )
         for family, n, d in params["cases"]
     ]
@@ -394,11 +391,11 @@ register(Scenario(
 # E4 — lemma32-extension
 # ---------------------------------------------------------------------------
 
-def _build_lemma32(params: Params, profile: bool) -> list[BatchTask]:
+def _build_lemma32(params: Params) -> list[BatchTask]:
     return [
         BatchTask(
             f"{family} n={n}", f"extension d={d} r={radius}", tasks.lemma32_extension,
-            args=(family, n, d, radius), kwargs={"profile": profile},
+            args=(family, n, d, radius),
         )
         for family, n, d, radius in params["cases"]
     ]
@@ -433,11 +430,11 @@ register(Scenario(
 # E9 — lowerbound-fisk
 # ---------------------------------------------------------------------------
 
-def _build_fisk(params: Params, profile: bool) -> list[BatchTask]:
+def _build_fisk(params: Params) -> list[BatchTask]:
     return [
         BatchTask(
             f"n={n}", "Observation 2.4 certificate", tasks.lowerbound_fisk,
-            args=(n, rounds), kwargs={"profile": profile}, seed_arg=None,
+            args=(n, rounds), seed_arg=None,
         )
         for n, rounds in params["cases"]
     ]
@@ -478,11 +475,11 @@ register(Scenario(
 # E10 — lowerbound-grids
 # ---------------------------------------------------------------------------
 
-def _build_grids(params: Params, profile: bool) -> list[BatchTask]:
+def _build_grids(params: Params) -> list[BatchTask]:
     built = [
         BatchTask(
             f"G_5x{2 * length + 1}", "Thm 2.5 certificate", tasks.lowerbound_triangle_free,
-            args=(length, rounds), kwargs={"profile": profile}, seed_arg=None,
+            args=(length, rounds), seed_arg=None,
         )
         for length, rounds in params["tf_cases"]
     ]
@@ -490,7 +487,7 @@ def _build_grids(params: Params, profile: bool) -> list[BatchTask]:
         BatchTask(
             f"G_{2 * k + 1}x{2 * k + 1}", "Thm 2.6 certificate",
             tasks.lowerbound_bipartite_grid,
-            args=(k, rounds), kwargs={"profile": profile}, seed_arg=None,
+            args=(k, rounds), seed_arg=None,
         )
         for k, rounds in params["bip_cases"]
     ]
@@ -530,11 +527,11 @@ register(Scenario(
 # E11/E12/E13 — primitives
 # ---------------------------------------------------------------------------
 
-def _build_primitives(params: Params, profile: bool) -> list[BatchTask]:
+def _build_primitives(params: Params) -> list[BatchTask]:
     built = [
         BatchTask(
             f"path n={n}", "Cole-Vishkin (3 colors)", tasks.primitives_cole_vishkin,
-            args=(n,), kwargs={"profile": profile}, seed_arg=None,
+            args=(n,), seed_arg=None,
         )
         for n in params["cv_sizes"]
     ]
@@ -542,7 +539,7 @@ def _build_primitives(params: Params, profile: bool) -> list[BatchTask]:
         BatchTask(
             f"{params['dp1_degree']}-regular n={n}", "Linial + reduction (Delta+1)",
             tasks.primitives_delta_plus_one,
-            args=(n, params["dp1_degree"]), kwargs={"profile": profile},
+            args=(n, params["dp1_degree"]),
         )
         for n in params["dp1_sizes"]
     ]
@@ -550,7 +547,7 @@ def _build_primitives(params: Params, profile: bool) -> list[BatchTask]:
         BatchTask(
             f"grid n={n}", f"ruling forest (alpha={params['ruling_alpha']})",
             tasks.primitives_ruling_forest,
-            args=(n, params["ruling_alpha"]), kwargs={"profile": profile}, seed_arg=None,
+            args=(n, params["ruling_alpha"]), seed_arg=None,
         )
         for n in params["ruling_sizes"]
     ]
@@ -558,7 +555,7 @@ def _build_primitives(params: Params, profile: bool) -> list[BatchTask]:
     built.append(BatchTask(
         f"path n={lb_n}", "2-coloring lower bound (Omega(n))",
         tasks.primitives_path_lower_bound,
-        args=(lb_n, lb_rounds), kwargs={"profile": profile}, seed_arg=None,
+        args=(lb_n, lb_rounds), seed_arg=None,
     ))
 
     # E13: the CSR speedup A/B shares one fixed seed across all four tasks
@@ -571,12 +568,11 @@ def _build_primitives(params: Params, profile: bool) -> list[BatchTask]:
         key = "dict" if backend == "dict-of-sets" else "csr"
         built.append(BatchTask(
             instance, f"degeneracy ordering ({backend})", tasks.primitives_degeneracy,
-            args=(n, a, key), kwargs={"seed": seed, "profile": profile}, seed_arg=None,
+            args=(n, a, key), kwargs={"seed": seed}, seed_arg=None,
         ))
         built.append(BatchTask(
             instance, f"ball collection r={radius} ({backend})", tasks.primitives_balls,
-            args=(n, a, radius, key), kwargs={"seed": seed, "profile": profile},
-            seed_arg=None,
+            args=(n, a, radius, key), kwargs={"seed": seed}, seed_arg=None,
         ))
     return built
 
@@ -659,7 +655,7 @@ _SIM_ALGORITHMS = (
 _SIM_WAVE_LABEL = "2-coloring wave (Omega n)"
 
 
-def _build_simulator(params: Params, profile: bool) -> list[BatchTask]:
+def _build_simulator(params: Params) -> list[BatchTask]:
     built = []
     for key, topology, label in _SIM_ALGORITHMS:
         for n in params["sizes"]:
@@ -668,16 +664,14 @@ def _build_simulator(params: Params, profile: bool) -> list[BatchTask]:
                     f"{topology} n={n}", f"{label} [{engine}]",
                     tasks.simulator_throughput,
                     args=(n, topology, key, engine),
-                    kwargs={"id_seed": params["id_seed"], "profile": profile},
-                    seed_arg=None,
+                    kwargs={"id_seed": params["id_seed"]}, seed_arg=None,
                 ))
     for n in params["lowerbound_sizes"]:
         built.append(BatchTask(
             f"path n={n}", f"{_SIM_WAVE_LABEL} [batch]",
             tasks.simulator_throughput,
             args=(n, "path", "wave", "batch"),
-            kwargs={"id_seed": params["id_seed"], "profile": profile},
-            seed_arg=None,
+            kwargs={"id_seed": params["id_seed"]}, seed_arg=None,
         ))
     return built
 
@@ -776,7 +770,7 @@ _COLORING_ALGORITHMS = (
 _COLORING_BACKENDS = ("dict", "flat")
 
 
-def _build_coloring(params: Params, profile: bool) -> list[BatchTask]:
+def _build_coloring(params: Params) -> list[BatchTask]:
     built = []
     d = params["d"]
     for key, size_key, label in _COLORING_ALGORITHMS:
@@ -790,8 +784,7 @@ def _build_coloring(params: Params, profile: bool) -> list[BatchTask]:
                     f"{key} n={n} d={d}", f"{label} [{backend}]",
                     tasks.coloring_pipeline,
                     args=(n, d, key, backend),
-                    kwargs={"seed": seed, "profile": profile},
-                    seed_arg=None,
+                    kwargs={"seed": seed}, seed_arg=None,
                 ))
     return built
 
@@ -859,7 +852,7 @@ register(Scenario(
 # E16 — scale (million-node tier: streaming generators + zero-copy fan-out)
 # ---------------------------------------------------------------------------
 
-def _build_scale(params: Params, profile: bool) -> list[BatchTask]:
+def _build_scale(params: Params) -> list[BatchTask]:
     """Publish each instance once, then emit handle-only tasks.
 
     Generation and publication happen here in the parent — the tasks carry
@@ -883,14 +876,12 @@ def _build_scale(params: Params, profile: bool) -> list[BatchTask]:
         instance = f"stream-degenerate n={n} k={k}"
         built.append(BatchTask(
             instance, "degeneracy peel [shared]",
-            tasks.scale_peel, args=(handle,),
-            kwargs={"profile": profile}, seed_arg=None,
+            tasks.scale_peel, args=(handle,), seed_arg=None,
         ))
         if n <= params["roundtrip_max_n"]:
             built.append(BatchTask(
                 instance, "npz round trip",
-                tasks.scale_npz_roundtrip, args=(handle,),
-                kwargs={"profile": profile}, seed_arg=None,
+                tasks.scale_npz_roundtrip, args=(handle,), seed_arg=None,
             ))
         side = isqrt(n)
         torus_spec = InstanceSpec.of("stream-torus", rows=side, cols=side)
@@ -899,8 +890,7 @@ def _build_scale(params: Params, profile: bool) -> list[BatchTask]:
         )
         built.append(BatchTask(
             f"stream-torus n={side * side}", "batched greedy Delta+1 [shared]",
-            tasks.scale_coloring, args=(torus_handle,),
-            kwargs={"profile": profile}, seed_arg=None,
+            tasks.scale_coloring, args=(torus_handle,), seed_arg=None,
         ))
     return built
 
@@ -962,7 +952,7 @@ register(Scenario(
 # E17 — serve (coloring-as-a-service under synthetic load)
 # ---------------------------------------------------------------------------
 
-def _build_serve(params: Params, profile: bool) -> list[BatchTask]:
+def _build_serve(params: Params) -> list[BatchTask]:
     """One row per workload; each task boots its own in-process service.
 
     The rows run serially in the parent (``serial_only``): the latency
@@ -980,7 +970,6 @@ def _build_serve(params: Params, profile: bool) -> list[BatchTask]:
                 params["huge_n"], params["cache_max_bytes"],
                 params["batch_window_ms"],
             ),
-            kwargs={"profile": profile},
             seed_group=workload,
         ))
     return built
@@ -1060,7 +1049,7 @@ register(Scenario(
 # E18 — dynamic (fault injection + self-stabilizing recovery)
 # ---------------------------------------------------------------------------
 
-def _build_dynamic(params: Params, profile: bool) -> list[BatchTask]:
+def _build_dynamic(params: Params) -> list[BatchTask]:
     built = []
     n = params["n"]
     for family in params["families"]:
@@ -1079,7 +1068,6 @@ def _build_dynamic(params: Params, profile: bool) -> list[BatchTask]:
                             "events": params["events"],
                             "window": params["window"],
                             "max_rounds": params["max_rounds"],
-                            "profile": profile,
                         },
                         seed_group=instance,
                     ))
@@ -1155,7 +1143,7 @@ register(Scenario(
 # E19 — randomized (Moser–Tardos lists + O(log n) randomized Δ+1)
 # ---------------------------------------------------------------------------
 
-def _build_randomized(params: Params, profile: bool) -> list[BatchTask]:
+def _build_randomized(params: Params) -> list[BatchTask]:
     built = []
     for family in params["families"]:
         for n in params["sizes"]:
@@ -1169,7 +1157,6 @@ def _build_randomized(params: Params, profile: bool) -> list[BatchTask]:
                     instance, f"randomized Delta+1 [{engine}]",
                     tasks.randomized_delta_plus_one,
                     args=(family, n, engine),
-                    kwargs={"profile": profile},
                     seed_group=instance,
                 ))
             for deterministic in params["deterministic"]:
@@ -1177,7 +1164,6 @@ def _build_randomized(params: Params, profile: bool) -> list[BatchTask]:
                     instance, f"{deterministic} Delta+1 [batch]",
                     tasks.deterministic_delta_plus_one,
                     args=(family, n, deterministic),
-                    kwargs={"profile": profile},
                     seed_group=instance,
                 ))
         for n in params["mt_sizes"]:
@@ -1187,7 +1173,6 @@ def _build_randomized(params: Params, profile: bool) -> list[BatchTask]:
                     instance, f"Moser-Tardos lists [{backend}]",
                     tasks.moser_tardos_lists,
                     args=(family, n, backend),
-                    kwargs={"profile": profile},
                     seed_group=instance,
                 ))
     return built

@@ -24,16 +24,15 @@ class ArtifactSchemaError(Exception):
 
 
 def validate_artifact(
-    artifact: Any,
-    *,
-    expected_name: str | None = None,
-    profile: bool | None = None,
+    artifact: Any, *, expected_name: str | None = None
 ) -> list[str]:
     """Return every way ``artifact`` deviates from schema version 1.
 
     ``expected_name`` additionally pins the artifact (and its scenario
-    metadata) to one scenario; ``profile=True`` requires per-stage wall
-    times (the ``--profile`` contract) on at least one row.
+    metadata) to one scenario.  A row's ``stage_seconds``, which every
+    task row of a run carries, must name exactly the four
+    :data:`~repro.scenarios.base.PROFILE_STAGES`; rows without one
+    (derived rows, and artifacts written before every row had one) pass.
     """
     problems: list[str] = []
     if not isinstance(artifact, dict):
@@ -94,7 +93,6 @@ def validate_artifact(
     if not isinstance(rows, list) or not rows:
         problems.append("rows is not a non-empty list")
         rows = []
-    profiled_rows = 0
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             problems.append(f"rows[{i}] is not a dict")
@@ -104,28 +102,24 @@ def validate_artifact(
                 problems.append(f"rows[{i}].{key} is not a {kind.__name__}")
         if not isinstance(row.get("seconds"), (int, float)):
             problems.append(f"rows[{i}].seconds is not a number")
-        stages = row.get("metrics", {}).get("stage_seconds") if isinstance(row.get("metrics"), dict) else None
-        if stages is not None:
-            if not isinstance(stages, dict) or set(stages) != set(PROFILE_STAGES):
-                problems.append(
-                    f"rows[{i}].metrics.stage_seconds keys {sorted(stages) if isinstance(stages, dict) else stages!r} "
-                    f"!= {sorted(PROFILE_STAGES)}"
-                )
-            else:
-                profiled_rows += 1
-    if profile and rows and not profiled_rows:
-        problems.append("profile run produced no row with stage_seconds")
+        metrics = row.get("metrics")
+        stages = metrics.get("stage_seconds") if isinstance(metrics, dict) else None
+        if stages is None:
+            continue
+        if not isinstance(stages, dict) or set(stages) != set(PROFILE_STAGES):
+            shown = sorted(stages) if isinstance(stages, dict) else repr(stages)
+            problems.append(
+                f"rows[{i}].metrics.stage_seconds keys {shown} != {sorted(PROFILE_STAGES)}"
+            )
+        elif any(isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0
+                 for v in stages.values()):
+            problems.append(f"rows[{i}].metrics.stage_seconds {stages!r} are not all seconds")
     return problems
 
 
-def assert_valid_artifact(
-    artifact: Any,
-    *,
-    expected_name: str | None = None,
-    profile: bool | None = None,
-) -> None:
+def assert_valid_artifact(artifact: Any, *, expected_name: str | None = None) -> None:
     """Raise :class:`ArtifactSchemaError` listing every schema violation."""
-    problems = validate_artifact(artifact, expected_name=expected_name, profile=profile)
+    problems = validate_artifact(artifact, expected_name=expected_name)
     if problems:
         raise ArtifactSchemaError(
             "invalid BENCH artifact:\n  " + "\n  ".join(problems)

@@ -11,10 +11,12 @@ Conventions:
 * ``seed`` is injected by :meth:`ExperimentRunner.run_batch` (derived from
   the batch ``base_seed`` and the task index) for every randomized
   generator; deterministic constructions take no seed.
-* ``profile`` wires a :class:`~repro.scenarios.base.StageProfile` through
-  the generate / freeze / solve / verify pipeline; the resulting
-  ``stage_seconds`` land in the artifact so perf PRs can see where time
-  goes.
+* Every body times its generate / freeze / solve / verify stages with a
+  :class:`~repro.scenarios.base.StageProfile`, so every row carries
+  ``stage_seconds``; a named ``*_seconds`` metric that spans one whole
+  stage is a read of it.  Only partial-stage timers keep their own clock:
+  :func:`scale_coloring`'s ``attach_seconds`` and the npz round trip's
+  ``save_seconds`` / ``load_seconds``.
 * Graphs are frozen at the construction/computation boundary wherever the
   downstream driver runs on the CSR fast paths (Theorem 1.3 and friends);
   drivers that still operate on the mutable representation get the graph
@@ -83,8 +85,7 @@ from repro.scenarios.base import StageProfile
 # ---------------------------------------------------------------------------
 
 def theorem13_colors(
-    n: int, d: int, variant: str, backend: str = "flat",
-    seed: int | None = None, profile: bool = False,
+    n: int, d: int, variant: str, backend: str = "flat", seed: int | None = None
 ) -> dict[str, Any]:
     """d-list-color a bounded-mad graph; ``variant``: uniform/random/greedy.
 
@@ -94,7 +95,7 @@ def theorem13_colors(
     produce bit-identical colorings and round totals; the ``coloring``
     scenario measures the wall-time gap.
     """
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("generate"):
         graph = sparse.random_degenerate_graph(n, d // 2, seed=seed)
     if variant == "greedy":
@@ -133,11 +134,10 @@ def theorem13_colors(
 # ---------------------------------------------------------------------------
 
 def theorem13_rounds(
-    n: int, d: int, backend: str = "flat",
-    seed: int | None = None, profile: bool = False,
+    n: int, d: int, backend: str = "flat", seed: int | None = None
 ) -> dict[str, Any]:
     """Charged rounds of the Theorem 1.3 driver on a union of forests."""
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("generate"):
         graph = sparse.union_of_random_forests(n, 2, seed=seed)
     with prof("freeze"):
@@ -165,20 +165,19 @@ from repro.verify.parity import coloring_digest as _coloring_digest  # noqa: E40
 
 
 def coloring_pipeline(
-    n: int, d: int, algorithm: str, backend: str,
-    seed: int | None = None, profile: bool = False,
+    n: int, d: int, algorithm: str, backend: str, seed: int | None = None
 ) -> dict[str, Any]:
     """Time one full list-coloring run on the dict or flat palette backend.
 
     ``algorithm`` is ``theorem13`` (the paper's driver on a random
     ``d/2``-degenerate graph) or ``barenboim-elkin`` (the Corollary 1.4
     baseline on a union of forests, arboricity ``d // 2``).  The graph is
-    generated and frozen outside the timed section, so ``solve_seconds``
-    measures the pipeline itself; ``coloring_sha`` and ``rounds`` let the
-    scenario check assert bit-identical colorings and round-ledger totals
-    between the backends on every instance.
+    generated and frozen in their own stages, so ``solve_seconds`` (the
+    solve stage) measures the pipeline itself; ``coloring_sha`` and
+    ``rounds`` let the parity oracle assert bit-identical colorings and
+    round-ledger totals between the backends on every instance.
     """
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("generate"):
         if algorithm == "theorem13":
             graph = sparse.random_degenerate_graph(n, d // 2, seed=seed)
@@ -189,7 +188,6 @@ def coloring_pipeline(
     with prof("freeze"):
         frozen = graph.freeze()
     with prof("solve"):
-        start = time.perf_counter()
         if algorithm == "theorem13":
             result = color_sparse_graph(frozen, d=d, backend=backend)
             coloring, rounds = result.coloring, result.rounds
@@ -198,7 +196,6 @@ def coloring_pipeline(
                 frozen, arboricity=d // 2, backend=backend
             )
             coloring, rounds = result.coloring, result.rounds
-        elapsed = time.perf_counter() - start
     with prof("verify"):
         verify_coloring(frozen, coloring)
         if algorithm == "theorem13":
@@ -208,7 +205,7 @@ def coloring_pipeline(
         "backend": backend,
         "rounds": rounds,
         "colors": len(set(coloring.values())),
-        "solve_seconds": round(elapsed, 6),
+        "solve_seconds": round(prof.seconds["solve"], 6),
         "coloring_sha": _coloring_digest(coloring),
         **prof.metrics(),
     }
@@ -220,7 +217,7 @@ def coloring_pipeline(
 
 def corollary14_arboricity(
     n: int, arboricity: int, algorithm: str, backend: str = "flat",
-    seed: int | None = None, profile: bool = False,
+    seed: int | None = None,
 ) -> dict[str, Any]:
     """Color a union of ``arboricity`` forests; ``algorithm``: ours/barenboim-elkin.
 
@@ -231,7 +228,7 @@ def corollary14_arboricity(
     boundary either way, which also pins the identifier assignment so the
     two backends color identically.
     """
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("generate"):
         graph = sparse.union_of_random_forests(n, arboricity, seed=seed)
     with prof("freeze"):
@@ -280,10 +277,10 @@ def _nice_lists_for(graph) -> ListAssignment:
 
 
 def corollary21_brooks(
-    n: int, degree: int, variant: str, seed: int | None = None, profile: bool = False
+    n: int, degree: int, variant: str, seed: int | None = None
 ) -> dict[str, Any]:
     """Δ-list-color a random regular graph; ``variant``: brooks/greedy/nice."""
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("generate"):
         if n * degree % 2:
             n += 1
@@ -322,10 +319,10 @@ def corollary21_brooks(
 # ---------------------------------------------------------------------------
 
 def corollary23_planar(
-    family: str, n: int, algorithm: str, seed: int | None = None, profile: bool = False
+    family: str, n: int, algorithm: str, seed: int | None = None
 ) -> dict[str, Any]:
     """Color one planar family; ``algorithm``: cor23 (ours) or gps (baseline)."""
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("generate"):
         if family == "triangulation":
             graph = planar.stacked_triangulation(n, seed=seed)
@@ -357,11 +354,9 @@ def corollary23_planar(
 # E8 — Corollary 2.11 on toroidal triangulations
 # ---------------------------------------------------------------------------
 
-def corollary211_genus(
-    k: int, length: int, improved: bool, profile: bool = False
-) -> dict[str, Any]:
+def corollary211_genus(k: int, length: int, improved: bool) -> dict[str, Any]:
     """H(g)/H(g)-1 list-coloring of a toroidal triangular grid (genus 2)."""
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("generate"):
         graph = surfaces.toroidal_triangular_grid(k, length)
     with prof("solve"):
@@ -391,10 +386,10 @@ def _lemma_family_graph(family: str, n: int, seed: int | None):
 
 
 def lemma31_happy_fraction(
-    family: str, n: int, d: int, seed: int | None = None, profile: bool = False
+    family: str, n: int, d: int, seed: int | None = None
 ) -> dict[str, Any]:
     """Measure |A|/n of the first layer and the total number of peeling layers."""
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("generate"):
         graph = _lemma_family_graph(family, n, seed)
     with prof("freeze"):
@@ -420,10 +415,10 @@ def lemma31_happy_fraction(
 # ---------------------------------------------------------------------------
 
 def lemma32_extension(
-    family: str, n: int, d: int, radius: int, seed: int | None = None, profile: bool = False
+    family: str, n: int, d: int, radius: int, seed: int | None = None
 ) -> dict[str, Any]:
     """Extend a coloring of G - A to G; report the proof's quantities."""
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("generate"):
         graph = _lemma_family_graph(family, n, seed)
     with prof("solve"):
@@ -453,9 +448,9 @@ def lemma32_extension(
 # E9 — Theorem 1.5 (Fisk-style planar 4-coloring lower bound)
 # ---------------------------------------------------------------------------
 
-def lowerbound_fisk(n: int, rounds: int, profile: bool = False) -> dict[str, Any]:
+def lowerbound_fisk(n: int, rounds: int) -> dict[str, Any]:
     """Certify the Omega(n) obstruction to 4-coloring planar graphs."""
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("solve"):
         result = planar_four_coloring_lower_bound(n, rounds=rounds)
     cert = result.certificate
@@ -473,9 +468,9 @@ def lowerbound_fisk(n: int, rounds: int, profile: bool = False) -> dict[str, Any
 # E10 — Theorems 2.5 / 2.6 (Klein-bottle grid lower bounds)
 # ---------------------------------------------------------------------------
 
-def lowerbound_triangle_free(length: int, rounds: int, profile: bool = False) -> dict[str, Any]:
+def lowerbound_triangle_free(length: int, rounds: int) -> dict[str, Any]:
     """Certify the Omega(n) obstruction to 3-coloring triangle-free planar graphs."""
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("solve"):
         result = triangle_free_lower_bound(length, rounds=rounds)
     cert = result.certificate
@@ -488,9 +483,9 @@ def lowerbound_triangle_free(length: int, rounds: int, profile: bool = False) ->
     }
 
 
-def lowerbound_bipartite_grid(k: int, rounds: int, profile: bool = False) -> dict[str, Any]:
+def lowerbound_bipartite_grid(k: int, rounds: int) -> dict[str, Any]:
     """Certify the Omega(sqrt(n)) obstruction to 3-coloring planar bipartite graphs."""
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("solve"):
         result = bipartite_grid_lower_bound(k, rounds=rounds)
     cert = result.certificate
@@ -519,9 +514,9 @@ def _bfs_parents(graph, root):
     return parents
 
 
-def primitives_cole_vishkin(n: int, profile: bool = False) -> dict[str, Any]:
+def primitives_cole_vishkin(n: int) -> dict[str, Any]:
     """3-color a rooted path with Cole–Vishkin; rounds grow like log* n."""
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("generate"):
         graph = classic.path(n)
     with prof("solve"):
@@ -534,11 +529,9 @@ def primitives_cole_vishkin(n: int, profile: bool = False) -> dict[str, Any]:
     }
 
 
-def primitives_delta_plus_one(
-    n: int, degree: int, seed: int | None = None, profile: bool = False
-) -> dict[str, Any]:
+def primitives_delta_plus_one(n: int, degree: int, seed: int | None = None) -> dict[str, Any]:
     """(Δ+1)-color a random regular graph with Linial + color reduction."""
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("generate"):
         graph = classic.random_regular_graph(n, degree, seed=seed)
     with prof("solve"):
@@ -551,9 +544,9 @@ def primitives_delta_plus_one(
     }
 
 
-def primitives_ruling_forest(n: int, alpha: int, profile: bool = False) -> dict[str, Any]:
+def primitives_ruling_forest(n: int, alpha: int) -> dict[str, Any]:
     """Build the (alpha, alpha log n)-ruling forest on a grid."""
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("generate"):
         graph = classic.grid_2d(n // 10, 10)
     with prof("solve"):
@@ -566,9 +559,9 @@ def primitives_ruling_forest(n: int, alpha: int, profile: bool = False) -> dict[
     }
 
 
-def primitives_path_lower_bound(n: int, rounds: int, profile: bool = False) -> dict[str, Any]:
+def primitives_path_lower_bound(n: int, rounds: int) -> dict[str, Any]:
     """Observation 2.4 certificate: 2-coloring a path needs Omega(n) rounds."""
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("solve"):
         result = path_two_coloring_lower_bound(n, rounds=rounds)
     return {
@@ -583,7 +576,6 @@ def simulator_throughput(
     algorithm: str,
     engine: str,
     id_seed: int | None = None,
-    profile: bool = False,
 ) -> dict[str, Any]:
     """Time one full simulation on the seed, flat or batched round engine.
 
@@ -619,7 +611,7 @@ def simulator_throughput(
     from repro.local.reference import ReferenceSimulator
     from repro.local.simulator import SynchronousSimulator
 
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("generate"):
         if topology == "path":
             graph = classic.path(n)
@@ -683,7 +675,6 @@ def simulator_throughput(
         raise ValueError(f"unknown algorithm {algorithm!r}")
 
     with prof("solve"):
-        start = time.perf_counter()
         if engine == "seed":
             result = ReferenceSimulator(network).run(
                 per_node, inputs=inputs, max_rounds=max_rounds, strict=True
@@ -698,7 +689,6 @@ def simulator_throughput(
             )
         else:
             raise ValueError(f"unknown engine {engine!r}")
-        elapsed = time.perf_counter() - start
     with prof("verify"):
         from repro.verify.coloring import PaletteBudgetOracle, ProperColoringOracle
 
@@ -719,6 +709,7 @@ def simulator_throughput(
         ).raise_if_failed()
         colors = np.fromiter(outputs.values(), dtype=np.int64, count=len(outputs))
         assert not n or (offset <= colors.min() and colors.max() < palette + offset)
+    elapsed = prof.seconds["solve"]
     return {
         "n": n,
         "rounds": result.rounds,
@@ -731,7 +722,7 @@ def simulator_throughput(
 
 
 def primitives_degeneracy(
-    n: int, arboricity: int, backend: str, seed: int | None = None, profile: bool = False
+    n: int, arboricity: int, backend: str, seed: int | None = None
 ) -> dict[str, Any]:
     """Time one degeneracy-ordering computation on the dict or CSR backend.
 
@@ -739,49 +730,42 @@ def primitives_degeneracy(
     is reported separately (``freeze_seconds``) because it is paid once per
     graph and amortized over every primitive running on the frozen view.
     """
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("generate"):
         graph = sparse.union_of_random_forests(n, arboricity, seed=seed)
     metrics: dict[str, Any] = {"n": n, "m": graph.number_of_edges()}
     if backend == "dict":
         with prof("solve"):
-            start = time.perf_counter()
             value = _degeneracy_ordering_sets(graph)[0]
-            metrics["compute_seconds"] = time.perf_counter() - start
     else:
         with prof("freeze"):
-            start = time.perf_counter()
             frozen = graph.freeze()
-            metrics["freeze_seconds"] = time.perf_counter() - start
+        metrics["freeze_seconds"] = prof.seconds["freeze"]
         with prof("solve"):
-            start = time.perf_counter()
             value = frozen.degeneracy_ordering()[0]
-            metrics["compute_seconds"] = time.perf_counter() - start
+    metrics["compute_seconds"] = prof.seconds["solve"]
     metrics["degeneracy"] = value
     metrics.update(prof.metrics())
     return metrics
 
 
 def primitives_balls(
-    n: int, arboricity: int, radius: int, backend: str,
-    seed: int | None = None, profile: bool = False,
+    n: int, arboricity: int, radius: int, backend: str, seed: int | None = None
 ) -> dict[str, Any]:
     """Time one all-vertices ball collection on the dict or CSR backend."""
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("generate"):
         graph = sparse.union_of_random_forests(n, arboricity, seed=seed)
     if backend != "dict":
         with prof("freeze"):
             graph = graph.freeze()
     with prof("solve"):
-        start = time.perf_counter()
         balls = collect_balls(graph, radius)
-        elapsed = time.perf_counter() - start
     return {
         "n": n,
         "radius": radius,
         "total_ball_members": sum(len(b) for b in balls.values()),
-        "compute_seconds": elapsed,
+        "compute_seconds": prof.seconds["solve"],
         **prof.metrics(),
     }
 
@@ -790,7 +774,7 @@ def primitives_balls(
 # scale: million-node rows on zero-copy published graphs
 # ---------------------------------------------------------------------------
 
-def scale_peel(handle, profile: bool = False) -> dict[str, Any]:
+def scale_peel(handle) -> dict[str, Any]:
     """Degeneracy-peel a published graph attached zero-copy by handle.
 
     ``handle`` is a :class:`~repro.analysis.shared.SharedGraphHandle`; the
@@ -802,15 +786,11 @@ def scale_peel(handle, profile: bool = False) -> dict[str, Any]:
     from repro.analysis import shared
     from repro.corpus import graph_digest
 
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("freeze"):
-        start = time.perf_counter()
         graph = shared.attach(handle)
-        attach_seconds = time.perf_counter() - start
     with prof("solve"):
-        start = time.perf_counter()
         degeneracy = graph.degeneracy()
-        peel_seconds = time.perf_counter() - start
     with prof("verify"):
         digest_ok = graph_digest(graph) == handle.digest
     return {
@@ -818,15 +798,15 @@ def scale_peel(handle, profile: bool = False) -> dict[str, Any]:
         "m": graph.number_of_edges(),
         "degeneracy": degeneracy,
         "transport": handle.kind,
-        "attach_seconds": attach_seconds,
-        "peel_seconds": peel_seconds,
+        "attach_seconds": prof.seconds["freeze"],
+        "peel_seconds": prof.seconds["solve"],
         "digest_ok": digest_ok,
         "valid": digest_ok,
         **prof.metrics(),
     }
 
 
-def scale_coloring(handle, profile: bool = False) -> dict[str, Any]:
+def scale_coloring(handle) -> dict[str, Any]:
     """(Delta+1)-color a published bounded-degree graph with the batch engine.
 
     Attaches zero-copy like :func:`scale_peel`, then runs the batched
@@ -841,7 +821,7 @@ def scale_coloring(handle, profile: bool = False) -> dict[str, Any]:
     from repro.local.simulator import SynchronousSimulator
     from repro.verify.coloring import PaletteBudgetOracle, ProperColoringOracle
 
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("freeze"):
         start = time.perf_counter()
         graph = shared.attach(handle)
@@ -851,14 +831,12 @@ def scale_coloring(handle, profile: bool = False) -> dict[str, Any]:
     delta = max(1, graph.max_degree())
     inputs = [delta] * len(network.labels)
     with prof("solve"):
-        start = time.perf_counter()
         result = SynchronousSimulator(network).run(
             BatchGreedyLocalMaximaAlgorithm,
             inputs=inputs,
             max_rounds=len(graph) + 2,
             strict=True,
         )
-        engine_seconds = time.perf_counter() - start
     with prof("verify"):
         assert result.finished
         proper = ProperColoringOracle().check(graph=graph, coloring=result.outputs)
@@ -873,13 +851,13 @@ def scale_coloring(handle, profile: bool = False) -> dict[str, Any]:
         "messages": result.messages_sent,
         "transport": handle.kind,
         "attach_seconds": attach_seconds,
-        "engine_seconds": engine_seconds,
+        "engine_seconds": prof.seconds["solve"],
         "valid": proper.ok and budget.ok,
         **prof.metrics(),
     }
 
 
-def scale_npz_roundtrip(handle, profile: bool = False) -> dict[str, Any]:
+def scale_npz_roundtrip(handle) -> dict[str, Any]:
     """Save/load parity: npz round trip of a published graph, mmap and not.
 
     Writes the attached graph with :meth:`FrozenGraph.save_npz`, reloads it
@@ -894,7 +872,7 @@ def scale_npz_roundtrip(handle, profile: bool = False) -> dict[str, Any]:
     from repro.corpus import graph_digest
     from repro.graphs.frozen import FrozenGraph
 
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("freeze"):
         graph = shared.attach(handle)
     fd, path = tempfile.mkstemp(suffix=".npz")
@@ -937,7 +915,6 @@ def serve_load(
     cache_max_bytes: int,
     batch_window_ms: float,
     seed: int | None = None,
-    profile: bool = False,
 ) -> dict[str, Any]:
     """One load-generator replay against an in-process coloring service.
 
@@ -950,7 +927,7 @@ def serve_load(
     """
     from repro.serve.loadgen import run_workload
 
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("solve"):
         metrics = run_workload(
             workload,
@@ -989,7 +966,6 @@ def dynamic_recovery(
     window: int = 4,
     max_rounds: int = 400,
     seed: int | None = None,
-    profile: bool = False,
 ) -> dict[str, Any]:
     """One dynamic run: perturb a legally colored graph, measure recovery.
 
@@ -1018,7 +994,7 @@ def dynamic_recovery(
         recovery_metrics,
     )
 
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("generate"):
         graph = _lemma_family_graph(family, n, seed)
         # a small window clusters the events into a burst, so recovery has
@@ -1035,13 +1011,11 @@ def dynamic_recovery(
     per_node, batched = STABILIZING_PROTOCOLS[protocol]
     factory = batched if backend == "flat" else per_node
     with prof("solve"):
-        start = time.perf_counter()
         trace = run_stabilizing(
             pnet, factory, plan=plan, budget=budget,
             initial_coloring=initial, max_rounds=max_rounds,
             protocol=protocol,
         )
-        elapsed = time.perf_counter() - start
     with prof("verify"):
         RecoveryOracle().check(trace=trace).raise_if_failed()
         ContainmentOracle().check(trace=trace).raise_if_failed()
@@ -1056,7 +1030,7 @@ def dynamic_recovery(
         # parity fingerprints: final coloring and the applied-event ledger
         "coloring_sha": _coloring_digest(trace.final_coloring),
         "log_sha": event_log_digest(trace.event_log()),
-        "solve_seconds": round(elapsed, 6),
+        "solve_seconds": round(prof.seconds["solve"], 6),
         **prof.metrics(),
     }
 
@@ -1070,7 +1044,6 @@ def randomized_delta_plus_one(
     n: int,
     engine: str,
     seed: int | None = None,
-    profile: bool = False,
 ) -> dict[str, Any]:
     """One randomized (Δ+1)-coloring row on the ``batch`` or ``flat`` engine.
 
@@ -1088,7 +1061,7 @@ def randomized_delta_plus_one(
     from repro.verify import PaletteBudgetOracle, ProperColoringOracle
     from repro.verify.randomized import RandomizedRoundsOracle
 
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("generate"):
         graph = _lemma_family_graph(family, n, seed)
     with prof("freeze"):
@@ -1096,14 +1069,12 @@ def randomized_delta_plus_one(
         network = Network(frozen)
         network.fabric  # build the routing table outside the timed run
     with prof("solve"):
-        start = time.perf_counter()
         result = randomized_delta_plus_one_coloring(
             frozen,
             seed=seed if seed is not None else 0,
             batched=engine == "batch",
             network=network,
         )
-        elapsed = time.perf_counter() - start
     with prof("verify"):
         vertices = frozen.number_of_vertices()
         RandomizedRoundsOracle().check(
@@ -1127,7 +1098,7 @@ def randomized_delta_plus_one(
             for i in range(len(result.frontier) - 1)
         ),
         "coloring_sha": _coloring_digest(result.coloring),
-        "solve_seconds": round(elapsed, 6),
+        "solve_seconds": round(prof.seconds["solve"], 6),
         **prof.metrics(),
     }
 
@@ -1137,7 +1108,6 @@ def deterministic_delta_plus_one(
     n: int,
     algorithm: str,
     seed: int | None = None,
-    profile: bool = False,
 ) -> dict[str, Any]:
     """The deterministic comparator row: greedy or Linial (Δ+1)-coloring.
 
@@ -1150,7 +1120,7 @@ def deterministic_delta_plus_one(
     from repro.local.network import Network
     from repro.verify import PaletteBudgetOracle, ProperColoringOracle
 
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("generate"):
         graph = _lemma_family_graph(family, n, seed)
     with prof("freeze"):
@@ -1158,7 +1128,6 @@ def deterministic_delta_plus_one(
         network = Network(frozen)
         network.fabric
     with prof("solve"):
-        start = time.perf_counter()
         if algorithm == "greedy":
             result = greedy_distributed_coloring(
                 frozen, batched=True, network=network
@@ -1167,7 +1136,6 @@ def deterministic_delta_plus_one(
             result = delta_plus_one_coloring(frozen, batched=True)
         else:
             raise ValueError(f"unknown deterministic algorithm {algorithm!r}")
-        elapsed = time.perf_counter() - start
     with prof("verify"):
         ProperColoringOracle().check(
             graph=frozen, coloring=result.coloring
@@ -1182,7 +1150,7 @@ def deterministic_delta_plus_one(
         "colors": number_of_colors(result.coloring),
         "budget": result.palette_size,
         "coloring_sha": _coloring_digest(result.coloring),
-        "solve_seconds": round(elapsed, 6),
+        "solve_seconds": round(prof.seconds["solve"], 6),
         **prof.metrics(),
     }
 
@@ -1192,7 +1160,6 @@ def moser_tardos_lists(
     n: int,
     backend: str,
     seed: int | None = None,
-    profile: bool = False,
 ) -> dict[str, Any]:
     """One Moser–Tardos list-coloring row on the flat or dict backend.
 
@@ -1207,7 +1174,7 @@ def moser_tardos_lists(
     from repro.distributed.randomized import moser_tardos_list_coloring
     from repro.verify.randomized import ResampleLogOracle
 
-    prof = StageProfile(profile)
+    prof = StageProfile()
     with prof("generate"):
         graph = _lemma_family_graph(family, n, seed)
         frozen = graph.freeze()
@@ -1219,13 +1186,11 @@ def moser_tardos_lists(
             for i, v in enumerate(frozen.vertices())
         }
     with prof("solve"):
-        start = time.perf_counter()
         result = moser_tardos_list_coloring(
             frozen, lists,
             seed=seed if seed is not None else 0,
             backend=backend,
         )
-        elapsed = time.perf_counter() - start
     with prof("verify"):
         ResampleLogOracle().check(
             graph=frozen, lists=lists, seed=result.seed,
@@ -1239,6 +1204,6 @@ def moser_tardos_lists(
         "list_size": width,
         "log_sha": result.log_digest(),
         "coloring_sha": _coloring_digest(result.coloring),
-        "solve_seconds": round(elapsed, 6),
+        "solve_seconds": round(prof.seconds["solve"], 6),
         **prof.metrics(),
     }

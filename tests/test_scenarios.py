@@ -16,6 +16,7 @@ import pytest
 from repro.cli import _parse_set, main as cli_main
 from repro.scenarios import (
     CAMPAIGNS,
+    PROFILE_STAGES,
     ScenarioError,
     all_scenarios,
     get_scenario,
@@ -67,6 +68,11 @@ def test_scenario_smoke_runs_inline_to_valid_artifact(name, tmp_path):
     assert artifact["metadata"]["scenario"]["paper_ref"] == get_scenario(name).paper_ref
     assert artifact["metadata"]["check_failures"] == []
     assert len(artifact["rows"]) == len(run.runner.rows)
+    # every task row carries its stage clock; only derived rows (the
+    # finalizers' speedups) go without
+    for row in artifact["rows"]:
+        if "speedup_x" not in row["metrics"]:
+            assert set(row["metrics"]["stage_seconds"]) == set(PROFILE_STAGES), row
     # the exported artifact replays clean through the post-hoc suite too
     from repro.verify import artifact_failures, verify_artifact_dict
 
@@ -88,10 +94,13 @@ def test_smoke_run_is_deterministic(tmp_path):
     ]
     metrics = [
         [
-            # peak_rss_bytes is a process high-water mark (monotone within
-            # one interpreter), so it legitimately differs between runs —
-            # like wall times, it is excluded from the determinism claim
-            {k: v for k, v in row.metrics.items() if k != "peak_rss_bytes"}
+            # stage_seconds are wall times, and peak_rss_bytes is a process
+            # high-water mark (monotone within one interpreter): both are
+            # measurements, excluded from the determinism claim
+            {
+                k: v for k, v in row.metrics.items()
+                if k not in ("stage_seconds", "peak_rss_bytes")
+            }
             for row in run.runner.rows
         ]
         for run in runs
@@ -99,14 +108,36 @@ def test_smoke_run_is_deterministic(tmp_path):
     assert metrics[0] == metrics[1]
 
 
-def test_profile_records_stage_seconds(tmp_path):
-    run = run_scenario("theorem13-colors", smoke=True, workers=1, profile=True,
-                       out=tmp_path)
-    artifact = json.loads(run.path.read_text())
-    assert validate_artifact(artifact, expected_name="theorem13-colors", profile=True) == []
-    stages = artifact["rows"][0]["metrics"]["stage_seconds"]
-    assert set(stages) == {"generate", "freeze", "solve", "verify"}
-    assert all(isinstance(v, float) for v in stages.values())
+#: the named timing metrics that span one whole stage, per scenario: each
+#: is a read of its stage, not a clock of its own
+_STAGE_READS = {
+    "coloring": {"solve_seconds": "solve"},
+    "simulator": {"engine_seconds": "solve"},
+    "primitives": {"compute_seconds": "solve", "freeze_seconds": "freeze"},
+    "scale": {"attach_seconds": "freeze", "peel_seconds": "solve", "engine_seconds": "solve"},
+    "dynamic": {"solve_seconds": "solve"},
+    "randomized": {"solve_seconds": "solve"},
+}
+
+
+def test_task_rows_report_their_stages_without_a_flag():
+    for name, reads in _STAGE_READS.items():
+        run = run_scenario(name, smoke=True, workers=1, export=False)
+        seen = set()
+        for row in run.runner.rows:
+            if "speedup_x" in row.metrics:
+                continue  # a finalizer's derived row
+            stages = row.metrics["stage_seconds"]
+            assert set(stages) == set(PROFILE_STAGES), (name, row)
+            for metric, stage in reads.items():
+                if metric == "attach_seconds" and "peel" not in row.algorithm:
+                    continue  # scale_coloring times part of its freeze stage
+                if metric in row.metrics:
+                    seen.add(metric)
+                    assert row.metrics[metric] == pytest.approx(
+                        stages[stage], abs=1e-6
+                    ), (name, row.algorithm, metric)
+        assert seen == set(reads), name
 
 
 def test_artifact_out_directory_need_not_exist(tmp_path):
@@ -231,12 +262,20 @@ def test_cli_list_json(capsys):
 def test_cli_run_smoke_writes_artifact(tmp_path, capsys):
     code = cli_main([
         "run", "theorem13-colors", "--smoke", "--workers", "1",
-        "--out", str(tmp_path), "--profile",
+        "--out", str(tmp_path),
     ])
     assert code == 0
     artifact = json.loads((tmp_path / "BENCH_theorem13-colors.json").read_text())
-    assert validate_artifact(artifact, expected_name="theorem13-colors", profile=True) == []
+    assert validate_artifact(artifact, expected_name="theorem13-colors") == []
     assert "wrote" in capsys.readouterr().out
+
+
+def test_cli_run_has_no_profile_flag(capsys):
+    # every task row reports its stages, so the flag is gone
+    with pytest.raises(SystemExit) as info:
+        cli_main(["run", "theorem13-colors", "--smoke", "--profile"])
+    assert info.value.code == 2
+    assert "--profile" in capsys.readouterr().err
 
 
 def test_cli_run_unknown_scenario_errors(capsys):
