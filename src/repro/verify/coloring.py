@@ -20,10 +20,10 @@ from typing import Any
 
 from repro.coloring.assignment import Color, ListAssignment
 from repro.coloring.verification import (
+    _listed_count,
     is_complete,
     is_proper_coloring,
     number_of_colors,
-    respects_lists,
 )
 from repro.graphs.graph import Vertex
 from repro.verify.oracle import Verdict, collector
@@ -95,10 +95,11 @@ class ListColoringOracle:
         for diagnostic in proper.diagnostics:
             out.fail(diagnostic)
         out.failures += max(0, proper.failures - len(proper.diagnostics))
-        # one membership test on the packed lists accepts; the per-vertex
-        # scan only runs to *name* the out-of-list vertices
-        if respects_lists(coloring, lists):
-            out.saw(sum(1 for v in coloring if v in lists))
+        # one membership test on the packed lists accepts and counts; the
+        # per-vertex scan only runs to *name* the out-of-list vertices
+        listed = _listed_count(coloring, lists)
+        if listed is not None:
+            out.saw(listed)
             return out.verdict()
         for v, color in coloring.items():
             if v not in lists:
