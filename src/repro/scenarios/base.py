@@ -98,7 +98,11 @@ class Scenario:
     turns the scenario-specific ones into assertions.  Budgets, ``valid``
     flags, cross-variant parity, round envelopes and recovery are the
     generic oracles of :mod:`repro.verify.artifact`, which also runs
-    ``check`` on a runner rebuilt from the artifact.
+    ``check`` on a runner rebuilt from the artifact.  ``floors`` maps a
+    parameter to the smallest int every task of the scenario can run on
+    (each int inside a tuple parameter counts): :meth:`params_for`
+    refuses an override below it before any work starts.  Without an
+    entry the floor is 0, or 1 for ``size_param``.
     """
 
     name: str
@@ -111,6 +115,8 @@ class Scenario:
     reference: Mapping[str, Any] = field(default_factory=dict)
     #: Name of the parameter the CLI's ``--n`` maps onto (None: no size knob).
     size_param: str | None = None
+    #: Smallest int per parameter (see the class docstring).
+    floors: Mapping[str, int] = field(default_factory=dict)
     #: Scenarios that time code inside tasks run serially so concurrent
     #: workers cannot skew the measurements.
     serial_only: bool = False
@@ -128,9 +134,10 @@ class Scenario:
         Each override must have its default's type: a tuple default takes a
         tuple or list, an int default an int, a float default an int or a
         float (bools are refused for both), anything else its own type.
-        Its range is checked too, before any work starts: no int in it may
-        be negative unless the default holds a negative int, and every int
-        in :attr:`size_param` must be at least 1.
+        Its range is checked too, before any work starts: every int in it
+        must be at least the parameter's entry in :attr:`floors`.  Without
+        an entry, the floor is 1 for :attr:`size_param` and 0 otherwise,
+        and no floor applies when the default holds a negative int.
         """
         params = dict(self.defaults)
         if smoke:
@@ -167,13 +174,13 @@ class Scenario:
         )
 
     def _check_range(self, key: str, value: Any, default: Any) -> None:
-        floor = 1 if key == self.size_param else 0
+        floor = self.floors.get(key, 1 if key == self.size_param else 0)
         if not floor and any(i < 0 for i in _ints(default)):
             return  # a default that is itself negative somewhere sets no floor
         if any(i < floor for i in _ints(value)):
             raise ScenarioError(
                 f"scenario {self.name!r} parameter {key!r} must be "
-                f"{'positive' if floor else 'non-negative'}, got {value!r}"
+                f"{f'at least {floor}' if floor else 'non-negative'}, got {value!r}"
             )
 
     def artifact_path(self, out: str | Path | None = None) -> Path:

@@ -21,7 +21,7 @@ from typing import Any
 
 from repro.analysis import BatchTask, ExperimentRunner, fit_polylog, normalized_by_polylog
 from repro.scenarios import tasks
-from repro.scenarios.base import Scenario
+from repro.scenarios.base import Scenario, ScenarioError
 from repro.scenarios.registry import register
 
 __all__ = ["CAMPAIGNS"]
@@ -236,6 +236,13 @@ def _build_corollary21(params: Params) -> list[BatchTask]:
     built = []
     for degree in params["degrees"]:
         for n in params["ns"]:
+            if n <= degree + 1:
+                # K_{degree+1} is the only degree-regular graph on degree + 1
+                # vertices, and Corollary 2.1 excludes it
+                raise ScenarioError(
+                    f"scenario 'corollary21-brooks' parameter 'ns' must exceed "
+                    f"degree + 1 = {degree + 1}, got {n}"
+                )
             if n * degree % 2:
                 n += 1
             instance = f"{degree}-regular n={n}"
@@ -301,6 +308,7 @@ register(Scenario(
     build_tasks=_build_corollary23,
     defaults={"n": 150},
     smoke_overrides={"n": 60},
+    floors={"n": 3},
     reference={
         "planar": "6 colors", "triangle-free": "4 colors",
         "girth>=6": "3 colors", "GPS baseline": "7 colors",
@@ -625,6 +633,7 @@ register(Scenario(
         "path_lb": (60, 5),
         "csr_n": 800, "csr_radius": 4,
     },
+    floors={"cv_sizes": 2},
     reference={
         "Cole-Vishkin": "O(log* n) rounds (Linial: Omega(log* n) necessary)",
         "path lower bound": "2-coloring a path needs Omega(n) rounds",
@@ -746,6 +755,7 @@ register(Scenario(
         "engines": _SIM_ENGINES, "id_seed": 7,
     },
     smoke_overrides={"sizes": (1_500,), "lowerbound_sizes": (1_500,)},
+    floors={"sizes": 3},
     reference={
         "parity": "identical rounds/messages on all engines",
         "speedup": ">= 5x rounds/sec for batched Cole-Vishkin at n=10^5",
@@ -1035,6 +1045,7 @@ register(Scenario(
         "batch_window_ms": 2.0,
     },
     smoke_overrides={"clients": 4, "requests": 48, "huge_n": 2_000},
+    floors={"clients": 1},
     reference={
         "legality": "every served coloring passes the PR-5 oracles",
         "consistency": "hit and miss paths return bit-identical coloring_digests",
@@ -1129,6 +1140,7 @@ register(Scenario(
         "window": 2,
         "max_rounds": 200,
     },
+    floors={"n": 5, "window": 1, "max_rounds": 1},
     reference={
         "recovery": "every run re-establishes a legal coloring and quiesces",
         "containment": "recolors stay inside the perturbations' causal cones",
@@ -1241,6 +1253,7 @@ register(Scenario(
         "mt_sizes": (90,),
         "deterministic": ("greedy",),
     },
+    floors={"sizes": 5, "mt_sizes": 5},
     reference={
         "rounds": "randomized Delta+1 finishes in O(log n) rounds whp",
         "witness": "every resample log replays bit-for-bit from its seed",

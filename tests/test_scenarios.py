@@ -230,6 +230,55 @@ def test_out_of_range_overrides_are_refused_before_any_work(capsys):
     )["events"] == 0
 
 
+_BELOW_A_FLOOR = {
+    # each used to end in a worker's traceback, noted after it
+    "dynamic-window=0": ("dynamic --set window=0", "window"),  # ValueError
+    "dynamic-max_rounds=0": ("dynamic --set max_rounds=0", "max_rounds"),  # SimulationError
+    "dynamic-n=4": ("dynamic --n 4", "n"),  # GeneratorError: need d < n
+    "randomized-mt_sizes=4": ("randomized --set mt_sizes=4,", "mt_sizes"),  # GeneratorError
+    "randomized-sizes=4": ("randomized --n 4", "sizes"),  # GeneratorError
+    "serve-clients=0": ("serve --set clients=0", "clients"),  # ZeroDivisionError
+    "simulator-sizes=2": ("simulator --n 2", "sizes"),  # GeneratorError: a 2-cycle
+    "corollary23-planar-n=2": ("corollary23-planar --n 2", "n"),  # GeneratorError
+    "primitives-cv_sizes=1": ("primitives --set cv_sizes=1,", "cv_sizes"),  # IndexError
+    "corollary21-brooks-ns=5": ("corollary21-brooks --n 5", "ns"),  # TypeError on K_5
+}
+
+
+@pytest.mark.parametrize(
+    "command, param", _BELOW_A_FLOOR.values(), ids=list(_BELOW_A_FLOOR)
+)
+def test_overrides_below_a_floor_are_refused(command, param, tmp_path, capsys):
+    scenario, *override = command.split()
+    argv = ["run", scenario, "--smoke", "--workers", "1", "--out", str(tmp_path), *override]
+    assert cli_main(argv) == 2
+    assert f"parameter '{param}'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+_AT_THE_FLOOR = {
+    "dynamic": {"n": 5, "window": 1, "max_rounds": 1},
+    "randomized": {"sizes": (5,), "mt_sizes": (5,)},
+    "serve": {"clients": 1},
+    "simulator": {"sizes": (3,), "lowerbound_sizes": (3,)},
+    "corollary23-planar": {"n": 3},
+    "primitives": {"cv_sizes": (2,)},
+    "corollary21-brooks": {"ns": (6,)},
+}
+
+
+@pytest.mark.parametrize(
+    "scenario, overrides", _AT_THE_FLOOR.items(), ids=list(_AT_THE_FLOOR)
+)
+def test_floor_values_still_run(scenario, overrides):
+    # a floor refuses only what cannot run; what runs is judged by the
+    # oracles (one round cannot recover a fault, a 3-node speedup is noise)
+    run = run_scenario(
+        scenario, smoke=True, overrides=overrides, workers=1, export=False, strict=False
+    )
+    assert run.runner.rows
+
+
 def test_validate_artifact_flags_broken_shapes():
     assert validate_artifact([]) != []
     assert any("schema_version" in p for p in validate_artifact({}))
