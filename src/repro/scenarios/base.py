@@ -16,12 +16,17 @@ the ``python -m repro`` CLI (:mod:`repro.cli`) is a thin shell around
 
 from __future__ import annotations
 
+import os
+import platform
 import time
 from collections.abc import Callable, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
+
+import networkx
+import numpy
 
 from repro.analysis import BatchTask, ExperimentRunner
 
@@ -243,6 +248,22 @@ def _resolve(scenario: "Scenario | str") -> Scenario:
     return get_scenario(scenario)
 
 
+def _environment() -> dict[str, Any]:
+    """The software and machine a run's stage times were measured on.
+
+    Read in-process: ``platform`` is the system-release-machine part of
+    ``platform.platform()``, whose processor field runs ``uname -p`` in a
+    subprocess on Linux.
+    """
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "networkx": networkx.__version__,
+        "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _merge_repeats(rows, repeat_rows) -> None:
     """Fold repeated measurements into ``rows``: median-of-K wall times.
 
@@ -307,7 +328,9 @@ def run_scenario(
     the exported file.  With ``strict`` (the default) a failure raises
     :class:`ScenarioCheckError`; the failures are always recorded on the
     returned :class:`ScenarioRun` and under ``metadata.check_failures``.
-    Every task row carries its ``stage_seconds`` (:class:`StageProfile`).
+    Every task row carries its ``stage_seconds`` (:class:`StageProfile`),
+    and ``metadata.environment`` names the software and machine they were
+    measured on.
 
     ``repeat=K`` runs the whole batch K times (same derived seeds) and
     reports the median wall time per row — both ``seconds`` and any
@@ -370,6 +393,7 @@ def _run_resolved(
             },
             "params": params,
             "reference": dict(scenario.reference),
+            "environment": _environment(),
         },
     )
     parallel = not scenario.serial_only and workers != 1

@@ -327,6 +327,31 @@ def test_cli_run_has_no_profile_flag(capsys):
     assert "--profile" in capsys.readouterr().err
 
 
+def test_artifact_names_its_environment(tmp_path, monkeypatch):
+    import os
+    import platform
+    import subprocess
+
+    import networkx
+    import numpy
+
+    def no_subprocess(*args, **kwargs):
+        raise AssertionError(f"subprocess started: {args!r}")
+
+    # a fresh uname, so a platform call that runs `uname -p` would show
+    monkeypatch.setattr(platform, "_uname_cache", None, raising=False)
+    monkeypatch.setattr(subprocess, "Popen", no_subprocess)
+    run = run_scenario("lowerbound-fisk", smoke=True, workers=1, out=tmp_path)
+    environment = json.loads(run.path.read_text())["metadata"]["environment"]
+    assert environment == {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "networkx": networkx.__version__,
+        "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def test_cli_run_unknown_scenario_errors(capsys):
     assert cli_main(["run", "nope"]) == 2
     assert "unknown scenario" in capsys.readouterr().err
