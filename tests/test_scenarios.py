@@ -288,6 +288,15 @@ def test_validate_artifact_flags_broken_shapes():
     broken = dict(artifact, rows=[{"instance": 1}])
     assert any("rows[0]" in p for p in validate_artifact(broken))
     assert any("!= expected" in p for p in validate_artifact(artifact, expected_name="other"))
+    # a row's stage clock names the four stages, each a non-negative number
+    for stages in (
+        {"solve": 0.1},
+        {"generate": 0.0, "freeze": 0.0, "solve": -1.0, "verify": 0.0},
+        {"generate": 0.0, "freeze": 0.0, "solve": "fast", "verify": 0.0},
+    ):
+        doctored = copy.deepcopy(artifact)
+        doctored["rows"][0]["metrics"]["stage_seconds"] = stages
+        assert any("stage_seconds" in p for p in validate_artifact(doctored)), stages
 
 
 # ---------------------------------------------------------------------------
