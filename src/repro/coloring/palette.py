@@ -146,8 +146,9 @@ def kth_set_bits(rows, k):
     than ``k[i]`` set bits.  Walking the blocks, a row whose count is not
     used up by the current block's popcount moves on to the next block;
     inside the block that holds the bit, the lowest set bit is cleared as
-    often as the count left says.  This is the uniform draw of the
-    randomized programs (``k = bits % popcount``).
+    often as the count left says, one dense step per count over every
+    row.  This is the uniform draw of the randomized programs
+    (``k = bits % popcount``).
     """
     word = rows[:, 0].copy()
     remaining = np.array(k, dtype=np.int64)
@@ -159,12 +160,8 @@ def kth_set_bits(rows, k):
         block[later] = b
         word[later] = rows[later, b]
     one = np.uint64(1)
-    while True:
-        active = remaining > 0
-        if not active.any():
-            break
-        word[active] &= word[active] - one
-        remaining[active] -= 1
+    for step in range(int(remaining.max(initial=0))):
+        word = np.where(remaining > step, word & (word - one), word)
     low = word & (np.uint64(0) - word)
     return 64 * block + np.bitwise_count(low - one).astype(np.int64)
 

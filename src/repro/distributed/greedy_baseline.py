@@ -18,6 +18,7 @@ from typing import Any
 import numpy as np
 
 from repro.graphs.frozen import GraphLike, freeze
+from repro.local import kernels
 from repro.local.network import Network
 from repro.local.node import (
     BatchContext,
@@ -87,21 +88,23 @@ class BatchGreedyLocalMaximaAlgorithm(BatchNodeAlgorithm):
 
     Every round all nodes broadcast their color (0 encodes "uncolored";
     neighbour identifiers are read off the fabric, which is exactly the
-    information the per-node protocol re-broadcasts every round), and the
-    per-node decision rule is replayed with segmented numpy reductions: an
-    uncolored node whose identifier beats the max uncolored-neighbour id
-    takes the smallest color its neighbours do not hold
-    (:func:`~repro.local.node.smallest_free_color`, at any palette width).
-    Rounds, message counts and outputs match the per-node run exactly.
+    information the per-node protocol re-broadcasts every round), so a
+    round counts every slot.  Rounds, message counts and outputs match the
+    per-node run exactly.
 
-    The program runs in ``"broadcast"`` exchange mode and
-    ``receive_broadcast`` adds *active-set compaction*: only uncolored
-    nodes can change state, so once fewer than half the nodes remain
-    uncolored the decision runs over just the active nodes' slots
-    (:func:`repro.local.kernels.compact_segments`) instead of the whole
-    fabric.  Every path applies the one rule of :meth:`_decide`, so every
-    output, round and message count is identical to the dense path, which
-    ``receive_batch`` keeps alive as the unfused reference.
+    The program runs in ``"broadcast"`` exchange mode, and
+    ``receive_broadcast`` counts eligibility instead of re-deriving it.
+    Before round 1 the program counts, per node, the neighbours with a
+    higher identifier, all uncolored then.  A node whose count is 0
+    beats every uncolored neighbour: it wins this round and takes the
+    smallest color its neighbours do not hold
+    (:func:`~repro.local.node.smallest_free_color`, at any palette width,
+    over the winners' slots only).  A winner's lower-identifier
+    neighbours are all uncolored, since each of them still had the winner
+    to beat, so each loses one count; those whose count reaches 0 win the
+    next round.  A round thus costs what its winners' slots cost.
+    ``receive_batch`` keeps the per-round rule over the whole fabric alive
+    as the unfused reference.
     """
 
     exchange_mode = "broadcast"
@@ -111,62 +114,42 @@ class BatchGreedyLocalMaximaAlgorithm(BatchNodeAlgorithm):
         self.colors = np.zeros(context.n, dtype=np.int64)  # 0 = uncolored
         self.nbr_ids = context.identifiers[context.endpoints]
         self.done = context.n == 0
-        self._active = None  # uncolored node indices once compaction kicks in
+        # per node, the uncolored neighbours with a higher identifier (all
+        # of them, before round 1), and the nodes whose count is 0
+        outranked = self.nbr_ids > context.identifiers[context.sources]
+        self._higher = segment_reduce(np.add, outranked, context.offsets)
+        self._winners = np.flatnonzero(self._higher == 0)
 
     def send_batch(self, round_number: int):
         return self.colors
 
-    @staticmethod
-    def _decide(ids, nbr_colors, nbr_ids, offsets, sources):
-        """Eligibility and free color of the nodes whose slots are given.
-
-        ``nbr_colors``/``nbr_ids`` are per slot, ``offsets`` delimits each
-        node's slots and ``sources`` names each slot's node (0-based over
-        the given nodes).  A node is eligible when its identifier beats
-        every uncolored neighbour's.
-        """
-        rival = segment_reduce(
-            np.maximum, np.where(nbr_colors == 0, nbr_ids, 0), offsets, empty=0
-        )
-        return ids > rival, smallest_free_color(nbr_colors, offsets, sources)
-
     def receive_broadcast(self, round_number: int, node_values) -> None:
-        from repro.local import kernels
-
         context = self.context
-        active = self._active
-        if active is None and 2 * int((self.colors == 0).sum()) > context.n:
-            # dense round: decide over the whole fabric (same arithmetic as
-            # receive_batch, minus the inbox materialization)
-            self.receive_batch(round_number, node_values[context.endpoints], None)
-            still = np.flatnonzero(self.colors == 0)
-            if 2 * still.size <= context.n:
-                self._active = still
-            return
-        if active is None:
-            active = np.flatnonzero(self.colors == 0)
-        # compact round: gather only the active nodes' neighbourhoods
-        slots, compact_offsets = kernels.compact_segments(
-            context.offsets, active
+        winners = self._winners
+        slots, offsets = kernels.compact_segments(context.offsets, winners)
+        degrees = np.diff(offsets)
+        far = context.endpoints[slots]
+        self.colors[winners] = smallest_free_color(
+            node_values[far], offsets,
+            np.repeat(np.arange(winners.size, dtype=np.int64), degrees),
         )
-        eligible, free = self._decide(
-            context.identifiers[active],
-            node_values[context.endpoints[slots]],
-            self.nbr_ids[slots],
-            compact_offsets,
-            np.repeat(np.arange(active.size, dtype=np.int64), np.diff(compact_offsets)),
+        beaten = self.nbr_ids[slots] < np.repeat(
+            context.identifiers[winners], degrees
         )
-        self.colors[active[eligible]] = free[eligible]
-        self._active = active[~eligible]
-        self.done = self._active.size == 0
+        touched, counts = np.unique(far[beaten], return_counts=True)
+        higher = self._higher
+        higher[touched] -= counts
+        self._winners = touched[higher[touched] == 0]
+        self.done = self._winners.size == 0
 
     def receive_batch(self, round_number: int, inbox, delivered) -> None:
         context = self.context
-        eligible, free = self._decide(
-            context.identifiers, inbox, self.nbr_ids, context.offsets,
-            context.sources,
+        rival = segment_reduce(
+            np.maximum, np.where(inbox == 0, self.nbr_ids, 0), context.offsets
         )
-        self.colors = np.where(eligible & (self.colors == 0), free, self.colors)
+        free = smallest_free_color(inbox, context.offsets, context.sources)
+        eligible = (context.identifiers > rival) & (self.colors == 0)
+        self.colors = np.where(eligible, free, self.colors)
         self.done = bool((self.colors > 0).all())
 
     def is_finished_batch(self) -> bool:

@@ -20,9 +20,10 @@ Sanchis, PAPERS.md):
   coloring as a genuine node program.  Each round every uncolored vertex
   draws a uniform color from its remaining palette and keeps it unless a
   neighbour announced the same value; committed vertices broadcast their
-  final color once and fall silent.  The batched twin runs in the
-  engine's sparse ``"active"`` exchange mode, so per-round cost tracks
-  the geometrically shrinking uncolored frontier.
+  final color once and fall silent.  The batched twin sends a
+  ``"broadcast"`` that names its senders and decides over its uncolored
+  nodes' slots only, so per-round cost tracks the geometrically
+  shrinking uncolored frontier.
 
 **Counter-based randomness.**  All draws come from a vectorized
 Philox-4x64-10 keyed by ``(seed, node_id)`` with the round (or resample
@@ -57,6 +58,7 @@ from repro.local.node import (
     BatchNodeAlgorithm,
     NodeAlgorithm,
     NodeContext,
+    segment_reduce,
 )
 from repro.local.simulator import run_node_algorithm
 
@@ -89,19 +91,34 @@ KEY_SALT = 0x726570726F2D7231  # b"repro-r1"
 
 
 def _mulhilo(a, b):
-    """128-bit product of two uint64 arrays as a ``(hi, lo)`` pair."""
+    """128-bit product of uint64 values as a ``(hi, lo)`` pair.
+
+    ``lo`` is the wrapped product.  ``hi`` sums ``a_hi*b_hi``, the high
+    halves of the two cross products and the carry out of the middle
+    column.  That column holds ``s*2^32 + a_lo*b_lo``, ``s`` being the sum
+    of the cross products' low halves, so its carry is ``s >> 32`` plus
+    one exactly when ``lo``'s high half wrapped below ``s``'s low half:
+    ``a_lo*b_lo`` is never formed.  The three products and the sums are
+    updated in place.
+    """
     mask32 = np.uint64(0xFFFFFFFF)
     s32 = np.uint64(32)
-    lo = a * b
     a_lo = a & mask32
     a_hi = a >> s32
-    b_lo = b & mask32
-    b_hi = b >> s32
-    t = a_lo * b_lo
-    mid1 = a_hi * b_lo
-    mid2 = a_lo * b_hi
-    carry = ((t >> s32) + (mid1 & mask32) + (mid2 & mask32)) >> s32
-    hi = a_hi * b_hi + (mid1 >> s32) + (mid2 >> s32) + carry
+    lo = a * b
+    cross = b & mask32
+    cross *= a_hi
+    hi = b >> s32
+    cross2 = hi * a_lo
+    hi *= a_hi
+    hi += cross >> s32
+    hi += cross2 >> s32
+    cross &= mask32
+    cross2 &= mask32
+    cross += cross2
+    hi += cross >> s32
+    cross &= mask32
+    hi += (lo >> s32) < cross
     return hi, lo
 
 
@@ -111,7 +128,9 @@ def philox4x64(counter0, counter1, counter2, counter3, key0, key1):
     Bit-identical to the block function of ``numpy.random.Philox`` (numpy
     pre-increments the counter before its first block, which the parity
     test accounts for).  All inputs broadcast; returns the four output
-    lanes as uint64 arrays.
+    lanes as uint64 arrays.  A scalar counter word stays a scalar until a
+    round mixes an array into it, so the constant words cost no array
+    products.
     """
     with np.errstate(over="ignore"):
         x0 = np.asarray(counter0, dtype=np.uint64)
@@ -134,20 +153,32 @@ def philox4x64(counter0, counter1, counter2, counter3, key0, key1):
         return x0, x1, x2, x3
 
 
+#: node ids per Philox pass in :func:`counter_rng`: the pass's temporaries
+#: then stay in cache (1M ids in one pass took 2.7x as long, on 2 cores)
+_RNG_CHUNK = 1 << 14
+
+
 def counter_rng(seed: int, node_ids, round_number: int):
     """One uint64 per node for ``(seed, node_id, round_number)``.
 
     Key = ``(seed, salt)``, counter = ``(round, node_id, 0, 0)``: a pure
     function of the triple, so any engine — per-node or batched, in any
     visitation order — derives the identical draw for a node and round.
+    The round and the two zero words go in as scalars, and the ids in
+    chunks of ``_RNG_CHUNK``.
     """
     ids = np.asarray(node_ids, dtype=np.uint64)
-    zero = np.zeros_like(ids)
-    c0 = np.full_like(ids, np.uint64(round_number & _MASK64))
-    lane0, _, _, _ = philox4x64(
-        c0, ids, zero, zero,
-        np.uint64(int(seed) & _MASK64), np.uint64(KEY_SALT),
-    )
+    lane0 = np.empty(ids.shape, dtype=np.uint64)
+    flat_ids, flat_lane0 = ids.reshape(-1), lane0.reshape(-1)
+    counter = np.uint64(round_number & _MASK64)
+    zero = np.uint64(0)
+    key0 = np.uint64(int(seed) & _MASK64)
+    key1 = np.uint64(KEY_SALT)
+    for start in range(0, flat_ids.size, _RNG_CHUNK):
+        part = slice(start, start + _RNG_CHUNK)
+        flat_lane0[part] = philox4x64(
+            counter, flat_ids[part], zero, zero, key0, key1
+        )[0]
     return lane0
 
 
@@ -234,22 +265,33 @@ class RandomizedDeltaPlusOne(NodeAlgorithm):
 
 
 class BatchRandomizedDeltaPlusOne(BatchNodeAlgorithm):
-    """Batched twin of :class:`RandomizedDeltaPlusOne` (``"active"`` mode).
+    """Batched twin of :class:`RandomizedDeltaPlusOne`.
 
-    ``send_batch`` routes only the frontier's slots — the uncolored
-    vertices plus the just-committed ones owing their final broadcast —
-    so per-round cost (and the engine's message ledger) tracks the
-    shrinking frontier exactly like the per-node program's.  Palettes are
-    packed ``(n, blocks)`` uint64 rows (the :class:`FlatListAssignment`
-    row format; color ``c`` is bit ``c & 63`` of block ``c >> 6``) and the
+    A ``"broadcast"`` program whose rounds name their senders: each
+    :meth:`send_batch` returns the per-node value array (the trial color
+    of every uncolored node, ``-color`` for the just-committed nodes
+    owing their final broadcast, 0 for the finished ones) with those two
+    sets as the senders, so the engine charges exactly the degrees the
+    per-node program's ledger charges.  The uncolored and pending nodes
+    are index arrays, and only the uncolored draw.  Palettes are packed
+    ``(n, blocks)`` uint64 rows (the :class:`FlatListAssignment` row
+    format; color ``c`` is bit ``c & 63`` of block ``c >> 6``) and the
     draw is :func:`~repro.coloring.palette.kth_set_bits`, so any Δ works.
+
+    Every node decides on the receiving side, over the uncolored nodes'
+    slots only.  :meth:`receive_broadcast` keeps the far ends of those
+    slots, node by node, and reads each round's values through them with
+    one gather per slot, then drops the slots of the nodes that commit;
+    so a round costs what its frontier costs.  :meth:`receive_batch` is
+    the unfused reference: it reads the same slots out of the delivered
+    inbox.
 
     ``frontier_log[r-1]`` records the uncolored count at round ``r``'s
     send — the conflict-set trace consumed by
     :class:`repro.verify.randomized.RandomizedRoundsOracle`.
     """
 
-    exchange_mode = "active"
+    exchange_mode = "broadcast"
 
     def initialize_batch(self, context: BatchContext) -> None:
         super().initialize_batch(context)
@@ -265,57 +307,85 @@ class BatchRandomizedDeltaPlusOne(BatchNodeAlgorithm):
         blocks = (delta + 1) // 64 + 1
         self.avail = np.repeat(_pack_rows([full], blocks), n, axis=0)
         self.colors = np.zeros(n, dtype=np.int64)
-        self.trial = np.zeros(n, dtype=np.int64)
-        self.pending = np.zeros(n, dtype=bool)
-        self.done_mask = np.zeros(n, dtype=bool)
+        self.values = np.zeros(n, dtype=np.int64)  # what each node broadcasts
+        self.uncolored = np.arange(n, dtype=np.int64)
+        self.pending = np.empty(0, dtype=np.int64)
+        # the far ends of the uncolored nodes' slots, and their degrees
+        self._far = context.endpoints
+        self._degrees = context.degrees
         self.done = n == 0
         self.frontier_log: list[int] = []
 
     def send_batch(self, round_number: int):
-        context = self.context
-        uncolored = self.colors == 0
-        self.frontier_log.append(int(uncolored.sum()))
-        front = np.flatnonzero(uncolored | self.pending)
-        if front.size == 0:
-            return None
-        unc = np.flatnonzero(uncolored)
-        if unc.size:
-            bits = counter_rng(self.seed, context.identifiers[unc], round_number)
-            rows = self.avail[unc]
+        uncolored = self.uncolored
+        self.frontier_log.append(int(uncolored.size))
+        if uncolored.size:
+            bits = counter_rng(
+                self.seed, self.context.identifiers[uncolored], round_number
+            )
+            rows = self.avail[uncolored]
             k = (bits % np.bitwise_count(rows).sum(axis=1)).astype(np.int64)
-            self.trial[unc] = kth_set_bits(rows, k)
-        node_values = np.where(self.pending, -self.colors, self.trial)
-        slots, compact_offsets = kernels.compact_segments(context.offsets, front)
-        values = np.repeat(node_values[front], np.diff(compact_offsets))
-        return slots, values
+            self.values[uncolored] = kth_set_bits(rows, k)
+        return self.values, np.concatenate((uncolored, self.pending))
 
-    def receive_active(self, round_number: int, dest_slots, values) -> None:
-        context = self.context
-        was_pending = np.flatnonzero(self.pending)
-        uncolored = (self.colors == 0) & ~self.done_mask
-        conflict = np.zeros(context.n, dtype=bool)
-        if dest_slots is not None and len(dest_slots):
-            receivers = context.sources[dest_slots]
-            hit = np.abs(values) == self.trial[receivers]
-            np.logical_or.at(conflict, receivers[hit], True)
-            negative = values < 0
-            if negative.any():
-                # color c clears bit c & 63 of block c >> 6 in the receiver's
-                # row (a 1-D scatter: ufunc.at is far slower on tuple indices)
-                pruned = -values[negative]
-                blocks = self.avail.shape[1]
-                clear = np.zeros(self.avail.size, dtype=np.uint64)
-                np.bitwise_or.at(
-                    clear, receivers[negative] * blocks + (pruned >> 6),
-                    np.uint64(1) << (pruned & 63).astype(np.uint64),
-                )
-                self.avail &= ~clear.reshape(self.avail.shape)
-        commit = np.flatnonzero(uncolored & ~conflict)
-        self.colors[commit] = self.trial[commit]
-        self.pending[commit] = True
-        self.pending[was_pending] = False
-        self.done_mask[was_pending] = True
-        self.done = bool(self.done_mask.all())
+    def receive_broadcast(self, round_number: int, sent) -> None:
+        far, degrees = self._far, self._degrees
+        conflict, clear = self._decide(sent[0][far], degrees)
+        self._far = far[np.repeat(conflict, degrees)]
+        self._degrees = degrees[conflict]
+        self._settle(conflict, clear)
+
+    def receive_batch(self, round_number: int, inbox, delivered) -> None:
+        slots, offsets = kernels.compact_segments(
+            self.context.offsets, self.uncolored
+        )
+        heard = inbox[slots]
+        if delivered is not None:
+            heard[~delivered[slots]] = 0  # a silent slot carries nothing
+        self._settle(*self._decide(heard, np.diff(offsets)))
+
+    def _decide(self, heard, degrees):
+        """Conflicts and palette prunes of the uncolored nodes.
+
+        ``heard`` is what arrived on the uncolored nodes' slots, node by
+        node, ``degrees`` how many slots each has.  A node conflicts when
+        a neighbour announced its trial color, as a trial or as a final
+        ``-color``; every final color a node hears leaves its palette.
+        Returns the conflict mask and the ``(len, blocks)`` bits to clear.
+        """
+        offsets = np.zeros(len(degrees) + 1, dtype=np.int64)
+        np.cumsum(degrees, out=offsets[1:])
+        trial = self.values[self.uncolored]
+        hit = np.abs(heard) == np.repeat(trial, degrees)
+        conflict = segment_reduce(np.logical_or, hit, offsets, False, np.bool_)
+        # the final colors heard; 0 (a bit no palette holds) elsewhere
+        final = np.maximum(-heard, 0).view(np.uint64)
+        one = np.uint64(1)
+        blocks = self.avail.shape[1]
+        if blocks == 1:  # every color is below 64
+            per_block = [one << final]
+        else:
+            bit = one << (final & np.uint64(63))
+            block = final >> np.uint64(6)
+            per_block = (np.where(block == b, bit, 0) for b in range(blocks))
+        clear = np.column_stack([
+            segment_reduce(np.bitwise_or, bits, offsets, 0, np.uint64)
+            for bits in per_block
+        ])
+        return conflict, clear
+
+    def _settle(self, conflict, clear) -> None:
+        """Commit the uncolored nodes without a conflict; prune the rest."""
+        uncolored = self.uncolored
+        values = self.values
+        commit = uncolored[~conflict]
+        values[self.pending] = 0  # their final broadcast went out this round
+        self.colors[commit] = values[commit]
+        values[commit] = -values[commit]
+        self.pending = commit
+        self.uncolored = still = uncolored[conflict]
+        self.avail[still] &= ~clear[conflict]
+        self.done = still.size == 0 and commit.size == 0
 
     def is_finished_batch(self) -> bool:
         return self.done

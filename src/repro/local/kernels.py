@@ -19,9 +19,9 @@ kernels here collapse the first two passes into one:
 This module is the only place that identity is exploited; everything
 above it (the simulator and the batched node programs)
 talks in terms of :func:`gather`, :func:`deliver_slots`,
-:func:`deliver_masked` and :func:`compact_segments`.
-``tests/test_kernel_parity.py`` pins them against plain Python loops and
-:func:`reference_broadcast`.
+:func:`deliver_masked`, :func:`deliver_broadcast_from` and
+:func:`compact_segments`.  ``tests/test_kernel_parity.py`` pins them
+against plain Python loops and :func:`reference_broadcast`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
     "gather",
     "deliver_slots",
     "deliver_masked",
+    "deliver_broadcast_from",
     "compact_segments",
     "reference_broadcast",
 ]
@@ -77,9 +78,8 @@ def compact_segments(offsets, active):
     ``slots`` lists every port-slot owned by an active node (in slot
     order within each node) and ``compact_offsets`` is the CSR offsets
     of those slots *within the compact array* — ready for
-    ``segment_reduce`` over just the active rows.  This is the
-    active-set compaction used by the greedy baseline once most nodes
-    have committed a color.
+    ``segment_reduce`` over just the active rows: the greedy baseline's
+    winners, randomized Δ+1's uncolored nodes in its unfused reference.
     """
     starts = offsets[active]
     counts = offsets[active + 1] - starts
@@ -92,6 +92,21 @@ def compact_segments(offsets, active):
     slots = np.repeat(starts - compact_offsets[:-1], counts)
     slots += np.arange(total, dtype=np.int64)
     return slots, compact_offsets
+
+
+def deliver_broadcast_from(
+    node_values, senders, endpoints, inbox_out=None, delivered_out=None
+):
+    """Deliver a broadcast round in which only ``senders`` speak.
+
+    Returns ``(inbox, delivered)``: every slot gets the value of the node
+    on its other side (the fused endpoint gather), and ``delivered[k]``
+    says whether that node is among ``senders`` (an index array).
+    """
+    speaks = np.zeros(len(node_values), dtype=np.bool_)
+    speaks[senders] = True
+    inbox = gather(node_values, endpoints, out=inbox_out)
+    return inbox, gather(speaks, endpoints, out=delivered_out)
 
 
 def reference_broadcast(node_values, sources, reverse):

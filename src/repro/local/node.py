@@ -183,15 +183,20 @@ class BatchNodeAlgorithm:
         Every port of a node carries the same value: :meth:`send_batch`
         returns a *per-node* ``int64[n]`` array and the engine delivers it
         with the single fused gather ``inbox = values[endpoints]``
-        (``sources[reverse_slot] == endpoints``).  A broadcast round always
-        counts ``num_slots`` messages, exactly like the per-node program
-        broadcasting on every port.  Programs may implement
-        ``receive_broadcast(round_number, node_values)`` to consume the
-        per-node array directly (skipping the inbox materialization when
-        only e.g. a parent's value is needed); the engine falls back to
+        (``sources[reverse_slot] == endpoints``).  Every node speaks, so the
+        round counts ``num_slots`` messages, exactly like the per-node
+        program broadcasting on every port.  A ``(node_values, senders)``
+        pair names the nodes that speak (an integer index array): only
+        they are charged, each its degree, and the unfused path hands
+        :meth:`receive_batch` a ``delivered`` mask of the slots whose far
+        node is a sender.  Programs may implement
+        ``receive_broadcast(round_number, sent)`` to consume what
+        :meth:`send_batch` returned (the array, or the pair) directly,
+        skipping the inbox materialization when only e.g. a parent's value
+        or the frontier's slots are needed; the engine falls back to
         materializing the inbox and calling :meth:`receive_batch` when the
-        method is absent, and the reference three-pass engine always takes
-        that unfused path.
+        method is absent, and the reference engine and hooked runs always
+        take that unfused path.
     ``"active"``
         Sparse rounds: :meth:`send_batch` returns a ``(slots, values)``
         pair listing only the slots that carry a message (``len(slots)``
@@ -232,7 +237,7 @@ class BatchNodeAlgorithm:
         return [None] * self.context.n
 
 
-def segment_reduce(ufunc, values, offsets, empty=0):
+def segment_reduce(ufunc, values, offsets, empty=0, dtype=np.int64):
     """Per-node reduction of per-slot ``values``: ``out[i] = ufunc.reduce(values[offsets[i]:offsets[i+1]])``.
 
     The workhorse of batched programs ("OR of my neighbours' color bits",
@@ -241,10 +246,10 @@ def segment_reduce(ufunc, values, offsets, empty=0):
     runs over the starts of the *non-empty* segments only — consecutive
     non-empty starts delimit exactly one segment's values because the
     segments skipped in between are empty — so trailing empty segments
-    cannot truncate the last real one.
+    cannot truncate the last real one.  ``out`` has ``dtype``.
     """
     n = len(offsets) - 1
-    out = np.full(n, empty, dtype=np.int64)
+    out = np.full(n, empty, dtype=dtype)
     if n == 0 or len(values) == 0:
         return out
     starts = offsets[:-1]

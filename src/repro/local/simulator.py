@@ -32,10 +32,11 @@ The data plane runs on the network's flat-array routing fabric
 * the batched exchange itself runs on the fused kernels of
   :mod:`repro.local.kernels` — broadcast rounds are delivered with a
   single gather by ``endpoints`` (instead of the historical send-gather +
-  reverse-permutation double pass), sparse "active" rounds route only the
+  reverse-permutation double pass), a broadcast that names its senders is
+  charged only their degrees, sparse "active" rounds route only the
   frontier's slots, and per-slot rounds reuse preallocated inbox buffers.
-  ``run(..., reference_exchange=True)`` forces the unfused three-pass
-  delivery, kept as the oracle the parity tests pin the kernels against.
+  ``run(..., reference_exchange=True)`` forces the unfused delivery, kept
+  as the oracle the parity tests pin the kernels against.
 
 A batched run ends without a per-vertex Python step: its
 :attr:`SimulationResult.outputs` is a :class:`LazyOutputs` view over the
@@ -53,9 +54,11 @@ Static runs pass no hooks and pay one ``is not None`` test per point.
 
 Note that finished nodes still ``send`` and ``receive`` every round until
 the whole network terminates — protocols like the greedy baseline rely on
-finished nodes broadcasting their state — so the per-round work is O(n + m)
-either way; the flat fabric and the batched path cut the constant, which is
-what the ``simulator`` scenario measures.
+finished nodes broadcasting their state — so the per-node loop's work is
+O(n + m) per round; the flat fabric cuts its constant, which is what the
+``simulator`` scenario measures.  A batched program's fused receive reads
+only what its frontier needs, so its rounds can cost what that frontier
+costs.
 """
 
 from __future__ import annotations
@@ -244,7 +247,11 @@ class SynchronousSimulator:
         the historical unfused three-pass delivery (send-gather by
         ``sources`` + permutation by ``reverse_slot`` + ``receive_batch``)
         instead of the fused kernels — the parity oracle for
-        :mod:`repro.local.kernels`.
+        :mod:`repro.local.kernels`.  A broadcast that names its senders
+        reaches ``receive_batch`` as the endpoint gather plus a
+        ``delivered`` mask of the slots whose far node spoke
+        (:func:`~repro.local.kernels.deliver_broadcast_from`), in hooked
+        runs too.
 
         ``hooks`` edits every round; ``nodes`` below is the node list of the
         per-node loop or the program of the batched one:
@@ -434,6 +441,7 @@ class SynchronousSimulator:
         reverse = fabric.reverse_np
         endpoints = fabric.endpoints_np
         sources = context.sources
+        degrees = context.degrees
         num_slots = fabric.num_slots
         mode = type(program).exchange_mode
         if hooks is not None and mode == "active":
@@ -485,6 +493,7 @@ class SynchronousSimulator:
                     reverse = fabric.reverse_np
                     endpoints = fabric.endpoints_np
                     sources = context.sources
+                    degrees = context.degrees
                     num_slots = fabric.num_slots
                     program.on_topology_change(context)
                     # reallocated only once the program has dropped the
@@ -504,16 +513,22 @@ class SynchronousSimulator:
                 # the message sent from slot s arrives at slot reverse[s]
                 receive_active(rounds, reverse[slots], values)
             elif receive_broadcast is not None:
-                round_messages = num_slots
+                round_messages = _broadcast_messages(sent, degrees, num_slots)
                 receive_broadcast(rounds, sent)
             else:
                 delivered = None
                 round_messages = num_slots
                 if mode == "broadcast":
+                    round_messages = _broadcast_messages(sent, degrees, num_slots)
                     # sources[reverse_slot] == endpoints: the send-gather
                     # and the reverse permutation fuse into one endpoint
                     # gather
-                    if reference_exchange:
+                    if isinstance(sent, tuple):
+                        inbox, delivered = kernels.deliver_broadcast_from(
+                            *sent, endpoints,
+                            inbox_out=inbox_buf, delivered_out=delivered_buf,
+                        )
+                    elif reference_exchange:
                         inbox = kernels.reference_broadcast(sent, sources, reverse)
                     else:
                         inbox = kernels.gather(sent, endpoints, out=inbox_buf)
@@ -541,6 +556,13 @@ class SynchronousSimulator:
             finished=True,
             per_round_messages=per_round,
         )
+
+
+def _broadcast_messages(sent, degrees, num_slots: int) -> int:
+    """A broadcast round's charge: every slot, or the named senders' degrees."""
+    if isinstance(sent, tuple):
+        return int(degrees[sent[1]].sum())
+    return num_slots
 
 
 def _outputs(network: Network, values) -> LazyOutputs:

@@ -78,6 +78,7 @@ register(Scenario(
         "baseline": "floor(mad)+1 colors (degeneracy greedy)",
     },
     size_param="sizes",
+    floors={"ds": 3},
 ))
 
 
@@ -157,6 +158,8 @@ register(Scenario(
     smoke_overrides={"sizes": (40, 80)},
     reference={"rounds": "O(d^4 log^3 n), O(d^2 log^3 n) when max degree <= d"},
     size_param="sizes",
+    # a union of two forests has mad < 4: at d = 3 the d >= mad promise breaks
+    floors={"d": 4},
     finalize=_finalize_theorem13_rounds,
     check=_check_theorem13_rounds,
 ))
@@ -272,6 +275,7 @@ register(Scenario(
     smoke_overrides={"ns": (40,), "degrees": (4,)},
     reference={"colors": "Delta colors in O(Delta^2 log^3 n) rounds"},
     size_param="ns",
+    floors={"degrees": 3},
 ))
 
 
@@ -852,6 +856,7 @@ register(Scenario(
         "speedup": ">= 5x wall time for the Theorem 1.3 pipeline at n >= 10^4",
     },
     size_param="sizes",
+    floors={"d": 3},
     serial_only=True,
     finalize=_finalize_coloring,
     check=_check_coloring,
@@ -954,6 +959,8 @@ register(Scenario(
         "rss": "per-row peak RSS under the configured budget",
     },
     size_param="sizes",
+    # the torus side is isqrt(n), and a torus needs a side of at least 3
+    floors={"sizes": 9},
     check=_check_scale,
 ))
 
@@ -995,10 +1002,14 @@ def _check_serve(runner: ExperimentRunner, params: Params) -> list[str]:
                 f"{m.get('error_examples')!r}"
             )
         if not m.get("valid"):
-            failures.append(
-                f"{row.instance}: {m.get('invalid', '?')} response(s) failed "
-                "the proper-coloring/palette-budget oracles"
-            )
+            if m.get("invalid") == 0:
+                # valid also needs a completed response: none was checked
+                failures.append(f"{row.instance}: no response completed")
+            else:
+                failures.append(
+                    f"{row.instance}: {m.get('invalid', '?')} response(s) failed "
+                    "the proper-coloring/palette-budget oracles"
+                )
         if not m.get("digest_consistent"):
             failures.append(
                 f"{row.instance}: {m.get('digest_mismatches')} coloring_digest "
@@ -1045,7 +1056,7 @@ register(Scenario(
         "batch_window_ms": 2.0,
     },
     smoke_overrides={"clients": 4, "requests": 48, "huge_n": 2_000},
-    floors={"clients": 1},
+    floors={"clients": 1, "requests": 1},
     reference={
         "legality": "every served coloring passes the PR-5 oracles",
         "consistency": "hit and miss paths return bit-identical coloring_digests",
@@ -1225,7 +1236,7 @@ register(Scenario(
     ),
     description=(
         "The randomized counterpart to the deterministic pipeline, on the "
-        "fused active-mode engine: the trial-color + conflict-retreat "
+        "fused engine: the trial-color + conflict-retreat "
         "randomized (Delta+1)-coloring (batch and per-node rows) against "
         "the deterministic greedy and Linial baselines on the same "
         "generated graphs, plus the Moser-Tardos entropy-compression "

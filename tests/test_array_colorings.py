@@ -193,6 +193,29 @@ def test_array_path_gives_dict_path_verdicts(graph, seed):
             view[len(graph) + 3]
 
 
+def test_properness_narrows_codes_only_when_every_code_fits_int16():
+    """Codes 65,536 apart are equal as ``int16``: one wide code keeps ``int64``."""
+    n = 65_540
+    path = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+    # a chord between vertices 1 and 65,537, which stay uncolored below
+    graph = FrozenGraph.from_edge_array(
+        n, np.concatenate([path, [[1, 65_537]]]), name="path+chord"
+    )
+    index = {v: i for i, v in enumerate(graph.vertices())}
+    colors = 1 + np.arange(n, dtype=np.int64) % 2
+    colors[65_537] = 3
+    view = LazyOutputs(graph.vertices(), colors, graph, index)
+    assert is_proper_coloring(graph, view)
+    colors[1] = 1 + 65_536  # next to vertex 0's color 1
+    assert is_proper_coloring(graph, view)
+    colors[1] = 1
+    assert not is_proper_coloring(graph, view)
+    # a dict coloring interns its colors; an uncolored vertex's sentinel
+    # code is -1 - index, so the chord joins codes -2 and -65,538
+    partial = {v: int(colors[i]) for v, i in index.items() if i not in (1, 65_537)}
+    assert is_proper_coloring(graph, partial)
+
+
 def test_view_over_another_identifier_order_is_not_aligned():
     """Positions of a shuffled-order network are not the CSR's: dict path."""
     graph = sparse.union_of_random_forests(150, 2, seed=4).freeze()

@@ -10,7 +10,9 @@ Three layers of pinning:
   batched engine, the unfused three-pass reference (``reference_exchange``),
   the flat per-node engine and the frozen seed engine must agree on
   outputs, rounds, total and per-round message counts for Cole–Vishkin,
-  the greedy baseline and the wave 2-coloring;
+  the greedy baseline, randomized Δ+1 (a broadcast that names its
+  senders, also through pass-through round hooks) and the wave
+  2-coloring, on graphs with isolated vertices too;
 * width-free palettes — the batched coloring programs at 63 to 131 colors
   against their per-node twins, and Barenboim–Elkin's flat backend against
   its dict backend.
@@ -143,6 +145,27 @@ def test_fusion_identity(seed):
         kernels.reference_broadcast(node_values, sources, fabric.reverse_np)
         == kernels.gather(node_values, fabric.endpoints_np)
     ).all()
+
+
+@given(seeds)
+@settings(max_examples=25, deadline=None)
+def test_deliver_broadcast_from_matches_loop(seed):
+    fabric = _random_fabric(seed)
+    endpoints = fabric.endpoints_np
+    n = fabric.offsets_np.shape[0] - 1
+    rng = np.random.default_rng(seed)
+    node_values = rng.integers(-9, 10, size=n, dtype=np.int64)
+    senders = np.flatnonzero(rng.integers(0, 2, size=n))
+    m = endpoints.shape[0]
+    inbox, delivered = kernels.deliver_broadcast_from(
+        node_values, senders, endpoints,
+        inbox_out=np.empty(m, dtype=np.int64),
+        delivered_out=np.empty(m, dtype=np.bool_),
+    )
+    speaking = set(senders.tolist())
+    for k in range(m):
+        assert inbox[k] == node_values[endpoints[k]]
+        assert delivered[k] == (int(endpoints[k]) in speaking)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +325,93 @@ def test_greedy_engine_parity(seed, n):
     _assert_all_match(*_four_engines(
         net, GreedyLocalMaximaAlgorithm, BatchGreedyLocalMaximaAlgorithm,
         inputs, n + 2,
+    ))
+
+
+@st.composite
+def _graphs_with_isolated_vertices(draw):
+    """``(graph, identifier order)``: a forest union plus isolated vertices.
+
+    The isolated vertices sit anywhere in the vertex order, and one is
+    always last (a trailing empty segment); the identifiers are shuffled.
+    """
+    seed = draw(seeds)
+    n = draw(st.integers(min_value=2, max_value=40))
+    isolated = draw(st.integers(min_value=1, max_value=5))
+    rng = random.Random(seed)
+    edges = sparse.union_of_random_forests(n, 2, seed=seed).edges()
+    vertices = list(range(n + isolated - 1))
+    rng.shuffle(vertices)
+    graph = Graph(vertices=vertices + [n + isolated - 1], edges=edges).freeze()
+    order = graph.vertices()
+    rng.shuffle(order)
+    return graph, order
+
+
+class _PassThroughHooks:
+    """Round hooks that edit nothing; they record each round's delivered mask."""
+
+    def __init__(self):
+        self.delivered = []
+
+    def before_round(self, round_number, nodes):
+        return None
+
+    def edit_inbox(self, inbox, delivered):
+        self.delivered.append(delivered)
+        return delivered, 0
+
+    def after_round(self, round_number, nodes, messages):
+        return False
+
+
+def _assert_named_senders_parity(net, seed):
+    """Randomized Δ+1 on all four engines, and through pass-through hooks."""
+    n = len(net.labels)
+    delta = max(1, net.graph.max_degree())
+    inputs = {v: (seed, delta) for v in net.labels}
+    results = _four_engines(
+        net, RandomizedDeltaPlusOne, BatchRandomizedDeltaPlusOne, inputs,
+        default_round_cap(n),
+    )
+    _assert_all_match(*results)
+    hooks = _PassThroughHooks()
+    hooked = SynchronousSimulator(net).run(
+        BatchRandomizedDeltaPlusOne, inputs=inputs,
+        max_rounds=default_round_cap(n), strict=True, hooks=hooks,
+    )
+    assert_simulation_parity(results[0], hooked, labels=("fused", "hooked"))
+    # the hooked run took the unfused path: a delivered mask every round
+    assert len(hooks.delivered) == hooked.rounds
+    assert all(mask is not None for mask in hooks.delivered)
+
+
+@given(_graphs_with_isolated_vertices(), seeds)
+@settings(max_examples=20, deadline=None)
+def test_randomized_named_senders_parity(instance, seed):
+    graph, order = instance
+    _assert_named_senders_parity(Network(graph, identifier_order=order), seed)
+
+
+@given(seeds)
+@settings(max_examples=5, deadline=None)
+def test_randomized_named_senders_parity_on_two_block_palettes(seed):
+    # Δ + 1 = 71 colors: every palette row spans two uint64 blocks
+    graph = classic.star(70).freeze()
+    order = graph.vertices()
+    random.Random(seed).shuffle(order)
+    _assert_named_senders_parity(Network(graph, identifier_order=order), seed)
+
+
+@given(_graphs_with_isolated_vertices())
+@settings(max_examples=20, deadline=None)
+def test_greedy_counted_eligibility_matches_per_node(instance):
+    graph, order = instance
+    net = Network(graph, identifier_order=order)
+    inputs = {v: max(1, graph.max_degree()) for v in graph.vertices()}
+    _assert_all_match(*_four_engines(
+        net, GreedyLocalMaximaAlgorithm, BatchGreedyLocalMaximaAlgorithm,
+        inputs, len(graph) + 2,
     ))
 
 

@@ -1,10 +1,12 @@
 """Tests for the randomized track (:mod:`repro.distributed.randomized`).
 
-Four layers of pinning:
+Five layers of pinning:
 
 * the counter-based RNG against numpy's own Philox-4x64-10 bit stream —
   the module's pure-python ladder and numpy's C implementation must emit
-  the same words for the same ``(seed, node, round)`` key;
+  the same words for the same ``(seed, node, round)`` key — and its two
+  kernels against Python ints: the 128-bit product and the k-th set bit
+  of a packed palette row;
 * engine parity properties (hypothesis over generator seeds) — the
   randomized (Delta+1)-coloring must replay bit-for-bit on the fused
   batched engine, the unfused reference, the flat per-node engine and
@@ -16,12 +18,17 @@ Four layers of pinning:
 * oracle mutation tests — ``RandomizedRoundsOracle`` and
   ``ResampleLogOracle`` accept genuine witnesses and reject doctored
   ones (inflated rounds, growing frontiers, edited violated sets,
-  truncated logs, swapped colorings, wrong seeds).
+  truncated logs, swapped colorings, wrong seeds);
+* a golden replay — a slice of the ``randomized`` scenario reproduces the
+  colorings, rounds, messages and resample logs of the committed
+  ``BENCH_randomized.json``.
 """
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -30,7 +37,12 @@ from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
-from repro.coloring.palette import FlatListAssignment, ListAssignmentError
+from repro.coloring.palette import (
+    FlatListAssignment,
+    ListAssignmentError,
+    _pack_rows,
+    kth_set_bits,
+)
 from repro.errors import NonTerminationError
 from repro.distributed import randomized
 from repro.distributed.randomized import (
@@ -49,6 +61,7 @@ from repro.distributed.randomized import (
 from repro.graphs.generators import classic, sparse
 from repro.graphs.graph import Graph
 from repro.local import Network, ReferenceSimulator, SynchronousSimulator
+from repro.scenarios import run_scenario
 from repro.verify import (
     PaletteBudgetOracle,
     ProperColoringOracle,
@@ -59,6 +72,7 @@ from repro.verify import (
 )
 
 seeds = st.integers(min_value=0, max_value=2**20)
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +97,49 @@ def test_counter_rng_matches_numpy_philox(seed, node, rnd):
         key=np.array([seed, KEY_SALT], dtype=np.uint64),
     ).random_raw(4)
     assert counter_rng_one(seed, node, rnd) == int(bits[0])
+
+
+_WORDS = [
+    0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1,
+    randomized._PHILOX_M0, randomized._PHILOX_M1,
+    randomized._PHILOX_W0, randomized._PHILOX_W1,
+]
+
+
+def test_mulhilo_matches_python_int_products():
+    words = np.array(_WORDS, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for a in _WORDS:
+            hi, lo = randomized._mulhilo(np.uint64(a), words)
+            for j, b in enumerate(_WORDS):
+                assert (int(hi[j]), int(lo[j])) == divmod(a * b, 2**64), (a, b)
+                # Philox passes its constant counter words as scalars
+                hi1, lo1 = randomized._mulhilo(np.uint64(a), np.uint64(b))
+                assert (int(hi1), int(lo1)) == divmod(a * b, 2**64), (a, b)
+
+
+_masks = st.one_of(
+    st.integers(min_value=1, max_value=2**192 - 1),
+    st.sets(st.integers(min_value=0, max_value=191), min_size=1).map(
+        lambda bits: sum(1 << b for b in bits)
+    ),
+)
+
+
+@given(st.lists(_masks, min_size=1, max_size=12), seeds)
+@settings(max_examples=40, deadline=None)
+def test_kth_set_bits_matches_python(masks, seed):
+    """3-block rows: every k of every row, and one random k per row."""
+    rows = _pack_rows(masks, 3)
+    set_bits = [[i for i in range(192) if mask >> i & 1] for mask in masks]
+    for row, bits in zip(rows, set_bits):
+        ks = np.arange(len(bits), dtype=np.int64)
+        assert kth_set_bits(np.repeat(row[None], len(bits), axis=0), ks).tolist() == bits
+    rng = random.Random(seed)
+    ks = [rng.randrange(len(bits)) for bits in set_bits]
+    assert kth_set_bits(rows, np.array(ks)).tolist() == [
+        bits[k] for bits, k in zip(set_bits, ks)
+    ]
 
 
 def test_counter_rng_vector_matches_scalar():
@@ -419,3 +476,30 @@ def test_moser_tardos_ignores_foreign_empty_lists():
     lists["ghost"] = []
     result = moser_tardos_list_coloring(graph, lists, seed=0)
     assert set(result.coloring) == set(graph.vertices())
+
+
+# ---------------------------------------------------------------------------
+# golden replay of the committed artifact
+# ---------------------------------------------------------------------------
+
+
+def test_randomized_replays_the_committed_artifact():
+    """Batched randomized and greedy Δ+1 and flat Moser–Tardos, 15 rows."""
+    committed = json.loads((REPO_ROOT / "BENCH_randomized.json").read_text())
+    golden = {(r["instance"], r["algorithm"]): r["metrics"] for r in committed["rows"]}
+    run = run_scenario(
+        "randomized", workers=1, export=False,
+        overrides={
+            "deterministic": ("greedy",), "engines": ("batch",),
+            "mt_sizes": (300,), "backends": ("flat",),
+        },
+    )
+    assert len(run.runner.rows) == 15
+    for row in run.runner.rows:
+        expected = golden[(row.instance, row.algorithm)]
+        assert row.metrics["coloring_sha"] == expected["coloring_sha"], row.instance
+        # Delta+1 rows carry rounds and messages, Moser-Tardos rows a log_sha
+        for key in ("rounds", "messages", "log_sha"):
+            assert row.metrics.get(key) == expected.get(key), (
+                row.instance, row.algorithm, key
+            )

@@ -242,6 +242,16 @@ _BELOW_A_FLOOR = {
     "corollary23-planar-n=2": ("corollary23-planar --n 2", "n"),  # GeneratorError
     "primitives-cv_sizes=1": ("primitives --set cv_sizes=1,", "cv_sizes"),  # IndexError
     "corollary21-brooks-ns=5": ("corollary21-brooks --n 5", "ns"),  # TypeError on K_5
+    # ValueError: Theorem 1.3 requires d >= 3
+    "theorem13-colors-ds=1": ("theorem13-colors --set ds=1,", "ds"),
+    "coloring-d=0": ("coloring --set d=0", "d"),
+    "theorem13-rounds-d=2": ("theorem13-rounds --set d=2", "d"),
+    # ColoringError: a union of two forests breaks the d >= mad promise
+    "theorem13-rounds-d=3": ("theorem13-rounds --set d=3", "d"),
+    # ValueError: Corollary 2.1 requires maximum degree at least 3
+    "corollary21-brooks-degrees=2": ("corollary21-brooks --set degrees=2,", "degrees"),
+    "scale-sizes=1": ("scale --n 1", "sizes"),  # GeneratorError: a 1x1 torus
+    "serve-requests=0": ("serve --set requests=0", "requests"),  # a false check failure
 }
 
 
@@ -259,11 +269,15 @@ def test_overrides_below_a_floor_are_refused(command, param, tmp_path, capsys):
 _AT_THE_FLOOR = {
     "dynamic": {"n": 5, "window": 1, "max_rounds": 1},
     "randomized": {"sizes": (5,), "mt_sizes": (5,)},
-    "serve": {"clients": 1},
+    "serve": {"clients": 1, "requests": 1},
     "simulator": {"sizes": (3,), "lowerbound_sizes": (3,)},
     "corollary23-planar": {"n": 3},
     "primitives": {"cv_sizes": (2,)},
-    "corollary21-brooks": {"ns": (6,)},
+    "corollary21-brooks": {"ns": (6,), "degrees": (3,)},
+    "theorem13-colors": {"ds": (3,)},
+    "coloring": {"d": 3},
+    "theorem13-rounds": {"d": 4},
+    "scale": {"sizes": (9,)},
 }
 
 
@@ -477,6 +491,23 @@ def test_scenario_check_reports_malformed_artifacts():
     assert any(
         f.startswith("scenario-check:") and "metadata.params" in f for f in failures
     ), failures
+
+
+def test_serve_check_names_a_row_with_no_completed_response():
+    from repro.analysis.runner import ExperimentRunner
+
+    scenario = get_scenario("serve")
+    runner = ExperimentRunner("serve")
+    healthy = {
+        "errors": 0, "digest_consistent": True, "digest_mismatches": 0,
+        "cache_hit_rate": 0.0,
+    }
+    runner.add("idle", "serve [inline]", requests=0, invalid=0, valid=False, **healthy)
+    runner.add("bad", "serve [inline]", requests=3, invalid=2, valid=False, **healthy)
+    assert scenario.check(runner, scenario.params_for(smoke=True)) == [
+        "idle: no response completed",
+        "bad: 2 response(s) failed the proper-coloring/palette-budget oracles",
+    ]
 
 
 def test_cli_verify_reports_mistyped_metrics_without_traceback(tmp_path, capsys):
