@@ -154,7 +154,7 @@ def philox4x64(counter0, counter1, counter2, counter3, key0, key1):
 
 
 #: node ids per Philox pass in :func:`counter_rng`: the pass's temporaries
-#: then stay in cache (1M ids in one pass took 2.7x as long, on 2 cores)
+#: then stay in cache (on a 2-core VM, one pass over 1M ids took 2.7x as long)
 _RNG_CHUNK = 1 << 14
 
 
