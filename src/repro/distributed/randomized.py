@@ -360,17 +360,13 @@ class BatchRandomizedDeltaPlusOne(BatchNodeAlgorithm):
         conflict = segment_reduce(np.logical_or, hit, offsets, False, np.bool_)
         # the final colors heard; 0 (a bit no palette holds) elsewhere
         final = np.maximum(-heard, 0).view(np.uint64)
-        one = np.uint64(1)
-        blocks = self.avail.shape[1]
-        if blocks == 1:  # every color is below 64
-            per_block = [one << final]
-        else:
-            bit = one << (final & np.uint64(63))
-            block = final >> np.uint64(6)
-            per_block = (np.where(block == b, bit, 0) for b in range(blocks))
+        bit = np.uint64(1) << (final & np.uint64(63))
+        block = final >> np.uint64(6)
         clear = np.column_stack([
-            segment_reduce(np.bitwise_or, bits, offsets, 0, np.uint64)
-            for bits in per_block
+            segment_reduce(
+                np.bitwise_or, np.where(block == b, bit, 0), offsets, 0, np.uint64
+            )
+            for b in range(self.avail.shape[1])
         ])
         return conflict, clear
 

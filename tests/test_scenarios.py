@@ -273,7 +273,7 @@ _AT_THE_FLOOR = {
     "simulator": {"sizes": (3,), "lowerbound_sizes": (3,)},
     "corollary23-planar": {"n": 3},
     "primitives": {"cv_sizes": (2,)},
-    "corollary21-brooks": {"ns": (6,), "degrees": (3,)},
+    "corollary21-brooks": {"ns": (5,), "degrees": (3,)},  # ns = degree + 2
     "theorem13-colors": {"ds": (3,)},
     "coloring": {"d": 3},
     "theorem13-rounds": {"d": 4},
