@@ -360,14 +360,14 @@ class BatchRandomizedDeltaPlusOne(BatchNodeAlgorithm):
         conflict = segment_reduce(np.logical_or, hit, offsets, False, np.bool_)
         # the final colors heard; 0 (a bit no palette holds) elsewhere
         final = np.maximum(-heard, 0).view(np.uint64)
-        bit = np.uint64(1) << (final & np.uint64(63))
-        block = final >> np.uint64(6)
-        clear = np.column_stack([
-            segment_reduce(
-                np.bitwise_or, np.where(block == b, bit, 0), offsets, 0, np.uint64
-            )
-            for b in range(self.avail.shape[1])
-        ])
+        clear = np.empty((len(degrees), self.avail.shape[1]), dtype=np.uint64)
+        for b in range(clear.shape[1]):
+            # block b's bits: a color outside the block is shifted past bit
+            # 63 (a color below it wraps as an unsigned difference), and
+            # numpy's left_shift gives 0 there
+            bits = final - np.uint64(64 * b)
+            np.left_shift(np.uint64(1), bits, out=bits)
+            clear[:, b] = segment_reduce(np.bitwise_or, bits, offsets, 0, np.uint64)
         return conflict, clear
 
     def _settle(self, conflict, clear) -> None:
