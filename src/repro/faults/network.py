@@ -32,12 +32,13 @@ the benchmarked scenarios.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections.abc import Mapping
 from itertools import chain
 
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graphs.frozen import FrozenGraph, GraphLike, freeze
+from repro.graphs.frozen import GraphLike, freeze
 from repro.graphs.graph import Vertex
 from repro.local.network import (
     Network,
@@ -62,7 +63,10 @@ class PerturbableNetwork:
         self.labels: list[Vertex] = frozen.vertices()
         if not self.labels:
             raise GraphError("PerturbableNetwork needs at least one vertex")
-        self._index: dict[Vertex, int] = {v: i for i, v in enumerate(self.labels)}
+        # every rebuilt network is a view that shares the input's label
+        # list and index, so no rebuild copies or re-indexes the labels
+        self._frozen = frozen
+        self._index: Mapping[Vertex, int] = frozen._index
         # ground truth: per-node neighbour indices, kept sorted ascending
         # (index order == identifier order, so slices are already in port
         # order and both fabric builds read them verbatim); the CSR slices
@@ -147,8 +151,8 @@ class PerturbableNetwork:
         # the fabric's offsets/endpoints arrays are the current CSR, so the
         # Network's graph is a zero-copy frozen view of them
         network = Network(
-            FrozenGraph(
-                self.labels, fabric.offsets_np, fabric.endpoints_np, name="perturbed"
+            self._frozen._with_csr(
+                fabric.offsets_np, fabric.endpoints_np, name="perturbed"
             )
         )
         network._fabric = fabric

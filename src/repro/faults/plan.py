@@ -38,11 +38,14 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
 from repro.errors import GraphError
-from repro.graphs.frozen import GraphLike
+from repro.graphs.frozen import GraphLike, freeze
 from repro.graphs.graph import Vertex
 
 __all__ = [
@@ -178,20 +181,24 @@ class FaultPlan:
                 raise ValueError(f"unknown fault kind {kind!r}")
         if events < 0 or window < 1 or start_round < 1:
             raise ValueError("events >= 0, window >= 1, start_round >= 1 required")
+        if events and not kinds:
+            # the kind schedule below would never fill up
+            raise ValueError("a plan with events needs at least one fault kind")
         rng = random.Random(seed)
-        vertices = list(graph.vertices())
+        frozen = freeze(graph)
+        vertices = frozen.vertices()
         if not vertices:
             raise GraphError("cannot plan faults on an empty graph")
         if palette is None:
-            palette = graph.max_degree() + 2
-        # the plan's projection of the edge set as its own edits apply
-        index = {v: i for i, v in enumerate(vertices)}
-        present: set[tuple[int, int]] = set()
-        for u in vertices:
-            for w in graph.neighbors(u):
-                i, j = index[u], index[w]
-                if i < j:
-                    present.add((i, j))
+            palette = frozen.max_degree() + 2
+        # the plan's projection of the edge set as its own edits apply: the
+        # sorted keys i * n + j (i < j) of its edges, which the CSR rows
+        # list in ascending order
+        n = len(vertices)
+        offsets, neighbors = frozen.csr_arrays()
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+        upper = rows < neighbors
+        present = (rows[upper] * n + neighbors[upper]).tolist()
         rounds = sorted(
             rng.randrange(start_round, start_round + window) for _ in range(events)
         )
@@ -215,7 +222,7 @@ class FaultPlan:
         kind: str,
         event_round: int,
         vertices: list,
-        present: set[tuple[int, int]],
+        present: list[int],
         palette: int,
     ) -> FaultEvent | None:
         n = len(vertices)
@@ -224,21 +231,21 @@ class FaultPlan:
                 i, j = rng.randrange(n), rng.randrange(n)
                 if i == j:
                     continue
-                key = (min(i, j), max(i, j))
-                if key not in present:
-                    present.add(key)
+                key = min(i, j) * n + max(i, j)
+                pos = bisect_left(present, key)
+                if pos == len(present) or present[pos] != key:
+                    present.insert(pos, key)
                     return FaultEvent(event_round, kind, (vertices[i], vertices[j]))
             return None  # dense graph: no non-edge found, drop the event
         if kind == "edge-delete":
             if not present:
                 return None
-            i, j = sorted(present)[rng.randrange(len(present))]
-            present.discard((i, j))
+            i, j = divmod(present.pop(rng.randrange(len(present))), n)
             return FaultEvent(event_round, kind, (vertices[i], vertices[j]))
         if kind in _MESSAGE_KINDS:
             if not present:
                 return None
-            i, j = sorted(present)[rng.randrange(len(present))]
+            i, j = divmod(present[rng.randrange(len(present))], n)
             if rng.random() < 0.5:
                 i, j = j, i  # message direction
             return FaultEvent(event_round, kind, (vertices[i], vertices[j]))

@@ -263,6 +263,17 @@ class FrozenGraph:
         """Already frozen; returns ``self`` (mirror of :meth:`Graph.freeze`)."""
         return self
 
+    def _with_csr(self, offsets, neighbors, name: str = "") -> "FrozenGraph":
+        """A graph on the same vertices over a new CSR pair, zero-copy.
+
+        The view shares this graph's label list and label index instead of
+        copying the one and rebuilding the other (an n-entry dict for
+        non-identity labels); ``neighbors`` must index the same vertices.
+        """
+        view = FrozenGraph(range(0), offsets, neighbors, name=name)
+        view._labels, view._index = self._labels, self._index
+        return view
+
     # ------------------------------------------------------------------
     # On-disk form: npz with memory-mappable CSR members
     # ------------------------------------------------------------------

@@ -360,7 +360,20 @@ register(Scenario(
 # E3 — lemma31-happy-fraction
 # ---------------------------------------------------------------------------
 
+#: the smallest n each lemma31 family's generator accepts (a forest union
+#: takes 0, but the happy fraction is a share of n)
+_LEMMA31_MIN_N = {"forest-union": 1, "planar": 3, "regular": 5}
+
+
 def _build_lemma31(params: Params) -> list[BatchTask]:
+    for case in params["cases"]:
+        known = len(case) == 3 and case[0] in _LEMMA31_MIN_N
+        if not known or case[1] < _LEMMA31_MIN_N[case[0]]:
+            raise ScenarioError(
+                f"scenario 'lemma31-happy-fraction' parameter 'cases' takes "
+                f"(family, n, d) entries with a family in {sorted(_LEMMA31_MIN_N)} "
+                f"and n at least its minimum {_LEMMA31_MIN_N}, got {tuple(case)!r}"
+            )
     return [
         BatchTask(
             f"{family} n={n}", f"classification d={d}", tasks.lemma31_happy_fraction,
@@ -539,7 +552,26 @@ register(Scenario(
 # E11/E12/E13 — primitives
 # ---------------------------------------------------------------------------
 
+def _check_primitives_params(params: Params) -> None:
+    """Refuse the bounds that tie one primitives parameter to another."""
+    degree = params["dp1_degree"]
+    for n in params["dp1_sizes"]:
+        if n <= degree or n * degree % 2:
+            raise ScenarioError(
+                f"scenario 'primitives' parameter 'dp1_sizes' needs every size "
+                f"above dp1_degree = {degree}, with size * dp1_degree even (a "
+                f"{degree}-regular graph on that many vertices), got {n}"
+            )
+    path_lb = tuple(params["path_lb"])
+    if len(path_lb) != 2 or path_lb[0] < 2 * path_lb[1] + 5:
+        raise ScenarioError(
+            f"scenario 'primitives' parameter 'path_lb' takes (n, rounds) with "
+            f"n >= 2 * rounds + 5, the odd cycle its certificate embeds, got {path_lb!r}"
+        )
+
+
 def _build_primitives(params: Params) -> list[BatchTask]:
+    _check_primitives_params(params)
     built = [
         BatchTask(
             f"path n={n}", "Cole-Vishkin (3 colors)", tasks.primitives_cole_vishkin,

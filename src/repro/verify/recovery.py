@@ -12,8 +12,11 @@ mutation tests pin this down.
 The replay runs on arrays indexed by label position, whatever the labels
 are: the coloring is an ``int64`` array, the edge set a sorted array of
 index-pair keys, and a round's conflict recount is one gather-compare
-over the endpoint arrays.  Containment distances come from depth-bounded
-BFS on a :class:`~repro.graphs.frozen.FrozenGraph` of the union topology.
+over the endpoint arrays.  Containment distances come from one sweep
+over the CSR of the union topology for all faults at once: each level
+is one gather and one ``np.minimum.reduceat`` of the earliest fault round
+within reach, so a run costs O(n + m) per level, however many faults it
+applied.
 
 Three consumers:
 
@@ -209,9 +212,13 @@ def measure_containment(trace) -> tuple[int, list[str]]:
     attained — how far the damage spread before the protocol contained
     it.
 
-    Distances come from one BFS per applied fault on the union topology
-    (a :class:`~repro.graphs.frozen.FrozenGraph` over label indices),
-    cut at the depth the last recolor round can still admit.
+    Distances come from one sweep over the union topology for all faults
+    at once.  ``earliest[v]`` holds the earliest round of an applied
+    fault within the current depth ``d`` of ``v``; each level lowers it
+    to its neighbours' minimum.  A recolor ``(r, v)`` is placed at the
+    first depth where ``earliest[v] <= r + 1 - max(d, 1)``: the fault
+    read there lies at some ``d' <= d`` and is admissible at ``d'``, so
+    the first such depth is the smallest admissible distance.
     """
     index = {v: i for i, v in enumerate(trace.labels)}
     recolors = [
@@ -223,34 +230,57 @@ def measure_containment(trace) -> tuple[int, list[str]]:
         return 0, []
     rounds = np.fromiter((r for r, _v in recolors), dtype=np.int64, count=len(recolors))
     # an unknown label gets index -1, the cell past the last vertex below,
-    # which no BFS reaches: it lies outside every cone
+    # which no level lowers: it lies outside every cone
     positions = np.fromiter(
         (index.get(v, -1) for _r, v in recolors), dtype=np.int64, count=len(recolors)
     )
+    n = len(trace.labels)
     applied = trace.applied_events()
-    inserted = [f.vertices for f in applied if f.kind == "edge-insert"]
-    union = FrozenGraph.from_edge_array(
-        len(trace.labels),
-        np.concatenate(
-            (_index_pairs(index, trace.initial_edges), _index_pairs(index, inserted))
-        ),
-    )
     last_round = int(rounds.max())
-    # the smallest admissible seed distance per recolor (-1: none yet)
+    seeds = [
+        (fault.round, index[v])
+        for fault in applied
+        if fault.round <= last_round
+        for v in fault.vertices
+        if v in index
+    ]
+    # the smallest admissible seed distance per recolor (-1: none)
     best = np.full(len(recolors), -1, dtype=np.int64)
-    for fault in applied:
-        p = fault.round
-        if p > last_round:
-            continue
-        sources = [index[v] for v in fault.vertices if v in index]
-        dist = np.full(len(trace.labels) + 1, -1, dtype=np.int64)
-        for depth, frontier in enumerate(
-            union.multi_source_levels(sources, last_round - p + 1)
-        ):
-            dist[frontier] = depth
-        seen = dist[positions]
-        ok = (rounds >= p) & (seen >= 0) & (seen <= rounds - p + 1)
-        best = np.where(ok & ((best < 0) | (seen < best)), seen, best)
+    # int64 max: no fault within reach
+    earliest = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
+    if seeds:
+        seed_rounds, seed_vertices = np.array(seeds, dtype=np.int64).T
+        np.minimum.at(earliest, seed_vertices, seed_rounds)
+        inserted = [f.vertices for f in applied if f.kind == "edge-insert"]
+        union = FrozenGraph.from_edge_array(
+            n,
+            np.concatenate(
+                (_index_pairs(index, trace.initial_edges), _index_pairs(index, inserted))
+            ),
+        )
+        offsets, neighbors = union.csr_arrays()
+        # reduceat takes the rows that have neighbours: each segment from
+        # one such row's start to the next is exactly its neighbour slice
+        rows = np.flatnonzero(np.diff(offsets))
+        starts = offsets[rows]
+        # past this depth no round admits even the earliest fault
+        deepest = last_round - int(seed_rounds.min()) + 1
+        pending = np.arange(len(recolors))
+        depth = 0
+        while True:
+            bound = rounds[pending] + 1 - max(depth, 1)
+            placed = earliest[positions[pending]] <= bound
+            best[pending[placed]] = depth
+            pending = pending[~placed]
+            if not pending.size or depth == deepest:
+                break
+            lowered = np.minimum(
+                earliest[rows], np.minimum.reduceat(earliest[neighbors], starts)
+            )
+            if np.array_equal(lowered, earliest[rows]):
+                break
+            earliest[rows] = lowered
+            depth += 1
     violations = [
         f"vertex {recolors[k][1]!r} recolored at round {recolors[k][0]} "
         "outside the causal cone of every applied perturbation"

@@ -1,11 +1,14 @@
 """Fault plane tests: plans, perturbable networks, stabilizing runs.
 
-Five layers of coverage:
+Six layers of coverage:
 
 * **FaultPlan** — validation, canonical event ordering, deterministic
-  seeding, digest stability;
-* **PerturbableNetwork** — edit semantics (applied vs. skipped) and the
-  dict/flat fabric parity after identical edit sequences;
+  seeding, digest stability, and ``FaultPlan.random`` pinned to absolute
+  digests (a change of its pick order fails even when it stays
+  deterministic);
+* **PerturbableNetwork** — edit semantics (applied vs. skipped), the
+  dict/flat fabric parity after identical edit sequences, and rebuilt
+  networks that share the input's label index;
 * **run_stabilizing** — both protocols on both backends recover a legal
   quiescent coloring under every fault kind, with the recovery and
   containment oracles passing on the resulting trace; the strict round
@@ -18,12 +21,17 @@ Five layers of coverage:
 * **wide palettes** — the batched stabilizers' smallest-free-color
   kernel against a brute-force reference, and a second property that
   replays the per-node programs round for round at palettes too wide
-  for an int64 bitmask, plus the full-palette edge case.
+  for an int64 bitmask, plus the full-palette edge case;
+* a **golden replay** — the ``dynamic`` scenario reproduces every row of
+  the committed ``BENCH_dynamic.json``: event-log and coloring digests,
+  rounds, messages and the recovery and containment measurements.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,7 +54,9 @@ from repro.faults import (
     run_stabilizing,
 )
 from repro.graphs.generators import classic, planar, sparse
+from repro.graphs.graph import Graph
 from repro.local.node import smallest_free_color
+from repro.scenarios import run_scenario
 from repro.verify.recovery import (
     ContainmentOracle,
     RecoveryOracle,
@@ -56,6 +66,7 @@ from repro.verify.recovery import (
 
 BACKENDS = ("dict", "flat")
 PROTOCOLS = tuple(sorted(STABILIZING_PROTOCOLS))
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _factory(protocol: str, backend: str):
@@ -157,6 +168,72 @@ def test_random_plan_is_deterministic_and_respects_kinds():
     assert c.digest() != a.digest()
 
 
+def test_random_plan_refuses_events_without_kinds():
+    # used to hang: the kind schedule never filled up
+    with pytest.raises(ValueError, match="at least one fault kind"):
+        FaultPlan.random(classic.path(4), seed=0, kinds=(), events=1)
+    assert FaultPlan.random(classic.path(4), seed=0, kinds=(), events=0).events == ()
+
+
+def _ring_of_tuples(n: int) -> Graph:
+    labels = [("p", i) for i in range(n)]
+    return Graph(
+        vertices=labels,
+        edges=[(labels[i], labels[(5 * i + 1) % n]) for i in range(n)
+               if (5 * i + 1) % n != i],
+    )
+
+
+_PINNED_PLANS = {
+    # the dynamic-planar shape: every kind, one event per round
+    "frozen-triangulation": (
+        lambda: planar.stacked_triangulation(300, seed=3).freeze(),
+        dict(seed=7, events=40, window=40),
+        40,
+        "5242fcb22097db345ded2dc4b48ca51e37939273385ad99270b007d35748b522",
+    ),
+    "tuple-labels": (
+        lambda: _ring_of_tuples(12),
+        dict(seed=3, events=12),
+        12,
+        "9a83c46edb8372b3892cf6632561be755a9dc8d60a76e68eecc0213183f60803",
+    ),
+    # K6 has no non-edge: an insert is dropped until a delete frees a pair
+    "complete-6-insert-heavy": (
+        lambda: classic.complete_graph(6),
+        dict(
+            seed=5,
+            kinds=("edge-insert", "edge-insert", "edge-insert", "edge-delete"),
+            events=16,
+        ),
+        7,
+        "6d9477b1fd7ce3b0d23884737988cfc664f15b3b66e66d7ccf602aa948beb0dd",
+    ),
+    # three deletes empty the projection; later picks are dropped
+    "path-4-runs-out-of-edges": (
+        lambda: classic.path(4),
+        dict(seed=2, kinds=("edge-delete", "message-drop", "message-duplicate"),
+             events=40),
+        7,
+        "8456b16b724b90daa6d62911ccd8702bf5a4d5d3337e9ab53a22b22a328fd688",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "build, kwargs, kept, digest", _PINNED_PLANS.values(), ids=list(_PINNED_PLANS)
+)
+def test_random_plan_is_pinned(build, kwargs, kept, digest):
+    """Absolute digests: the same seed must keep drawing the same plan.
+
+    The determinism test above compares two fresh plans with each other,
+    so a rewrite that changes which edge a pick lands on would pass it.
+    """
+    plan = FaultPlan.random(build(), **kwargs)
+    assert len(plan.events) == kept
+    assert plan.digest() == digest
+
+
 def test_palette_bound_covers_inserted_edges():
     graph = classic.path(4)  # max degree 2
     plan = FaultPlan(
@@ -200,6 +277,23 @@ def test_fabric_parity_after_identical_edits():
         assert list(fd.offsets) == list(ff.offsets)
         assert list(fd.endpoints) == list(ff.endpoints)
         assert list(fd.reverse_slot) == list(ff.reverse_slot)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_rebuilt_networks_share_the_label_index(backend):
+    # tuple labels: the index is a real n-entry dict, not an identity view
+    graph = _ring_of_tuples(12).freeze()
+    pnet = PerturbableNetwork(graph, backend=backend)
+    initial = pnet.network.csr_graph
+    assert initial._index is graph._index
+    assert pnet.insert_edge(("p", 0), ("p", 6))
+    rebuilt = pnet.network.csr_graph
+    assert rebuilt is not initial
+    assert rebuilt._index is initial._index and rebuilt._labels is initial._labels
+    assert rebuilt.has_edge(("p", 6), ("p", 0)) and not initial.has_edge(("p", 0), ("p", 6))
+    assert rebuilt.neighbors(("p", 0)) == sorted(
+        initial.neighbors(("p", 0)) + [("p", 6)], key=graph.index_of
+    )
 
 
 def test_network_rebuild_is_lazy_and_versioned():
@@ -502,3 +596,26 @@ def test_wide_palette_batched_run_matches_per_node(seed, protocol, uncolored):
     batched = _run(graph, plan, protocol, "flat", initial=initial)
     assert per_node.quiescent and per_node.records[-1].legal
     assert _round_fingerprint(batched) == _round_fingerprint(per_node)
+
+
+# ---------------------------------------------------------------------------
+# golden replay of the committed artifact
+# ---------------------------------------------------------------------------
+
+_GOLDEN_METRICS = (
+    "log_sha", "coloring_sha", "rounds", "messages", "budget",
+    "containment_radius", "containment_violations", "rounds_to_recovery",
+    "recolored_vertices", "conflicts_peak", "faults_applied", "faults_skipped",
+)
+
+
+def test_dynamic_replays_the_committed_artifact():
+    """All 48 rows: 3 families x 4 fault mixes x 2 protocols x 2 backends."""
+    committed = json.loads((REPO_ROOT / "BENCH_dynamic.json").read_text())
+    golden = {(r["instance"], r["algorithm"]): r["metrics"] for r in committed["rows"]}
+    run = run_scenario("dynamic", workers=1, export=False)
+    assert len(run.runner.rows) == len(golden) == 48
+    for row in run.runner.rows:
+        expected = golden[(row.instance, row.algorithm)]
+        for key in _GOLDEN_METRICS:
+            assert row.metrics[key] == expected[key], (row.instance, row.algorithm, key)

@@ -293,6 +293,69 @@ def test_floor_values_still_run(scenario, overrides):
     assert run.runner.rows
 
 
+_ACROSS_PARAMETERS = {
+    # each used to end in a worker's traceback, noted after it
+    "primitives-dp1_sizes=4": (
+        ["primitives", "--set", "dp1_sizes=4,"], "dp1_sizes"  # GeneratorError: need d < n
+    ),
+    "primitives-dp1_sizes-odd": (  # GeneratorError: n*d must be even
+        ["primitives", "--set", "dp1_sizes=5,", "--set", "dp1_degree=3"], "dp1_sizes"
+    ),
+    "primitives-path_lb=1,0": (  # ValueError: n too small for the rounds
+        ["primitives", "--set", "path_lb=1,0"], "path_lb"
+    ),
+    "primitives-path_lb=6,1": (["primitives", "--set", "path_lb=6,1"], "path_lb"),
+    "primitives-path_lb=7,": (["primitives", "--set", "path_lb=7,"], "path_lb"),
+    "lemma31-planar-n=2": (  # GeneratorError: need at least 3 vertices
+        ["lemma31-happy-fraction", "--set", 'cases=(("planar",2,6),)'], "cases"
+    ),
+    "lemma31-regular-n=4": (  # GeneratorError: need d < n
+        ["lemma31-happy-fraction", "--set", 'cases=(("regular",4,4),)'], "cases"
+    ),
+    "lemma31-forest-union-n=0": (  # ZeroDivisionError
+        ["lemma31-happy-fraction", "--set", 'cases=(("forest-union",0,4),)'], "cases"
+    ),
+    "lemma31-unknown-family": (  # ValueError: unknown family
+        ["lemma31-happy-fraction", "--set", 'cases=(("torus",80,4),)'], "cases"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, param", _ACROSS_PARAMETERS.values(), ids=list(_ACROSS_PARAMETERS)
+)
+def test_bounds_across_parameters_are_refused(command, param, tmp_path, capsys):
+    scenario, *override = command
+    argv = ["run", scenario, "--smoke", "--workers", "1", "--out", str(tmp_path), *override]
+    assert cli_main(argv) == 2
+    assert f"parameter '{param}'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+_AT_THE_CROSS_BOUNDS = {
+    # dp1 sizes at degree + 1 (even degree) and degree + 1 with the product
+    # even (odd degree); path_lb's n at exactly 2 * rounds + 5
+    "primitives-even-degree": ("primitives", {"dp1_sizes": (5,), "path_lb": (5, 0)}),
+    "primitives-odd-degree": (
+        "primitives", {"dp1_sizes": (4,), "dp1_degree": 3, "path_lb": (7, 1)}
+    ),
+    # each family at its smallest n; K5 (the 4-regular graph on 5
+    # vertices) meets Lemma 3.1's no-(d+1)-clique promise from d = 5
+    "lemma31": (
+        "lemma31-happy-fraction",
+        {"cases": (("forest-union", 1, 4), ("planar", 3, 6), ("regular", 5, 5))},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "scenario, overrides", _AT_THE_CROSS_BOUNDS.values(), ids=list(_AT_THE_CROSS_BOUNDS)
+)
+def test_cross_parameter_bounds_still_run(scenario, overrides):
+    run = run_scenario(scenario, smoke=True, overrides=overrides, workers=1, export=False)
+    assert run.runner.rows
+
+
 def test_validate_artifact_flags_broken_shapes():
     assert validate_artifact([]) != []
     assert any("schema_version" in p for p in validate_artifact({}))

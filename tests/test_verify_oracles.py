@@ -10,7 +10,9 @@ oracle rejects it and the diagnostic names the corruption.
 """
 
 import dataclasses
+import random
 
+import numpy as np
 import pytest
 
 from repro.coloring import degeneracy_greedy_coloring, random_lists, uniform_lists
@@ -19,13 +21,18 @@ from repro.distributed import h_partition, ruling_forest
 from repro.distributed.stabilizing import STABILIZING_PROTOCOLS
 from repro.errors import VerificationError
 from repro.faults import (
+    FAULT_KINDS,
+    AppliedFault,
     FaultEvent,
     FaultPlan,
     PerturbableNetwork,
+    RoundRecord,
+    StabilizationTrace,
     palette_bound,
     run_stabilizing,
 )
-from repro.graphs.generators import classic, sparse
+from repro.graphs.frozen import FrozenGraph
+from repro.graphs.generators import classic, planar, sparse
 from repro.graphs.graph import Graph
 from repro.local import run_node_algorithm
 from repro.local.node import BatchNodeAlgorithm, NodeAlgorithm
@@ -45,6 +52,7 @@ from repro.verify import (
     artifact_failures,
     audit_locality,
 )
+from repro.verify.recovery import measure_containment
 
 
 @pytest.fixture(scope="module")
@@ -607,6 +615,176 @@ def test_containment_cone_follows_inserted_edges_only_when_applied():
     assert any(
         "('p', 23)" in d and "causal cone" in d for d in verdict.diagnostics
     )
+
+
+def _containment_per_fault_bfs(trace) -> tuple[int, list[str]]:
+    """Reference for :func:`measure_containment`: one BFS per applied fault.
+
+    The fault's seed distance to each vertex comes from its own BFS on
+    the union topology; a recolor ``(r, v)`` takes the smallest distance
+    ``d`` over the faults with ``p <= r`` and ``d <= r - p + 1``.
+    """
+    index = {v: i for i, v in enumerate(trace.labels)}
+    recolors = [
+        (record.round, vertex)
+        for record in trace.records
+        for vertex, _color in record.changes
+    ]
+    if not recolors:
+        return 0, []
+    rounds = np.array([r for r, _v in recolors], dtype=np.int64)
+    # unknown labels read the cell past the last vertex, which no BFS reaches
+    positions = np.array([index.get(v, -1) for _r, v in recolors], dtype=np.int64)
+    applied = trace.applied_events()
+    pairs = list(trace.initial_edges) + [
+        f.vertices for f in applied if f.kind == "edge-insert"
+    ]
+    union = FrozenGraph.from_edge_array(
+        len(trace.labels),
+        np.array([(index[u], index[v]) for u, v in pairs], dtype=np.int64).reshape(-1, 2),
+    )
+    last_round = int(rounds.max())
+    best = np.full(len(recolors), -1, dtype=np.int64)
+    for fault in applied:
+        p = fault.round
+        if p > last_round:
+            continue
+        sources = [index[v] for v in fault.vertices if v in index]
+        dist = np.full(len(trace.labels) + 1, -1, dtype=np.int64)
+        for depth, frontier in enumerate(
+            union.multi_source_levels(sources, last_round - p + 1)
+        ):
+            dist[frontier] = depth
+        seen = dist[positions]
+        ok = (rounds >= p) & (seen >= 0) & (seen <= rounds - p + 1)
+        best = np.where(ok & ((best < 0) | (seen < best)), seen, best)
+    violations = [
+        f"vertex {recolors[k][1]!r} recolored at round {recolors[k][0]} "
+        "outside the causal cone of every applied perturbation"
+        for k in np.flatnonzero(best < 0).tolist()
+    ]
+    return int(best.max(initial=0)), violations
+
+
+def _tuple_triangulation(n: int, seed: int) -> Graph:
+    graph = planar.stacked_triangulation(n, seed=seed)
+    return Graph(
+        vertices=[("t", v) for v in graph.vertices()],
+        edges=[(("t", u), ("t", v)) for u, v in graph.edges()],
+    )
+
+
+def _tuple_path_with_isolated(n: int, isolated: int) -> Graph:
+    # the isolated vertices sit between path vertices in label order
+    labels = [("p", i) for i in range(n)]
+    return Graph(
+        vertices=[v for i, label in enumerate(labels)
+                  for v in ((label, ("iso", i)) if i < isolated else (label,))],
+        edges=list(zip(labels, labels[1:])),
+    )
+
+
+def _injected_trace(graph, seed: int, kinds=FAULT_KINDS, events: int = 8):
+    """A genuine churn run, then 1-20 recolors injected at random rounds.
+
+    Some injected recolors name labels outside the graph; the injections
+    land inside and outside the fault cones alike.
+    """
+    rng = random.Random(seed)
+    plan = FaultPlan.random(graph, seed=seed, kinds=kinds, events=events, window=6)
+    per_node, _batched = STABILIZING_PROTOCOLS["min-plus-one"]
+    trace = run_stabilizing(
+        PerturbableNetwork(graph, backend="dict"),
+        per_node,
+        plan=plan,
+        budget=palette_bound(graph, plan),
+        initial_coloring=degeneracy_greedy_coloring(graph),
+        max_rounds=200,
+        protocol="min-plus-one",
+    )
+    labels = trace.labels
+    for k in range(rng.randint(1, 20)):
+        record = rng.choice(trace.records)
+        vertex = ("ghost", k) if rng.random() < 0.15 else rng.choice(labels)
+        record.changes = record.changes + ((vertex, 1),)
+    return trace
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_containment_sweep_matches_per_fault_bfs(seed):
+    graphs = (
+        _tuple_triangulation(40 + 7 * seed, seed),
+        _tuple_path_with_isolated(30 + seed, isolated=1 + seed % 4),
+    )
+    for graph in graphs:
+        for kinds in (FAULT_KINDS, ("edge-insert", "edge-delete", "corrupt-color")):
+            trace = _injected_trace(graph, seed, kinds)
+            assert measure_containment(trace) == _containment_per_fault_bfs(trace)
+
+
+def test_containment_without_applied_faults_flags_every_recolor():
+    trace = _injected_trace(_tuple_path_with_isolated(12, 2), 3, events=0)
+    assert not trace.applied_events()
+    radius, violations = measure_containment(trace)
+    assert radius == 0
+    assert len(violations) == sum(len(r.changes) for r in trace.records) > 0
+    assert (radius, violations) == _containment_per_fault_bfs(trace)
+
+
+def _one_fault_path_trace(recolor_round: int, recolor_vertex: int) -> StabilizationTrace:
+    """A 10-path with one corrupt-color at vertex 5 in round 3 and one recolor.
+
+    The fault site also recolors in round 5 (distance 0), so the fault's
+    round always lies within the recolor rounds the audit reads.
+    """
+    labels = list(range(10))
+    records = [
+        RoundRecord(
+            round=r,
+            faults=(
+                (AppliedFault(3, "corrupt-color", (5,), 2, True),) if r == 3 else ()
+            ),
+            changes=(
+                ((recolor_vertex, 1),) * (r == recolor_round) + ((5, 2),) * (r == 5)
+            ),
+            conflicts=0,
+            legal=True,
+            messages=0,
+        )
+        for r in range(1, 6)
+    ]
+    return StabilizationTrace(
+        labels=labels,
+        budget=3,
+        initial_coloring={v: 1 + v % 2 for v in labels},
+        initial_edges=list(zip(labels, labels[1:])),
+        records=records,
+    )
+
+
+@pytest.mark.parametrize(
+    "recolor_round, recolor_vertex, expected",
+    [
+        (2, 5, None),  # the fault site, one round before the fault
+        (3, 5, 0),  # the fault site, in the fault's round
+        (2, 4, None),  # a neighbour, one round before the fault
+        (3, 4, 1),  # a neighbour hears the fault in its round
+        (3, 7, None),  # two hops away: one hop per round after the first
+        (4, 7, 2),
+        (4, 8, None),
+        (5, 8, 3),
+    ],
+)
+def test_containment_cone_boundaries(recolor_round, recolor_vertex, expected):
+    """The bound is ``r`` at both ``d = 0`` and ``d = 1``, then ``r + 1 - d``."""
+    trace = _one_fault_path_trace(recolor_round, recolor_vertex)
+    radius, violations = measure_containment(trace)
+    if expected is None:
+        assert radius == 0 and len(violations) == 1
+        assert f"vertex {recolor_vertex} recolored at round {recolor_round}" in violations[0]
+    else:
+        assert (radius, violations) == (expected, [])
+    assert (radius, violations) == _containment_per_fault_bfs(trace)
 
 
 def _dynamic_artifact():
