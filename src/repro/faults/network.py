@@ -13,7 +13,8 @@ identifier).
 Every rebuild flattens the maintained per-node sorted adjacency into
 routing-fabric tables, and the :class:`Network` reads its graph through
 a :class:`~repro.graphs.frozen.FrozenGraph` view of the fabric's
-``offsets``/``endpoints`` arrays.  Two backends build the fabric,
+``offsets``/``endpoints`` arrays that shares the input's label list and
+label index.  Two backends build the fabric,
 mirroring the dict/flat split of the static engine:
 
 * ``dict`` — Python-list tables with per-slot bisection for
@@ -63,8 +64,8 @@ class PerturbableNetwork:
         self.labels: list[Vertex] = frozen.vertices()
         if not self.labels:
             raise GraphError("PerturbableNetwork needs at least one vertex")
-        # every rebuilt network is a view that shares the input's label
-        # list and index, so no rebuild copies or re-indexes the labels
+        # the edits below and every rebuilt network (see _build_network)
+        # read the input's own label index: no rebuild re-indexes labels
         self._frozen = frozen
         self._index: Mapping[Vertex, int] = frozen._index
         # ground truth: per-node neighbour indices, kept sorted ascending

@@ -375,6 +375,11 @@ def corollary211_genus(k: int, length: int, improved: bool) -> dict[str, Any]:
 # E3 — Lemma 3.1, happy fraction and peeling layers
 # ---------------------------------------------------------------------------
 
+#: the smallest n each lemma31 family's generator accepts (a forest union
+#: takes 0, but the happy fraction is a share of n)
+LEMMA31_MIN_N = {"forest-union": 1, "planar": 3, "regular": 5}
+
+
 def _lemma_family_graph(family: str, n: int, seed: int | None):
     if family == "forest-union":
         return sparse.union_of_random_forests(n, 2, seed=seed)

@@ -318,6 +318,12 @@ _ACROSS_PARAMETERS = {
     "lemma31-unknown-family": (  # ValueError: unknown family
         ["lemma31-happy-fraction", "--set", 'cases=(("torus",80,4),)'], "cases"
     ),
+    "lemma31-short-entry": (  # ValueError: not enough values to unpack
+        ["lemma31-happy-fraction", "--set", 'cases=(("planar",80),)'], "cases"
+    ),
+    "lemma31-text-n": (  # TypeError
+        ["lemma31-happy-fraction", "--set", 'cases=(("planar","80",6),)'], "cases"
+    ),
 }
 
 
