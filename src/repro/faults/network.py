@@ -21,9 +21,9 @@ mirroring the dict/flat split of the static engine:
   ``reverse_slot``; the reference.
 * ``flat`` — ``int64`` arrays handed to the frozen CSR fast path
   (:func:`repro.local.network._fabric_from_csr`), which recovers
-  ``reverse_slot`` with one sort over ``(dst, src)`` keys and leaves the
-  fabric's Python list views to be built on first read (only the per-node
-  engine reads them).
+  ``reverse_slot`` with one value sort of packed ``(dst << b) | slot``
+  keys and leaves the fabric's Python list views to be built on first
+  read (only the per-node engine reads them).
 
 The parity tests assert both backends produce identical tables after
 identical edit sequences, which is what licenses the flat backend in

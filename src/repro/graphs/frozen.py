@@ -225,10 +225,14 @@ class FrozenGraph:
         """Build an identity-labelled frozen graph from a ``(m, 2)`` edge ndarray.
 
         This is the streaming-generator entry point: no :class:`Graph`, no
-        per-vertex dicts — the edge array is symmetrized, self-loops are
-        dropped, duplicate edges are merged, and the CSR pair is produced
-        with a handful of vectorized passes.  Vertex labels are ``0..n-1``
-        (see :attr:`identity_labels`).  Entries must lie in ``[0, n)``.
+        per-vertex dicts.  Both directions of every non-loop edge become one
+        ``(src << b) | dst`` int64 key, and one value sort of those keys is
+        the CSR: the neighbours are their low bits, the offsets a cumulative
+        count of their high bits, and a duplicate edge (in either
+        orientation) sits next to its twin, so one adjacent compare merges
+        it.  Vertex labels are ``0..n-1`` (see :attr:`identity_labels`).
+        Entries must lie in ``[0, n)``, and ``n`` may be at most ``2**31``
+        (two vertex indices per 63-bit key).
         """
         if n < 0:
             raise GraphError(f"negative vertex count {n}")
@@ -241,23 +245,23 @@ class FrozenGraph:
             )
         if edge_arr.size and (int(edge_arr.min()) < 0 or int(edge_arr.max()) >= n):
             raise GraphError(f"edge endpoints must lie in [0, {n})")
-        lo = np.minimum(edge_arr[:, 0], edge_arr[:, 1])
-        hi = np.maximum(edge_arr[:, 0], edge_arr[:, 1])
-        keep = lo != hi  # self-loops have no place in a simple graph
-        keys = np.sort(lo[keep] * n + hi[keep])  # n^2 < 2^63 for any real n
-        if keys.size:  # drop duplicate edges (sort + adjacent-diff dedupe
-            # is an order of magnitude faster than np.unique here)
-            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        lo, hi = keys // n, keys % n
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        # keys are distinct, so the default (unstable) sort is safe
-        order = np.argsort(src * n + dst)
-        counts = np.bincount(src, minlength=n)
+        loops = edge_arr[:, 0] == edge_arr[:, 1]
+        if loops.any():  # self-loops have no place in a simple graph
+            edge_arr = edge_arr[~loops]
+        # row-major, the rows read (u0, v0, u1, v1, ...) and the flipped
+        # rows (v0, u0, v1, u1, ...): both directions of every edge
+        keys, shift = _sorted_pair_keys(
+            edge_arr.ravel(), edge_arr[:, ::-1].ravel(), n, n
+        )
+        twins = keys[1:] == keys[:-1]
+        if twins.any():  # merge duplicate edges
+            keys = keys[np.concatenate(([True], ~twins))]
+        counts = np.bincount(keys >> shift, minlength=n)
         offsets = np.concatenate(
             ([0], np.cumsum(counts, dtype=np.int64))
         ).astype(np.int64, copy=False)
-        return cls(range(n), offsets, dst[order], name=name, metadata=metadata)
+        keys &= (1 << shift) - 1  # the low bits are the neighbours
+        return cls(range(n), offsets, keys, name=name, metadata=metadata)
 
     def freeze(self) -> "FrozenGraph":
         """Already frozen; returns ``self`` (mirror of :meth:`Graph.freeze`)."""
@@ -1049,6 +1053,30 @@ def _npz_memmaps(path: str, members: tuple[str, ...]):
 def freeze(graph: GraphLike) -> FrozenGraph:
     """Freeze any :class:`GraphLike` into a :class:`FrozenGraph` (idempotent)."""
     return FrozenGraph.from_graph(graph)
+
+
+def _sorted_pair_keys(high, low, high_count: int, low_count: int):
+    """Sorted int64 keys ``(high << shift) | low``, and the ``shift``.
+
+    ``high`` and ``low`` are equal-length integer arrays with entries in
+    ``[0, high_count)`` and ``[0, low_count)``; the keys order the pairs by
+    ``(high, low)``, and ``keys >> shift`` and ``keys & ((1 << shift) - 1)``
+    give the two columns back.  This is how every CSR and routing fabric
+    is ordered: one in-place value sort instead of an index sort and the
+    gather after it, since numpy sorts int64 values with vectorized code
+    but sorts indices indirectly, several times slower.  Raises
+    :class:`GraphError` when the packed keys would not fit in 63 bits.
+    """
+    shift = int(max(low_count - 1, 0)).bit_length()
+    if int(max(high_count - 1, 0)).bit_length() + shift > 63:
+        raise GraphError(
+            f"pairs over {high_count} x {low_count} values do not fit in "
+            "63-bit sort keys"
+        )
+    keys = np.left_shift(high, shift, dtype=np.int64)
+    keys |= low
+    keys.sort()
+    return keys, shift
 
 
 # byte-value -> bit positions lookup used by the all_balls batch decode

@@ -21,11 +21,12 @@ The fabric is array-first.  For a frozen graph with the default identifier
 order, the port tables are the CSR arrays themselves (zero-copy):
 identifiers follow the vertex indices and each CSR neighbour slice is
 already sorted by index, hence by identifier.  ``reverse_slot`` then comes
-from one sort (:func:`_fabric_from_csr`, which also serves the flat
-rebuilds of :mod:`repro.faults.network`).  Every other network (mutable
-graphs, ``identifiers=``, ``identifier_order=``) relabels the frozen CSR
-to node indices, re-sorts it with one argsort and goes through the same
-builder.  The plain-list views the
+from one value sort of packed ``(dst << b) | slot`` keys
+(:func:`_fabric_from_csr`, which also serves the flat rebuilds of
+:mod:`repro.faults.network`).  Every other network (mutable graphs,
+``identifiers=``, ``identifier_order=``) relabels the frozen CSR to node
+indices, re-sorts it with one value sort of ``(node << b) | neighbour``
+keys and goes through the same builder.  The plain-list views the
 per-node round loop reads (``offsets``, ``endpoints``, ``reverse_slot``,
 ``degrees``) are built from the arrays on first read, so batched runs never
 pay for them.  Likewise, a default-order :class:`Network` builds its
@@ -45,7 +46,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.graphs.frozen import FrozenGraph, GraphLike, freeze
+from repro.graphs.frozen import FrozenGraph, GraphLike, _sorted_pair_keys, freeze
 from repro.graphs.graph import Vertex
 
 __all__ = ["Network", "RoutingFabric"]
@@ -134,19 +135,24 @@ def _reverse_slots_python(offsets: list[int], endpoints: list[int]) -> list[int]
 
 
 def _fabric_from_csr(offsets, endpoints) -> RoutingFabric:
-    """Fabric straight off ``int64`` CSR arrays, ``reverse_slot`` by one sort.
+    """Fabric straight off ``int64`` CSR arrays, ``reverse_slot`` by one value sort.
 
     The arrays must describe a simple undirected graph in CSR order: each
     neighbour slice sorted ascending, every edge present in both slices.
     No Python list is built here; the fabric's list views stay lazy.
     """
     n = len(offsets) - 1
+    num_slots = len(endpoints)
     sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-    # slots are in CSR order, i.e. sorted by (src, dst), and the edge set is
-    # symmetric: ordering the slots by their distinct (dst, src) keys lists
-    # the reverse of slot k at position k
-    reverse = np.argsort(endpoints * n + sources)
-    return RoutingFabric(offsets, endpoints, reverse, sources_np=sources)
+    # slots are in CSR order, i.e. sorted by (src, dst), so within one dst
+    # slot order is src order: sorting the distinct (dst, slot) keys orders
+    # the slots by (dst, src), and as the edge set is symmetric the slot in
+    # the low bits at position k is the reverse of slot k
+    keys, shift = _sorted_pair_keys(
+        endpoints, np.arange(num_slots, dtype=np.int64), n, num_slots
+    )
+    keys &= (1 << shift) - 1
+    return RoutingFabric(offsets, endpoints, keys, sources_np=sources)
 
 
 class Network:
@@ -303,10 +309,10 @@ class Network:
             (index[v] for v in frozen.vertices()), dtype=np.int64, count=n
         )
         sources = np.repeat(node_of, np.diff(offsets))
-        endpoints = node_of[neighbors]
-        by_node = np.argsort(sources * n + endpoints)
+        keys, shift = _sorted_pair_keys(sources, node_of[neighbors], n, n)
+        keys &= (1 << shift) - 1
         offsets = np.concatenate(([0], np.cumsum(np.bincount(sources, minlength=n))))
-        return _fabric_from_csr(offsets, endpoints[by_node])
+        return _fabric_from_csr(offsets, keys)
 
     # ------------------------------------------------------------------
     # Dict-based lookup API (lazy views over the fabric)

@@ -107,7 +107,9 @@ class Scenario:
     parameter to the smallest int every task of the scenario can run on
     (each int inside a tuple parameter counts): :meth:`params_for`
     refuses an override below it before any work starts.  Without an
-    entry the floor is 0, or 1 for ``size_param``.
+    entry the floor is 0, or 1 for ``size_param``.  ``choices`` maps a
+    name parameter to the names its tasks know, and :meth:`params_for`
+    refuses any other name the same way.
     """
 
     name: str
@@ -122,6 +124,8 @@ class Scenario:
     size_param: str | None = None
     #: Smallest int per parameter (see the class docstring).
     floors: Mapping[str, int] = field(default_factory=dict)
+    #: Known names per name parameter (see the class docstring).
+    choices: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     #: Scenarios that time code inside tasks run serially so concurrent
     #: workers cannot skew the measurements.
     serial_only: bool = False
@@ -139,10 +143,13 @@ class Scenario:
         Each override must have its default's type: a tuple default takes a
         tuple or list, an int default an int, a float default an int or a
         float (bools are refused for both), anything else its own type.
-        Its range is checked too, before any work starts: every int in it
-        must be at least the parameter's entry in :attr:`floors`.  Without
-        an entry, the floor is 1 for :attr:`size_param` and 0 otherwise,
-        and no floor applies when the default holds a negative int.
+        Each element of a tuple override must have, by the same rule, the
+        type the default's elements share, and a name in a parameter with
+        :attr:`choices` must be one of them.  Its range is checked too,
+        before any work starts: every int in it must be at least the
+        parameter's entry in :attr:`floors`.  Without an entry, the floor
+        is 1 for :attr:`size_param` and 0 otherwise, and no floor applies
+        when the default holds a negative int.
         """
         params = dict(self.defaults)
         if smoke:
@@ -154,29 +161,42 @@ class Scenario:
                     f"known parameters: {sorted(params)}"
                 )
             self._check_override(key, value, params[key])
+            self._check_choices(key, value)
             self._check_range(key, value, params[key])
             params[key] = value
         return params
 
     def _check_override(self, key: str, value: Any, default: Any) -> None:
-        if isinstance(default, tuple):
-            accepted, expected = (tuple, list), "a tuple or list"
-        elif isinstance(default, float):
-            accepted, expected = (int, float), "an int or float"
-        else:
-            accepted = type(default)
-            expected = f"a value of type {accepted.__name__}"
-        bool_for_number = isinstance(value, bool) and not isinstance(default, bool)
-        if isinstance(value, accepted) and not bool_for_number:
+        expected = _mismatch(value, default)
+        if expected is not None:
+            hint = ""
+            if isinstance(default, tuple):
+                shown = value.removesuffix(",") if isinstance(value, str) else value
+                hint = f"; for a single value use the trailing-comma form {key}={shown!r},"
+            raise ScenarioError(
+                f"scenario {self.name!r} parameter {key!r} expects {expected}, "
+                f"got {type(value).__name__} {value!r}{hint}"
+            )
+        if isinstance(default, tuple) and len({type(item) for item in default}) == 1:
+            for item in value:
+                expected = _mismatch(item, default[0])
+                if expected is not None:
+                    raise ScenarioError(
+                        f"scenario {self.name!r} parameter {key!r} expects each "
+                        f"element to be {expected}, got {type(item).__name__} {item!r}"
+                    )
+
+    def _check_choices(self, key: str, value: Any) -> None:
+        known = self.choices.get(key)
+        if known is None:
             return
-        hint = ""
-        if isinstance(default, tuple):
-            shown = value.removesuffix(",") if isinstance(value, str) else value
-            hint = f"; for a single value use the trailing-comma form {key}={shown!r},"
-        raise ScenarioError(
-            f"scenario {self.name!r} parameter {key!r} expects {expected}, "
-            f"got {type(value).__name__} {value!r}{hint}"
-        )
+        # every name parameter is a tuple, which _check_override has checked
+        for name in value:
+            if name not in known:
+                raise ScenarioError(
+                    f"scenario {self.name!r} parameter {key!r} takes the names "
+                    f"{list(known)}, got {name!r}"
+                )
 
     def _check_range(self, key: str, value: Any, default: Any) -> None:
         floor = self.floors.get(key, 1 if key == self.size_param else 0)
@@ -200,6 +220,21 @@ class Scenario:
         if path.suffix == ".json" and not path.is_dir():
             return path
         return path / f"BENCH_{self.name}.json"
+
+
+def _mismatch(value: Any, default: Any) -> str | None:
+    """What ``value`` should be to stand for ``default``; None when it may."""
+    if isinstance(default, tuple):
+        accepted, expected = (tuple, list), "a tuple or list"
+    elif isinstance(default, float):
+        accepted, expected = (int, float), "an int or float"
+    else:
+        accepted = type(default)
+        expected = f"a value of type {accepted.__name__}"
+    bool_for_number = isinstance(value, bool) and not isinstance(default, bool)
+    if isinstance(value, accepted) and not bool_for_number:
+        return None
+    return expected
 
 
 def _ints(value: Any):

@@ -379,6 +379,12 @@ def corollary211_genus(k: int, length: int, improved: bool) -> dict[str, Any]:
 #: takes 0, but the happy fraction is a share of n)
 LEMMA31_MIN_N = {"forest-union": 1, "planar": 3, "regular": 5}
 
+#: the smallest d at which each lemma31 family keeps Lemma 3.1's promise
+#: (d >= mad, and no (d+1)-clique): a union of two forests has mad < 4, a
+#: stacked triangulation mad < 6 and a 4-regular graph mad 4.  The one
+#: 4-regular graph on 5 vertices is K5, a 5-clique, so there d must be 5.
+LEMMA31_MIN_D = {"forest-union": 4, "planar": 6, "regular": 4}
+
 
 def _lemma_family_graph(family: str, n: int, seed: int | None):
     if family == "forest-union":

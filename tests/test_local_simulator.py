@@ -128,13 +128,15 @@ def test_fabric_list_views_match_arrays(kind, path):
 
 # Peak traced allocation per directed edge slot while building the fabric of
 # an identity-labelled torus and running batched greedy on it.  Arrays alone
-# peak at about 72 bytes per slot: the int64 tables (endpoints, reverse_slot,
-# sources, the sort keys) plus the engine's int64 per-slot temporaries.  One
-# eager Python list over the slots adds about 36 bytes per slot (an 8-byte
-# pointer plus a 28-byte int object), which lifts the peak to about 112; the
-# fully eager build (two such lists and three vertex-keyed dicts) peaks at
-# about 200.  The bound leaves roughly 40% headroom over the array-only peak
-# and is crossed by a single eager list.
+# peak at about 53 bytes per slot: the int64 tables (reverse_slot, which the
+# fabric sorts in place as packed keys, and sources; endpoints is the
+# graph's own) plus the engine's per-slot temporaries.  One eager Python
+# list over the slots adds about 40 bytes per slot (an 8-byte pointer, a
+# 28-byte int object and the list's slack), which lifts the peak to about
+# 93; the fully eager build (two such lists and three vertex-keyed dicts)
+# peaks higher still.  The bound was set at roughly 40% headroom over an
+# earlier array-only peak of about 72 bytes per slot, so it now catches two
+# eager lists, not one.
 MAX_PEAK_BYTES_PER_SLOT = 100
 
 

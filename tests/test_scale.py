@@ -1,20 +1,25 @@
 """Million-node scale infrastructure: npz form, streaming generators, fan-out.
 
 Everything here runs at toy sizes — the point is *parity*, not scale:
-``from_edge_array`` must agree with the dict-of-sets path, a memory-mapped
-``load_npz`` graph must be bit-identical to the in-memory one that wrote
-it, the vectorized CSR digest must equal the scalar digest, and a graph
-attached from shared memory in a real pool worker must hash to the digest
-the parent published.  The n = 10^6 runs themselves live in the ``scale``
+``from_edge_array`` must agree with the dict-of-sets path, the value sorts
+of packed int64 keys that build every CSR and routing fabric must equal
+the index-sort builds they replaced bit for bit (the value-sort parity
+suite), each streaming builder must keep its pinned digest, a
+memory-mapped ``load_npz`` graph must be bit-identical to the in-memory
+one that wrote it, the vectorized CSR digest must equal the scalar digest,
+and a graph attached from shared memory in a real pool worker must hash to
+the digest the parent published.  The n = 10^6 runs themselves live in the ``scale``
 scenario (``BENCH_scale.json``); these tests are why its numbers can be
 trusted.
 """
 
 import os
+import random
 import tempfile
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,9 +27,10 @@ from hypothesis import strategies as st
 from repro.analysis import ExperimentRunner, shared
 from repro.corpus import InstanceCorpus, InstanceSpec, graph_digest
 from repro.errors import GraphError
-from repro.graphs.frozen import FrozenGraph, freeze
+from repro.graphs.frozen import FrozenGraph, _sorted_pair_keys, freeze
 from repro.graphs.generators import streaming
 from repro.graphs.graph import Graph
+from repro.local.network import Network
 
 
 # one small spec per streaming family: (builder kwargs are positional-ready)
@@ -54,8 +60,6 @@ def _thaw(graph: FrozenGraph) -> Graph:
 # ---------------------------------------------------------------------------
 
 def test_from_edge_array_matches_graph_path():
-    import numpy as np
-
     # duplicates, self-loop and both orientations must all collapse away
     edges = np.array(
         [[0, 1], [1, 0], [1, 2], [2, 3], [3, 3], [0, 1], [4, 2]], dtype=np.int64
@@ -83,6 +87,161 @@ def test_streaming_builders_produce_identity_frozen_graphs(family, kwargs):
     bound = graph.metadata.get("degeneracy_upper_bound")
     if bound is not None:
         assert graph.degeneracy() <= bound
+
+
+# ---------------------------------------------------------------------------
+# value-sort parity: packed-key sorts == the index-sort builds they replaced
+# ---------------------------------------------------------------------------
+
+def _index_sort_csr(n, edges):
+    """The CSR by the index sort ``from_edge_array`` used to run.
+
+    An m-key sort and dedupe of ``lo * n + hi``, ``//`` and ``%`` back to
+    the endpoints, then a 2m-key ``argsort`` of ``src * n + dst`` and the
+    gather of ``dst`` through it.
+    """
+    edge_arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    lo = np.minimum(edge_arr[:, 0], edge_arr[:, 1])
+    hi = np.maximum(edge_arr[:, 0], edge_arr[:, 1])
+    keep = lo != hi
+    keys = np.sort(lo[keep] * n + hi[keep])
+    if keys.size:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    lo, hi = keys // n, keys % n
+    src = np.concatenate([lo, hi])
+    dst = np.concatenate([hi, lo])
+    order = np.argsort(src * n + dst)
+    counts = np.bincount(src, minlength=n)
+    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    return offsets.astype(np.int64, copy=False), dst[order]
+
+
+def _index_sort_reverse(offsets, endpoints):
+    """``reverse_slot`` by the ``argsort`` of ``(dst, src)`` keys it replaced."""
+    n = len(offsets) - 1
+    sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    return np.argsort(endpoints * n + sources)
+
+
+def _index_sort_relabelled(frozen, node_of):
+    """A network's general-path CSR by the ``argsort`` it replaced."""
+    offsets, neighbors = frozen.csr_arrays()
+    n = len(node_of)
+    sources = np.repeat(node_of, np.diff(offsets))
+    endpoints = node_of[neighbors]
+    by_node = np.argsort(sources * n + endpoints)
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(sources, minlength=n))))
+    return offsets, endpoints[by_node]
+
+
+def _assert_same_array(actual, expected):
+    assert actual.dtype == np.int64
+    assert np.array_equal(actual, np.asarray(expected, dtype=np.int64))
+
+
+def _assert_fabric_matches(fabric, offsets, endpoints):
+    _assert_same_array(fabric.offsets_np, offsets)
+    _assert_same_array(fabric.endpoints_np, endpoints)
+    _assert_same_array(fabric.reverse_np, _index_sort_reverse(
+        np.asarray(offsets, dtype=np.int64), np.asarray(endpoints, dtype=np.int64)
+    ))
+
+
+# vertex counts on both sides of a change of bit_length(n - 1), the key shift
+_SHIFT_EDGE_NS = (1, 2, 3, 4, 5, 8, 9, 16, 17, 1024, 1025)
+
+
+@st.composite
+def _edge_arrays(draw):
+    """(n, edges, seed): duplicates both ways round, self-loops, isolated vertices."""
+    n = draw(st.sampled_from(_SHIFT_EDGE_NS))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+    twins = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()),
+                          max_size=10)) if pairs else []
+    loops = draw(st.lists(vertex, max_size=4))
+    rows = pairs + [(v, u) if flip else (u, v) for (u, v), flip in twins]
+    rows += [(w, w) for w in loops]
+    rows = draw(st.permutations(rows))
+    dtype = draw(st.sampled_from([np.int64, np.int32]))
+    edges = np.array(rows, dtype=dtype).reshape(-1, 2)
+    if draw(st.booleans()):
+        edges = edges[:, ::-1]  # a strided view, every edge turned round
+    return n, edges, draw(st.integers(0, 2**16))
+
+
+@given(_edge_arrays())
+@settings(max_examples=120, deadline=None)
+def test_value_sorts_match_index_sorts(case):
+    n, edges, seed = case
+    graph = FrozenGraph.from_edge_array(n, edges)
+    offsets, neighbors = _index_sort_csr(n, edges)
+    _assert_same_array(graph.csr_arrays()[0], offsets)
+    _assert_same_array(graph.csr_arrays()[1], neighbors)
+    # default order: the CSR fast path
+    _assert_fabric_matches(Network(graph).fabric, offsets, neighbors)
+    # identifier_order= and a mutable graph: the relabelled general path
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    node_of = np.empty(n, dtype=np.int64)
+    node_of[order] = np.arange(n)
+    _assert_fabric_matches(
+        Network(graph, identifier_order=order).fabric,
+        *_index_sort_relabelled(graph, node_of),
+    )
+    mutable = graph.thaw()
+    _assert_fabric_matches(
+        Network(mutable).fabric,
+        *_index_sort_relabelled(freeze(mutable), np.arange(n, dtype=np.int64)),
+    )
+
+
+@pytest.mark.parametrize("family,kwargs", _FAMILY_SPECS)
+def test_memmapped_csr_fabric_matches_index_sort(family, kwargs, tmp_path):
+    graph = _build(family, **kwargs)
+    path = tmp_path / "g.npz"
+    graph.save_npz(path)
+    mapped = FrozenGraph.load_npz(path, mmap=True)
+    assert not mapped.csr_arrays()[1].flags.writeable  # the read-only map
+    offsets, neighbors = _index_sort_csr(len(graph), graph.edges())
+    _assert_same_array(mapped.csr_arrays()[0], offsets)
+    _assert_same_array(mapped.csr_arrays()[1], neighbors)
+    _assert_fabric_matches(Network(mapped).fabric, offsets, neighbors)
+
+
+# digests of the five streaming builders at a few thousand vertices, as the
+# index-sort builds gave them: the packed-key builds must not move one
+_STREAMING_DIGESTS = [
+    ("stream-degenerate", {"n": 3000, "degeneracy": 3, "seed": 7}, "755aed72364ce3a5"),
+    ("stream-forest", {"n": 3000, "arboricity": 2, "seed": 3}, "4876ebe01b931d1e"),
+    ("stream-k-tree", {"n": 3000, "k": 3, "seed": 5}, "1a6d2da5cfa428bf"),
+    ("stream-power-law", {"n": 3000, "m": 2, "seed": 9}, "9e81f3635a5a16bf"),
+    ("stream-torus", {"rows": 50, "cols": 60, "shuffle_seed": 1}, "9a52853abf6c52f2"),
+]
+
+
+@pytest.mark.parametrize("family,kwargs,digest", _STREAMING_DIGESTS)
+def test_streaming_builder_digests_are_pinned(family, kwargs, digest):
+    assert graph_digest(_build(family, **kwargs)) == digest
+
+
+def test_sorted_pair_keys_fill_63_bits_and_refuse_a_64th():
+    high = np.array([2**40 - 1, 0, 2**40 - 1], dtype=np.int64)
+    low = np.array([2**23 - 1, 5, 0], dtype=np.int64)
+    keys, shift = _sorted_pair_keys(high, low, 2**40, 2**23)
+    assert shift == 23
+    assert keys.tolist() == [5, 2**63 - 2**23, 2**63 - 1]
+    assert (keys >> shift).tolist() == [0, 2**40 - 1, 2**40 - 1]
+    for counts in ((2**40 + 1, 2**23), (2**40, 2**23 + 1)):
+        with pytest.raises(GraphError, match="63-bit"):
+            _sorted_pair_keys(high, low, *counts)
+
+
+def test_from_edge_array_refuses_n_beyond_two_indices_per_key():
+    # refused before any n-sized allocation (a 2**31-entry count would
+    # take 16 GiB)
+    with pytest.raises(GraphError, match="63-bit"):
+        FrozenGraph.from_edge_array(2**31 + 1, np.empty((0, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +294,6 @@ def test_digest_fast_path_matches_slow_path(family, kwargs):
 
 
 def test_digest_fast_path_edge_cases():
-    import numpy as np
-
     empty = FrozenGraph.from_edge_array(0, np.empty((0, 2), dtype=np.int64))
     lonely = FrozenGraph.from_edge_array(1, np.empty((0, 2), dtype=np.int64))
     # the decimal-key packing must survive the "1" < "10" lexicographic

@@ -324,6 +324,28 @@ _ACROSS_PARAMETERS = {
     "lemma31-text-n": (  # TypeError
         ["lemma31-happy-fraction", "--set", 'cases=(("planar","80",6),)'], "cases"
     ),
+    # ColoringError: d below the family's d >= mad promise (Lemma 3.1)
+    "lemma31-planar-d=3": (
+        ["lemma31-happy-fraction", "--set", 'cases=(("planar",80,3),)'], "cases"
+    ),
+    "lemma31-forest-union-d=3": (
+        ["lemma31-happy-fraction", "--set", 'cases=(("forest-union",80,3),)'], "cases"
+    ),
+    "lemma31-regular-d=3": (
+        ["lemma31-happy-fraction", "--set", 'cases=(("regular",60,3),)'], "cases"
+    ),
+    # ran, but outside the promise: a stacked triangulation on 80 vertices
+    # has mad 6 - 12/80 > 5, so its row measured nothing Lemma 3.1 states
+    "lemma31-planar-d=5": (
+        ["lemma31-happy-fraction", "--set", 'cases=(("planar",80,5),)'], "cases"
+    ),
+    # ColoringError: K5 at d = 4 breaks the no-(d+1)-clique promise
+    "lemma31-regular-K5-d=4": (
+        ["lemma31-happy-fraction", "--set", 'cases=(("regular",5,4),)'], "cases"
+    ),
+    "lemma31-text-d": (  # TypeError
+        ["lemma31-happy-fraction", "--set", 'cases=(("planar",80,"6"),)'], "cases"
+    ),
 }
 
 
@@ -351,6 +373,13 @@ _AT_THE_CROSS_BOUNDS = {
         "lemma31-happy-fraction",
         {"cases": (("forest-union", 1, 4), ("planar", 3, 6), ("regular", 5, 5))},
     ),
+    # each family at its smallest d, where the check still passes
+    "lemma31-d": (
+        "lemma31-happy-fraction",
+        {"cases": (
+            ("forest-union", 80, 4), ("planar", 80, 6), ("regular", 5, 5), ("regular", 60, 4),
+        )},
+    ),
 }
 
 
@@ -360,6 +389,55 @@ _AT_THE_CROSS_BOUNDS = {
 def test_cross_parameter_bounds_still_run(scenario, overrides):
     run = run_scenario(scenario, smoke=True, overrides=overrides, workers=1, export=False)
     assert run.runner.rows
+
+
+_UNKNOWN_ELEMENTS = {
+    # each used to end in a worker's traceback, noted after it
+    "primitives-cv_sizes=a,": (["primitives", "--set", "cv_sizes=a,"], "cv_sizes"),  # TypeError
+    "theorem13-colors-ds=x,": (["theorem13-colors", "--set", "ds=x,"], "ds"),  # TypeError
+    "dynamic-faults": (["dynamic", "--set", "faults=bogus,"], "faults"),  # KeyError
+    "dynamic-protocols": (["dynamic", "--set", "protocols=bogus,"], "protocols"),  # KeyError
+    "dynamic-families": (["dynamic", "--set", "families=bogus,"], "families"),  # ValueError
+    "dynamic-backends": (["dynamic", "--set", "backends=bogus,"], "backends"),  # ValueError
+    "simulator-engines": (["simulator", "--set", "engines=bogus,"], "engines"),  # ValueError
+    "serve-workloads": (["serve", "--set", "workloads=bogus,"], "workloads"),  # ValueError
+    "theorem13-colors-backends": (  # ValueError
+        ["theorem13-colors", "--set", "backends=bogus,"], "backends"
+    ),
+    "randomized-families": (["randomized", "--set", "families=bogus,"], "families"),  # ValueError
+    # exited 0 after running the per-node engine under a row named [bogus]
+    "randomized-engines": (["randomized", "--set", "engines=bogus,"], "engines"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, param", _UNKNOWN_ELEMENTS.values(), ids=list(_UNKNOWN_ELEMENTS)
+)
+def test_mistyped_elements_and_unknown_names_are_refused(command, param, tmp_path, capsys):
+    scenario, *override = command
+    argv = ["run", scenario, "--smoke", "--workers", "1", "--out", str(tmp_path), *override]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"parameter '{param}'" in err
+    for name in get_scenario(scenario).choices.get(param, ()):
+        assert repr(name) in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_declared_grids_pass_their_own_checks():
+    from repro.serve.loadgen import WORKLOADS
+
+    for scenario in all_scenarios():
+        for grid in (scenario.defaults, scenario.smoke_overrides):
+            for key, value in grid.items():
+                if isinstance(value, tuple):  # one element type per tuple
+                    assert len({type(item) for item in value}) == 1, (scenario.name, key)
+        for smoke in (False, True):
+            params = scenario.params_for(smoke=smoke)
+            assert scenario.params_for(smoke=smoke, overrides=params) == params
+            for key, names in scenario.choices.items():
+                assert set(params[key]) <= set(names), (scenario.name, key)
+    assert get_scenario("serve").choices["workloads"] == WORKLOADS
 
 
 def test_validate_artifact_flags_broken_shapes():
