@@ -107,9 +107,9 @@ class Scenario:
     parameter to the smallest int every task of the scenario can run on
     (each int inside a tuple parameter counts): :meth:`params_for`
     refuses an override below it before any work starts.  Without an
-    entry the floor is 0, or 1 for ``size_param``.  ``choices`` maps a
-    name parameter to the names its tasks know, and :meth:`params_for`
-    refuses any other name the same way.
+    entry the floor is 0, or 1 for ``size_param``.  A tuple of str is a
+    name parameter: its full default lists every name its tasks know, and
+    :meth:`params_for` refuses any other name the same way.
     """
 
     name: str
@@ -124,8 +124,6 @@ class Scenario:
     size_param: str | None = None
     #: Smallest int per parameter (see the class docstring).
     floors: Mapping[str, int] = field(default_factory=dict)
-    #: Known names per name parameter (see the class docstring).
-    choices: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     #: Scenarios that time code inside tasks run serially so concurrent
     #: workers cannot skew the measurements.
     serial_only: bool = False
@@ -144,12 +142,13 @@ class Scenario:
         tuple or list, an int default an int, a float default an int or a
         float (bools are refused for both), anything else its own type.
         Each element of a tuple override must have, by the same rule, the
-        type the default's elements share, and a name in a parameter with
-        :attr:`choices` must be one of them.  Its range is checked too,
-        before any work starts: every int in it must be at least the
-        parameter's entry in :attr:`floors`.  Without an entry, the floor
-        is 1 for :attr:`size_param` and 0 otherwise, and no floor applies
-        when the default holds a negative int.
+        type the default's elements share, and a str element must be one of
+        the names in the full default (so ``smoke`` can still pick any of
+        them).  Its range is checked too, before any work starts: every int
+        in it must be at least the parameter's entry in :attr:`floors`.
+        Without an entry, the floor is 1 for :attr:`size_param` and 0
+        otherwise, and no floor applies when the default holds a negative
+        int.
         """
         params = dict(self.defaults)
         if smoke:
@@ -161,7 +160,6 @@ class Scenario:
                     f"known parameters: {sorted(params)}"
                 )
             self._check_override(key, value, params[key])
-            self._check_choices(key, value)
             self._check_range(key, value, params[key])
             params[key] = value
         return params
@@ -178,25 +176,16 @@ class Scenario:
                 f"got {type(value).__name__} {value!r}{hint}"
             )
         if isinstance(default, tuple) and len({type(item) for item in default}) == 1:
+            names = self.defaults.get(key, default)
             for item in value:
                 expected = _mismatch(item, default[0])
+                if expected is None and isinstance(item, str) and item not in names:
+                    expected = f"one of {list(names)}"
                 if expected is not None:
                     raise ScenarioError(
                         f"scenario {self.name!r} parameter {key!r} expects each "
                         f"element to be {expected}, got {type(item).__name__} {item!r}"
                     )
-
-    def _check_choices(self, key: str, value: Any) -> None:
-        known = self.choices.get(key)
-        if known is None:
-            return
-        # every name parameter is a tuple, which _check_override has checked
-        for name in value:
-            if name not in known:
-                raise ScenarioError(
-                    f"scenario {self.name!r} parameter {key!r} takes the names "
-                    f"{list(known)}, got {name!r}"
-                )
 
     def _check_range(self, key: str, value: Any, default: Any) -> None:
         floor = self.floors.get(key, 1 if key == self.size_param else 0)

@@ -20,7 +20,6 @@ from collections.abc import Mapping
 from typing import Any
 
 from repro.analysis import BatchTask, ExperimentRunner, fit_polylog, normalized_by_polylog
-from repro.distributed.stabilizing import STABILIZING_PROTOCOLS
 from repro.scenarios import tasks
 from repro.scenarios.base import Scenario, ScenarioError
 from repro.scenarios.registry import register
@@ -28,12 +27,6 @@ from repro.scenarios.registry import register
 __all__ = ["CAMPAIGNS"]
 
 Params = Mapping[str, Any]
-
-#: the names the shared name parameters take (``Scenario.choices``): every
-#: backend axis sweeps the dict and flat backends, and every family axis
-#: the Lemma 3.1 families
-_BACKENDS = ("dict", "flat")
-_LEMMA_FAMILIES = tuple(tasks.LEMMA31_MIN_N)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +79,6 @@ register(Scenario(
     },
     size_param="sizes",
     floors={"ds": 3},
-    choices={"backends": _BACKENDS},
 ))
 
 
@@ -168,7 +160,6 @@ register(Scenario(
     size_param="sizes",
     # a union of two forests has mad < 4: at d = 3 the d >= mad promise breaks
     floors={"d": 4},
-    choices={"backends": _BACKENDS},
     finalize=_finalize_theorem13_rounds,
     check=_check_theorem13_rounds,
 ))
@@ -236,7 +227,6 @@ register(Scenario(
         "baseline": "floor((2+eps)a)+1 colors in O(a log n) rounds",
     },
     size_param="ns",
-    choices={"backends": _BACKENDS},
     check=_check_corollary14,
 ))
 
@@ -371,26 +361,31 @@ register(Scenario(
 # ---------------------------------------------------------------------------
 
 def _lemma31_case_runs(case: Any) -> bool:
-    """A ``(family, n, d)`` entry: a known family, n and d at its minimums."""
+    """A ``(family, n, d)`` entry with a known family and n at its minimum."""
     if not isinstance(case, (tuple, list)) or len(case) != 3:
         return False
-    family, n, d = case
+    family, n, _d = case
+    min_n = tasks.LEMMA31_MIN_N
     # a scan, not a dict lookup: a parsed override may hold an unhashable list
-    if family not in _LEMMA_FAMILIES or not isinstance(n, int) or not isinstance(d, int):
-        return False
-    min_d = 5 if (family, n) == ("regular", 5) else tasks.LEMMA31_MIN_D[family]
-    return n >= tasks.LEMMA31_MIN_N[family] and d >= min_d
+    return family in tuple(min_n) and isinstance(n, int) and n >= min_n[family]
 
 
 def _build_lemma31(params: Params) -> list[BatchTask]:
+    min_n = tasks.LEMMA31_MIN_N
     for case in params["cases"]:
         if not _lemma31_case_runs(case):
             raise ScenarioError(
                 f"scenario 'lemma31-happy-fraction' parameter 'cases' takes "
-                f"(family, n, d) entries with a family in {sorted(_LEMMA_FAMILIES)}, "
-                f"n at least its minimum {tasks.LEMMA31_MIN_N} and d at least "
-                f"its Lemma 3.1 floor {tasks.LEMMA31_MIN_D} (5 for regular at "
-                f"n=5), got {case!r}"
+                f"(family, n, d) entries with a family in {sorted(min_n)} "
+                f"and n at least its minimum {min_n}, got {case!r}"
+            )
+        family, n, d = case
+        min_d = tasks.lemma31_min_d(family, n)
+        if not isinstance(d, int) or d < min_d:
+            raise ScenarioError(
+                f"scenario 'lemma31-happy-fraction' parameter 'cases' takes d "
+                f"at least {min_d} for {family} at n={n}, where Lemma 3.1's "
+                f"promise (d >= mad, no (d+1)-clique) holds, got {case!r}"
             )
     return [
         BatchTask(
@@ -810,7 +805,6 @@ register(Scenario(
     },
     smoke_overrides={"sizes": (1_500,), "lowerbound_sizes": (1_500,)},
     floors={"sizes": 3},
-    choices={"engines": _SIM_ENGINES},
     reference={
         "parity": "identical rounds/messages on all engines",
         "speedup": ">= 5x rounds/sec for batched Cole-Vishkin at n=10^5",
@@ -832,6 +826,7 @@ _COLORING_ALGORITHMS = (
     ("theorem13", "sizes", "Thm 1.3 pipeline"),
     ("barenboim-elkin", "be_sizes", "Barenboim-Elkin"),
 )
+_COLORING_BACKENDS = ("dict", "flat")
 
 
 def _build_coloring(params: Params) -> list[BatchTask]:
@@ -898,7 +893,7 @@ register(Scenario(
     build_tasks=_build_coloring,
     defaults={
         "sizes": (2_000, 10_000), "be_sizes": (10_000,), "d": 4,
-        "backends": _BACKENDS, "instance_seed": 1_000,
+        "backends": _COLORING_BACKENDS, "instance_seed": 1_000,
     },
     smoke_overrides={"sizes": (300,), "be_sizes": (300,)},
     reference={
@@ -907,7 +902,6 @@ register(Scenario(
     },
     size_param="sizes",
     floors={"d": 3},
-    choices={"backends": _BACKENDS},
     serial_only=True,
     finalize=_finalize_coloring,
     check=_check_coloring,
@@ -1020,11 +1014,6 @@ register(Scenario(
 # E17 — serve (coloring-as-a-service under synthetic load)
 # ---------------------------------------------------------------------------
 
-#: the load generator's workloads (``repro.serve.loadgen.WORKLOADS``, named
-#: here so that listing the scenarios does not import the server)
-_SERVE_WORKLOADS = ("small-hot", "mixed", "replay")
-
-
 def _build_serve(params: Params) -> list[BatchTask]:
     """One row per workload; each task boots its own in-process service.
 
@@ -1104,7 +1093,7 @@ register(Scenario(
     ),
     build_tasks=_build_serve,
     defaults={
-        "workloads": _SERVE_WORKLOADS,
+        "workloads": ("small-hot", "mixed", "replay"),
         "clients": 8,
         "requests": 240,
         "huge_n": 50_000,
@@ -1113,7 +1102,6 @@ register(Scenario(
     },
     smoke_overrides={"clients": 4, "requests": 48, "huge_n": 2_000},
     floors={"clients": 1, "requests": 1},
-    choices={"workloads": _SERVE_WORKLOADS},
     reference={
         "legality": "every served coloring passes the PR-5 oracles",
         "consistency": "hit and miss paths return bit-identical coloring_digests",
@@ -1209,12 +1197,6 @@ register(Scenario(
         "max_rounds": 200,
     },
     floors={"n": 5, "window": 1, "max_rounds": 1},
-    choices={
-        "families": _LEMMA_FAMILIES,
-        "faults": tuple(tasks.FAULT_MIXES),
-        "protocols": tuple(STABILIZING_PROTOCOLS),
-        "backends": _BACKENDS,
-    },
     reference={
         "recovery": "every run re-establishes a legal coloring and quiesces",
         "containment": "recolors stay inside the perturbations' causal cones",
@@ -1328,12 +1310,6 @@ register(Scenario(
         "deterministic": ("greedy",),
     },
     floors={"sizes": 5, "mt_sizes": 5},
-    choices={
-        "families": _LEMMA_FAMILIES,
-        "engines": ("batch", "flat"),
-        "backends": _BACKENDS,
-        "deterministic": ("greedy", "linial"),
-    },
     reference={
         "rounds": "randomized Delta+1 finishes in O(log n) rounds whp",
         "witness": "every resample log replays bit-for-bit from its seed",

@@ -379,12 +379,6 @@ def corollary211_genus(k: int, length: int, improved: bool) -> dict[str, Any]:
 #: takes 0, but the happy fraction is a share of n)
 LEMMA31_MIN_N = {"forest-union": 1, "planar": 3, "regular": 5}
 
-#: the smallest d at which each lemma31 family keeps Lemma 3.1's promise
-#: (d >= mad, and no (d+1)-clique): a union of two forests has mad < 4, a
-#: stacked triangulation mad < 6 and a 4-regular graph mad 4.  The one
-#: 4-regular graph on 5 vertices is K5, a 5-clique, so there d must be 5.
-LEMMA31_MIN_D = {"forest-union": 4, "planar": 6, "regular": 4}
-
 
 def _lemma_family_graph(family: str, n: int, seed: int | None):
     if family == "forest-union":
@@ -394,6 +388,26 @@ def _lemma_family_graph(family: str, n: int, seed: int | None):
     if family == "regular":
         return classic.random_regular_graph(n, 4, seed=seed)
     raise ValueError(f"unknown family {family!r}")
+
+
+def lemma31_min_d(family: str, n: int) -> int:
+    """The smallest d keeping Lemma 3.1's promise on a lemma31 family graph.
+
+    The promise is d >= mad and no (d+1)-clique.  A stacked triangulation
+    on n >= 3 vertices has mad exactly 6 - 12/n (every k-vertex subgraph
+    is planar, so has at most 3k - 6 edges, and the whole graph has
+    3n - 6) and clique number min(n, 4): the floor is 6 from n = 13 on, 5
+    for n in 7..12, 4 for n in 4..6 and 3 at n = 3.  A 4-regular graph
+    has mad 4 and holds a K5 only as a whole component; the one on 5
+    vertices is K5, so there d must be 5.  A union of two forests has
+    mad < 4; its floor of 4 is conservative at n <= 4, where
+    mad <= 4 - 4/n <= 3 and only a drawn K4 needs d = 4.
+    """
+    if family == "planar":
+        return max(min(n, 4), 6 - 12 // n)
+    if family == "regular":
+        return 5 if n == 5 else 4
+    return 4
 
 
 def lemma31_happy_fraction(

@@ -343,6 +343,14 @@ _ACROSS_PARAMETERS = {
     "lemma31-regular-K5-d=4": (
         ["lemma31-happy-fraction", "--set", 'cases=(("regular",5,4),)'], "cases"
     ),
+    # a stacked triangulation holds a K4 from n = 4 on (ColoringError at
+    # d = 3), and on 13 vertices has mad 6 - 12/13 > 5 (ran outside the promise)
+    "lemma31-planar-K4-d=3": (
+        ["lemma31-happy-fraction", "--set", 'cases=(("planar",4,3),)'], "cases"
+    ),
+    "lemma31-planar-n=13-d=5": (
+        ["lemma31-happy-fraction", "--set", 'cases=(("planar",13,5),)'], "cases"
+    ),
     "lemma31-text-d": (  # TypeError
         ["lemma31-happy-fraction", "--set", 'cases=(("planar",80,"6"),)'], "cases"
     ),
@@ -378,6 +386,15 @@ _AT_THE_CROSS_BOUNDS = {
         "lemma31-happy-fraction",
         {"cases": (
             ("forest-union", 80, 4), ("planar", 80, 6), ("regular", 5, 5), ("regular", 60, 4),
+        )},
+    ),
+    # a stacked triangulation on n vertices keeps the promise from
+    # d = max(min(n, 4), ceil(6 - 12/n)): below n = 13 that is less than 6
+    "lemma31-planar-small-n": (
+        "lemma31-happy-fraction",
+        {"cases": (
+            ("planar", 3, 3), ("planar", 4, 4), ("planar", 6, 4), ("planar", 7, 5),
+            ("planar", 12, 5), ("planar", 13, 6),
         )},
     ),
 }
@@ -419,8 +436,9 @@ def test_mistyped_elements_and_unknown_names_are_refused(command, param, tmp_pat
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
     assert f"parameter '{param}'" in err
-    for name in get_scenario(scenario).choices.get(param, ()):
-        assert repr(name) in err
+    for name in get_scenario(scenario).defaults[param]:  # a name parameter's names
+        if isinstance(name, str):
+            assert repr(name) in err
     assert not list(tmp_path.iterdir())
 
 
@@ -435,9 +453,10 @@ def test_declared_grids_pass_their_own_checks():
         for smoke in (False, True):
             params = scenario.params_for(smoke=smoke)
             assert scenario.params_for(smoke=smoke, overrides=params) == params
-            for key, names in scenario.choices.items():
-                assert set(params[key]) <= set(names), (scenario.name, key)
-    assert get_scenario("serve").choices["workloads"] == WORKLOADS
+        # names are checked against the full default, not the smoke grid
+        full = dict(scenario.defaults)
+        assert scenario.params_for(smoke=True, overrides=full) == full
+    assert get_scenario("serve").defaults["workloads"] == WORKLOADS
 
 
 def test_validate_artifact_flags_broken_shapes():
