@@ -127,14 +127,10 @@ class BatchGreedyLocalMaximaAlgorithm(BatchNodeAlgorithm):
         context = self.context
         winners = self._winners
         slots, offsets = kernels.compact_segments(context.offsets, winners)
-        degrees = np.diff(offsets)
         far = context.endpoints[slots]
-        self.colors[winners] = smallest_free_color(
-            node_values[far], offsets,
-            np.repeat(np.arange(winners.size, dtype=np.int64), degrees),
-        )
+        self.colors[winners] = smallest_free_color(node_values[far], offsets)
         beaten = self.nbr_ids[slots] < np.repeat(
-            context.identifiers[winners], degrees
+            context.identifiers[winners], np.diff(offsets)
         )
         touched, counts = np.unique(far[beaten], return_counts=True)
         higher = self._higher

@@ -29,6 +29,7 @@ from typing import Any
 import numpy as np
 
 from repro.graphs.graph import Graph, Vertex
+from repro.local import kernels
 from repro.local.node import (
     BatchContext,
     BatchNodeAlgorithm,
@@ -277,11 +278,19 @@ class BatchColorReductionAlgorithm(BatchNodeAlgorithm):
     """Batched port of :class:`ColorReductionAlgorithm`.
 
     One color class is retired per round exactly as in the per-node
-    protocol; the "smallest free color in ``{0..Δ}``" selection is
-    :func:`~repro.local.node.smallest_free_color` on the colors shifted up
-    by one, at any palette width.  Every node must be announced the same
-    palette and Δ.
+    protocol.  Every node must be announced the same palette and Δ.  The
+    program runs in ``"broadcast"`` exchange mode: every node sends its
+    color on every port, so each round counts every slot, and only the
+    target class decides.  :meth:`receive_broadcast` gathers the colors at
+    the far ends of that class's slots; :meth:`receive_batch`, the path of
+    unfused and hooked runs, reads the same slots out of the inbox.  The
+    "smallest free color in ``{0..Δ}``" selection is
+    :func:`~repro.local.node.smallest_free_color` on those colors shifted
+    up by one, at any palette width.  An empty target class costs one
+    compare over the colors.
     """
+
+    exchange_mode = "broadcast"
 
     def initialize_batch(self, context: BatchContext) -> None:
         super().initialize_batch(context)
@@ -294,17 +303,34 @@ class BatchColorReductionAlgorithm(BatchNodeAlgorithm):
         self.palette = int(palette)
         self.max_degree = int(max_degree)
         self.target = self.palette - 1
-        self._src = context.sources
 
     def send_batch(self, round_number: int):
-        return self.colors[self._src]
+        return self.colors
+
+    def receive_broadcast(self, round_number: int, node_values) -> None:
+        self._retire(node_values, self.context.endpoints)
 
     def receive_batch(self, round_number: int, inbox, delivered) -> None:
-        delta = self.max_degree
-        free = smallest_free_color(inbox + 1, self.context.offsets, self._src) - 1
-        moving = (self.colors == self.target) & (free <= delta)
-        self.colors = np.where(moving, free, self.colors)
+        if delivered is not None:
+            inbox = np.where(delivered, inbox, -1)  # a silent slot holds no color
+        self._retire(inbox)
+
+    def _retire(self, values, far=None) -> None:
+        """Move the target class to its smallest free colors in ``{0..Δ}``.
+
+        A class node hears ``values[far[slot]]`` on each of its slots: the
+        broadcast colors through the slots' far ends, or, with ``far``
+        omitted, the per-slot inbox itself.
+        """
+        movers = np.flatnonzero(self.colors == self.target)
         self.target -= 1
+        if movers.size == 0:
+            return
+        slots, offsets = kernels.compact_segments(self.context.offsets, movers)
+        heard = values[slots if far is None else far[slots]]
+        free = smallest_free_color(heard + 1, offsets) - 1
+        moving = free <= self.max_degree
+        self.colors[movers[moving]] = free[moving]
 
     def is_finished_batch(self) -> bool:
         return self.target <= self.max_degree

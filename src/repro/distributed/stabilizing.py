@@ -13,7 +13,11 @@ only defines the node programs, in both forms (the dict/flat parity axis
 extends to recovery runs).
 The batched forms run at every palette width — the hubs of a planar
 graph can push the palette past any fixed bitmask — so the flat backend
-never falls back to per-node objects.
+never falls back to per-node objects.  Their rounds cost what their
+frontier costs: one compare over the delivered inbox finds the
+conflicts, and only the rows of the nodes that can move feed the rival
+test and the smallest free color, so a repair after a few faults pays
+for the damage, not for n.
 
 Two protocols, following the min+1 line of Dubois–Masuzawa–Tixeuil
 (see PAPERS.md and docs/fault_tolerance.md):
@@ -53,11 +57,13 @@ from typing import Any
 
 import numpy as np
 
+from repro.local import kernels
 from repro.local.node import (
     BatchContext,
     BatchNodeAlgorithm,
     NodeAlgorithm,
     NodeContext,
+    announced_constant,
     segment_reduce,
     smallest_free_color,
 )
@@ -118,25 +124,32 @@ class BatchStabilizingAlgorithm(BatchNodeAlgorithm):
     color register per node, state faults by node index
     (:meth:`corrupt_batch` / :meth:`reset_batch`), the full-state
     :meth:`snapshot`, and :meth:`on_topology_change`, which the engine
-    calls with the rebuilt context after an edge edit.  Broadcast
-    exchange mode: ``send_batch`` returns one value per node, and under
-    the fault plane's hooks the engine always materializes the per-slot
-    inbox, so drops and duplications can edit single slots before
+    calls with the rebuilt context after an edge edit.  Every node must
+    be announced the same palette budget.  Broadcast exchange mode:
+    ``send_batch`` returns one value per node, and under the fault
+    plane's hooks the engine always materializes the per-slot inbox, so
+    drops and duplications can edit single slots before
     :meth:`receive_batch`.
+
+    A round reads the whole inbox once, with one slot compare, to find
+    the nodes in conflict (:meth:`_conflicted`); only the rows of the
+    nodes that can move feed the rival test and the smallest free color
+    (:meth:`_rival`, :meth:`_free`), so a round costs what its frontier
+    costs.
     """
 
     exchange_mode = "broadcast"
 
     def initialize_batch(self, context: BatchContext) -> None:
         pairs = [_unpack_input(x) for x in context.inputs]
-        self.budget = max((b for b, _c in pairs), default=1)
+        self.budget = announced_constant(
+            self, (b for b, _c in pairs), "palette budget", default=1
+        )
         self.colors = np.asarray([c for _b, c in pairs], dtype=np.int64)
         self.on_topology_change(context)
 
     def on_topology_change(self, context: BatchContext) -> None:
         self.context = context
-        self._src = context.sources
-        self.nbr_ids = context.identifiers[context.endpoints]
 
     def corrupt_batch(self, index: int, value: int) -> None:
         self.colors[index] = int(value)
@@ -156,6 +169,32 @@ class BatchStabilizingAlgorithm(BatchNodeAlgorithm):
     def colors_array(self):
         """The color registers as an ``int64`` array copy, by node index."""
         return self.colors.copy()
+
+    def _conflicted(self, heard):
+        """Mask of the nodes that heard their own color, when it is not 0."""
+        sources = self.context.sources
+        hit = np.flatnonzero(heard == self.colors[sources])
+        conflicted = np.zeros(self.context.n, dtype=np.bool_)
+        conflicted[sources[hit[heard[hit] != 0]]] = True
+        return conflicted
+
+    def _rival(self, nodes, heard, contends):
+        """Per node of ``nodes``, the largest neighbour id whose slot ``contends``.
+
+        ``contends`` maps the values heard on those nodes' slots to a mask;
+        a node with no contending neighbour gets 0.
+        """
+        context = self.context
+        slots, offsets = kernels.compact_segments(context.offsets, nodes)
+        ids = context.identifiers[context.endpoints[slots]]
+        return segment_reduce(
+            np.maximum, np.where(contends(heard[slots]), ids, 0), offsets
+        )
+
+    def _free(self, nodes, heard):
+        """Per node of ``nodes``, the smallest color >= 1 absent from its slots."""
+        slots, offsets = kernels.compact_segments(self.context.offsets, nodes)
+        return smallest_free_color(heard[slots], offsets)
 
 
 class MinPlusOneRecoloring(StabilizingNodeAlgorithm):
@@ -206,10 +245,13 @@ class BatchMinPlusOneRecoloring(BatchStabilizingAlgorithm):
 
     Messages pack ``color * 2 + dirty`` into one int64 per slot
     (identifiers are read off the fabric, as in the greedy baseline
-    port); the repair rule is replayed with segmented reductions, and the
-    min+1 choice is :func:`~repro.local.node.smallest_free_color`, which
-    works at any palette width.  Injected colors are clamped non-negative
-    by the plan, so the packing stays order-preserving.
+    port).  Injected colors are clamped non-negative by the plan, so the
+    packing stays order-preserving.  Per round, the conflicts come from
+    one compare over the whole inbox; only the dirty nodes' rows feed the
+    rival (the largest dirty neighbour identifier), and only the enabled
+    nodes' rows feed the min+1 choice,
+    :func:`~repro.local.node.smallest_free_color`, which works at any
+    palette width.
     """
 
     def initialize_batch(self, context: BatchContext) -> None:
@@ -227,32 +269,24 @@ class BatchMinPlusOneRecoloring(BatchStabilizingAlgorithm):
         return self.colors * 2 + self.dirty
 
     def receive_batch(self, round_number: int, inbox, delivered) -> None:
-        offsets = self.context.offsets
         # a dropped slot behaves exactly like a (color 0, clean) message:
         # no id contribution, no conflict, no used color — zero it out
-        values = inbox if delivered is None else np.where(delivered, inbox, 0)
-        nbr_color = values >> 1
-        nbr_dirty = values & 1
-        own = self.colors[self._src]
-        rival = segment_reduce(
-            np.maximum, self.nbr_ids * nbr_dirty, offsets, empty=0
-        )
-        conflict_slot = (nbr_color == own) & (nbr_color != 0)
-        conflict = (
-            segment_reduce(
-                np.maximum, conflict_slot.astype(np.int64), offsets, empty=0
-            )
-            > 0
-        )
-        illegal = (self.colors < 1) | (self.colors > self.budget)
-        enabled = (self.dirty > 0) & (self.context.identifiers > rival)
-        free = smallest_free_color(nbr_color, offsets, self._src)
-        # an enabled node with every palette color taken stays put and dirty
-        moves = enabled & (free <= self.budget)
-        self.colors = np.where(moves, free, self.colors)
-        self.dirty = np.where(
-            moves, 0, np.where(enabled, 1, (illegal | conflict).astype(np.int64))
-        )
+        heard = inbox if delivered is None else np.where(delivered, inbox, 0)
+        nbr_color = heard >> 1
+        colors = self.colors
+        dirty = self._conflicted(nbr_color)
+        dirty |= (colors < 1) | (colors > self.budget)
+        contenders = np.flatnonzero(self.dirty)
+        rival = self._rival(contenders, heard, lambda values: values & 1)
+        enabled = contenders[self.context.identifiers[contenders] > rival]
+        free = self._free(enabled, nbr_color)
+        # an enabled node with every palette color taken stays put and
+        # dirty: it heard its own color, or its color is illegal
+        moves = free <= self.budget
+        movers = enabled[moves]
+        colors[movers] = free[moves]
+        dirty[movers] = False
+        self.dirty = dirty.astype(np.int64)
 
 
 class StabilizingGreedyAlgorithm(StabilizingNodeAlgorithm):
@@ -291,39 +325,30 @@ class BatchStabilizingGreedy(BatchStabilizingAlgorithm):
     Raw colors travel on the slots (0 = uncolored); dropped slots are
     encoded as -1 so a lost message is distinguishable from a genuine
     "I am uncolored" broadcast — losing that broadcast is precisely how
-    message faults perturb the greedy repair.
+    message faults perturb the greedy repair.  Per round, the conflicts
+    come from one compare over the whole inbox.  The candidates are the
+    uncolored nodes, which are never illegal and never in conflict: only
+    their rows feed the rival (the largest identifier heard as
+    uncolored), and only the rows of the candidates that beat it feed
+    :func:`~repro.local.node.smallest_free_color`.
     """
 
     def send_batch(self, round_number: int):
         return self.colors
 
     def receive_batch(self, round_number: int, inbox, delivered) -> None:
-        offsets = self.context.offsets
-        values = inbox if delivered is None else np.where(delivered, inbox, -1)
-        own = self.colors[self._src]
-        conflict_slot = (values == own) & (own != 0)
-        conflict = (
-            segment_reduce(
-                np.maximum, conflict_slot.astype(np.int64), offsets, empty=0
-            )
-            > 0
-        )
-        illegal = (self.colors < 0) | (self.colors > self.budget)
-        rival = segment_reduce(
-            np.maximum, np.where(values == 0, self.nbr_ids, 0), offsets, empty=0
-        )
-        pick = (
-            ~illegal
-            & ~conflict
-            & (self.colors == 0)
-            & (self.context.identifiers > rival)
-        )
-        free = smallest_free_color(values, offsets, self._src)
-        # a picking node with every palette color taken stays uncolored
-        pick &= free <= self.budget
-        self.colors = np.where(
-            illegal | conflict, 0, np.where(pick, free, self.colors)
-        )
+        heard = inbox if delivered is None else np.where(delivered, inbox, -1)
+        colors = self.colors
+        drop = self._conflicted(heard)
+        drop |= (colors < 0) | (colors > self.budget)
+        candidates = np.flatnonzero(colors == 0)
+        rival = self._rival(candidates, heard, lambda values: values == 0)
+        winners = candidates[self.context.identifiers[candidates] > rival]
+        free = self._free(winners, heard)
+        colors[drop] = 0  # drop now, repick once the neighbourhood sees it
+        # a winner with every palette color taken stays uncolored
+        picks = free <= self.budget
+        colors[winners[picks]] = free[picks]
 
 
 #: protocol name -> (per-node factory, batched factory); the scenario's

@@ -276,16 +276,19 @@ def announced_constant(program, values, what: str, default):
     return first
 
 
-def smallest_free_color(values, offsets, sources):
-    """Per node, the smallest color ``>= 1`` absent from its slots' ``values``.
+def smallest_free_color(values, offsets, sources=None):
+    """Per row, the smallest color ``>= 1`` absent from its slots' ``values``.
 
     The smallest-free-color kernel of every batched coloring program, at
-    any palette width: node ``i`` reads ``values[offsets[i]:offsets[i+1]]``
+    any palette width: row ``i`` reads ``values[offsets[i]:offsets[i+1]]``
     and gets the minimum excluded color of those values, ignoring anything
     below 1 (uncolored, a ``-1`` drop sentinel, a slot the caller masked
-    to 0).  A node of degree ``d`` sees at most ``d`` colors, so its answer
-    is at most ``d + 1``.  ``sources`` is the per-slot node index (the
-    fabric's ``sources_np()``).
+    to 0).  A row of ``d`` slots sees at most ``d`` colors, so its answer
+    is at most ``d + 1``.  The rows are the whole fabric's nodes, or the
+    compact rows of a frontier (:func:`~repro.local.kernels.compact_segments`).
+    ``sources`` is the per-slot row index: pass the fabric's
+    ``sources_np()`` when it is at hand, else it is derived from
+    ``offsets``.
 
     The presence table's layout follows the input: a dense ``(n, Δmax+2)``
     table read with one ``argmin`` when it has at most about twice the
@@ -296,6 +299,8 @@ def smallest_free_color(values, offsets, sources):
     """
     n = len(offsets) - 1
     degrees = np.diff(offsets)
+    if sources is None:
+        sources = np.repeat(np.arange(n, dtype=np.int64), degrees)
     width = int(degrees.max(initial=0)) + 2
     if n * width <= 2 * (len(values) + 2 * n):
         present = np.zeros((n, width), dtype=bool)

@@ -545,9 +545,10 @@ def test_smallest_free_color_matches_brute_force():
         # values from -1 to two past each row's degree
         values = rng.integers(-1, degrees[sources] + 3).astype(np.int64)
         values = np.where(rng.random(len(values)) < 0.2, 0, values)
-        assert smallest_free_color(values, offsets, sources).tolist() == (
-            _mex_per_node(values, offsets)
-        )
+        expected = _mex_per_node(values, offsets)
+        assert smallest_free_color(values, offsets, sources).tolist() == expected
+        # without ``sources`` each slot's row is derived from the offsets
+        assert smallest_free_color(values, offsets).tolist() == expected
 
 
 @pytest.mark.parametrize(

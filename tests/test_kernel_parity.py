@@ -11,8 +11,9 @@ Three layers of pinning:
   the flat per-node engine and the frozen seed engine must agree on
   outputs, rounds, total and per-round message counts for Cole–Vishkin,
   the greedy baseline, randomized Δ+1 (a broadcast that names its
-  senders, also through pass-through round hooks) and the wave
-  2-coloring, on graphs with isolated vertices too;
+  senders, also through pass-through round hooks), color reduction (on
+  palettes with empty classes, also through hooks that drop messages)
+  and the wave 2-coloring, on graphs with isolated vertices too;
 * width-free palettes — the batched coloring programs at 63 to 131 colors
   against their per-node twins, and Barenboim–Elkin's flat backend against
   its dict backend.
@@ -413,6 +414,75 @@ def test_greedy_counted_eligibility_matches_per_node(instance):
         net, GreedyLocalMaximaAlgorithm, BatchGreedyLocalMaximaAlgorithm,
         inputs, len(graph) + 2,
     ))
+
+
+@st.composite
+def _reduction_instances(draw):
+    """``(network, inputs, palette)``: a proper coloring on a wider palette.
+
+    A first-fit coloring of a graph with isolated vertices, each class
+    moved to a distinct random color below ``palette``, so some of the
+    classes that color reduction retires are empty and some are not.
+    """
+    graph, order = draw(_graphs_with_isolated_vertices())
+    delta = max(1, graph.max_degree())
+    palette = delta + 1 + draw(st.integers(min_value=0, max_value=12))
+    first_fit = {}
+    for v in graph.vertices():
+        used = {first_fit.get(u) for u in graph.neighbors(v)}
+        first_fit[v] = min(c for c in range(delta + 1) if c not in used)
+    classes = draw(st.permutations(range(palette)))
+    inputs = {v: (classes[c], palette, delta) for v, c in first_fit.items()}
+    return Network(graph, identifier_order=order), inputs, palette
+
+
+class _DropOddRounds:
+    """Round hooks that drop every message of the odd rounds, on either engine."""
+
+    def before_round(self, round_number, nodes):
+        self.drop = round_number % 2 == 1
+        return None
+
+    def edit_received(self, payloads, received):
+        if not self.drop:
+            return 0
+        lost = sum(len(slots) for slots in received)
+        for slots in received:
+            slots.clear()
+        return -lost
+
+    def edit_inbox(self, inbox, delivered):
+        if not self.drop:
+            return delivered, 0
+        lost = len(inbox) if delivered is None else int(delivered.sum())
+        return np.zeros(len(inbox), dtype=np.bool_), -lost
+
+    def after_round(self, round_number, nodes, messages):
+        return False
+
+
+@given(_reduction_instances())
+@settings(max_examples=25, deadline=None)
+def test_color_reduction_engine_parity(instance):
+    """The target class's slots, fused and unfused, against the per-node run.
+
+    The fused run decides in ``receive_broadcast``, the unfused and hooked
+    runs in ``receive_batch``; a silent slot holds no color on both
+    engines.
+    """
+    net, inputs, palette = instance
+    _assert_all_match(*_four_engines(
+        net, ColorReductionAlgorithm, BatchColorReductionAlgorithm,
+        inputs, palette + 5,
+    ))
+    hooked = [
+        SynchronousSimulator(net).run(
+            program, inputs=inputs, max_rounds=palette + 5, strict=True,
+            hooks=_DropOddRounds(),
+        )
+        for program in (BatchColorReductionAlgorithm, ColorReductionAlgorithm)
+    ]
+    assert_simulation_parity(*hooked, labels=("batched", "per-node"))
 
 
 @st.composite

@@ -134,10 +134,10 @@ def test_fabric_list_views_match_arrays(kind, path):
 # list over the slots adds about 40 bytes per slot (an 8-byte pointer, a
 # 28-byte int object and the list's slack), which lifts the peak to about
 # 93; the fully eager build (two such lists and three vertex-keyed dicts)
-# peaks higher still.  The bound was set at roughly 40% headroom over an
-# earlier array-only peak of about 72 bytes per slot, so it now catches two
-# eager lists, not one.
-MAX_PEAK_BYTES_PER_SLOT = 100
+# peaks higher still.  The bound sits about halfway between the two, so
+# one eager list (reading ``net.fabric.endpoints`` in the traced region)
+# fails the test.
+MAX_PEAK_BYTES_PER_SLOT = 75
 
 
 def test_fabric_and_batched_greedy_stay_array_only():

@@ -35,6 +35,10 @@ from repro.distributed.randomized import (
     BatchRandomizedDeltaPlusOne,
     RandomizedDeltaPlusOne,
 )
+from repro.distributed.stabilizing import (
+    BatchMinPlusOneRecoloring,
+    BatchStabilizingGreedy,
+)
 from repro.distributed.wave import BatchWaveTwoColoring, WaveTwoColoring
 from repro.graphs.generators import classic, planar, sparse
 from repro.local import (
@@ -292,6 +296,8 @@ def test_color_rooted_forest_batched_default_equals_per_node():
         (BatchLinialColoringAlgorithm, [3, 3, 4, 3]),
         (BatchColorReductionAlgorithm, [(0, 4, 2), (1, 4, 2), (2, 5, 2), (3, 4, 2)]),
         (BatchSlotColorSelection, [(0, 0, 7, (1,))] * 3 + [(0, 0, 7, (2,))]),
+        (BatchMinPlusOneRecoloring, [(3, 1), (3, 2), (4, 1), (3, 2)]),
+        (BatchStabilizingGreedy, [(3, 1), (3, 2), (4, 1), (3, 2)]),
     ],
 )
 def test_batch_program_refuses_non_uniform_announced_constants(program, inputs):
