@@ -130,12 +130,6 @@ class BatchStabilizingAlgorithm(BatchNodeAlgorithm):
     plane's hooks the engine always materializes the per-slot inbox, so
     drops and duplications can edit single slots before
     :meth:`receive_batch`.
-
-    A round reads the whole inbox once, with one slot compare, to find
-    the nodes in conflict (:meth:`_conflicted`); only the rows of the
-    nodes that can move feed the rival test and the smallest free color
-    (:meth:`_rival`, :meth:`_free`), so a round costs what its frontier
-    costs.
     """
 
     exchange_mode = "broadcast"
