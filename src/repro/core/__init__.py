@@ -17,7 +17,7 @@ paper, bottom-up:
   (1.4, 2.1/6.1, 2.3, 2.11) as thin reductions to the driver.
 
 All entry points accept either graph representation (the ``GraphLike``
-protocol) and use the CSR fast paths when handed a frozen graph; the
+protocol), freeze it once and run the CSR code; the
 ``theorem13-*``, ``corollary*`` and ``lemma3*`` scenarios of
 ``python -m repro`` measure everything exported here against the paper's
 claims.

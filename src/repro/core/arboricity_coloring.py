@@ -28,7 +28,6 @@ def color_bounded_arboricity_graph(
     lists: ListAssignment | None = None,
     radius: int | None = None,
     verify: bool = True,
-    backend: str = "flat",
 ) -> SparseColoringResult:
     """Color a graph of arboricity ``a >= 2`` with ``2a`` (listed) colors.
 
@@ -50,5 +49,4 @@ def color_bounded_arboricity_graph(
         radius=radius,
         verify=verify,
         clique_check=True,
-        backend=backend,
     )

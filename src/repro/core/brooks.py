@@ -13,6 +13,9 @@
   peeling/extension machinery applies with per-vertex budgets: every vertex
   is rich, and the slack witnesses are the vertices whose list is strictly
   larger than their current degree.
+
+Both freeze their input once and run the same CSR peel-and-extend loop as
+:func:`~repro.core.sparse_coloring.color_sparse_graph`.
 """
 
 from __future__ import annotations
@@ -22,12 +25,15 @@ from dataclasses import dataclass, field
 from repro.coloring.assignment import Color, ListAssignment, uniform_lists
 from repro.coloring.verification import verify_list_coloring
 from repro.errors import ColoringError, ListAssignmentError
+from repro.graphs.frozen import FrozenGraph, GraphLike, freeze
 from repro.graphs.graph import Graph, Vertex
-from repro.graphs.properties.cliques import find_clique_of_size, is_clique
+from repro.graphs.properties.cliques import is_clique
 from repro.local.ledger import RoundLedger
-from repro.core.extension import extend_coloring_to_happy_set
-from repro.core.peeling import peel_happy_layers
-from repro.core.sparse_coloring import SparseColoringResult, color_sparse_graph
+from repro.core.sparse_coloring import (
+    SparseColoringResult,
+    _peel_and_extend,
+    color_sparse_graph,
+)
 
 __all__ = [
     "brooks_list_coloring",
@@ -87,7 +93,7 @@ class NiceListColoringResult:
 
 
 def nice_list_coloring(
-    graph: Graph,
+    graph: GraphLike,
     lists: ListAssignment,
     radius: int | None = None,
     verify: bool = True,
@@ -100,6 +106,7 @@ def nice_list_coloring(
     whose list is strictly larger than their degree in the current graph,
     and the stable partition uses ``Δ + 1`` classes.
     """
+    graph = freeze(graph)
     if check_nice and not is_nice_list_assignment(graph, lists):
         raise ListAssignmentError(
             "the list assignment is not nice (Theorem 6.1's hypothesis)"
@@ -109,36 +116,15 @@ def nice_list_coloring(
         return NiceListColoringResult({}, 0, ledger)
     delta = max(3, graph.max_degree())
 
-    def slack_fn(current: Graph) -> set[Vertex]:
+    def slack_fn(current: FrozenGraph) -> set[Vertex]:
         return {v for v in current if len(lists[v]) > current.degree(v)}
 
-    def rich_fn(current: Graph) -> set[Vertex]:
+    def rich_fn(current: FrozenGraph) -> set[Vertex]:
         return set(current.vertices())
 
-    peeling = peel_happy_layers(
-        graph, d=delta, radius=radius, slack_fn=slack_fn, rich_fn=rich_fn
+    _peeling, coloring, _reports = _peel_and_extend(
+        graph, lists, delta, radius, ledger, slack_fn=slack_fn, rich_fn=rich_fn
     )
-    ledger.extend(peeling.ledger)
-
-    remaining = set(graph.vertices())
-    graphs_per_layer = []
-    for layer in peeling.layers:
-        graphs_per_layer.append(graph.subgraph(remaining))
-        remaining -= layer.removed
-
-    coloring: dict[Vertex, Color] = {}
-    for index in range(len(peeling.layers) - 1, -1, -1):
-        layer = peeling.layers[index]
-        coloring, _report = extend_coloring_to_happy_set(
-            graphs_per_layer[index],
-            lists,
-            happy=layer.classification.happy,
-            rich=layer.classification.rich,
-            coloring=coloring,
-            radius=layer.radius_used,
-            d=delta,
-            ledger=ledger,
-        )
 
     if verify:
         try:

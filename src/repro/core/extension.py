@@ -27,16 +27,19 @@ Lemma 3.2:
 Every phase charges rounds to the shared ledger with a reference to the
 paper's accounting.
 
-The ``"dict"`` backend runs step 5 root by root.  The ``"flat"`` backend
-does it for all roots in one pass over the CSR arrays, with the same
-colors: one multi-source BFS from the roots labels every ball vertex with
-its root (two balls that meet or touch raise, as the one pass needs them
-disjoint and non-adjacent), one sweep gives every ball vertex its pruned
-list mask and its degree inside the ball, and
+The graph is frozen on entry and every phase runs on its CSR arrays: the
+ruling forest, the batched Linial/color-reduction stable partition, and
+bitmask pruning and tie-breaks over the interned palette.  Step 5 runs
+for all roots in one pass: one multi-source BFS from the roots labels
+every ball vertex with its root (two balls that meet or touch raise, as
+the one pass needs them disjoint and non-adjacent), one sweep gives every
+ball vertex its pruned list mask and its degree inside the ball, and
 :func:`~repro.coloring.borodin_ert.greedy_towards_masks` colors each ball
 towards its first slack vertex (``|L(v)| > d(v)``, in CSR order) — the
 slack case of Theorem 1.1, which a single-vertex ball always takes.  Only
 a ball without a slack vertex goes to ``degree_list_coloring`` itself.
+The per-vertex label version of these steps, root by root, is kept in
+the test suite as the reference this module is compared with.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ from repro.coloring.assignment import Color, ListAssignment
 from repro.coloring.borodin_ert import degree_list_coloring, greedy_towards_masks
 from repro.coloring.palette import FlatListAssignment
 from repro.errors import ColoringError, ListAssignmentError
-from repro.graphs.frozen import FrozenGraph
-from repro.graphs.graph import Graph, Vertex
+from repro.graphs.frozen import FrozenGraph, GraphLike, freeze
+from repro.graphs.graph import Vertex
 from repro.local.ledger import RoundLedger
 from repro.distributed.linial import delta_plus_one_coloring
 from repro.distributed.ruling import ruling_forest
@@ -68,7 +71,7 @@ class ExtensionReport:
 
 
 def extend_coloring_to_happy_set(
-    graph: Graph,
+    graph: GraphLike,
     lists: ListAssignment,
     happy: set[Vertex],
     rich: set[Vertex],
@@ -76,14 +79,13 @@ def extend_coloring_to_happy_set(
     radius: int,
     d: int,
     ledger: RoundLedger | None = None,
-    backend: str = "flat",
 ) -> tuple[dict[Vertex, Color], ExtensionReport]:
     """Extend ``coloring`` (defined on ``graph`` minus ``happy``) to all of ``graph``.
 
     Parameters
     ----------
     graph:
-        The graph ``G_i`` of the peeling iteration.
+        The graph ``G_i`` of the peeling iteration, frozen on entry.
     lists:
         The full list assignment (size ``d`` lists, or nice lists).
     happy, rich:
@@ -97,34 +99,23 @@ def extend_coloring_to_happy_set(
         The rich-ball radius used by the classification.
     d:
         The color budget (only used for the size of the stable partition).
-    backend:
-        ``"dict"`` runs the historical per-vertex set algebra; ``"flat"``
-        (frozen graphs) runs the same phases on the flat substrate — the
-        per-component CSR ruling set, the batched Linial/color-reduction
-        stable partition, bitmask pruning/tie-breaks over the interned
-        palette, and all root balls in one pass.  Colorings and charged
-        rounds are identical between the two (the parity suite asserts
-        it).
 
     Returns
     -------
     (new_coloring, report)
     """
+    graph = freeze(graph)
     ledger = ledger if ledger is not None else RoundLedger()
     report = ExtensionReport(roots=0, tree_vertices=0, recolored_sad_vertices=0, rounds=0, ledger=ledger)
     if not happy:
         return dict(coloring), report
-    use_flat = backend == "flat" and isinstance(graph, FrozenGraph)
 
     rich_graph = graph.subgraph(rich)
     # Roots must be far enough apart that their rich balls are disjoint and
     # non-adjacent: distance >= 2*radius + 2 suffices.
     alpha = 2 * radius + 2
     identifiers = {v: i + 1 for i, v in enumerate(graph.vertices())}
-    forest = ruling_forest(
-        rich_graph, set(happy), alpha, identifiers=identifiers,
-        engine="csr" if use_flat else "labels",
-    )
+    forest = ruling_forest(rich_graph, set(happy), alpha, identifiers=identifiers)
     ledger.charge(
         "Lemma 3.2: ruling forest",
         forest.rounds,
@@ -133,70 +124,45 @@ def extend_coloring_to_happy_set(
 
     tree_vertices = forest.vertices()
     new_coloring = dict(coloring)
-    uncolored: set[Vertex] = set()
+    uncolored = set(tree_vertices)
     for v in tree_vertices:
-        if v in happy:
-            uncolored.add(v)
-        elif v in new_coloring:
+        if v not in happy and v in new_coloring:
             # sad vertex swept into a tree: uncolor it (the paper allows
             # recoloring vertices of S)
             del new_coloring[v]
-            uncolored.add(v)
             report.recolored_sad_vertices += 1
-        else:
-            uncolored.add(v)
     report.tree_vertices = len(tree_vertices)
     report.roots = len(forest.roots)
 
     tree_graph = graph.subgraph(tree_vertices)
 
     # Stable partition of H = G[T] into at most d+1 classes.
-    stable = delta_plus_one_coloring(tree_graph, max_degree=d, batched=use_flat)
+    stable = delta_plus_one_coloring(tree_graph, max_degree=d, batched=True)
     ledger.charge(
         "Lemma 3.2: (d+1) stable partition of the trees",
         stable.rounds,
         reference="Linial + color reduction (paper quotes GPS [17])",
     )
 
-    # The flat path tracks the coloring twice: the label dict (the public
-    # result) and an interned color-index array over the CSR indices that
-    # the mask kernels read and write.
-    flat_state: _FlatColoringState | None = None
-    if use_flat:
-        flat_state = _FlatColoringState(graph, lists.flat, new_coloring)
+    # The coloring is tracked twice: the label dict (the public result) and
+    # an interned color-index array over the CSR indices that the mask
+    # kernels read and write.
+    flat_state = _FlatColoringState(graph, lists.flat, new_coloring)
 
-    # Layered coloring: deepest tree layer first, one stable class at a time.
+    # Layered coloring: deepest tree layer first, one stable class at a
+    # time.  One grouping pass puts every tree vertex in its (depth, class)
+    # batch.
     max_depth = max(forest.depth.values(), default=0)
     layer_rounds = 0
-    buckets: dict[tuple[int, int], list[Vertex]] | None = None
-    if flat_state is not None:
-        # one grouping pass instead of a tree scan per (depth, class) pair;
-        # every vertex sits in exactly one bucket, so the batches (and
-        # their order) match the scan
-        buckets = {}
-        for v in tree_vertices:
-            if v in uncolored:
-                key = (forest.depth[v], stable.coloring.get(v))
-                buckets.setdefault(key, []).append(v)
+    buckets: dict[tuple[int, int], list[Vertex]] = {}
+    for v in tree_vertices:
+        buckets.setdefault((forest.depth[v], stable.coloring[v]), []).append(v)
     for depth in range(max_depth, 0, -1):
         for stable_class in range(d + 1):
-            if buckets is not None:
-                batch = buckets.get((depth, stable_class), [])
-            else:
-                batch = [
-                    v
-                    for v in tree_vertices
-                    if forest.depth[v] == depth
-                    and stable.coloring.get(v) == stable_class
-                    and v in uncolored
-                ]
+            batch = buckets.get((depth, stable_class), [])
             if batch:
-                if flat_state is not None:
-                    flat_state.color_batch(new_coloring, batch)
-                else:
-                    _color_batch(graph, lists, new_coloring, batch)
-                for v in batch:
-                    uncolored.discard(v)
+                flat_state.color_batch(new_coloring, batch)
+                uncolored.difference_update(batch)
             layer_rounds += 1
     ledger.charge(
         "Lemma 3.2: layered coloring of the trees",
@@ -205,47 +171,17 @@ def extend_coloring_to_happy_set(
     )
 
     # Roots: uncolor the whole rich ball and apply Theorem 1.1.
-    ball_rounds = 0
-    if flat_state is not None:
-        for ball_coloring in flat_state.color_root_balls(forest.roots, rich, radius):
-            for v in ball_coloring:
-                if v in new_coloring:
-                    del new_coloring[v]
-                    if v not in happy:
-                        report.recolored_sad_vertices += 1
-            new_coloring.update(ball_coloring)
-            uncolored.difference_update(ball_coloring)
-        ball_rounds = 2 * radius if forest.roots else 0
-    else:
-        for root in forest.roots:
-            ball = rich_graph.ball(root, radius)
-            for v in ball:
-                if v in new_coloring:
-                    del new_coloring[v]
-                    if v not in happy:
-                        report.recolored_sad_vertices += 1
-            pruned: dict[Vertex, frozenset] = {}
-            for v in ball:
-                used = {
-                    new_coloring[u]
-                    for u in graph.neighbors(v)
-                    if u in new_coloring and u not in ball
-                }
-                pruned[v] = lists[v] - used
-            ball_graph = graph.subgraph(ball)
-            try:
-                ball_coloring = degree_list_coloring(ball_graph, ListAssignment(pruned))
-            except ColoringError as exc:
-                raise ColoringError(
-                    f"Theorem 1.1 extension failed on the rich ball of root {root!r}: {exc}"
-                ) from exc
-            new_coloring.update(ball_coloring)
-            for v in ball:
-                uncolored.discard(v)
-            ball_rounds = max(ball_rounds, 2 * radius)
+    for ball_coloring in flat_state.color_root_balls(forest.roots, rich, radius):
+        for v in ball_coloring:
+            if v in new_coloring:
+                del new_coloring[v]
+                if v not in happy:
+                    report.recolored_sad_vertices += 1
+        new_coloring.update(ball_coloring)
+        uncolored.difference_update(ball_coloring)
     ledger.charge(
         "Lemma 3.2: Theorem 1.1 on the root balls",
-        ball_rounds,
+        2 * radius if forest.roots else 0,
         reference="Borodin / Erdős–Rubin–Taylor",
     )
 
@@ -266,9 +202,8 @@ class _FlatColoringState:
     through the layered tree coloring, so the hot kernels — that coloring,
     and the Observation 5.1 pruning of the root balls that follows it —
     run as integer mask ops over the CSR arrays instead of per-vertex set
-    algebra.  Tie-breaks read the lowest set bit, which
-    by the universe's repr-sorted interning equals the dict pipeline's
-    ``min(available, key=repr)``.
+    algebra.  Tie-breaks read the lowest set bit, which by the universe's
+    repr-sorted interning is ``min(available, key=repr)``.
     """
 
     __slots__ = ("graph", "lists", "universe", "color_index",
@@ -306,10 +241,11 @@ class _FlatColoringState:
     def color_batch(
         self, coloring: dict[Vertex, Color], batch: list[Vertex]
     ) -> None:
-        """Flat twin of :func:`_color_batch` (identical picks).
+        """Color a stable set of tree vertices from their pruned lists.
 
-        The batch is a stable set, so the used masks of all members are
-        independent and the picks go through the palette's
+        Each vertex takes the first color of its list that no colored
+        neighbour holds.  The batch is a stable set, so the used masks of
+        all members are independent and the picks go through the palette's
         :meth:`~repro.coloring.palette.FlatListAssignment.first_free_colors`
         batch kernel in one call.
         """
@@ -333,7 +269,8 @@ class _FlatColoringState:
     ) -> list[dict[Vertex, Color]]:
         """Theorem 1.1 on the rich ball of every root, in one pass.
 
-        The flat twin of the per-root loop, with the same colors:
+        Each ball gets the colors that Theorem 1.1, run on that ball
+        alone, would give it:
 
         1. one multi-source BFS from all roots through the rich vertices,
            to depth ``radius``, records each vertex's root.  The one pass
@@ -449,21 +386,3 @@ class _FlatColoringState:
                 ) from exc
             balls.append(ball_coloring)
         return balls
-
-
-def _color_batch(
-    graph: Graph,
-    lists: ListAssignment,
-    coloring: dict[Vertex, Color],
-    batch: list[Vertex],
-) -> None:
-    """Color a stable set of tree vertices greedily from their pruned lists."""
-    for v in batch:
-        used = {coloring[u] for u in graph.neighbors(v) if u in coloring}
-        available = lists[v] - used
-        if not available:
-            raise ColoringError(
-                f"layered tree coloring ran out of colors at vertex {v!r}; "
-                "this indicates a violated invariant of Lemma 3.2"
-            )
-        coloring[v] = min(available, key=repr)

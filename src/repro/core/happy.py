@@ -22,6 +22,10 @@ is a Gallai forest, and containing a low-degree vertex only gets easier),
 so computing balls with a radius larger than the paper's constant never
 hurts correctness; the classifier exploits this with a whole-component
 shortcut for components that are certified sad.
+
+:func:`classify_vertices` freezes its input and runs on the CSR arrays of
+the rich subgraph.  The per-vertex ball walk it replaced is kept in the
+test suite as the reference it is compared with.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.graphs.frozen import FrozenGraph, GraphLike
+from repro.graphs.frozen import GraphLike, freeze
 from repro.graphs.graph import Vertex
 from repro.graphs.properties.gallai import is_gallai_forest
 
@@ -95,17 +99,22 @@ def classify_vertices(
     radius: int | None = None,
     slack_vertices: set[Vertex] | None = None,
     rich_vertices: set[Vertex] | None = None,
-    engine: str = "scan",
 ) -> VertexClassification:
     """Classify the vertices of ``graph`` for the parameter ``d``.
+
+    A rich vertex whose rich ball contains a slack witness is exactly a
+    vertex at distance at most ``radius`` from the slack set *inside the
+    rich subgraph*, so one depth-limited multi-source BFS over the CSR
+    arrays settles all of them at once.  The vertices it leaves (no slack
+    witness in reach) take the exact Gallai test: a whole component
+    without any witness is sad when it is a Gallai forest, and each other
+    leftover vertex gets its own ball's Gallai check.
 
     Parameters
     ----------
     graph:
-        The input graph (the *current* graph of the peeling iteration);
-        either representation works, and a
-        :class:`~repro.graphs.frozen.FrozenGraph` input makes the rich
-        subgraph, its components and every ball use the CSR fast paths.
+        The input graph (the *current* graph of the peeling iteration),
+        frozen on entry.
     d:
         The color budget (Theorem 1.3's ``d``).
     radius:
@@ -116,17 +125,12 @@ def classify_vertices(
         strictly larger than their degree.
     rich_vertices:
         Overrides the rich set.  Theorem 6.1 passes all vertices.
-    engine:
-        ``"scan"`` (the historical per-vertex ball walk) or ``"flat"``
-        (one multi-source BFS from the slack set over the rich subgraph's
-        CSR arrays; Gallai-only corner cases keep the scan semantics).
-        Both engines produce identical sets — the flat backend of the
-        Theorem 1.3 driver relies on it.
 
     Returns
     -------
     VertexClassification
     """
+    graph = freeze(graph)
     n = graph.number_of_vertices()
     if radius is None:
         radius = default_rich_ball_radius(n)
@@ -139,61 +143,6 @@ def classify_vertices(
 
     classification = VertexClassification(poor=poor, radius=radius)
     rich_graph = graph.subgraph(rich_vertices)
-    if engine == "flat" and isinstance(rich_graph, FrozenGraph):
-        _classify_flat(rich_graph, slack_vertices, radius, classification)
-        return classification
-    if engine not in ("scan", "flat"):
-        raise ValueError(f"unknown classification engine {engine!r}")
-
-    for component in rich_graph.connected_components():
-        component_graph = rich_graph.subgraph(component)
-        has_witness = bool(component & slack_vertices) or not is_gallai_forest(
-            component_graph
-        )
-        if not has_witness:
-            # Shortcut: every ball inside the component is an induced
-            # connected subgraph of a Gallai tree with no slack vertex, so
-            # every vertex of the component is sad regardless of the radius.
-            classification.sad |= component
-            continue
-        component_size = len(component)
-        component_is_gallai: bool | None = None
-        for v in component:
-            ball = component_graph.ball(v, radius)
-            if ball & slack_vertices:
-                classification.happy.add(v)
-                continue
-            if len(ball) == component_size:
-                # the ball is the whole component: reuse one Gallai check
-                if component_is_gallai is None:
-                    component_is_gallai = is_gallai_forest(component_graph)
-                gallai = component_is_gallai
-            else:
-                gallai = is_gallai_forest(component_graph.subgraph(ball))
-            if not gallai:
-                classification.happy.add(v)
-            else:
-                classification.sad.add(v)
-    return classification
-
-
-def _classify_flat(
-    rich_graph: FrozenGraph,
-    slack_vertices: set[Vertex],
-    radius: int,
-    classification: VertexClassification,
-) -> None:
-    """Happy/sad split of the rich subgraph via one multi-source BFS.
-
-    A rich vertex whose rich ball contains a slack witness is exactly a
-    vertex at distance at most ``radius`` from the slack set *inside the
-    rich subgraph* — one depth-limited multi-source BFS over the CSR
-    arrays answers that for all vertices at once, replacing the per-vertex
-    ball walks of the scan engine.  The vertices the BFS does not settle
-    (no slack witness in reach) fall back to the scan engine's exact
-    Gallai logic: a whole component without any witness is sad, and the
-    rare leftover vertices get their individual ball's Gallai check.
-    """
     labels = rich_graph.vertices()
     index_of = rich_graph._index
     sources = sorted(
@@ -205,15 +154,11 @@ def _classify_flat(
             reached[i] = 1
     happy = classification.happy
     sad = classification.sad
-    unreached: list[Vertex] = []
+    pending: set[Vertex] = set()
     for i, v in enumerate(labels):
-        if reached[i]:
-            happy.add(v)
-        else:
-            unreached.append(v)
-    if not unreached:
-        return
-    pending = set(unreached)
+        (happy if reached[i] else pending).add(v)
+    if not pending:
+        return classification
     for component in rich_graph.connected_components():
         leftover = component & pending
         if not leftover:
@@ -241,3 +186,4 @@ def _classify_flat(
                 happy.add(v)
             else:
                 sad.add(v)
+    return classification

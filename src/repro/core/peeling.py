@@ -15,6 +15,9 @@ observe the locality/progress trade-off), the peeling may stall — no vertex
 is happy at that radius even though the graph is non-empty.  In that case
 the radius is doubled and the extra rounds are charged, which preserves
 both correctness and a polylogarithmic total.
+
+The input is frozen once, and each ``G_{i+1}`` is the induced CSR subgraph
+of ``G_i`` on the vertices left.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ColoringError
-from repro.graphs.frozen import FrozenGraph, GraphLike
+from repro.graphs.frozen import GraphLike, freeze
 from repro.graphs.graph import Vertex
 from repro.local.ledger import RoundLedger
 from repro.core.happy import VertexClassification, classify_vertices, default_rich_ball_radius
@@ -71,17 +74,13 @@ def peel_happy_layers(
     slack_fn=None,
     rich_fn=None,
     max_layers: int | None = None,
-    backend: str = "flat",
 ) -> PeelingResult:
     """Peel happy sets until the graph is empty.
 
     Parameters
     ----------
     graph, d:
-        The instance (``d >= max(3, mad(G))``).  A
-        :class:`~repro.graphs.frozen.FrozenGraph` input keeps every layer
-        on the CSR fast paths (each ``G_{i+1}`` is a vectorized induced
-        subgraph instead of a mutate-in-place copy).
+        The instance (``d >= max(3, mad(G))``), frozen on entry.
     radius:
         Initial rich-ball radius (defaults to the paper's constant).  If a
         peeling iteration finds no happy vertex, the radius is doubled and
@@ -91,20 +90,13 @@ def peel_happy_layers(
         low-degree-witness and rich sets (used by Theorem 6.1).
     max_layers:
         Safety cap on the number of layers (defaults to ``4 n``).
-    backend:
-        ``"dict"`` classifies with the per-vertex scan engine; ``"flat"``
-        uses the multi-source-BFS engine of
-        :func:`~repro.core.happy.classify_vertices` (identical layers, the
-        flat palette pipeline's fast path).
 
     Returns
     -------
     PeelingResult
     """
-    n = graph.number_of_vertices()
-    engine = "flat" if backend == "flat" else "scan"
-    use_frozen = isinstance(graph, FrozenGraph)
-    working = graph if use_frozen else graph.copy()
+    working = freeze(graph)
+    n = working.number_of_vertices()
     result = PeelingResult()
     if n == 0:
         return result
@@ -125,7 +117,6 @@ def peel_happy_layers(
                 radius=current_radius,
                 slack_vertices=slack_fn(working) if slack_fn else None,
                 rich_vertices=rich_fn(working) if rich_fn else None,
-                engine=engine,
             )
             result.ledger.charge(
                 "Lemma 3.1: rich-ball collection",
@@ -150,10 +141,5 @@ def peel_happy_layers(
             radius_used=current_radius,
         )
         result.layers.append(layer)
-        if use_frozen:
-            working = working.subgraph(
-                set(working.vertices()) - classification.happy
-            )
-        else:
-            working.remove_vertices(classification.happy)
+        working = working.subgraph(set(working.vertices()) - classification.happy)
     return result

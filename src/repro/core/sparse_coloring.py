@@ -21,6 +21,12 @@ The driver composes the two halves proved in Sections 4 and 5:
 Rounds are charged to a :class:`~repro.local.ledger.RoundLedger` with one
 entry per phase; the grand total is the algorithm's round complexity, which
 the benchmarks compare against ``d^4 log^3 n``.
+
+The input is frozen once, at the boundary, and the whole pipeline runs on
+the CSR arrays and the flat palette substrate (interned color bitmasks,
+CSR kernels, the batched round engine).  The per-vertex label pipeline it
+replaced is kept in the test suite as the reference the parity suites
+compare it with.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass, field
 from repro.coloring.assignment import Color, ListAssignment, uniform_lists
 from repro.coloring.verification import verify_list_coloring
 from repro.errors import ColoringError
-from repro.graphs.frozen import GraphLike
+from repro.graphs.frozen import FrozenGraph, GraphLike, freeze
 from repro.graphs.graph import Vertex
 from repro.graphs.properties.cliques import find_clique_of_size
 from repro.local.ledger import RoundLedger
@@ -82,9 +88,7 @@ def color_sparse_graph(
     Parameters
     ----------
     graph:
-        The input graph (mutable or frozen; a
-        :class:`~repro.graphs.frozen.FrozenGraph` keeps the peeling and the
-        per-layer subgraphs on the CSR fast paths).  The promise is
+        The input graph, frozen on entry.  The promise is
         ``mad(graph) <= d``; it is the
         caller's responsibility (checking it exactly costs a max-flow; see
         :func:`repro.graphs.properties.mad.maximum_average_degree`).
@@ -101,13 +105,8 @@ def color_sparse_graph(
         Search for a ``(d+1)``-clique first, exactly as the theorem's
         statement allows; disable when the caller already knows none exists.
     backend:
-        ``"dict"`` runs the historical per-vertex set-algebra pipeline;
-        ``"flat"`` runs classification, ruling, the stable partition and
-        all list operations on the flat palette substrate (interned color
-        bitmasks, CSR kernels, the batched round engine).  Both backends
-        produce bit-identical colorings and charged-round totals — the
-        ``coloring`` scenario measures the wall-time gap and asserts the
-        parity on every instance.
+        Only ``"flat"``, the one pipeline; any other value raises
+        ``ValueError``.
 
     Returns
     -------
@@ -115,12 +114,9 @@ def color_sparse_graph(
     """
     if d < 3:
         raise ValueError("Theorem 1.3 requires d >= 3")
-    if backend not in ("dict", "flat"):
-        raise ValueError(f"unknown backend {backend!r}; use 'dict' or 'flat'")
-    if backend == "flat":
-        from repro.graphs.frozen import freeze
-
-        graph = freeze(graph)
+    if backend != "flat":
+        raise ValueError(f"unknown backend {backend!r}; the only pipeline is 'flat'")
+    graph = freeze(graph)
     ledger = RoundLedger()
     if lists is None:
         lists = uniform_lists(graph, d)
@@ -149,37 +145,7 @@ def color_sparse_graph(
                 ledger=ledger,
             )
 
-    peeling = peel_happy_layers(graph, d, radius=radius, backend=backend)
-    ledger.extend(peeling.ledger)
-
-    # Rebuild the graphs G_1 superset G_2 superset ... seen by the peeling and
-    # extend the coloring layer by layer, from the innermost (last removed)
-    # back to the full graph.
-    removed_prefix: list[set[Vertex]] = []
-    remaining_vertices = set(graph.vertices())
-    graphs_per_layer: list[GraphLike] = []
-    for layer in peeling.layers:
-        graphs_per_layer.append(graph.subgraph(remaining_vertices))
-        removed_prefix.append(set(layer.removed))
-        remaining_vertices = remaining_vertices - layer.removed
-
-    coloring: dict[Vertex, Color] = {}
-    extensions: list[ExtensionReport] = []
-    for index in range(len(peeling.layers) - 1, -1, -1):
-        layer = peeling.layers[index]
-        current_graph = graphs_per_layer[index]
-        coloring, report = extend_coloring_to_happy_set(
-            current_graph,
-            lists,
-            happy=layer.classification.happy,
-            rich=layer.classification.rich,
-            coloring=coloring,
-            radius=layer.radius_used,
-            d=d,
-            ledger=ledger,
-            backend=backend,
-        )
-        extensions.append(report)
+    peeling, coloring, extensions = _peel_and_extend(graph, lists, d, radius, ledger)
 
     if verify:
         try:
@@ -196,3 +162,47 @@ def color_sparse_graph(
         extensions=extensions,
         ledger=ledger,
     )
+
+
+def _peel_and_extend(
+    graph: FrozenGraph,
+    lists: ListAssignment,
+    d: int,
+    radius: int | None,
+    ledger: RoundLedger,
+    slack_fn=None,
+    rich_fn=None,
+) -> tuple[PeelingResult, dict[Vertex, Color], list[ExtensionReport]]:
+    """Peel ``graph`` (Lemma 3.1), then extend the coloring back (Lemma 3.2).
+
+    Rebuilds the graphs ``G_1 ⊇ G_2 ⊇ ...`` seen by the peeling and extends
+    the coloring layer by layer, from the innermost (last removed) back to
+    the full graph, charging every phase to ``ledger``.  ``slack_fn`` and
+    ``rich_fn`` pass through to :func:`peel_happy_layers` (Theorem 6.1
+    uses them).
+    """
+    peeling = peel_happy_layers(
+        graph, d, radius=radius, slack_fn=slack_fn, rich_fn=rich_fn
+    )
+    ledger.extend(peeling.ledger)
+    remaining = set(graph.vertices())
+    graphs_per_layer: list[FrozenGraph] = []
+    for layer in peeling.layers:
+        graphs_per_layer.append(graph.subgraph(remaining))
+        remaining -= layer.removed
+
+    coloring: dict[Vertex, Color] = {}
+    extensions: list[ExtensionReport] = []
+    for layer, layer_graph in zip(reversed(peeling.layers), reversed(graphs_per_layer)):
+        coloring, report = extend_coloring_to_happy_set(
+            layer_graph,
+            lists,
+            happy=layer.classification.happy,
+            rich=layer.classification.rich,
+            coloring=coloring,
+            radius=layer.radius_used,
+            d=d,
+            ledger=ledger,
+        )
+        extensions.append(report)
+    return peeling, coloring, extensions

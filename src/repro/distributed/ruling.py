@@ -27,12 +27,14 @@ and the rounds are charged to a :class:`~repro.local.ledger.RoundLedger`
 following the analysis above: ``k`` rounds per identifier bit for the
 ruling set (the merges of one bit run in parallel) plus the tree depth.
 
-The ``"csr"`` engine (frozen graphs) decides the ruling set one connected
-component at a time, which changes nothing as probes never cross
-components.  A component of at most ``k`` vertices keeps exactly its
-minimum-identifier candidate — every probe inside it reaches every
-target, so the zero half wins each merge — and only the candidates of
-larger components run the bit recursion, on the CSR index arrays.
+Both entry points freeze their input and run on its CSR index arrays.
+The ruling set is decided one connected component at a time, which
+changes nothing as probes never cross components.  A component of at
+most ``k`` vertices keeps exactly its minimum-identifier candidate —
+every probe inside it reaches every target, so the zero half wins each
+merge — and only the candidates of larger components run the bit
+recursion.  The per-vertex label version of both constructions is kept
+in the test suite as the reference these are compared with.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.graphs.frozen import FrozenGraph
-from repro.graphs.graph import Graph, Vertex
+from repro.graphs.frozen import FrozenGraph, GraphLike, freeze
+from repro.graphs.graph import Vertex
 from repro.local.ledger import RoundLedger
 
 __all__ = ["RulingForest", "ruling_set", "ruling_forest"]
@@ -86,28 +88,6 @@ class RulingForest:
         return members
 
 
-def _distance_at_most(
-    graph: Graph, sources: set[Vertex], targets: set[Vertex], limit: int
-) -> set[Vertex]:
-    """The subset of ``targets`` within distance ``limit`` of ``sources``."""
-    if not sources or not targets:
-        return set()
-    distances: dict[Vertex, int] = {s: 0 for s in sources}
-    queue = deque(sources)
-    reached: set[Vertex] = set(sources) & targets
-    while queue:
-        u = queue.popleft()
-        if distances[u] >= limit:
-            continue
-        for w in graph.neighbors(u):
-            if w not in distances:
-                distances[w] = distances[u] + 1
-                if w in targets:
-                    reached.add(w)
-                queue.append(w)
-    return reached
-
-
 def _component_info(graph: FrozenGraph) -> tuple[list[int], list[int]]:
     """Per-index component id plus per-component size (one O(n+m) sweep)."""
     offsets, neighbors = graph.csr_lists()
@@ -134,21 +114,20 @@ def _component_info(graph: FrozenGraph) -> tuple[list[int], list[int]]:
 
 
 def _make_csr_probe(graph: FrozenGraph, comp_id: list[int]):
-    """A :func:`_distance_at_most` twin specialized to one frozen graph.
+    """The distance probe of the bit recursion, for one frozen graph.
 
-    Answers each probe per connected component (``comp_id`` from
-    :func:`_component_info`): components without a source contribute
-    nothing, and the others run a depth-bounded BFS over the CSR index
-    arrays, with an early exit once all their targets are reached.  Same
-    result set as the label walk.
+    ``probe(sources, targets, limit)`` is the subset of ``targets`` within
+    distance ``limit`` of ``sources``.  It answers per connected component
+    (``comp_id`` from :func:`_component_info`): components without a
+    source contribute nothing, and the others run a depth-bounded BFS over
+    the CSR index arrays, with an early exit once all their targets are
+    reached.
     """
     offsets, neighbors = graph.csr_lists()
     index = graph._index
     labels = graph.vertices()
 
-    def probe(
-        _graph, sources: set[Vertex], targets: set[Vertex], limit: int
-    ) -> set[Vertex]:
+    def probe(sources: set[Vertex], targets: set[Vertex], limit: int) -> set[Vertex]:
         if not sources or not targets:
             return set()
         targets_by_comp: dict[int, set[Vertex]] = {}
@@ -193,12 +172,11 @@ def _make_csr_probe(graph: FrozenGraph, comp_id: list[int]):
 
 
 def ruling_set(
-    graph: Graph,
+    graph: GraphLike,
     subset: set[Vertex],
     alpha: int,
     identifiers: dict[Vertex, int] | None = None,
     ledger: RoundLedger | None = None,
-    engine: str = "labels",
 ) -> tuple[set[Vertex], int]:
     """Compute an (alpha, alpha*ceil(log2 n))-ruling set of ``subset``.
 
@@ -206,11 +184,11 @@ def ruling_set(
     ``subset`` is within ``alpha * ceil(log2 n)`` of the ruling set (in
     ``graph``), and ruling vertices are pairwise at distance >= ``alpha``.
     The merges of one identifier bit run in parallel, so the construction
-    charges ``alpha`` rounds per bit, once, to ``ledger``.
-    ``engine="csr"`` (frozen graphs only) computes the connected
-    components once and decides each one on its own, as the module
-    docstring describes; the result is identical.
+    charges ``alpha`` rounds per bit, once, to ``ledger``.  The connected
+    components are computed once and each is decided on its own, as the
+    module docstring describes.
     """
+    graph = freeze(graph)
     ledger = ledger if ledger is not None else RoundLedger()
     if not subset:
         return set(), 0
@@ -224,25 +202,21 @@ def ruling_set(
         reference="Awerbuch et al. [3], one level merge per identifier bit",
     )
 
-    probe = _distance_at_most
-    candidates = set(subset)
-    kept: set[Vertex] = set()
-    if engine == "csr" and isinstance(graph, FrozenGraph):
-        comp_id, comp_sizes = _component_info(graph)
-        probe = _make_csr_probe(graph, comp_id)
-        index = graph._index
-        lowest: dict[int, int] = {}  # small component -> least identifier
-        candidates = set()
-        for v in subset:
-            cid = comp_id[index[v]]
-            if comp_sizes[cid] > alpha:
-                candidates.add(v)
-            elif cid not in lowest or identifiers[v] < lowest[cid]:
-                lowest[cid] = identifiers[v]
-        kept = {
-            v for v in subset
-            if v not in candidates and identifiers[v] == lowest[comp_id[index[v]]]
-        }
+    comp_id, comp_sizes = _component_info(graph)
+    probe = _make_csr_probe(graph, comp_id)
+    index = graph._index
+    lowest: dict[int, int] = {}  # small component -> least identifier
+    candidates: set[Vertex] = set()
+    for v in subset:
+        cid = comp_id[index[v]]
+        if comp_sizes[cid] > alpha:
+            candidates.add(v)
+        elif cid not in lowest or identifiers[v] < lowest[cid]:
+            lowest[cid] = identifiers[v]
+    kept = {
+        v for v in subset
+        if v not in candidates and identifiers[v] == lowest[comp_id[index[v]]]
+    }
 
     def recurse(candidates: set[Vertex], bit: int) -> set[Vertex]:
         if not candidates:
@@ -256,42 +230,19 @@ def ruling_set(
         ones = candidates - zeros
         kept_zero = recurse(zeros, bit - 1)
         kept_one = recurse(ones, bit - 1)
-        close = probe(graph, kept_zero, kept_one, alpha - 1)
+        close = probe(kept_zero, kept_one, alpha - 1)
         return kept_zero | (kept_one - close)
 
     return kept | recurse(candidates, bits - 1), rounds
 
 
-def _grow_trees_labels(
-    graph: Graph, roots: list[Vertex], beta: int
-) -> tuple[dict, dict, dict]:
-    """Depth-bounded BFS tree growth over label dicts."""
-    parent: dict[Vertex, Vertex | None] = {r: None for r in roots}
-    depth: dict[Vertex, int] = {r: 0 for r in roots}
-    tree_of: dict[Vertex, Vertex] = {r: r for r in roots}
-    queue = deque(roots)
-    while queue:
-        u = queue.popleft()
-        if depth[u] >= beta:
-            continue
-        for w in graph.neighbors(u):
-            if w not in parent:
-                parent[w] = u
-                depth[w] = depth[u] + 1
-                tree_of[w] = tree_of[u]
-                queue.append(w)
-    return parent, depth, tree_of
-
-
-def _grow_trees_csr(
+def _grow_trees(
     graph: FrozenGraph, roots: list[Vertex], beta: int
 ) -> tuple[dict, dict, dict]:
-    """CSR-index twin of :func:`_grow_trees_labels`.
+    """Depth-bounded FIFO tree growth from ``roots`` (``beta`` levels).
 
-    Replays the same FIFO traversal (roots in order, neighbours in CSR
-    order) on flat arrays and materializes the label dicts in discovery
-    order, so parents, depths and dict iteration order all match the label
-    engine exactly.
+    Runs the traversal (roots in order, neighbours in CSR order) on the
+    index arrays and materializes the label dicts in discovery order.
     """
     offsets, neighbors = graph.csr_lists()
     labels = graph.vertices()
@@ -332,11 +283,10 @@ def _grow_trees_csr(
 
 
 def ruling_forest(
-    graph: Graph,
+    graph: GraphLike,
     subset: set[Vertex],
     alpha: int,
     identifiers: dict[Vertex, int] | None = None,
-    engine: str = "labels",
 ) -> RulingForest:
     """Compute an (alpha, alpha*ceil(log2 n))-ruling forest with respect to ``subset``.
 
@@ -344,23 +294,16 @@ def ruling_forest(
     ``subset`` joins a BFS tree of a nearest root.  Trees may also contain
     vertices outside ``subset`` (the connecting paths), matching the usage
     in Lemma 3.2 where tree vertices of ``S`` get uncolored.
-    ``engine="csr"`` (frozen graphs only) runs both the ruling-set probes
-    and the tree growth on the CSR index arrays; the forest — roots,
-    parents, depths — is identical to the label engine's.
     """
+    graph = freeze(graph)
     ledger = RoundLedger()
-    roots_set, set_rounds = ruling_set(
-        graph, subset, alpha, identifiers, ledger, engine=engine
-    )
+    roots_set, set_rounds = ruling_set(graph, subset, alpha, identifiers, ledger)
     roots = sorted(roots_set, key=repr)
     n = max(graph.number_of_vertices(), 2)
     bits = max(1, (n - 1).bit_length())
     beta = alpha * bits
 
-    if engine == "csr" and isinstance(graph, FrozenGraph):
-        parent, depth, tree_of = _grow_trees_csr(graph, roots, beta)
-    else:
-        parent, depth, tree_of = _grow_trees_labels(graph, roots, beta)
+    parent, depth, tree_of = _grow_trees(graph, roots, beta)
     uncovered = [v for v in subset if v not in parent]
     if uncovered:
         # The domination radius analysis guarantees coverage; growing the

@@ -33,11 +33,6 @@ Params = Mapping[str, Any]
 # E1 — theorem13-colors
 # ---------------------------------------------------------------------------
 
-def _backend_label(algorithm: str, backend: str) -> str:
-    """Row label for a backend axis: dict rows keep the historical name."""
-    return algorithm if backend == "dict" else f"{algorithm} [{backend}]"
-
-
 def _build_theorem13_colors(params: Params) -> list[BatchTask]:
     built = []
     for d in params["ds"]:
@@ -48,16 +43,12 @@ def _build_theorem13_colors(params: Params) -> list[BatchTask]:
                 ("random", "thm1.3 random lists"),
                 ("greedy", "greedy baseline"),
             ):
-                for backend in params["backends"]:
-                    # seed_group = instance: every variant/backend row of an
-                    # instance sees the same graph (the artifact parity
-                    # oracle compares them), while --seed still reseeds
-                    built.append(BatchTask(
-                        instance, _backend_label(algorithm, backend),
-                        tasks.theorem13_colors,
-                        args=(n, d, variant, backend),
-                        seed_group=instance,
-                    ))
+                # seed_group = instance: every variant row of an instance
+                # sees the same graph, while --seed still reseeds
+                built.append(BatchTask(
+                    instance, algorithm, tasks.theorem13_colors,
+                    args=(n, d, variant), seed_group=instance,
+                ))
     return built
 
 
@@ -71,7 +62,7 @@ register(Scenario(
         "one more color."
     ),
     build_tasks=_build_theorem13_colors,
-    defaults={"sizes": (80, 160), "ds": (4, 6), "backends": ("dict", "flat")},
+    defaults={"sizes": (80, 160), "ds": (4, 6)},
     smoke_overrides={"sizes": (40,), "ds": (4,)},
     reference={
         "colors": "<= d with uniform lists {1..d}",
@@ -86,61 +77,53 @@ register(Scenario(
 # E2 — theorem13-rounds
 # ---------------------------------------------------------------------------
 
+_THM13_ROUNDS_LABEL = "thm1.3 (paper radius)"
+
+
 def _build_theorem13_rounds(params: Params) -> list[BatchTask]:
-    # seed_group (see _build_theorem13_colors): both backend rows of an
-    # instance must measure the same graph for the parity oracle
+    # seed_group (see _build_theorem13_colors) derives each instance's seed
+    # from its label, not from the row's position in the batch
     return [
         BatchTask(
-            f"n={n}", _backend_label("thm1.3 (paper radius)", backend),
-            tasks.theorem13_rounds,
-            args=(n, params["d"], backend),
-            seed_group=f"n={n}",
+            f"n={n}", _THM13_ROUNDS_LABEL, tasks.theorem13_rounds,
+            args=(n, params["d"]), seed_group=f"n={n}",
         )
         for n in params["sizes"]
-        for backend in params["backends"]
     ]
 
 
-def _round_series(
-    runner: ExperimentRunner, backend: str = "flat"
-) -> tuple[list[int], list[int]]:
-    label = _backend_label("thm1.3 (paper radius)", backend)
+def _round_series(runner: ExperimentRunner) -> tuple[list[int], list[int]]:
     return (
-        runner.metric_series(label, "n"),
-        runner.metric_series(label, "rounds"),
+        runner.metric_series(_THM13_ROUNDS_LABEL, "n"),
+        runner.metric_series(_THM13_ROUNDS_LABEL, "rounds"),
     )
 
 
 def _finalize_theorem13_rounds(runner: ExperimentRunner, params: Params) -> None:
-    for backend in params["backends"]:
-        ns, rounds = _round_series(runner, backend)
-        if len(ns) >= 3:
-            fit = fit_polylog(ns, rounds)
-            key = "fit" if backend == "dict" else f"fit[{backend}]"
-            runner.metadata[key] = {
-                "model": "rounds ~ c * log2(n)^e",
-                "coefficient": round(fit.coefficient, 3),
-                "exponent": round(fit.exponent, 3),
-            }
+    ns, rounds = _round_series(runner)
+    if len(ns) >= 3:
+        fit = fit_polylog(ns, rounds)
+        runner.metadata["fit"] = {
+            "model": "rounds ~ c * log2(n)^e",
+            "coefficient": round(fit.coefficient, 3),
+            "exponent": round(fit.exponent, 3),
+        }
 
 
 def _check_theorem13_rounds(runner: ExperimentRunner, params: Params) -> list[str]:
+    ns, rounds = _round_series(runner)
+    if len(ns) < 3:
+        return []
     failures = []
-    for backend in params["backends"]:
-        ns, rounds = _round_series(runner, backend)
-        if len(ns) < 3:
-            continue
-        normalized = normalized_by_polylog(ns, rounds, power=3)
-        if max(normalized) > 6 * min(normalized):
-            failures.append(
-                f"rounds/log^3 not bounded ({backend}): min {min(normalized):.3f}, "
-                f"max {max(normalized):.3f} (> 6x)"
-            )
-        fit = fit_polylog(ns, rounds)
-        if fit.exponent > 4.0:
-            failures.append(
-                f"fitted polylog exponent ({backend}) {fit.exponent:.2f} > 4.0"
-            )
+    normalized = normalized_by_polylog(ns, rounds, power=3)
+    if max(normalized) > 6 * min(normalized):
+        failures.append(
+            f"rounds/log^3 not bounded: min {min(normalized):.3f}, "
+            f"max {max(normalized):.3f} (> 6x)"
+        )
+    fit = fit_polylog(ns, rounds)
+    if fit.exponent > 4.0:
+        failures.append(f"fitted polylog exponent {fit.exponent:.2f} > 4.0")
     return failures
 
 
@@ -154,7 +137,7 @@ register(Scenario(
         "as n grows, and the fitted polylog exponent stays <= 4."
     ),
     build_tasks=_build_theorem13_rounds,
-    defaults={"sizes": (60, 120, 240, 480), "d": 4, "backends": ("dict", "flat")},
+    defaults={"sizes": (60, 120, 240, 480), "d": 4},
     smoke_overrides={"sizes": (40, 80)},
     reference={"rounds": "O(d^4 log^3 n), O(d^2 log^3 n) when max degree <= d"},
     size_param="sizes",
@@ -169,20 +152,24 @@ register(Scenario(
 # E5 — corollary14-arboricity
 # ---------------------------------------------------------------------------
 
+def _backend_label(algorithm: str, backend: str) -> str:
+    """Row label for a backend axis: dict rows keep the historical name."""
+    return algorithm if backend == "dict" else f"{algorithm} [{backend}]"
+
+
 def _build_corollary14(params: Params) -> list[BatchTask]:
     built = []
     for a in params["arboricities"]:
         for n in params["ns"]:
             instance = f"n={n} a={a}"
-            # seed_group (see _build_theorem13_colors): the backend rows of
-            # an instance must share the graph for the parity oracle
+            # seed_group (see _build_theorem13_colors): the rows of an
+            # instance share the graph, so the parity oracle can compare
+            # the Barenboim-Elkin backends and the check the palettes
+            built.append(BatchTask(
+                instance, "Cor 1.4 (2a colors)", tasks.corollary14_arboricity,
+                args=(n, a, "ours"), seed_group=instance,
+            ))
             for backend in params["backends"]:
-                built.append(BatchTask(
-                    instance, _backend_label("Cor 1.4 (2a colors)", backend),
-                    tasks.corollary14_arboricity,
-                    args=(n, a, "ours", backend),
-                    seed_group=instance,
-                ))
                 built.append(BatchTask(
                     instance, _backend_label("Barenboim-Elkin", backend),
                     tasks.corollary14_arboricity,
@@ -194,10 +181,8 @@ def _build_corollary14(params: Params) -> list[BatchTask]:
 
 def _check_corollary14(runner: ExperimentRunner, params: Params) -> list[str]:
     failures = []
+    ours = runner.metric_series("Cor 1.4 (2a colors)", "palette")
     for backend in params["backends"]:
-        ours = runner.metric_series(
-            _backend_label("Cor 1.4 (2a colors)", backend), "palette"
-        )
         baseline = runner.metric_series(
             _backend_label("Barenboim-Elkin", backend), "palette"
         )
@@ -818,7 +803,7 @@ register(Scenario(
 
 
 # ---------------------------------------------------------------------------
-# E15 — coloring (flat palette A/B on the Theorem 1.3 pipeline)
+# E15 — coloring (Theorem 1.3 digests; Barenboim–Elkin dict vs flat)
 # ---------------------------------------------------------------------------
 
 _COLORING_ALGORITHMS = (
@@ -833,12 +818,14 @@ def _build_coloring(params: Params) -> list[BatchTask]:
     built = []
     d = params["d"]
     for key, size_key, label in _COLORING_ALGORITHMS:
+        # Theorem 1.3 has one pipeline; the backend axis is Barenboim-Elkin's
+        backends = params["backends"] if key == "barenboim-elkin" else ("flat",)
         for n in params[size_key]:
             # one explicit seed per instance (not per task index), so the
             # dict and flat rows of an instance see the same graph and the
             # parity check can compare their colorings bit for bit
             seed = params["instance_seed"] + n
-            for backend in params["backends"]:
+            for backend in backends:
                 built.append(BatchTask(
                     f"{key} n={n} d={d}", f"{label} [{backend}]",
                     tasks.coloring_pipeline,
@@ -850,45 +837,32 @@ def _build_coloring(params: Params) -> list[BatchTask]:
 
 def _finalize_coloring(runner: ExperimentRunner, params: Params) -> None:
     d = params["d"]
-    for key, size_key, label in _COLORING_ALGORITHMS:
-        baseline = runner.metric_series(f"{label} [dict]", "solve_seconds")
-        for backend in params["backends"]:
-            if backend == "dict":
-                continue
-            timed = runner.metric_series(f"{label} [{backend}]", "solve_seconds")
-            for n, dict_s, flat_s in zip(params[size_key], baseline, timed):
-                if flat_s > 0:
-                    speedup = round(dict_s / flat_s, 2)
-                    runner.metadata[f"speedup[{label}][n={n}]"] = speedup
-                    runner.add(
-                        f"{key} n={n} d={d}", f"{label} {backend} speedup",
-                        n=n, speedup_x=speedup,
-                    )
-
-
-def _check_coloring(runner: ExperimentRunner, params: Params) -> list[str]:
-    # the headline: >= 5x for the Theorem 1.3 pipeline at n >= 10k (no
-    # gate on small/smoke grids where constant overheads dominate)
-    largest = max(params["sizes"])
-    recorded = runner.metadata.get(f"speedup[Thm 1.3 pipeline][n={largest}]")
-    if largest >= 10_000 and recorded is not None and recorded < 5.0:
-        return [
-            f"flat palette speedup {recorded}x at n={largest} below the 5.0x target"
-        ]
-    return []
+    baseline = runner.metric_series("Barenboim-Elkin [dict]", "solve_seconds")
+    for backend in params["backends"]:
+        if backend == "dict":
+            continue
+        timed = runner.metric_series(f"Barenboim-Elkin [{backend}]", "solve_seconds")
+        for n, dict_s, flat_s in zip(params["be_sizes"], baseline, timed):
+            if flat_s > 0:
+                speedup = round(dict_s / flat_s, 2)
+                runner.metadata[f"speedup[Barenboim-Elkin][n={n}]"] = speedup
+                runner.add(
+                    f"barenboim-elkin n={n} d={d}", f"Barenboim-Elkin {backend} speedup",
+                    n=n, speedup_x=speedup,
+                )
 
 
 register(Scenario(
     name="coloring",
-    title="Flat palette core — Theorem 1.3 pipeline, dict vs flat backend",
+    title="Flat palette core — Theorem 1.3 digests, Barenboim–Elkin dict vs flat",
     paper_ref="Theorem 1.3 / Corollary 1.4 (infrastructure)",
     description=(
-        "Wall time of the full d-list-coloring pipeline (and the "
-        "Barenboim-Elkin baseline) on the per-vertex dict substrate vs "
-        "the flat palette substrate (interned color bitmasks, CSR "
-        "kernels, batched Linial/color-reduction/slot-selection on the "
-        "round engine), with bit-identical colorings and round-ledger "
-        "totals asserted on every instance."
+        "Wall time, coloring digest and charged rounds of the full "
+        "d-list-coloring pipeline of Theorem 1.3, and the Barenboim-Elkin "
+        "baseline on the per-vertex dict substrate vs the flat palette "
+        "substrate (interned color bitmasks, CSR kernels, batched slot "
+        "selection on the round engine), with bit-identical colorings and "
+        "round-ledger totals asserted on every Barenboim-Elkin instance."
     ),
     build_tasks=_build_coloring,
     defaults={
@@ -897,14 +871,13 @@ register(Scenario(
     },
     smoke_overrides={"sizes": (300,), "be_sizes": (300,)},
     reference={
-        "parity": "identical colorings and charged rounds on both backends",
-        "speedup": ">= 5x wall time for the Theorem 1.3 pipeline at n >= 10^4",
+        "digests": "coloring_sha and rounds of the one Theorem 1.3 pipeline, per instance",
+        "parity": "identical Barenboim-Elkin colorings and charged rounds on both backends",
     },
     size_param="sizes",
     floors={"d": 3},
     serial_only=True,
     finalize=_finalize_coloring,
-    check=_check_coloring,
 ))
 
 

@@ -85,30 +85,21 @@ from repro.scenarios.base import StageProfile
 # ---------------------------------------------------------------------------
 
 def theorem13_colors(
-    n: int, d: int, variant: str, backend: str = "flat", seed: int | None = None
+    n: int, d: int, variant: str, seed: int | None = None
 ) -> dict[str, Any]:
-    """d-list-color a bounded-mad graph; ``variant``: uniform/random/greedy.
-
-    ``backend`` selects the list-coloring substrate of the Theorem 1.3
-    driver: ``dict`` (per-vertex set algebra) or ``flat`` (interned
-    palette bitmasks + CSR kernels + the batched round engine).  Both
-    produce bit-identical colorings and round totals; the ``coloring``
-    scenario measures the wall-time gap.
-    """
+    """d-list-color a bounded-mad graph; ``variant``: uniform/random/greedy."""
     prof = StageProfile()
     with prof("generate"):
         graph = sparse.random_degenerate_graph(n, d // 2, seed=seed)
+    with prof("freeze"):
+        frozen = graph.freeze()
     if variant == "greedy":
-        with prof("freeze"):
-            solver_graph = graph.freeze() if backend == "flat" else graph
         with prof("solve"):
-            coloring = degeneracy_greedy_coloring(solver_graph)
+            coloring = degeneracy_greedy_coloring(frozen)
         return {
             "colors": len(set(coloring.values())), "budget": d,
             "rounds": 0, "valid": True, **prof.metrics(),
         }
-    with prof("freeze"):
-        frozen = graph.freeze()
     with prof("solve"):
         if variant == "uniform":
             lists = uniform_lists(frozen, d)
@@ -116,7 +107,7 @@ def theorem13_colors(
             lists = random_lists(frozen, d, palette_size=2 * d, seed=seed)
         else:
             raise ValueError(f"unknown variant {variant!r}")
-        result = color_sparse_graph(frozen, d=d, lists=lists, backend=backend)
+        result = color_sparse_graph(frozen, d=d, lists=lists)
     with prof("verify"):
         verify_list_coloring(frozen, result.coloring, lists)
     # the distinct-color budget: d for the shared uniform palette, but the
@@ -133,9 +124,7 @@ def theorem13_colors(
 # E2 — Theorem 1.3, rounds
 # ---------------------------------------------------------------------------
 
-def theorem13_rounds(
-    n: int, d: int, backend: str = "flat", seed: int | None = None
-) -> dict[str, Any]:
+def theorem13_rounds(n: int, d: int, seed: int | None = None) -> dict[str, Any]:
     """Charged rounds of the Theorem 1.3 driver on a union of forests."""
     prof = StageProfile()
     with prof("generate"):
@@ -143,7 +132,7 @@ def theorem13_rounds(
     with prof("freeze"):
         frozen = graph.freeze()
     with prof("solve"):
-        result = color_sparse_graph(frozen, d=d, backend=backend)
+        result = color_sparse_graph(frozen, d=d)
     with prof("verify"):
         assert result.succeeded
     return {
@@ -156,7 +145,7 @@ def theorem13_rounds(
 
 
 # ---------------------------------------------------------------------------
-# E15 — flat palette A/B: the Theorem 1.3 pipeline, dict vs flat backend
+# E15 — the Theorem 1.3 pipeline's digests; Barenboim–Elkin dict vs flat
 # ---------------------------------------------------------------------------
 
 # the shared parity fingerprint (repro.verify.parity) — the same digest the
@@ -167,15 +156,17 @@ from repro.verify.parity import coloring_digest as _coloring_digest  # noqa: E40
 def coloring_pipeline(
     n: int, d: int, algorithm: str, backend: str, seed: int | None = None
 ) -> dict[str, Any]:
-    """Time one full list-coloring run on the dict or flat palette backend.
+    """Time one full list-coloring run.
 
     ``algorithm`` is ``theorem13`` (the paper's driver on a random
-    ``d/2``-degenerate graph) or ``barenboim-elkin`` (the Corollary 1.4
-    baseline on a union of forests, arboricity ``d // 2``).  The graph is
-    generated and frozen in their own stages, so ``solve_seconds`` (the
-    solve stage) measures the pipeline itself; ``coloring_sha`` and
-    ``rounds`` let the parity oracle assert bit-identical colorings and
-    round-ledger totals between the backends on every instance.
+    ``d/2``-degenerate graph; ``backend`` only labels the row, as the
+    driver has one pipeline) or ``barenboim-elkin`` (the Corollary 1.4
+    baseline on a union of forests, arboricity ``d // 2``, on the dict or
+    flat ``backend``).  The graph is generated and frozen in their own
+    stages, so ``solve_seconds`` (the solve stage) measures the pipeline
+    itself; ``coloring_sha`` and ``rounds`` pin the Theorem 1.3 coloring
+    and let the parity oracle assert bit-identical Barenboim-Elkin
+    colorings and round-ledger totals between the backends.
     """
     prof = StageProfile()
     with prof("generate"):
@@ -189,7 +180,7 @@ def coloring_pipeline(
         frozen = graph.freeze()
     with prof("solve"):
         if algorithm == "theorem13":
-            result = color_sparse_graph(frozen, d=d, backend=backend)
+            result = color_sparse_graph(frozen, d=d)
             coloring, rounds = result.coloring, result.rounds
         else:
             result = barenboim_elkin_coloring(
@@ -221,12 +212,10 @@ def corollary14_arboricity(
 ) -> dict[str, Any]:
     """Color a union of ``arboricity`` forests; ``algorithm``: ours/barenboim-elkin.
 
-    Both sides accept the ``backend`` axis so the Corollary 1.4 / baseline
-    A/B runs on the same substrate: ``ours`` routes through the Theorem
-    1.3 driver's backend, ``barenboim-elkin`` through the dict sweep or
-    the batched slot-selection engine.  The graph is frozen at the
-    boundary either way, which also pins the identifier assignment so the
-    two backends color identically.
+    ``backend`` selects the Barenboim-Elkin substrate: the dict sweep or
+    the batched slot-selection engine (``ours`` runs the one Theorem 1.3
+    pipeline).  The graph is frozen at the boundary either way, which also
+    pins the identifier assignment so the two backends color identically.
     """
     prof = StageProfile()
     with prof("generate"):
@@ -235,9 +224,7 @@ def corollary14_arboricity(
         frozen = graph.freeze()
     if algorithm == "ours":
         with prof("solve"):
-            result = color_bounded_arboricity_graph(
-                frozen, arboricity=arboricity, backend=backend
-            )
+            result = color_bounded_arboricity_graph(frozen, arboricity=arboricity)
         with prof("verify"):
             verify_coloring(frozen, result.coloring)
         return {

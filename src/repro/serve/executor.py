@@ -78,7 +78,7 @@ def _run_theorem13(graph, params: dict[str, Any]) -> tuple[dict, int, int]:
     # otherwise hold a worker for minutes
     d = min(d, max(graph.max_degree() + 1, 3))
     try:
-        result = color_sparse_graph(graph, d=d, backend="flat")
+        result = color_sparse_graph(graph, d=d)
     except ValueError as exc:  # e.g. the theorem's d >= 3 precondition
         raise ServeError("bad-request", str(exc)) from None
     if result.coloring is None:

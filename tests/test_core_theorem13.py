@@ -1,6 +1,14 @@
 """Integration tests for Theorem 1.3 and its corollaries (the paper's main results)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.coloring.assignment import random_lists, uniform_lists
 from repro.coloring.verification import verify_list_coloring
@@ -144,6 +152,68 @@ def test_extension_with_no_happy_vertices_is_identity():
     )
     assert new == coloring
     assert report.roots == 0
+
+
+# Theorem 6.1 and one Lemma 3.2 step on a string-labelled graph and on its
+# frozen copy: prints [coloring digest, rounds] of both calls per input
+_HASH_ORDER_PROBE = """
+import json
+from repro.coloring.assignment import ListAssignment, uniform_lists
+from repro.coloring.greedy import greedy_list_coloring
+from repro.core import (
+    classify_vertices, extend_coloring_to_happy_set, is_nice_list_assignment,
+    nice_list_coloring,
+)
+from repro.graphs.generators import sparse
+from repro.graphs.graph import Graph
+from repro.graphs.properties.degeneracy import degeneracy_ordering
+from repro.verify.parity import coloring_digest
+
+base = sparse.random_degenerate_graph(80, 2, seed=0)
+graph = Graph(vertices=[f"v{v}" for v in base.vertices()])
+for u, w in base.edges():
+    graph.add_edge(f"v{u}", f"v{w}")
+frozen = graph.freeze()
+nice = ListAssignment({
+    v: frozenset(range(1, graph.degree(v) + 1 + (graph.degree(v) <= 2)))
+    for v in graph
+})
+assert is_nice_list_assignment(graph, nice)
+out = {}
+for name, g in (("unfrozen", graph), ("frozen", frozen)):
+    result = nice_list_coloring(g, nice)
+    out[name] = [coloring_digest(result.coloring), result.rounds]
+lists = uniform_lists(frozen, 4)
+cls = classify_vertices(frozen, 4, radius=2)
+rest = [v for v in frozen if v not in cls.happy]
+sub = frozen.subgraph(rest)
+_, order = degeneracy_ordering(sub)
+base_coloring = greedy_list_coloring(sub, lists.restrict(rest), list(reversed(order)))
+for name, g in (("unfrozen", graph), ("frozen", frozen)):
+    coloring, report = extend_coloring_to_happy_set(
+        g, lists, cls.happy, cls.rich, base_coloring, radius=2, d=4
+    )
+    out[name] += [coloring_digest(coloring), report.rounds]
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "2"])
+def test_unfrozen_input_colors_as_its_frozen_copy(hash_seed):
+    """Regression: an unfrozen input took identifiers and BFS order from
+    ``Graph.subgraph``'s sets, so on string labels Theorem 6.1 and the
+    Lemma 3.2 step colored differently from the frozen copy, and
+    differently under each ``PYTHONHASHSEED``.  Every entry point now
+    freezes its input, which numbers vertices in insertion order."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", _HASH_ORDER_PROBE],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    out = json.loads(run.stdout)
+    assert out["frozen"] == ["0d1be460520d905f", 9113, "005ba9d7d7e373cf", 157]
+    assert out["unfrozen"] == out["frozen"]
 
 
 # -- Corollary 2.3 (planar) -----------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import thm13_reference as reference
 from repro.coloring.verification import verify_coloring
 from repro.errors import ColoringError, SimulationError
 from repro.graphs.generators import classic, planar, sparse
@@ -85,12 +86,14 @@ def test_ruling_forest_on_disconnected_graph():
     assert len(roots_components) == 2
 
 
-@pytest.mark.parametrize("engine", ["labels", "csr"])
-def test_ruling_forest_ledger_matches_its_rounds(engine):
+@pytest.mark.parametrize(
+    "build", [reference.ruling_forest, ruling_forest], ids=["labels", "csr"]
+)
+def test_ruling_forest_ledger_matches_its_rounds(build):
     """The merges of one identifier bit run in parallel: the ruling set
     charges ``alpha`` rounds per bit once, not once per merge."""
     g = sparse.union_of_random_forests(60, 2, seed=3).freeze()
-    forest = ruling_forest(g, set(g.vertices()), 3, engine=engine)
+    forest = build(g, set(g.vertices()), 3)
     assert forest.rounds == 36
     assert forest.ledger.total() == forest.rounds
 
@@ -124,8 +127,8 @@ def test_csr_ruling_forest_matches_label_engine(family, seed, alpha):
     subset = {v for v in graph if family == "path" or rng.random() < 0.5}
     # unique but gappy identifiers, as Lemma 3.2 passes for a subgraph
     identifiers = dict(zip(graph.vertices(), rng.sample(range(1, 4 * len(graph) + 1), len(graph))))
-    a = ruling_forest(graph, subset, alpha, identifiers=identifiers, engine="labels")
-    b = ruling_forest(graph, subset, alpha, identifiers=identifiers, engine="csr")
+    a = reference.ruling_forest(graph, subset, alpha, identifiers=identifiers)
+    b = ruling_forest(graph, subset, alpha, identifiers=identifiers)
     assert a.roots == b.roots
     assert list(a.parent.items()) == list(b.parent.items())
     assert list(a.depth.items()) == list(b.depth.items())

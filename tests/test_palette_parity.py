@@ -1,21 +1,24 @@
 """Dict/flat parity of the palette core and the coloring pipelines.
 
 The flat palette refactor promises *bit-identical* results: the interned
-bitmask backend (`FlatListAssignment`), the flat classification engine,
-the CSR ruling forest, the batched Linial/color-reduction/slot-selection
-ports and the flat Theorem 1.3 driver must reproduce the historical
-per-vertex set-algebra outputs exactly — colorings, happy sets, charged
-rounds.  These hypothesis suites check that over ~100 seeded sparse and
-planar instances, including non-integer color labels and empty-list edge
-cases.
+bitmask backend (`FlatListAssignment`), the CSR classification, the CSR
+ruling forest, the batched Linial/color-reduction/slot-selection ports and
+the Theorem 1.3 driver must reproduce the historical per-vertex
+set-algebra outputs exactly — colorings, happy sets, charged rounds.  The
+Theorem 1.3 label pipeline lives in ``thm13_reference`` as that reference.
+These hypothesis suites check the parity over ~100 seeded sparse, planar
+and toroidal instances, including non-integer color labels and empty-list
+edge cases.
 """
 
 import random
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import thm13_reference as reference
 
 from repro.coloring import uniform_lists, random_lists
 from repro.coloring.assignment import ListAssignment
@@ -27,7 +30,7 @@ from repro.coloring.verification import (
 )
 from repro.core import classify_vertices, color_sparse_graph
 from repro.distributed import barenboim_elkin_coloring, delta_plus_one_coloring
-from repro.graphs.generators import planar, sparse
+from repro.graphs.generators import planar, sparse, streaming
 from repro.graphs.graph import Graph
 from repro.graphs.properties.degeneracy import degeneracy_ordering
 from repro.verify import ColoringParityOracle, ListColoringOracle
@@ -68,6 +71,36 @@ def _near_regular_instance(seed: int):
     d = rng.choice([3, 4])
     n = 2 * rng.randint(10, 20)
     return sparse.near_regular_sparse_graph(n, d, seed=seed).freeze(), d
+
+
+def _forest_union_instance(seed: int):
+    """A union of two random forests at d=4, the theorem13-rounds family.
+
+    Its rich components are far larger than the ruling alpha at radius 1
+    and 2, so the ruling set runs its bit recursion and its probes.
+    """
+    n = random.Random(seed).randint(60, 160)
+    return sparse.union_of_random_forests(n, 2, seed=seed).freeze(), 4
+
+
+def _torus_instance(seed: int):
+    """A 6-regular triangulated torus at d=6; seeds 0..11 give 4x5 to 6x8.
+
+    No vertex has slack, so every happy vertex comes from a ball that is
+    not a Gallai forest.  At the paper radius a root ball is the whole
+    torus with nothing colored around it, so it has no slack vertex either
+    and goes to the Borodin-ERT solver (``degree_list_coloring``).
+    """
+    rows, cols = 4 + seed % 3, 5 + seed // 3 % 4
+    return streaming.stream_torus(rows, cols, shuffle_seed=seed), 6
+
+
+_FAMILIES = {
+    "paper": _instance,
+    "near_regular": _near_regular_instance,
+    "forest_union": _forest_union_instance,
+    "torus": _torus_instance,
+}
 
 
 # -- FlatListAssignment vs naive set algebra --------------------------------
@@ -188,8 +221,8 @@ def test_empty_assignment_edge_cases():
 @given(seed=st.integers(0, 10_000), radius=st.sampled_from([1, 2, 4, None]))
 def test_classification_engines_agree(seed, radius):
     graph, d = _instance(seed)
-    scan = classify_vertices(graph, d, radius=radius, engine="scan")
-    flat = classify_vertices(graph, d, radius=radius, engine="flat")
+    scan = reference.classify_vertices(graph, d, radius=radius)
+    flat = classify_vertices(graph, d, radius=radius)
     assert scan.happy == flat.happy
     assert scan.sad == flat.sad
     assert scan.poor == flat.poor
@@ -202,19 +235,27 @@ def test_classification_engines_agree(seed, radius):
     # a small radius gives a small ruling alpha (2 * radius + 2), below the
     # size of some rich components, so the csr engine runs its bit recursion
     radius=st.sampled_from([1, 2, None]),
-    near_regular=st.booleans(),
+    family=st.sampled_from(["paper", "near_regular"]),
 )
+# the forest union (the ruling probe's bit recursion) and the torus (the
+# Gallai path and the Borodin-ERT root balls) run at every radius, every run
+@example(seed=1, use_random_lists=False, radius=1, family="forest_union")
+@example(seed=2, use_random_lists=True, radius=2, family="forest_union")
+@example(seed=3, use_random_lists=False, radius=None, family="forest_union")
+@example(seed=0, use_random_lists=False, radius=1, family="torus")
+@example(seed=5, use_random_lists=True, radius=2, family="torus")
+@example(seed=11, use_random_lists=False, radius=None, family="torus")
 def test_sparse_coloring_backends_bit_identical(
-    seed, use_random_lists, radius, near_regular
+    seed, use_random_lists, radius, family
 ):
-    graph, d = _near_regular_instance(seed) if near_regular else _instance(seed)
+    graph, d = _FAMILIES[family](seed)
     lists = (
         random_lists(graph, d, palette_size=2 * d, seed=seed)
         if use_random_lists
         else None
     )
-    a = color_sparse_graph(graph, d, lists=lists, radius=radius, backend="dict")
-    b = color_sparse_graph(graph, d, lists=lists, radius=radius, backend="flat")
+    a = reference.color_sparse_graph(graph, d, lists=lists, radius=radius)
+    b = color_sparse_graph(graph, d, lists=lists, radius=radius)
     ColoringParityOracle().check(
         coloring_a=a.coloring, coloring_b=b.coloring,
         rounds_a=a.rounds, rounds_b=b.rounds, labels=("dict", "flat"),
@@ -224,6 +265,12 @@ def test_sparse_coloring_backends_bit_identical(
         graph=graph, coloring=b.coloring,
         lists=lists if lists is not None else uniform_lists(graph, d),
     ).raise_if_failed()
+
+
+def test_sparse_coloring_refuses_any_backend_but_flat():
+    graph, d = _instance(0)
+    with pytest.raises(ValueError, match="backend 'dict'"):
+        color_sparse_graph(graph, d, backend="dict")
 
 
 @settings(max_examples=15, deadline=None)

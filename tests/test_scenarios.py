@@ -418,9 +418,7 @@ _UNKNOWN_ELEMENTS = {
     "dynamic-backends": (["dynamic", "--set", "backends=bogus,"], "backends"),  # ValueError
     "simulator-engines": (["simulator", "--set", "engines=bogus,"], "engines"),  # ValueError
     "serve-workloads": (["serve", "--set", "workloads=bogus,"], "workloads"),  # ValueError
-    "theorem13-colors-backends": (  # ValueError
-        ["theorem13-colors", "--set", "backends=bogus,"], "backends"
-    ),
+    "coloring-backends": (["coloring", "--set", "backends=bogus,"], "backends"),  # ValueError
     "randomized-families": (["randomized", "--set", "families=bogus,"], "families"),  # ValueError
     # exited 0 after running the per-node engine under a row named [bogus]
     "randomized-engines": (["randomized", "--set", "engines=bogus,"], "engines"),

@@ -375,7 +375,7 @@ def test_round_envelope_fires_for_theorem13_rounds_artifact():
         "generated_at": 0.0,
         "metadata": {
             "scenario": {"name": "theorem13-rounds", "paper_ref": "Theorem 1.3"},
-            "params": {"d": 4, "sizes": [40], "backends": ["dict"]},
+            "params": {"d": 4, "sizes": [40]},
         },
         "rows": [
             {
