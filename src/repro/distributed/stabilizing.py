@@ -80,8 +80,11 @@ __all__ = [
 
 
 def _unpack_input(value: Any) -> tuple[int, int]:
-    """Normalize the per-node input ``(budget, initial_color)``."""
-    if isinstance(value, tuple):
+    """Normalize the per-node input ``(budget, initial_color)``.
+
+    A pair is a tuple or a row of the fault plane's ``(n, 2)`` input array.
+    """
+    if isinstance(value, (tuple, np.ndarray)):
         budget, color = value
         return int(budget), int(color or 0)
     return int(value), 0
@@ -124,8 +127,10 @@ class BatchStabilizingAlgorithm(BatchNodeAlgorithm):
     color register per node, state faults by node index
     (:meth:`corrupt_batch` / :meth:`reset_batch`), the full-state
     :meth:`snapshot`, and :meth:`on_topology_change`, which the engine
-    calls with the rebuilt context after an edge edit.  Every node must
-    be announced the same palette budget.  Broadcast exchange mode:
+    calls with the rebuilt context after an edge edit.  The inputs are
+    ``(budget, color)`` pairs, or the fault plane's ``(n, 2)`` ``int64``
+    array of them, read by column; every node must be announced the same
+    palette budget.  Broadcast exchange mode:
     ``send_batch`` returns one value per node, and under the fault
     plane's hooks the engine always materializes the per-slot inbox, so
     drops and duplications can edit single slots before
@@ -135,11 +140,18 @@ class BatchStabilizingAlgorithm(BatchNodeAlgorithm):
     exchange_mode = "broadcast"
 
     def initialize_batch(self, context: BatchContext) -> None:
-        pairs = [_unpack_input(x) for x in context.inputs]
+        inputs = context.inputs
+        if not isinstance(inputs, np.ndarray):
+            inputs = np.array(
+                [_unpack_input(x) for x in inputs], dtype=np.int64
+            ).reshape(-1, 2)
+        budgets = inputs[:, 0]
+        # a uniform column has one value: its minimum and maximum agree
         self.budget = announced_constant(
-            self, (b for b, _c in pairs), "palette budget", default=1
+            self, (int(budgets.min()), int(budgets.max())) if len(budgets) else (),
+            "palette budget", default=1,
         )
-        self.colors = np.asarray([c for _b, c in pairs], dtype=np.int64)
+        self.colors = np.array(inputs[:, 1], dtype=np.int64)
         self.on_topology_change(context)
 
     def on_topology_change(self, context: BatchContext) -> None:

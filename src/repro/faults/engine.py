@@ -2,41 +2,32 @@
 
 :func:`run_stabilizing` drives a stabilizing node program (per-node or
 batched, see :mod:`repro.distributed.stabilizing`) on a
-:class:`~repro.faults.network.PerturbableNetwork` while applying a
-:class:`~repro.faults.plan.FaultPlan`.  The rounds themselves run on the
-static engine, :class:`~repro.local.simulator.SynchronousSimulator`, with
-the fault plane passed as its ``hooks``; this module only edits rounds
-and records them.  Stabilizing protocols have no terminal state, so the
-engine's active-set termination never fires; instead the hooks stop the
-run at *quiescence* — a round in which the full protocol state (not just
-the output colors: invisible flags count) did not change, no fault fired
-and none remains scheduled — or the round cap stops it, which with
-``strict=True`` raises the structured
-:class:`~repro.errors.NonTerminationError`.
+:class:`~repro.faults.network.PerturbableNetwork` under a
+:class:`~repro.faults.plan.FaultPlan`.  The rounds run on the static
+engine, :class:`~repro.local.simulator.SynchronousSimulator`, with the
+fault plane as its ``hooks``; this module only edits rounds and records
+them.  Stabilizing protocols never terminate, so the hooks stop the run
+at *quiescence* (a round in which the full protocol state, invisible
+flags included, did not change, no fault fired and none remains
+scheduled) or the round cap stops it; with ``strict=True`` the cap
+raises :class:`~repro.errors.NonTerminationError`.
 
 Per round, in order:
 
-1. before the sends, apply the plan's events for this round (topology
-   edits first — the plan's canonical event order sorts edge edits
-   before message faults, so a message fault is judged against the
-   topology it will run on) and, if edges changed, hand the engine the
-   rebuilt network, whose fabric it rebinds;
+1. before the sends, apply the round's events (edge edits first, so a
+   message fault is judged against the topology it runs on) and, if
+   edges changed, hand the engine the rebuilt network;
 2. between delivery and receive, drop this round's lost messages and
-   re-deliver last round's captured duplicates on top of (i.e.
-   overwriting) the fresh message of the same slot — a stale duplicate
-   is exactly "the receiver acts on outdated neighbour state";
+   land last round's captured duplicates on top of the fresh message of
+   their slot (a stale duplicate is a receiver acting on outdated state);
 3. after the receives, record a :class:`RoundRecord`: what fired, which
-   vertices changed color (with the new color — the trace is
-   *replayable*, which is how the
-   :class:`~repro.verify.recovery.RecoveryOracle` catches tampered logs),
-   the number of conflicting edges and the legality flag.  Both loops
-   hand the colors over as an ``int64`` array, so the deltas are a
-   ``flatnonzero`` of the color diff and the conflict count one gather
-   over the fabric, whatever the backend.
+   vertices changed color and to what, the number of conflicting edges
+   and the legality flag.  Both loops hand the colors over as an
+   ``int64`` array, so the deltas are a ``flatnonzero`` of the color
+   diff and the conflict count one gather over the fabric.
 
-Every record lands in a :class:`StabilizationTrace`, the single witness
-object the recovery oracles, the containment auditor and the E18
-scenario metrics all read.
+The records land in a :class:`StabilizationTrace`, the one witness the
+recovery and containment oracles and the E18 scenario metrics read.
 """
 
 from __future__ import annotations
@@ -47,6 +38,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from repro.errors import NonTerminationError, SimulationError
+from repro.faults.edgeset import EdgeSet
 from repro.faults.network import PerturbableNetwork
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.graphs.graph import Vertex
@@ -87,12 +79,18 @@ class RoundRecord:
 
 @dataclass
 class StabilizationTrace:
-    """A replayable record of one dynamic run (the oracle's witness)."""
+    """A replayable record of one dynamic run (the oracle's witness).
+
+    The start is kept by vertex index: ``index`` is the input's label
+    index, ``initial_colors`` the ``int64`` registers and
+    ``initial_edges`` the trace's own copy of the edge set.
+    """
 
     labels: list[Vertex]
+    index: Mapping[Vertex, int]
     budget: int
-    initial_coloring: dict[Vertex, int]
-    initial_edges: list[tuple[Vertex, Vertex]]
+    initial_colors: np.ndarray
+    initial_edges: EdgeSet
     records: list[RoundRecord] = field(default_factory=list)
     final_coloring: dict[Vertex, int] = field(default_factory=dict)
     quiescent: bool = False
@@ -117,15 +115,6 @@ class StabilizationTrace:
 # ---------------------------------------------------------------------------
 # the fault plane as round hooks
 # ---------------------------------------------------------------------------
-
-
-def _slot_towards(fabric, dst: int, src: int) -> int | None:
-    """The inbox slot of ``dst`` whose other endpoint is ``src`` (or None)."""
-    lo, hi = fabric.offsets_np[dst], fabric.offsets_np[dst + 1]
-    pos = int(lo + np.searchsorted(fabric.endpoints_np[lo:hi], src))
-    if pos < hi and fabric.endpoints_np[pos] == src:
-        return pos
-    return None
 
 
 def _clashes(fabric, colors):
@@ -180,27 +169,25 @@ class _FaultHooks:
         topo_changed = False
 
         def done(event: FaultEvent, applied: bool, note: str = "") -> None:
-            log.append(
-                AppliedFault(
-                    event.round, event.kind, event.vertices, event.value,
-                    applied, note,
-                )
-            )
+            log.append(AppliedFault(
+                event.round, event.kind, event.vertices, event.value, applied, note
+            ))
 
         # the plan sorts edge edits first, so a message fault is judged
         # against the topology its round runs on
         for event in self.plan.events_for(round_number):
             kind = event.kind
-            if kind == "edge-insert":
-                applied = pnet.insert_edge(*event.vertices)
+            if kind in ("edge-insert", "edge-delete"):
+                insert = kind == "edge-insert"
+                applied = (pnet.insert_edge if insert else pnet.delete_edge)(
+                    *event.vertices
+                )
                 topo_changed |= applied
-                done(event, applied, "" if applied else "edge already present")
-            elif kind == "edge-delete":
-                applied = pnet.delete_edge(*event.vertices)
-                topo_changed |= applied
-                done(event, applied, "" if applied else "edge not present")
+                done(event, applied, "" if applied else (
+                    "edge already present" if insert else "edge not present"
+                ))
             elif kind in ("corrupt-color", "node-reset"):
-                index = pnet.index_of(event.vertices[0])
+                index = pnet.index.get(event.vertices[0])
                 if index is None:
                     done(event, False, "unknown vertex")
                     continue
@@ -216,12 +203,11 @@ class _FaultHooks:
                     nodes.reset_batch(index)
                 done(event, True)
             else:  # message-drop / message-duplicate
-                u, v = event.vertices
-                i, j = pnet.index_of(u), pnet.index_of(v)
-                if i is None or j is None or not pnet.has_edge(u, v):
+                if not pnet.has_edge(*event.vertices):
                     done(event, False, "edge not present")
                     continue
-                (self.drops if kind == "message-drop" else self.dup_pairs).add((i, j))
+                pair = tuple(map(pnet.index.get, event.vertices))
+                (self.drops if kind == "message-drop" else self.dup_pairs).add(pair)
                 done(event, True)
         if not topo_changed:
             return None
@@ -234,21 +220,21 @@ class _FaultHooks:
     # land last round's captures on top of the fresh message of their slot.
 
     def edit_received(self, payloads: list, received: list[list[int]]) -> int:
-        fabric = self.fabric
+        slot_towards = self.pnet.edge_set.slot  # key k is fabric slot k
         captured = []
         # in send order, so captures land in the order they were sent
         for src, dst in sorted(self.dup_pairs):
-            slot = _slot_towards(fabric, dst, src)
+            slot = slot_towards(dst, src)
             if slot in received[dst]:
                 captured.append((src, dst, payloads[slot]))
         change = 0
         for src, dst in self.drops:
-            slot = _slot_towards(fabric, dst, src)
+            slot = slot_towards(dst, src)
             if slot in received[dst]:
                 received[dst].remove(slot)
                 change -= 1
         for src, dst, payload in self.pending:
-            slot = _slot_towards(fabric, dst, src)
+            slot = slot_towards(dst, src)
             if slot is not None:  # else the edge is gone since the capture
                 payloads[slot] = payload
                 received[dst].append(slot)
@@ -257,10 +243,10 @@ class _FaultHooks:
         return change
 
     def edit_inbox(self, inbox, delivered):
-        fabric = self.fabric
+        slot_towards = self.pnet.edge_set.slot
         captured = []
         for src, dst in self.dup_pairs:
-            slot = _slot_towards(fabric, dst, src)
+            slot = slot_towards(dst, src)
             if slot is not None and (delivered is None or delivered[slot]):
                 captured.append((src, dst, int(inbox[slot])))
         change = 0
@@ -268,12 +254,12 @@ class _FaultHooks:
             if delivered is None:
                 delivered = np.ones(len(inbox), dtype=np.bool_)
             for src, dst in self.drops:
-                slot = _slot_towards(fabric, dst, src)
+                slot = slot_towards(dst, src)
                 if slot is not None and delivered[slot]:
                     delivered[slot] = False
                     change -= 1
             for src, dst, payload in self.pending:
-                slot = _slot_towards(fabric, dst, src)
+                slot = slot_towards(dst, src)
                 if slot is not None:
                     inbox[slot] = payload
                     delivered[slot] = True
@@ -294,16 +280,10 @@ class _FaultHooks:
         legal = conflicts == 0 and bool(
             ((colors >= 1) & (colors <= trace.budget)).all()
         )
-        trace.records.append(
-            RoundRecord(
-                round=round_number,
-                faults=tuple(self.log),
-                changes=changes,
-                conflicts=conflicts,
-                legal=legal,
-                messages=messages,
-            )
-        )
+        trace.records.append(RoundRecord(
+            round=round_number, faults=tuple(self.log), changes=changes,
+            conflicts=conflicts, legal=legal, messages=messages,
+        ))
         self.colors = colors
         snapshot, self.snapshot = self.snapshot, _snapshot(nodes)
         return (
@@ -340,23 +320,26 @@ def run_stabilizing(
         raise SimulationError(f"palette budget must be >= 1, got {budget}")
     if max_rounds < 1:
         raise SimulationError(f"max_rounds must be >= 1, got {max_rounds}")
-    initial = {
-        v: int((initial_coloring or {}).get(v, 0) or 0) for v in pnet.labels
-    }
+    labels = pnet.labels
+    initial = initial_coloring or {}
+    # column 0 the budget, column 1 the initial color, by node index
+    inputs = np.empty((len(labels), 2), dtype=np.int64)
+    inputs[:, 0] = budget
+    inputs[:, 1] = np.fromiter(
+        (initial.get(v) or 0 for v in labels), dtype=np.int64, count=len(labels)
+    )
     trace = StabilizationTrace(
-        labels=list(pnet.labels),
+        labels=list(labels),
+        index=pnet.index,
         budget=budget,
-        initial_coloring=dict(initial),
-        initial_edges=pnet.edges(),
+        initial_colors=inputs[:, 1].copy(),
+        initial_edges=pnet.edge_set.copy(),
         backend=pnet.backend,
         protocol=protocol,
     )
     hooks = _FaultHooks(pnet, plan, trace)
     result = SynchronousSimulator(pnet.network).run(
-        algorithm_factory,
-        inputs=[(budget, initial[v]) for v in pnet.labels],
-        max_rounds=max_rounds,
-        hooks=hooks,
+        algorithm_factory, inputs=inputs, max_rounds=max_rounds, hooks=hooks
     )
     trace.quiescent = result.finished
     colors = hooks.colors

@@ -9,12 +9,9 @@ the send phase of the current one, and logs what it actually did
 edge a previous event already removed — those are logged as skipped,
 never silently dropped).
 
-Plans are built either explicitly (tests) or through
-:meth:`FaultPlan.random`, which derives every choice from a
-``random.Random(seed)`` over the *initial* topology — the same seed on
-the same graph always yields the same plan, which is what the
-determinism property tests pin down (same seed ⇒ bit-identical event
-logs and final colorings across backends and repeated runs).
+Plans are built explicitly (tests) or by :meth:`FaultPlan.random`, which
+derives every choice from ``random.Random(seed)`` over the *initial*
+topology: the same seed on the same graph yields the same plan.
 
 Supported event kinds (:data:`FAULT_KINDS`):
 
@@ -38,13 +35,11 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-import numpy as np
-
 from repro.errors import GraphError
+from repro.faults.edgeset import EdgeSet
 from repro.graphs.frozen import GraphLike, freeze
 from repro.graphs.graph import Vertex
 
@@ -65,7 +60,6 @@ FAULT_KINDS = (
     "message-duplicate",
 )
 
-_EDGE_KINDS = ("edge-insert", "edge-delete")
 _NODE_KINDS = ("corrupt-color", "node-reset")
 _MESSAGE_KINDS = ("message-drop", "message-duplicate")
 
@@ -143,9 +137,6 @@ class FaultPlan:
     def kinds(self) -> tuple[str, ...]:
         return tuple(sorted({event.kind for event in self.events}))
 
-    def inserted_edges(self) -> list[tuple[Vertex, Vertex]]:
-        return [e.vertices for e in self.events if e.kind == "edge-insert"]
-
     def digest(self) -> str:
         payload = json.dumps(
             [list(event.key()) for event in self.events], separators=(",", ":")
@@ -191,14 +182,8 @@ class FaultPlan:
             raise GraphError("cannot plan faults on an empty graph")
         if palette is None:
             palette = frozen.max_degree() + 2
-        # the plan's projection of the edge set as its own edits apply: the
-        # sorted keys i * n + j (i < j) of its edges, which the CSR rows
-        # list in ascending order
-        n = len(vertices)
-        offsets, neighbors = frozen.csr_arrays()
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-        upper = rows < neighbors
-        present = (rows[upper] * n + neighbors[upper]).tolist()
+        # the plan's projection of the edge set as its own edits apply
+        edges = EdgeSet.from_csr(*frozen.csr_arrays())
         rounds = sorted(
             rng.randrange(start_round, start_round + window) for _ in range(events)
         )
@@ -209,9 +194,7 @@ class FaultPlan:
             schedule.extend(batch)
         out: list[FaultEvent] = []
         for event_round, kind in zip(rounds, schedule[:events]):
-            built = cls._random_event(
-                rng, kind, event_round, vertices, present, palette
-            )
+            built = cls._random_event(rng, kind, event_round, vertices, edges, palette)
             if built is not None:
                 out.append(built)
         return cls(events=tuple(out), seed=seed)
@@ -222,30 +205,26 @@ class FaultPlan:
         kind: str,
         event_round: int,
         vertices: list,
-        present: list[int],
+        edges: EdgeSet,
         palette: int,
     ) -> FaultEvent | None:
         n = len(vertices)
         if kind == "edge-insert":
             for _ in range(64):  # rejection-sample a non-edge
                 i, j = rng.randrange(n), rng.randrange(n)
-                if i == j:
-                    continue
-                key = min(i, j) * n + max(i, j)
-                pos = bisect_left(present, key)
-                if pos == len(present) or present[pos] != key:
-                    present.insert(pos, key)
+                if edges.insert(i, j):
                     return FaultEvent(event_round, kind, (vertices[i], vertices[j]))
             return None  # dense graph: no non-edge found, drop the event
         if kind == "edge-delete":
-            if not present:
+            if not edges:
                 return None
-            i, j = divmod(present.pop(rng.randrange(len(present))), n)
+            i, j = edges.edge(rng.randrange(len(edges)))
+            edges.delete(i, j)
             return FaultEvent(event_round, kind, (vertices[i], vertices[j]))
         if kind in _MESSAGE_KINDS:
-            if not present:
+            if not edges:
                 return None
-            i, j = divmod(present[rng.randrange(len(present))], n)
+            i, j = edges.edge(rng.randrange(len(edges)))
             if rng.random() < 0.5:
                 i, j = j, i  # message direction
             return FaultEvent(event_round, kind, (vertices[i], vertices[j]))
@@ -268,7 +247,7 @@ def palette_bound(graph: GraphLike, plan: FaultPlan) -> int:
     """
     degrees: dict[Vertex, int] = {v: graph.degree(v) for v in graph.vertices()}
     seen: set[tuple] = set()
-    for u, v in plan.inserted_edges():
+    for u, v in (e.vertices for e in plan.events if e.kind == "edge-insert"):
         key = tuple(sorted((repr(u), repr(v))))
         if key in seen or (u in degrees and graph.has_edge(u, v)):
             continue
@@ -289,14 +268,8 @@ def event_log_digest(log: Iterable[Any]) -> str:
     determinism tests compare bit-for-bit.
     """
     rows = [
-        [
-            entry.round,
-            entry.kind,
-            [repr(v) for v in entry.vertices],
-            entry.value,
-            bool(entry.applied),
-        ]
-        for entry in log
+        [e.round, e.kind, [repr(v) for v in e.vertices], e.value, bool(e.applied)]
+        for e in log
     ]
     payload = json.dumps(rows, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()

@@ -407,8 +407,10 @@ def lemma31_happy_fraction(
     with prof("freeze"):
         frozen = graph.freeze()
     with prof("solve"):
-        cls = classify_vertices(frozen, d=d)
         peeling = peel_happy_layers(frozen, d=d)
+    # the first layer classifies the whole graph at the default radius,
+    # where Lemma 3.1's promise leaves a happy vertex, so it never doubled
+    cls = peeling.layers[0].classification
     fraction = len(cls.happy) / frozen.number_of_vertices()
     bound = 1 / (3 * d) ** 3
     no_poor_bound = 1 / (12 * d + 1) if not cls.poor else None

@@ -1,51 +1,43 @@
 """Recovery oracles: legality after perturbation, measured and contained.
 
-The witness is a :class:`~repro.faults.engine.StabilizationTrace` — a
-*replayable* ledger: initial coloring + initial edges, then per round
-the applied fault events and the (vertex, new color) deltas.  That
-redundancy is the point: the oracles re-derive every per-round conflict
-count and legality flag from the deltas alone and compare them against
-what the run recorded, so a log that hides an illegal intermediate
-coloring (or smuggles in an unrecorded recolor) is rejected — the
-mutation tests pin this down.
+The witness is a :class:`~repro.faults.engine.StabilizationTrace`, a
+*replayable* ledger: the initial colors and edge set by vertex index,
+then per round the applied fault events and the (vertex, new color)
+deltas.  The oracles re-derive every per-round conflict count and
+legality flag from those alone and compare them with what the run
+recorded, so a log that hides an illegal intermediate coloring, smuggles
+in an unrecorded recolor or applies an edge event that names no edge of
+the graph is rejected (the mutation tests pin each case).
 
-The replay runs on arrays indexed by label position, whatever the labels
-are: the coloring is an ``int64`` array, the edge set a sorted array of
-index-pair keys, and a round's conflict recount is one gather-compare
-over the endpoint arrays.  Containment distances come from one sweep
-over the CSR of the union topology for all faults at once: each level
-is one gather and one ``np.minimum.reduceat`` of the earliest fault round
-within reach, so a run costs O(n + m) per level, however many faults it
-applied.
-
-Three consumers:
+The replay edits a copy of the trace's
+:class:`~repro.faults.edgeset.EdgeSet` as the events say, and a round's
+conflict recount is one gather-compare over its edge pairs.  Containment
+distances come from one sweep over the CSR of the union topology (the
+initial edges plus the applied inserts) for all faults at once: each
+level is one gather and one ``np.minimum.reduceat`` of the earliest
+fault round within reach, so a run costs O(n + m) per level, however
+many faults it applied.
 
 :class:`RecoveryOracle`
-    Replays the trace; asserts the recorded conflict counts, legality
-    flags, final coloring and quiescence claim are all consistent, and
-    that a quiescent run ends in a *legal* palette coloring.
+    Replays the trace and checks its conflict counts, legality flags,
+    final coloring and quiescence claim; a quiescent run must end in a
+    legal palette coloring.
 :class:`ContainmentOracle`
-    The dynamic extension of the PR-5 locality auditor: information
-    travels one hop per round, so a vertex recoloring at round ``r``
-    must lie within distance ``r - p + 1`` of some perturbation applied
-    at round ``p <= r``.  Distances are taken on the union topology
-    (initial plus all inserted edges) — a supergraph only shortens
-    distances, so the check never produces false alarms.
+    Information travels one hop per round, so a vertex recoloring at
+    round ``r`` must lie within distance ``r - p + 1`` of a perturbation
+    applied at round ``p <= r``.  The union topology only shortens
+    distances, so the check never raises a false alarm.
 :func:`recovery_metrics`
-    The scenario-facing measurement: rounds-to-recovery (rounds from
-    the last applied fault until legality holds for good), recolored
-    vertex count, containment radius, peak conflicts — the columns of
-    ``BENCH_dynamic.json``.
+    Rounds to recovery, recolored vertices, containment radius and peak
+    conflicts: the columns of ``BENCH_dynamic.json``.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Any
 
 import numpy as np
 
-from repro.graphs.frozen import FrozenGraph
 from repro.verify.oracle import Verdict, collector
 
 __all__ = [
@@ -61,54 +53,52 @@ __all__ = [
 # replay helpers
 # ---------------------------------------------------------------------------
 
+_EDGE_KINDS = ("edge-insert", "edge-delete")
 
-def _index_pairs(index: dict, pairs) -> np.ndarray:
-    """Vertex-label pairs as an ``(m, 2)`` int64 array of label indices."""
-    return np.fromiter(
-        map(index.__getitem__, chain.from_iterable(pairs)),
-        dtype=np.int64,
-        count=2 * len(pairs),
-    ).reshape(-1, 2)
+
+def _edge_events(index, record):
+    """Each applied edge event of ``record`` and its index pair, or None
+    when it names an unknown vertex or a loop."""
+    for fault in record.faults:
+        if fault.applied and fault.kind in _EDGE_KINDS:
+            ends = fault.vertices
+            i, j = (index.get(v) for v in ends) if len(ends) == 2 else (None, None)
+            yield fault, None if i is None or j is None or i == j else (i, j)
+
+
+def _bad_edge_events(index, record) -> list[str]:
+    return [
+        f"round {record.round}: applied {fault.kind} {fault.vertices!r} "
+        "names an unknown vertex or a loop"
+        for fault, pair in _edge_events(index, record)
+        if pair is None
+    ]
 
 
 class _Replay:
     """Steps a trace forward round by round, re-deriving legality.
 
-    The edge set is a sorted array of distinct ``lo * n + hi`` index
-    keys; an applied edge event inserts or deletes one key.
+    The edge set starts as a copy of the trace's; an applied edge event
+    inserts or deletes one edge, and one that names no edge of the graph
+    changes nothing (:func:`_bad_edge_events` reports it).
     """
 
     def __init__(self, trace):
-        self.index = {v: i for i, v in enumerate(trace.labels)}
-        self.n = len(trace.labels)
-        pairs = _index_pairs(self.index, trace.initial_edges)
-        self.keys = np.unique(pairs.min(axis=1) * self.n + pairs.max(axis=1))
-        self._split_keys()
-        self.colors = np.array(
-            [trace.initial_coloring[v] for v in trace.labels], dtype=np.int64
-        )
+        self.index = trace.index
+        self.edges = trace.initial_edges.copy()
+        self.lo, self.hi = self.edges.pairs()
+        self.colors = np.array(trace.initial_colors, dtype=np.int64)
         self.budget = trace.budget
-
-    def _split_keys(self) -> None:
-        self.lo, self.hi = np.divmod(self.keys, self.n)
 
     def apply(self, record) -> tuple[int, bool]:
         """Apply one record's faults + deltas; return (conflicts, legal)."""
-        edited = False
-        for fault in record.faults:
-            if not fault.applied or fault.kind not in ("edge-insert", "edge-delete"):
-                continue
-            i, j = (self.index[v] for v in fault.vertices)
-            key = min(i, j) * self.n + max(i, j)
-            pos = int(np.searchsorted(self.keys, key))
-            present = pos < len(self.keys) and self.keys[pos] == key
-            if fault.kind == "edge-insert" and not present:
-                self.keys = np.insert(self.keys, pos, key)
-            elif fault.kind == "edge-delete" and present:
-                self.keys = np.delete(self.keys, pos)
-            edited = True
+        edges, edited = self.edges, False
+        for fault, pair in _edge_events(self.index, record):
+            if pair is not None:
+                edit = edges.insert if fault.kind == "edge-insert" else edges.delete
+                edited |= edit(*pair)
         if edited:
-            self._split_keys()
+            self.lo, self.hi = edges.pairs()
         for vertex, color in record.changes:
             self.colors[self.index[vertex]] = color
         colors = self.colors
@@ -134,9 +124,7 @@ class RecoveryOracle:
         out = collector(self.name)
         replay = _Replay(trace)
         known = replay.index
-        expected_round = 0
-        for record in trace.records:
-            expected_round += 1
+        for expected_round, record in enumerate(trace.records, start=1):
             out.saw()
             if record.round != expected_round:
                 out.fail(
@@ -150,6 +138,8 @@ class RecoveryOracle:
                     f"vertices {sorted(map(repr, bad))[:4]}"
                 )
                 continue
+            for failure in _bad_edge_events(known, record):
+                out.fail(failure)
             conflicts, legal = replay.apply(record)
             if conflicts != record.conflicts:
                 out.fail(
@@ -165,11 +155,8 @@ class RecoveryOracle:
         out.saw()
         replayed = dict(zip(trace.labels, replay.colors.tolist()))
         if trace.final_coloring != replayed:
-            diff = [
-                v
-                for v in trace.labels
-                if trace.final_coloring.get(v) != replayed.get(v)
-            ]
+            final = trace.final_coloring
+            diff = [v for v in trace.labels if final.get(v) != replayed[v]]
             out.fail(
                 f"final coloring disagrees with the replayed deltas on "
                 f"{len(diff)} vertex(es), e.g. {sorted(map(repr, diff))[:4]}"
@@ -205,12 +192,10 @@ def measure_containment(trace) -> tuple[int, list[str]]:
     Every (vertex, round) recolor must be reachable from some applied
     perturbation: distance at most ``round - p + 1`` from a fault
     applied at round ``p``.  (A fault applied before round ``p``'s sends
-    is broadcast in round ``p`` and received the same round — the
-    synchronous engine delivers within the round — so distance-1
-    vertices may already react at round ``p``; each further hop costs a
-    round.)  The radius is the largest seed distance any recolor
-    attained — how far the damage spread before the protocol contained
-    it.
+    is received in round ``p``, so distance-1 vertices may already react
+    at round ``p``; each further hop costs a round.)  The radius is the
+    largest seed distance any recolor attained.  An applied edge event
+    that names no edge of the graph is a violation too.
 
     Distances come from one sweep over the union topology for all faults
     at once.  ``earliest[v]`` holds the earliest round of an applied
@@ -220,14 +205,11 @@ def measure_containment(trace) -> tuple[int, list[str]]:
     read there lies at some ``d' <= d`` and is admissible at ``d'``, so
     the first such depth is the smallest admissible distance.
     """
-    index = {v: i for i, v in enumerate(trace.labels)}
-    recolors = [
-        (record.round, vertex)
-        for record in trace.records
-        for vertex, _color in record.changes
-    ]
+    index = trace.index
+    malformed = [f for record in trace.records for f in _bad_edge_events(index, record)]
+    recolors = [(r.round, vertex) for r in trace.records for vertex, _c in r.changes]
     if not recolors:
-        return 0, []
+        return 0, malformed
     rounds = np.fromiter((r for r, _v in recolors), dtype=np.int64, count=len(recolors))
     # an unknown label gets index -1, the cell past the last vertex below,
     # which no level lowers: it lies outside every cone
@@ -237,13 +219,8 @@ def measure_containment(trace) -> tuple[int, list[str]]:
     n = len(trace.labels)
     applied = trace.applied_events()
     last_round = int(rounds.max())
-    seeds = [
-        (fault.round, index[v])
-        for fault in applied
-        if fault.round <= last_round
-        for v in fault.vertices
-        if v in index
-    ]
+    seeds = [(fault.round, index[v]) for fault in applied if fault.round <= last_round
+             for v in fault.vertices if v in index]
     # the smallest admissible seed distance per recolor (-1: none)
     best = np.full(len(recolors), -1, dtype=np.int64)
     # int64 max: no fault within reach
@@ -251,14 +228,12 @@ def measure_containment(trace) -> tuple[int, list[str]]:
     if seeds:
         seed_rounds, seed_vertices = np.array(seeds, dtype=np.int64).T
         np.minimum.at(earliest, seed_vertices, seed_rounds)
-        inserted = [f.vertices for f in applied if f.kind == "edge-insert"]
-        union = FrozenGraph.from_edge_array(
-            n,
-            np.concatenate(
-                (_index_pairs(index, trace.initial_edges), _index_pairs(index, inserted))
-            ),
-        )
-        offsets, neighbors = union.csr_arrays()
+        union = trace.initial_edges.copy()
+        for record in trace.records:
+            for fault, pair in _edge_events(index, record):
+                if pair is not None and fault.kind == "edge-insert":
+                    union.insert(*pair)
+        offsets, neighbors = union.split()
         # reduceat takes the rows that have neighbours: each segment from
         # one such row's start to the next is exactly its neighbour slice
         rows = np.flatnonzero(np.diff(offsets))
@@ -281,7 +256,7 @@ def measure_containment(trace) -> tuple[int, list[str]]:
                 break
             earliest[rows] = lowered
             depth += 1
-    violations = [
+    violations = malformed + [
         f"vertex {recolors[k][1]!r} recolored at round {recolors[k][0]} "
         "outside the causal cone of every applied perturbation"
         for k in np.flatnonzero(best < 0).tolist()

@@ -198,7 +198,7 @@ def test_barenboim_elkin_flat_trailing_isolated_vertex():
     g = Graph(vertices=[0, 1, 2])
     g.add_edge(0, 1)  # vertex 2 stays isolated
     frozen = g.freeze()
-    a = barenboim_elkin_coloring(frozen, arboricity=1)
+    a = barenboim_elkin_coloring(frozen, arboricity=1, backend="dict")
     b = barenboim_elkin_coloring(frozen, arboricity=1, backend="flat")
     assert a.coloring == b.coloring
     assert a.rounds == b.rounds
@@ -278,7 +278,7 @@ def test_sparse_coloring_refuses_any_backend_but_flat():
 def test_barenboim_elkin_backends_bit_identical(seed):
     n = random.Random(seed).randint(30, 120)
     graph = sparse.union_of_random_forests(n, 2, seed=seed).freeze()
-    a = barenboim_elkin_coloring(graph, arboricity=2)
+    a = barenboim_elkin_coloring(graph, arboricity=2, backend="dict")
     b = barenboim_elkin_coloring(graph, arboricity=2, backend="flat")
     ColoringParityOracle().check(
         coloring_a=a.coloring, coloring_b=b.coloring,

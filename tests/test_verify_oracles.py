@@ -23,6 +23,7 @@ from repro.errors import VerificationError
 from repro.faults import (
     FAULT_KINDS,
     AppliedFault,
+    EdgeSet,
     FaultEvent,
     FaultPlan,
     PerturbableNetwork,
@@ -601,6 +602,55 @@ def test_recovery_oracle_rejects_flipped_edge_event():
     assert any("replay finds" in d for d in verdict.diagnostics)
 
 
+def _path6_trace():
+    """A genuine min+1 run on a 6-path with one recolor.
+
+    A corrupt-color at vertex 2 (round 2) copies its neighbour's color,
+    so the run recolors and the containment audit has a recolor to place.
+    """
+    graph = classic.path(6)
+    initial = degeneracy_greedy_coloring(graph)
+    plan = FaultPlan(
+        events=(FaultEvent(2, "corrupt-color", (2,), value=initial[1]),), seed=0
+    )
+    per_node, _batched = STABILIZING_PROTOCOLS["min-plus-one"]
+    trace = run_stabilizing(
+        PerturbableNetwork(graph, backend="dict"),
+        per_node,
+        plan=plan,
+        budget=palette_bound(graph, plan),
+        initial_coloring=initial,
+        max_rounds=50,
+        protocol="min-plus-one",
+    )
+    assert any(record.changes for record in trace.records)
+    return trace
+
+
+@pytest.mark.parametrize("oracle", [RecoveryOracle, ContainmentOracle])
+@pytest.mark.parametrize(
+    "vertices", [(0, "ghost"), (3, 3)], ids=["unknown-vertex", "loop"]
+)
+def test_recovery_oracles_fail_on_a_tampered_edge_event(oracle, vertices):
+    """An applied edge event naming no edge fails the verdict, it does not raise.
+
+    An unknown vertex used to raise ``KeyError`` in both replays, and a
+    loop was inserted as a key, so the replay found a self-conflict.
+    """
+    trace = _path6_trace()
+    assert oracle().check(trace=trace).ok
+    record = trace.records[2]
+    record.faults = record.faults + (
+        AppliedFault(record.round, "edge-insert", vertices, None, True),
+    )
+    verdict = oracle().check(trace=trace)
+    assert not verdict.ok
+    assert verdict.diagnostics == [
+        f"round {record.round}: applied edge-insert {vertices!r} names an "
+        "unknown vertex or a loop"
+    ]
+
+
 def test_containment_cone_follows_inserted_edges_only_when_applied():
     # p23 is 18 path hops from the round-2 corruption at p5, but 3 hops
     # (p5 - p4 - p24 - p23) over the inserted edge: a round-4 recolor
@@ -636,12 +686,14 @@ def _containment_per_fault_bfs(trace) -> tuple[int, list[str]]:
     # unknown labels read the cell past the last vertex, which no BFS reaches
     positions = np.array([index.get(v, -1) for _r, v in recolors], dtype=np.int64)
     applied = trace.applied_events()
-    pairs = list(trace.initial_edges) + [
-        f.vertices for f in applied if f.kind == "edge-insert"
+    # the initial edges as index pairs, read off the trace's own edge set
+    pairs = np.column_stack(trace.initial_edges.pairs()).tolist() + [
+        [index[u], index[v]]
+        for f in applied if f.kind == "edge-insert"
+        for u, v in [f.vertices]
     ]
     union = FrozenGraph.from_edge_array(
-        len(trace.labels),
-        np.array([(index[u], index[v]) for u, v in pairs], dtype=np.int64).reshape(-1, 2),
+        len(trace.labels), np.array(pairs, dtype=np.int64).reshape(-1, 2),
     )
     last_round = int(rounds.max())
     best = np.full(len(recolors), -1, dtype=np.int64)
@@ -753,11 +805,13 @@ def _one_fault_path_trace(recolor_round: int, recolor_vertex: int) -> Stabilizat
         )
         for r in range(1, 6)
     ]
+    path = FrozenGraph.from_edge_array(len(labels), list(zip(labels, labels[1:])))
     return StabilizationTrace(
         labels=labels,
+        index={v: i for i, v in enumerate(labels)},
         budget=3,
-        initial_coloring={v: 1 + v % 2 for v in labels},
-        initial_edges=list(zip(labels, labels[1:])),
+        initial_colors=np.array([1 + v % 2 for v in labels], dtype=np.int64),
+        initial_edges=EdgeSet.from_csr(*path.csr_arrays()),
         records=records,
     )
 
