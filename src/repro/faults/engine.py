@@ -2,32 +2,41 @@
 
 :func:`run_stabilizing` drives a stabilizing node program (per-node or
 batched, see :mod:`repro.distributed.stabilizing`) on a
-:class:`~repro.faults.network.PerturbableNetwork` under a
-:class:`~repro.faults.plan.FaultPlan`.  The rounds run on the static
-engine, :class:`~repro.local.simulator.SynchronousSimulator`, with the
-fault plane as its ``hooks``; this module only edits rounds and records
-them.  Stabilizing protocols never terminate, so the hooks stop the run
-at *quiescence* (a round in which the full protocol state, invisible
-flags included, did not change, no fault fired and none remains
-scheduled) or the round cap stops it; with ``strict=True`` the cap
-raises :class:`~repro.errors.NonTerminationError`.
+:class:`~repro.faults.network.PerturbableNetwork` while applying a
+:class:`~repro.faults.plan.FaultPlan`.  The rounds themselves run on the
+static engine, :class:`~repro.local.simulator.SynchronousSimulator`, with
+the fault plane passed as its ``hooks``; this module only edits rounds
+and records them.  Stabilizing protocols have no terminal state, so the
+engine's active-set termination never fires; instead the hooks stop the
+run at *quiescence* — a round in which the full protocol state (not just
+the output colors: invisible flags count) did not change, no fault fired
+and none remains scheduled — or the round cap stops it, which with
+``strict=True`` raises the structured
+:class:`~repro.errors.NonTerminationError`.
 
 Per round, in order:
 
-1. before the sends, apply the round's events (edge edits first, so a
-   message fault is judged against the topology it runs on) and, if
-   edges changed, hand the engine the rebuilt network;
+1. before the sends, apply the plan's events for this round (topology
+   edits first — the plan's canonical event order sorts edge edits
+   before message faults, so a message fault is judged against the
+   topology it will run on) and, if edges changed, hand the engine the
+   rebuilt network, whose fabric it rebinds;
 2. between delivery and receive, drop this round's lost messages and
-   land last round's captured duplicates on top of the fresh message of
-   their slot (a stale duplicate is a receiver acting on outdated state);
+   re-deliver last round's captured duplicates on top of (i.e.
+   overwriting) the fresh message of the same slot — a stale duplicate
+   is exactly "the receiver acts on outdated neighbour state";
 3. after the receives, record a :class:`RoundRecord`: what fired, which
-   vertices changed color and to what, the number of conflicting edges
-   and the legality flag.  Both loops hand the colors over as an
-   ``int64`` array, so the deltas are a ``flatnonzero`` of the color
-   diff and the conflict count one gather over the fabric.
+   vertices changed color (with the new color — the trace is
+   *replayable*, which is how the
+   :class:`~repro.verify.recovery.RecoveryOracle` catches tampered logs),
+   the number of conflicting edges and the legality flag.  Both loops
+   hand the colors over as an ``int64`` array, so the deltas are a
+   ``flatnonzero`` of the color diff and the conflict count one gather
+   over the fabric, whatever the backend.
 
-The records land in a :class:`StabilizationTrace`, the one witness the
-recovery and containment oracles and the E18 scenario metrics read.
+Every record lands in a :class:`StabilizationTrace`, the single witness
+object the recovery oracles, the containment auditor and the E18
+scenario metrics all read.
 """
 
 from __future__ import annotations
@@ -169,23 +178,25 @@ class _FaultHooks:
         topo_changed = False
 
         def done(event: FaultEvent, applied: bool, note: str = "") -> None:
-            log.append(AppliedFault(
-                event.round, event.kind, event.vertices, event.value, applied, note
-            ))
+            log.append(
+                AppliedFault(
+                    event.round, event.kind, event.vertices, event.value,
+                    applied, note,
+                )
+            )
 
         # the plan sorts edge edits first, so a message fault is judged
         # against the topology its round runs on
         for event in self.plan.events_for(round_number):
             kind = event.kind
-            if kind in ("edge-insert", "edge-delete"):
-                insert = kind == "edge-insert"
-                applied = (pnet.insert_edge if insert else pnet.delete_edge)(
-                    *event.vertices
-                )
+            if kind == "edge-insert":
+                applied = pnet.insert_edge(*event.vertices)
                 topo_changed |= applied
-                done(event, applied, "" if applied else (
-                    "edge already present" if insert else "edge not present"
-                ))
+                done(event, applied, "" if applied else "edge already present")
+            elif kind == "edge-delete":
+                applied = pnet.delete_edge(*event.vertices)
+                topo_changed |= applied
+                done(event, applied, "" if applied else "edge not present")
             elif kind in ("corrupt-color", "node-reset"):
                 index = pnet.index.get(event.vertices[0])
                 if index is None:
@@ -203,11 +214,12 @@ class _FaultHooks:
                     nodes.reset_batch(index)
                 done(event, True)
             else:  # message-drop / message-duplicate
-                if not pnet.has_edge(*event.vertices):
+                u, v = event.vertices
+                i, j = pnet.index.get(u), pnet.index.get(v)
+                if i is None or j is None or not pnet.has_edge(u, v):
                     done(event, False, "edge not present")
                     continue
-                pair = tuple(map(pnet.index.get, event.vertices))
-                (self.drops if kind == "message-drop" else self.dup_pairs).add(pair)
+                (self.drops if kind == "message-drop" else self.dup_pairs).add((i, j))
                 done(event, True)
         if not topo_changed:
             return None
@@ -280,10 +292,16 @@ class _FaultHooks:
         legal = conflicts == 0 and bool(
             ((colors >= 1) & (colors <= trace.budget)).all()
         )
-        trace.records.append(RoundRecord(
-            round=round_number, faults=tuple(self.log), changes=changes,
-            conflicts=conflicts, legal=legal, messages=messages,
-        ))
+        trace.records.append(
+            RoundRecord(
+                round=round_number,
+                faults=tuple(self.log),
+                changes=changes,
+                conflicts=conflicts,
+                legal=legal,
+                messages=messages,
+            )
+        )
         self.colors = colors
         snapshot, self.snapshot = self.snapshot, _snapshot(nodes)
         return (
@@ -339,7 +357,10 @@ def run_stabilizing(
     )
     hooks = _FaultHooks(pnet, plan, trace)
     result = SynchronousSimulator(pnet.network).run(
-        algorithm_factory, inputs=inputs, max_rounds=max_rounds, hooks=hooks
+        algorithm_factory,
+        inputs=inputs,
+        max_rounds=max_rounds,
+        hooks=hooks,
     )
     trace.quiescent = result.finished
     colors = hooks.colors

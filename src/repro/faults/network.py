@@ -2,22 +2,33 @@
 
 A :class:`PerturbableNetwork` owns the ground-truth edge set of a
 dynamic run, an :class:`~repro.faults.edgeset.EdgeSet` of vertex-index
-keys.  The vertex set, and so the identifiers ``1..n`` in vertex order,
-is fixed; edits splice keys between rounds.  After them
-:attr:`PerturbableNetwork.network` rebuilds a port-numbered
-:class:`~repro.local.network.Network` (neighbours by increasing
-identifier, as the LOCAL model prescribes) off the set's CSR split,
-over a :class:`~repro.graphs.frozen.FrozenGraph` view that shares the
-input's label list and label index.  Two backends build the fabric:
+keys.  The vertex set (and hence the identifier assignment ``1..n`` in
+vertex order) is fixed at construction; edges come and go between
+rounds.  After each batch of edits the engine reads
+:attr:`PerturbableNetwork.network` and gets a fresh, consistent
+port-numbered :class:`~repro.local.network.Network` whose routing
+fabric reflects the current topology — ports renumber exactly as the
+LOCAL model prescribes (neighbours enumerated by increasing
+identifier).
+
+Every rebuild splits the edge set's keys into the CSR routing-fabric
+tables, and the :class:`Network` reads its graph through
+a :class:`~repro.graphs.frozen.FrozenGraph` view of the fabric's
+``offsets``/``endpoints`` arrays that shares the input's label list and
+label index.  Two backends build the fabric,
+mirroring the dict/flat split of the static engine:
 
 * ``dict`` — Python-list tables with per-slot bisection for
   ``reverse_slot``; the reference.
-* ``flat`` — the split's ``int64`` arrays handed to
-  :func:`repro.local.network._fabric_from_csr`, which recovers
-  ``reverse_slot`` with one value sort and leaves the list views lazy.
+* ``flat`` — ``int64`` arrays handed to the frozen CSR fast path
+  (:func:`repro.local.network._fabric_from_csr`), which recovers
+  ``reverse_slot`` with one value sort of packed ``(dst << b) | slot``
+  keys and leaves the fabric's Python list views to be built on first
+  read (only the per-node engine reads them).
 
-The parity tests assert both produce identical tables after identical
-edit sequences, which licenses the flat backend in the benchmarks.
+The parity tests assert both backends produce identical tables after
+identical edit sequences, which is what licenses the flat backend in
+the benchmarked scenarios.
 """
 
 from __future__ import annotations

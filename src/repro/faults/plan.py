@@ -9,9 +9,12 @@ the send phase of the current one, and logs what it actually did
 edge a previous event already removed — those are logged as skipped,
 never silently dropped).
 
-Plans are built explicitly (tests) or by :meth:`FaultPlan.random`, which
-derives every choice from ``random.Random(seed)`` over the *initial*
-topology: the same seed on the same graph yields the same plan.
+Plans are built either explicitly (tests) or through
+:meth:`FaultPlan.random`, which derives every choice from a
+``random.Random(seed)`` over the *initial* topology — the same seed on
+the same graph always yields the same plan, which is what the
+determinism property tests pin down (same seed ⇒ bit-identical event
+logs and final colorings across backends and repeated runs).
 
 Supported event kinds (:data:`FAULT_KINDS`):
 
@@ -137,6 +140,9 @@ class FaultPlan:
     def kinds(self) -> tuple[str, ...]:
         return tuple(sorted({event.kind for event in self.events}))
 
+    def inserted_edges(self) -> list[tuple[Vertex, Vertex]]:
+        return [e.vertices for e in self.events if e.kind == "edge-insert"]
+
     def digest(self) -> str:
         payload = json.dumps(
             [list(event.key()) for event in self.events], separators=(",", ":")
@@ -194,7 +200,9 @@ class FaultPlan:
             schedule.extend(batch)
         out: list[FaultEvent] = []
         for event_round, kind in zip(rounds, schedule[:events]):
-            built = cls._random_event(rng, kind, event_round, vertices, edges, palette)
+            built = cls._random_event(
+                rng, kind, event_round, vertices, edges, palette
+            )
             if built is not None:
                 out.append(built)
         return cls(events=tuple(out), seed=seed)
@@ -247,7 +255,7 @@ def palette_bound(graph: GraphLike, plan: FaultPlan) -> int:
     """
     degrees: dict[Vertex, int] = {v: graph.degree(v) for v in graph.vertices()}
     seen: set[tuple] = set()
-    for u, v in (e.vertices for e in plan.events if e.kind == "edge-insert"):
+    for u, v in plan.inserted_edges():
         key = tuple(sorted((repr(u), repr(v))))
         if key in seen or (u in degrees and graph.has_edge(u, v)):
             continue
@@ -268,8 +276,14 @@ def event_log_digest(log: Iterable[Any]) -> str:
     determinism tests compare bit-for-bit.
     """
     rows = [
-        [e.round, e.kind, [repr(v) for v in e.vertices], e.value, bool(e.applied)]
-        for e in log
+        [
+            entry.round,
+            entry.kind,
+            [repr(v) for v in entry.vertices],
+            entry.value,
+            bool(entry.applied),
+        ]
+        for entry in log
     ]
     payload = json.dumps(rows, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()

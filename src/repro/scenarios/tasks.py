@@ -50,6 +50,7 @@ from repro.core import (
     color_planar_graph,
     color_sparse_graph,
     color_triangle_free_planar_graph,
+    default_rich_ball_radius,
     genus_color_budget,
     nice_list_coloring,
     peel_happy_layers,
@@ -408,9 +409,14 @@ def lemma31_happy_fraction(
         frozen = graph.freeze()
     with prof("solve"):
         peeling = peel_happy_layers(frozen, d=d)
-    # the first layer classifies the whole graph at the default radius,
-    # where Lemma 3.1's promise leaves a happy vertex, so it never doubled
-    cls = peeling.layers[0].classification
+        first = peeling.layers[0]
+        # the first layer classified the whole graph at the default radius
+        # unless it found no happy vertex there and doubled the radius; the
+        # row reports the default radius, where Lemma 3.1 makes its promise
+        if first.radius_used == default_rich_ball_radius(frozen.number_of_vertices()):
+            cls = first.classification
+        else:
+            cls = classify_vertices(frozen, d=d)
     fraction = len(cls.happy) / frozen.number_of_vertices()
     bound = 1 / (3 * d) ** 3
     no_poor_bound = 1 / (12 * d + 1) if not cls.poor else None

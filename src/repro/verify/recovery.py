@@ -1,35 +1,43 @@
 """Recovery oracles: legality after perturbation, measured and contained.
 
-The witness is a :class:`~repro.faults.engine.StabilizationTrace`, a
-*replayable* ledger: the initial colors and edge set by vertex index,
-then per round the applied fault events and the (vertex, new color)
-deltas.  The oracles re-derive every per-round conflict count and
-legality flag from those alone and compare them with what the run
-recorded, so a log that hides an illegal intermediate coloring, smuggles
-in an unrecorded recolor or applies an edge event that names no edge of
-the graph is rejected (the mutation tests pin each case).
+The witness is a :class:`~repro.faults.engine.StabilizationTrace` — a
+*replayable* ledger: initial coloring + initial edges, then per round
+the applied fault events and the (vertex, new color) deltas.  That
+redundancy is the point: the oracles re-derive every per-round conflict
+count and legality flag from the deltas alone and compare them against
+what the run recorded, so a log that hides an illegal intermediate
+coloring (or smuggles in an unrecorded recolor, or applies an edge event
+that names an unknown vertex or a loop) is rejected — the mutation tests
+pin this down.
 
-The replay edits a copy of the trace's
-:class:`~repro.faults.edgeset.EdgeSet` as the events say, and a round's
-conflict recount is one gather-compare over its edge pairs.  Containment
-distances come from one sweep over the CSR of the union topology (the
-initial edges plus the applied inserts) for all faults at once: each
-level is one gather and one ``np.minimum.reduceat`` of the earliest
-fault round within reach, so a run costs O(n + m) per level, however
-many faults it applied.
+The replay runs on arrays indexed by label position, whatever the labels
+are: the coloring is an ``int64`` array, the edge set a copy of the
+trace's :class:`~repro.faults.edgeset.EdgeSet` of index-pair keys, and a
+round's conflict recount is one gather-compare over the endpoint arrays.
+Containment distances come from one sweep over the CSR of the union
+topology (the initial keys plus the applied inserts) for all faults at
+once: each level is one gather and one ``np.minimum.reduceat`` of the
+earliest fault round within reach, so a run costs O(n + m) per level,
+however many faults it applied.
+
+Three consumers:
 
 :class:`RecoveryOracle`
-    Replays the trace and checks its conflict counts, legality flags,
-    final coloring and quiescence claim; a quiescent run must end in a
-    legal palette coloring.
+    Replays the trace; asserts the recorded conflict counts, legality
+    flags, final coloring and quiescence claim are all consistent, and
+    that a quiescent run ends in a *legal* palette coloring.
 :class:`ContainmentOracle`
-    Information travels one hop per round, so a vertex recoloring at
-    round ``r`` must lie within distance ``r - p + 1`` of a perturbation
-    applied at round ``p <= r``.  The union topology only shortens
-    distances, so the check never raises a false alarm.
+    The dynamic extension of the PR-5 locality auditor: information
+    travels one hop per round, so a vertex recoloring at round ``r``
+    must lie within distance ``r - p + 1`` of some perturbation applied
+    at round ``p <= r``.  Distances are taken on the union topology
+    (initial plus all inserted edges) — a supergraph only shortens
+    distances, so the check never produces false alarms.
 :func:`recovery_metrics`
-    Rounds to recovery, recolored vertices, containment radius and peak
-    conflicts: the columns of ``BENCH_dynamic.json``.
+    The scenario-facing measurement: rounds-to-recovery (rounds from
+    the last applied fault until legality holds for good), recolored
+    vertex count, containment radius, peak conflicts — the columns of
+    ``BENCH_dynamic.json``.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.faults.edgeset import EdgeSet
 from repro.verify.oracle import Verdict, collector
 
 __all__ = [
@@ -52,6 +61,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # replay helpers
 # ---------------------------------------------------------------------------
+
 
 _EDGE_KINDS = ("edge-insert", "edge-delete")
 
@@ -124,7 +134,9 @@ class RecoveryOracle:
         out = collector(self.name)
         replay = _Replay(trace)
         known = replay.index
-        for expected_round, record in enumerate(trace.records, start=1):
+        expected_round = 0
+        for record in trace.records:
+            expected_round += 1
             out.saw()
             if record.round != expected_round:
                 out.fail(
@@ -155,8 +167,11 @@ class RecoveryOracle:
         out.saw()
         replayed = dict(zip(trace.labels, replay.colors.tolist()))
         if trace.final_coloring != replayed:
-            final = trace.final_coloring
-            diff = [v for v in trace.labels if final.get(v) != replayed[v]]
+            diff = [
+                v
+                for v in trace.labels
+                if trace.final_coloring.get(v) != replayed.get(v)
+            ]
             out.fail(
                 f"final coloring disagrees with the replayed deltas on "
                 f"{len(diff)} vertex(es), e.g. {sorted(map(repr, diff))[:4]}"
@@ -192,10 +207,13 @@ def measure_containment(trace) -> tuple[int, list[str]]:
     Every (vertex, round) recolor must be reachable from some applied
     perturbation: distance at most ``round - p + 1`` from a fault
     applied at round ``p``.  (A fault applied before round ``p``'s sends
-    is received in round ``p``, so distance-1 vertices may already react
-    at round ``p``; each further hop costs a round.)  The radius is the
-    largest seed distance any recolor attained.  An applied edge event
-    that names no edge of the graph is a violation too.
+    is broadcast in round ``p`` and received the same round — the
+    synchronous engine delivers within the round — so distance-1
+    vertices may already react at round ``p``; each further hop costs a
+    round.)  The radius is the largest seed distance any recolor
+    attained — how far the damage spread before the protocol contained
+    it.  An applied edge event that names an unknown vertex or a loop is
+    a violation too.
 
     Distances come from one sweep over the union topology for all faults
     at once.  ``earliest[v]`` holds the earliest round of an applied
@@ -207,7 +225,11 @@ def measure_containment(trace) -> tuple[int, list[str]]:
     """
     index = trace.index
     malformed = [f for record in trace.records for f in _bad_edge_events(index, record)]
-    recolors = [(r.round, vertex) for r in trace.records for vertex, _c in r.changes]
+    recolors = [
+        (record.round, vertex)
+        for record in trace.records
+        for vertex, _color in record.changes
+    ]
     if not recolors:
         return 0, malformed
     rounds = np.fromiter((r for r, _v in recolors), dtype=np.int64, count=len(recolors))
@@ -219,8 +241,13 @@ def measure_containment(trace) -> tuple[int, list[str]]:
     n = len(trace.labels)
     applied = trace.applied_events()
     last_round = int(rounds.max())
-    seeds = [(fault.round, index[v]) for fault in applied if fault.round <= last_round
-             for v in fault.vertices if v in index]
+    seeds = [
+        (fault.round, index[v])
+        for fault in applied
+        if fault.round <= last_round
+        for v in fault.vertices
+        if v in index
+    ]
     # the smallest admissible seed distance per recolor (-1: none)
     best = np.full(len(recolors), -1, dtype=np.int64)
     # int64 max: no fault within reach
@@ -228,11 +255,20 @@ def measure_containment(trace) -> tuple[int, list[str]]:
     if seeds:
         seed_rounds, seed_vertices = np.array(seeds, dtype=np.int64).T
         np.minimum.at(earliest, seed_vertices, seed_rounds)
-        union = trace.initial_edges.copy()
-        for record in trace.records:
-            for fault, pair in _edge_events(index, record):
-                if pair is not None and fault.kind == "edge-insert":
-                    union.insert(*pair)
+        # the initial keys merged with both keys of every applied insert
+        initial = trace.initial_edges
+        lo, hi = np.array(
+            [
+                pair
+                for record in trace.records
+                for fault, pair in _edge_events(index, record)
+                if pair is not None and fault.kind == "edge-insert"
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 2).T
+        shift = initial.shift
+        inserted = np.concatenate((lo << shift | hi, hi << shift | lo))
+        union = EdgeSet(n, np.union1d(initial.keys, inserted), shift)
         offsets, neighbors = union.split()
         # reduceat takes the rows that have neighbours: each segment from
         # one such row's start to the next is exactly its neighbour slice

@@ -41,7 +41,8 @@ from repro.faults import (
     RoundRecord,
     StabilizationTrace,
 )
-from repro.graphs.frozen import FrozenGraph, freeze
+from repro.errors import GraphError
+from repro.graphs.frozen import FrozenGraph, _sorted_pair_keys, freeze
 from repro.graphs.graph import Graph
 from repro.verify.recovery import _Replay
 
@@ -138,8 +139,14 @@ def _check_edits(graph: Graph, edits) -> None:
     n = len(labels)
     reference = SortedListAdjacency(frozen)
     nets = {b: PerturbableNetwork(frozen, backend=b) for b in ("dict", "flat")}
-    # the plan's projection, built as FaultPlan.random builds it
-    plan_edges = EdgeSet.from_csr(*frozen.csr_arrays())
+    # the plan's projection, built as FaultPlan.random builds it: the CSR
+    # rows' keys, already in the order a sort would give them
+    offsets, neighbors = frozen.csr_arrays()
+    plan_edges = EdgeSet.from_csr(offsets, neighbors)
+    sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    sorted_keys, shift = _sorted_pair_keys(sources, neighbors, n, n)
+    assert plan_edges.shift == shift
+    assert plan_edges.keys.tolist() == sorted_keys.tolist()
     replay = _Replay(
         StabilizationTrace(
             labels=labels,
@@ -239,15 +246,15 @@ def test_edge_set_k_th_pick_follows_index_order():
     assert [edges.edge(k) for k in range(len(edges))] == [(1, 2), (1, 4), (2, 4), (3, 4)]
 
 
-def test_edge_set_k_th_pick_through_many_pending_edits():
-    """Picks read pending edits row by row, and splice them past a threshold."""
+def test_edge_set_k_th_pick_through_many_edits():
+    """Picks and pairs stay in index order through hundreds of random edits."""
     rng = random.Random(7)
     n = 80
     pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(150)}
     edges = EdgeSet.from_csr(*FrozenGraph.from_edge_array(n, sorted(pairs)).csr_arrays())
     assert edges.edge(0) == min(pairs)
-    for checkpoint in (40, 350, 420, 900):
-        while len(edges._added) + len(edges._removed) < checkpoint - 20:
+    for _checkpoint in range(9):
+        for _ in range(100):
             i, j = rng.sample(range(n), 2)
             pair = (min(i, j), max(i, j))
             if rng.random() < 0.5:
@@ -259,3 +266,10 @@ def test_edge_set_k_th_pick_through_many_pending_edits():
         assert len(edges) == len(pairs)
         assert [edges.edge(k) for k in range(len(pairs))] == sorted(pairs)
     assert np.column_stack(edges.pairs()).tolist() == [list(p) for p in sorted(pairs)]
+
+
+def test_edge_set_refuses_keys_past_63_bits():
+    # a zero-stride view: n = 2^31 + 1 vertices with no memory behind them
+    offsets = np.broadcast_to(np.int64(0), (2**31 + 2,))
+    with pytest.raises(GraphError, match="63-bit"):
+        EdgeSet.from_csr(offsets, np.empty(0, dtype=np.int64))

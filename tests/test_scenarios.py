@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import _parse_set, main as cli_main
+from repro.core import happy, peeling
 from repro.scenarios import (
     CAMPAIGNS,
     PROFILE_STAGES,
@@ -24,6 +25,7 @@ from repro.scenarios import (
     scenario_names,
     validate_artifact,
 )
+from repro.scenarios import tasks
 
 NAMES = scenario_names()
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -406,6 +408,25 @@ _AT_THE_CROSS_BOUNDS = {
 def test_cross_parameter_bounds_still_run(scenario, overrides):
     run = run_scenario(scenario, smoke=True, overrides=overrides, workers=1, export=False)
     assert run.runner.rows
+
+
+def test_lemma31_row_fails_when_the_default_radius_finds_no_happy_vertex(monkeypatch):
+    """A peel that doubles its first radius does not lend the row its fraction.
+
+    With the rich-ball radius stubbed to 1, a 4-regular graph has no slack
+    vertex and its radius-1 balls are Gallai trees, so no vertex is happy
+    there and the peel doubles the radius.  The row must still report the
+    default radius's empty happy set, and the check must refuse it.
+    """
+    for module in (happy, peeling, tasks):
+        monkeypatch.setattr(module, "default_rich_ball_radius", lambda n: 1)
+    run = run_scenario(
+        "lemma31-happy-fraction", smoke=True, overrides={"cases": (("regular", 60, 4),)},
+        workers=1, export=False, strict=False,
+    )
+    [row] = run.runner.rows
+    assert row.metrics["happy_fraction"] == 0
+    assert any("below paper bound" in failure for failure in run.failures)
 
 
 _UNKNOWN_ELEMENTS = {
