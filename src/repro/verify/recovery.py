@@ -46,7 +46,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.faults.edgeset import EdgeSet
 from repro.verify.oracle import Verdict, collector
 
 __all__ = [
@@ -255,20 +254,11 @@ def measure_containment(trace) -> tuple[int, list[str]]:
     if seeds:
         seed_rounds, seed_vertices = np.array(seeds, dtype=np.int64).T
         np.minimum.at(earliest, seed_vertices, seed_rounds)
-        # the initial keys merged with both keys of every applied insert
-        initial = trace.initial_edges
-        lo, hi = np.array(
-            [
-                pair
-                for record in trace.records
-                for fault, pair in _edge_events(index, record)
-                if pair is not None and fault.kind == "edge-insert"
-            ],
-            dtype=np.int64,
-        ).reshape(-1, 2).T
-        shift = initial.shift
-        inserted = np.concatenate((lo << shift | hi, hi << shift | lo))
-        union = EdgeSet(n, np.union1d(initial.keys, inserted), shift)
+        union = trace.initial_edges.copy()
+        for record in trace.records:
+            for fault, pair in _edge_events(index, record):
+                if pair is not None and fault.kind == "edge-insert":
+                    union.insert(*pair)
         offsets, neighbors = union.split()
         # reduceat takes the rows that have neighbours: each segment from
         # one such row's start to the next is exactly its neighbour slice
