@@ -23,20 +23,16 @@ Procedure:
 Rounds are charged per phase to a ledger: the measured rounds of the slot
 coloring runs plus one round per slot per class plus the partition rounds.
 
-Two substrates implement the procedure:
-
-* ``backend="dict"`` — the historical per-vertex loops (H-partition over
-  label sets, sequential slot sweeps);
-* ``backend="flat"`` — the same schedule on the flat machinery: a
-  vectorized peel for the H-partition, the batched Linial/color-reduction
-  ports for the per-class slots, and :class:`BatchSlotColorSelection` — a
-  genuine :class:`~repro.local.node.BatchNodeAlgorithm` that runs the
-  whole slot phase on the flat round engine, one numpy array per round.
-  On a frozen input graph both backends produce the identical coloring and
-  charge identical rounds (identifier assignment follows the CSR vertex
-  order either way); on a mutable graph the class subgraph orderings — and
-  hence the exact colors — may differ while palette and validity are
-  unchanged.
+Every phase runs on the flat machinery: the vectorized peel of
+:func:`~repro.distributed.forest_decomposition.h_partition`, the batched
+Linial/color-reduction ports for the per-class slots, and
+:class:`BatchSlotColorSelection` — a genuine
+:class:`~repro.local.node.BatchNodeAlgorithm` that runs the whole slot
+phase on the flat round engine, one numpy array per round.  The input is
+frozen on entry, so identifiers follow the CSR vertex order.  The
+per-vertex loops this replaced (H-partition over label sets, sequential
+slot sweeps) are kept in the test suite as the reference it is checked
+against.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.coloring.assignment import Color
-from repro.errors import ColoringError, SimulationError
+from repro.errors import ColoringError
 from repro.graphs.frozen import freeze
 from repro.graphs.graph import Graph, Vertex
 from repro.local.ledger import RoundLedger
@@ -55,7 +51,6 @@ from repro.local.node import (
     BatchContext,
     BatchNodeAlgorithm,
     announced_constant,
-    segment_reduce,
     smallest_free_color,
 )
 from repro.local.simulator import run_node_algorithm
@@ -97,8 +92,8 @@ class BatchSlotColorSelection(BatchNodeAlgorithm):
     a proper coloring of their class — simultaneously picks the smallest
     palette color not used by a colored neighbour, while all nodes
     broadcast their current color (0 encodes "uncolored").  This is
-    exactly the sequential sweep of the dict backend; one simulator round
-    per (class, slot) pair keeps the charged-round accounting identical.
+    exactly a sequential sweep of the cohorts; one simulator round per
+    (class, slot) pair keeps the charged-round accounting identical.
     The free-color pick is :func:`~repro.local.node.smallest_free_color`,
     so any palette width runs here; nodes announced different palettes
     or schedules raise :class:`~repro.errors.SimulationError`.
@@ -128,7 +123,7 @@ class BatchSlotColorSelection(BatchNodeAlgorithm):
         self._src = context.sources
 
     def send_batch(self, round_number: int):
-        return self.colors[self._src]
+        return self.colors
 
     def receive_batch(self, round_number: int, inbox, delivered) -> None:
         class_index, slot = self.schedule[self.step]
@@ -150,141 +145,25 @@ class BatchSlotColorSelection(BatchNodeAlgorithm):
         return [int(c) for c in self.colors]
 
 
-def _h_partition_flat(graph, arboricity: int, epsilon: float) -> HPartition:
-    """Vectorized H-partition peel over a frozen graph's CSR arrays.
-
-    Same classes, class indices and charged rounds as
-    :func:`~repro.distributed.forest_decomposition.h_partition` — only the
-    per-iteration work is one degree threshold test plus one segmented
-    count instead of per-vertex set walks.
-    """
-    if arboricity < 1:
-        raise ValueError("arboricity must be at least 1")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    threshold = (2.0 + epsilon) * arboricity
-    ledger = RoundLedger()
-    labels = graph.vertices()
-    n = len(labels)
-    offsets, neighbors = graph.csr_arrays()
-    degrees = np.diff(offsets).astype(np.int64)
-    remaining = np.ones(n, dtype=bool)
-    classes: list[set[Vertex]] = []
-    class_of: dict[Vertex, int] = {}
-    limit = 4 * n + 8
-    iteration = 0
-    while bool(remaining.any()):
-        iteration += 1
-        if iteration > limit:
-            raise SimulationError(
-                "H-partition did not converge; the arboricity parameter "
-                f"({arboricity}) is probably an underestimate"
-            )
-        peeled = remaining & (degrees <= threshold)
-        if not bool(peeled.any()):
-            raise SimulationError(
-                "H-partition stalled: no vertex of degree at most "
-                f"{threshold:.1f} remains; the arboricity parameter "
-                f"({arboricity}) is an underestimate"
-            )
-        index = len(classes)
-        peeled_idx = np.flatnonzero(peeled)
-        members = {labels[int(i)] for i in peeled_idx}
-        classes.append(members)
-        for v in members:
-            class_of[v] = index
-        remaining &= ~peeled
-        # degree update: every remaining vertex loses its peeled neighbours
-        degrees -= segment_reduce(
-            np.add, peeled[neighbors].astype(np.int64), offsets, empty=0
-        )
-        ledger.charge(
-            "H-partition: peel one class",
-            1,
-            reference="Barenboim–Elkin [4], Procedure Partition",
-        )
-    return HPartition(
-        classes=classes,
-        class_of=class_of,
-        degree_bound=threshold,
-        rounds=len(classes),
-        ledger=ledger,
-    )
-
-
 def barenboim_elkin_coloring(
-    graph: Graph, arboricity: int, epsilon: float = 1.0, backend: str = "flat",
+    graph: Graph, arboricity: int, epsilon: float = 1.0
 ) -> BarenboimElkinResult:
     """Color ``graph`` with ``floor((2+ε)a) + 1`` colors (Barenboim–Elkin).
 
-    ``backend="flat"`` runs the H-partition, the per-class slot coloring
-    and the slot-selection phase on the flat substrate (see the module
-    docstring), at any palette width; ``backend="dict"`` is the
-    per-vertex reference.
+    Runs the H-partition, the per-class slot coloring and the
+    slot-selection phase on the flat substrate (see the module
+    docstring), at any palette width.
     """
-    if backend not in ("dict", "flat"):
-        raise ValueError(f"unknown backend {backend!r}; use 'dict' or 'flat'")
     palette_size = int(math.floor((2.0 + epsilon) * arboricity)) + 1
     ledger = RoundLedger()
     if graph.number_of_vertices() == 0:
         return BarenboimElkinResult({}, 0, 0, 0, HPartition([], {}, 0, 0), ledger)
-    if backend == "flat":
-        return _barenboim_elkin_flat(freeze(graph), arboricity, epsilon, ledger)
-    partition = h_partition(graph, arboricity, epsilon)
+    frozen = freeze(graph)
+    partition = h_partition(frozen, arboricity, epsilon)
     ledger.extend(partition.ledger)
-    palette = list(range(1, palette_size + 1))
-
-    coloring: dict[Vertex, Color] = {}
-    total_rounds = partition.rounds
-    for class_index in range(len(partition.classes) - 1, -1, -1):
-        members = partition.classes[class_index]
-        class_graph = graph.subgraph(members)
-        slots = delta_plus_one_coloring(class_graph)
-        ledger.charge(
-            "Barenboim–Elkin: slot coloring of one class",
-            slots.rounds,
-            reference="within-class (Δ+1)-coloring",
-        )
-        total_rounds += slots.rounds
-        slot_count = max(slots.coloring.values(), default=0) + 1
-        for slot in range(slot_count):
-            slot_vertices = [v for v in members if slots.coloring.get(v) == slot]
-            for v in slot_vertices:
-                used = {coloring[u] for u in graph.neighbors(v) if u in coloring}
-                free = [color for color in palette if color not in used]
-                if not free:
-                    raise ColoringError(
-                        "Barenboim–Elkin ran out of colors; the arboricity "
-                        f"parameter ({arboricity}) is an underestimate"
-                    )
-                coloring[v] = free[0]
-            ledger.charge(
-                "Barenboim–Elkin: one slot selects colors",
-                1,
-                reference="greedy selection within a stable slot",
-            )
-            total_rounds += 1
-    return BarenboimElkinResult(
-        coloring=coloring,
-        colors_used=len(set(coloring.values())),
-        palette_size=palette_size,
-        rounds=total_rounds,
-        partition=partition,
-        ledger=ledger,
-    )
-
-
-def _barenboim_elkin_flat(
-    frozen, arboricity: int, epsilon: float, ledger: RoundLedger
-) -> BarenboimElkinResult:
-    """Flat-substrate Barenboim–Elkin on a frozen graph."""
-    partition = _h_partition_flat(frozen, arboricity, epsilon)
-    ledger.extend(partition.ledger)
-    palette_size = int(math.floor((2.0 + epsilon) * arboricity)) + 1
     total_rounds = partition.rounds
 
-    # per-class slot colorings, processed (and charged) last class first —
-    # the same order the dict backend sweeps them
+    # per-class slot colorings, processed (and charged) last class first
     slot_of: dict[Vertex, tuple[int, int]] = {}
     slot_counts = [1] * len(partition.classes)
     for class_index in range(len(partition.classes) - 1, -1, -1):

@@ -179,7 +179,7 @@ class BatchColeVishkinForestColoring(BatchNodeAlgorithm):
     per-node run — the parity tests assert this.  Every round broadcasts one
     integer per directed edge slot, exactly like the per-node protocol.
 
-    The program runs in ``"broadcast"`` exchange mode: ``send_batch``
+    The program broadcasts: ``send_batch``
     returns the per-node value and the engine's fused kernel delivers it.
     ``receive_broadcast`` consumes the per-node array directly — a node
     only ever reads its parent's broadcast (one gather by the precomputed
@@ -187,8 +187,6 @@ class BatchColeVishkinForestColoring(BatchNodeAlgorithm):
     neighbourhood; ``receive_batch`` keeps the historical per-slot inbox
     path alive as the unfused reference (``reference_exchange=True``).
     """
-
-    exchange_mode = "broadcast"
 
     def initialize_batch(self, context: BatchContext) -> None:
         super().initialize_batch(context)

@@ -92,7 +92,7 @@ class BatchGreedyLocalMaximaAlgorithm(BatchNodeAlgorithm):
     round counts every slot.  Rounds, message counts and outputs match the
     per-node run exactly.
 
-    The program runs in ``"broadcast"`` exchange mode, and
+    The program broadcasts one value per node, and
     ``receive_broadcast`` counts eligibility instead of re-deriving it.
     Before round 1 the program counts, per node, the neighbours with a
     higher identifier, all uncolored then.  A node whose count is 0
@@ -106,8 +106,6 @@ class BatchGreedyLocalMaximaAlgorithm(BatchNodeAlgorithm):
     ``receive_batch`` keeps the per-round rule over the whole fabric alive
     as the unfused reference.
     """
-
-    exchange_mode = "broadcast"
 
     def initialize_batch(self, context: BatchContext) -> None:
         super().initialize_batch(context)

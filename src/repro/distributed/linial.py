@@ -187,7 +187,7 @@ class BatchLinialColoringAlgorithm(BatchNodeAlgorithm):
         self._endpoints = context.endpoints
 
     def send_batch(self, round_number: int):
-        return self.colors[self._src]
+        return self.colors
 
     def receive_batch(self, round_number: int, inbox, delivered) -> None:
         _m, q, d = self.schedule[self.step]
@@ -279,7 +279,7 @@ class BatchColorReductionAlgorithm(BatchNodeAlgorithm):
 
     One color class is retired per round exactly as in the per-node
     protocol.  Every node must be announced the same palette and Δ.  The
-    program runs in ``"broadcast"`` exchange mode: every node sends its
+    program broadcasts: every node sends its
     color on every port, so each round counts every slot, and only the
     target class decides.  :meth:`receive_broadcast` gathers the colors at
     the far ends of that class's slots; :meth:`receive_batch`, the path of
@@ -289,8 +289,6 @@ class BatchColorReductionAlgorithm(BatchNodeAlgorithm):
     up by one, at any palette width.  An empty target class costs one
     compare over the colors.
     """
-
-    exchange_mode = "broadcast"
 
     def initialize_batch(self, context: BatchContext) -> None:
         super().initialize_batch(context)

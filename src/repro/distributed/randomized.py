@@ -21,7 +21,7 @@ Sanchis, PAPERS.md):
   draws a uniform color from its remaining palette and keeps it unless a
   neighbour announced the same value; committed vertices broadcast their
   final color once and fall silent.  The batched twin sends a
-  ``"broadcast"`` that names its senders and decides over its uncolored
+  broadcast that names its senders and decides over its uncolored
   nodes' slots only, so per-round cost tracks the geometrically
   shrinking uncolored frontier.
 
@@ -29,8 +29,9 @@ Sanchis, PAPERS.md):
 Philox-4x64-10 keyed by ``(seed, node_id)`` with the round (or resample
 step) as the counter — bit-identical to ``numpy.random.Philox`` (the
 parity is pinned by the test suite).  Because the bits depend only on
-``(seed, node_id, round)`` and never on iteration order, the dict and
-flat backends and the per-node and batched engines all consume the same
+``(seed, node_id, round)`` and never on iteration order, the per-node
+and batched engines — and the per-vertex Moser–Tardos loop the test
+suite keeps as the resampler's reference — all consume the same
 randomness and therefore produce bit-identical colorings, round counts
 and resample logs from the same seed — the four-engine parity discipline
 of ``tests/test_kernel_parity.py`` extended to randomized programs.
@@ -267,7 +268,7 @@ class RandomizedDeltaPlusOne(NodeAlgorithm):
 class BatchRandomizedDeltaPlusOne(BatchNodeAlgorithm):
     """Batched twin of :class:`RandomizedDeltaPlusOne`.
 
-    A ``"broadcast"`` program whose rounds name their senders: each
+    A broadcast program whose rounds name their senders: each
     :meth:`send_batch` returns the per-node value array (the trial color
     of every uncolored node, ``-color`` for the just-committed nodes
     owing their final broadcast, 0 for the finished ones) with those two
@@ -290,8 +291,6 @@ class BatchRandomizedDeltaPlusOne(BatchNodeAlgorithm):
     send — the conflict-set trace consumed by
     :class:`repro.verify.randomized.RandomizedRoundsOracle`.
     """
-
-    exchange_mode = "broadcast"
 
     def initialize_batch(self, context: BatchContext) -> None:
         super().initialize_batch(context)
@@ -524,7 +523,6 @@ class MoserTardosResult:
     steps: int
     log: tuple[ResampleStep, ...]
     seed: int
-    backend: str
 
     def log_digest(self) -> str:
         return resample_log_digest(self.log, seed=self.seed)
@@ -543,7 +541,6 @@ def moser_tardos_list_coloring(
     lists,
     *,
     seed: int,
-    backend: str = "flat",
     max_steps: int | None = None,
 ) -> MoserTardosResult:
     """Moser–Tardos resampling until no monochromatic edge remains.
@@ -551,20 +548,17 @@ def moser_tardos_list_coloring(
     Step 0 samples every vertex independently and uniformly from its
     list; step ``t >= 1`` recomputes the violated set (all endpoints of
     monochromatic edges), records it in the log, and resamples exactly
-    those vertices with fresh ``(seed, node_id, t)`` bits.  ``backend``
-    picks the vectorized CSR path (``"flat"``) or the pure-Python
-    reference (``"dict"``); both consume identical randomness and emit
-    bit-identical colorings and logs.
+    those vertices with fresh ``(seed, node_id, t)`` bits.  Detection and
+    draws run vectorized over the frozen CSR and the packed list rows, at
+    any universe width.
     """
-    if backend not in ("flat", "dict"):
-        raise ValueError(f"unknown backend {backend!r}")
     graph = freeze(graph)
     n = graph.number_of_vertices()
     flat = _as_flat_lists(lists)
     if n == 0:
         # zero-vertex instance: a vacuous success, and the well-defined
         # minimum_size(default=...) keeps the precondition below vacuous
-        return MoserTardosResult({}, 0, (), int(seed), backend)
+        return MoserTardosResult({}, 0, (), int(seed))
     if not flat.covers(graph):
         missing = next(v for v in graph if v not in flat)
         raise ListAssignmentError(f"vertex {missing!r} has no list")
@@ -577,11 +571,8 @@ def moser_tardos_list_coloring(
         raise ListAssignmentError(f"vertex {empty_at!r} has an empty list")
     if max_steps is None:
         max_steps = 64 + 16 * n
-    if backend == "flat":
-        rows = _pack_rows(masks, flat.universe.blocks)
-        colors, log = _mt_flat(graph, rows, int(seed), max_steps)
-    else:
-        colors, log = _mt_dict(graph, masks, int(seed), max_steps)
+    rows = _pack_rows(masks, flat.universe.blocks)
+    colors, log = _mt_flat(graph, rows, int(seed), max_steps)
     color_of = flat.universe.color_of
     coloring = {v: color_of(int(bit)) for v, bit in zip(vertices, colors)}
     return MoserTardosResult(
@@ -589,39 +580,7 @@ def moser_tardos_list_coloring(
         steps=len(log),
         log=tuple(log),
         seed=int(seed),
-        backend=backend,
     )
-
-
-def _mt_dict(graph, masks, seed, max_steps):
-    """Pure-Python Moser–Tardos core (the dict-backend reference)."""
-    n = graph.number_of_vertices()
-    vertices = graph.vertices()
-    index = {v: i for i, v in enumerate(vertices)}
-    nbrs = [[index[u] for u in graph.neighbors(v)] for v in vertices]
-
-    def draw(i, step):
-        bits = counter_rng_one(seed, i + 1, step)
-        mask = masks[i]
-        return _kth_set_bit_scalar(mask, bits % mask.bit_count())
-
-    colors = [draw(i, 0) for i in range(n)]
-    log = []
-    step = 0
-    while True:
-        violated = sorted(
-            {i for i in range(n) for j in nbrs[i] if colors[i] == colors[j]}
-        )
-        if not violated:
-            return colors, log
-        step += 1
-        if step > max_steps:
-            raise ResampleLimitError(
-                f"no proper list coloring after {max_steps} resample steps"
-            )
-        log.append(ResampleStep(step, tuple(violated)))
-        for i in violated:
-            colors[i] = draw(i, step)
 
 
 def _mt_flat(graph, rows, seed, max_steps):

@@ -130,14 +130,12 @@ class BatchStabilizingAlgorithm(BatchNodeAlgorithm):
     calls with the rebuilt context after an edge edit.  The inputs are
     ``(budget, color)`` pairs, or the fault plane's ``(n, 2)`` ``int64``
     array of them, read by column; every node must be announced the same
-    palette budget.  Broadcast exchange mode:
+    palette budget.  A broadcast program:
     ``send_batch`` returns one value per node, and under the fault
     plane's hooks the engine always materializes the per-slot inbox, so
     drops and duplications can edit single slots before
     :meth:`receive_batch`.
     """
-
-    exchange_mode = "broadcast"
 
     def initialize_batch(self, context: BatchContext) -> None:
         inputs = context.inputs

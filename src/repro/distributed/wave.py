@@ -12,7 +12,7 @@ round: exactly ``n`` rounds and one broadcast per node (``2(n-1)``
 directed messages on a path) to 2-color the whole path.
 
 Per-round work is O(frontier), not O(n): the batched program runs in
-the engine's ``"active"`` exchange mode (:mod:`repro.local.node`),
+the engine's sparse exchange (:mod:`repro.local.node`),
 sending only the frontier's slots, which is what makes an Ω(n)-round
 simulation at n = 10^5 tractable — the per-node twin (and the seed
 engine) spend Θ(n) per round just asking silent nodes for messages, so
@@ -81,7 +81,7 @@ class WaveTwoColoring(NodeAlgorithm):
 
 
 class BatchWaveTwoColoring(BatchNodeAlgorithm):
-    """Batched wave in ``"active"`` exchange mode.
+    """Batched wave on the engine's sparse exchange.
 
     ``send_batch`` returns only the frontier's ``(slots, values)``; the
     engine charges ``len(slots)`` messages and hands the destinations to
@@ -90,8 +90,6 @@ class BatchWaveTwoColoring(BatchNodeAlgorithm):
     frontier once.  Rounds, per-round message counts and colors are
     identical to the per-node program.
     """
-
-    exchange_mode = "active"
 
     def initialize_batch(self, context: BatchContext) -> None:
         super().initialize_batch(context)

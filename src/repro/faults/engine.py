@@ -52,7 +52,7 @@ from repro.faults.network import PerturbableNetwork
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.graphs.graph import Vertex
 from repro.local.network import Network
-from repro.local.simulator import SynchronousSimulator
+from repro.local.simulator import LazyOutputs, SynchronousSimulator
 
 __all__ = [
     "AppliedFault",
@@ -90,9 +90,11 @@ class RoundRecord:
 class StabilizationTrace:
     """A replayable record of one dynamic run (the oracle's witness).
 
-    The start is kept by vertex index: ``index`` is the input's label
-    index, ``initial_colors`` the ``int64`` registers and
-    ``initial_edges`` the trace's own copy of the edge set.
+    The start and the end are kept by vertex index: ``index`` is the
+    input's label index, ``initial_colors`` and ``final_colors`` the
+    ``int64`` registers before the first round and after the last (the
+    latter set when the run ends), and ``initial_edges`` the trace's own
+    copy of the edge set.
     """
 
     labels: list[Vertex]
@@ -101,7 +103,7 @@ class StabilizationTrace:
     initial_colors: np.ndarray
     initial_edges: EdgeSet
     records: list[RoundRecord] = field(default_factory=list)
-    final_coloring: dict[Vertex, int] = field(default_factory=dict)
+    final_colors: np.ndarray | None = None
     quiescent: bool = False
     backend: str = ""
     protocol: str = ""
@@ -109,6 +111,11 @@ class StabilizationTrace:
     @property
     def rounds(self) -> int:
         return len(self.records)
+
+    @property
+    def final_coloring(self) -> LazyOutputs:
+        """The final coloring as a ``{label: color}`` view over ``final_colors``."""
+        return LazyOutputs(self.labels, self.final_colors, None, self.index)
 
     def event_log(self) -> list[AppliedFault]:
         """Every plan event in firing order, applied or skipped."""
@@ -374,5 +381,5 @@ def run_stabilizing(
             rounds=max_rounds,
             active=conflicted_vertices,
         )
-    trace.final_coloring = dict(zip(trace.labels, colors.tolist()))
+    trace.final_colors = colors
     return trace

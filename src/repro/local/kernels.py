@@ -7,10 +7,10 @@ per-slot payloads from node state), *deliver* (permute by
 kernels here collapse the first two passes into one:
 
 ``sources[reverse_slot] == endpoints``
-    so for broadcast-shaped protocols (every port of a node carries the
-    same value — Cole–Vishkin, the greedy baseline, the stabilizing
-    recoloring family) the send-gather followed by the
-    reverse-permutation is a *single* gather by ``endpoints``::
+    so for broadcast rounds (every port of a node carries the same
+    value, which holds for every dense round a batched program sends) the
+    send-gather followed by the reverse-permutation is a *single* gather
+    by ``endpoints``::
 
         values[k] = node_values[sources[k]]     # send pass
         inbox[k]  = values[reverse_slot[k]]     # deliver pass
@@ -18,8 +18,7 @@ kernels here collapse the first two passes into one:
 
 This module is the only place that identity is exploited; everything
 above it (the simulator and the batched node programs)
-talks in terms of :func:`gather`, :func:`deliver_slots`,
-:func:`deliver_masked`, :func:`deliver_broadcast_from` and
+talks in terms of :func:`gather`, :func:`deliver_broadcast_from` and
 :func:`compact_segments`.  ``tests/test_kernel_parity.py`` pins them
 against plain Python loops and :func:`reference_broadcast`.
 """
@@ -30,8 +29,6 @@ import numpy as np
 
 __all__ = [
     "gather",
-    "deliver_slots",
-    "deliver_masked",
     "deliver_broadcast_from",
     "compact_segments",
     "reference_broadcast",
@@ -42,32 +39,13 @@ def gather(values, index, out=None):
     """``out[k] = values[index[k]]`` — the fused send+deliver pass.
 
     With ``index = endpoints`` this delivers a broadcast round in one
-    gather; with ``index = reverse_slot`` it is the plain deliver pass
-    over per-slot payloads.  ``out`` is an optional preallocated buffer
+    gather.  ``out`` is an optional preallocated buffer
     (reused across rounds by the engine); it is only used when dtypes
     match, so callers may pass it unconditionally.
     """
     if out is not None and out.dtype == values.dtype and out.shape == index.shape:
         return np.take(values, index, out=out)
     return values[index]
-
-
-def deliver_slots(values, reverse, out=None):
-    """Deliver per-slot payloads: ``inbox = values[reverse_slot]``."""
-    return gather(values, reverse, out=out)
-
-
-def deliver_masked(values, mask, reverse, inbox_out=None, delivered_out=None):
-    """Deliver a partial round: ``(inbox, delivered, messages)``.
-
-    ``values``/``mask`` are per-slot payloads and send flags;
-    ``delivered[k]`` tells the receiver whether anything arrived on
-    port-slot ``k``, and ``messages`` counts the slots that actually
-    sent.
-    """
-    inbox = gather(values, reverse, out=inbox_out)
-    delivered = gather(mask, reverse, out=delivered_out)
-    return inbox, delivered, int(mask.sum())
 
 
 def compact_segments(offsets, active):

@@ -24,7 +24,7 @@ information must be learned by communication, exactly as in the model).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, ClassVar
+from typing import Any
 
 import numpy as np
 
@@ -152,18 +152,10 @@ class BatchNodeAlgorithm:
     """Opt-in batched node program: one instance drives all ``n`` nodes.
 
     Instead of the simulator calling ``send``/``receive`` on ``n`` node
-    objects, a batched program exchanges *per-slot numpy arrays* with the
-    engine once per round:
-
-    * :meth:`send_batch` returns the outgoing message values aligned with
-      the fabric's directed edge slots — ``out[offsets[i] + p]`` is what
-      node ``i`` sends on port ``p``.  Return ``None`` for a silent round,
-      or a ``(values, mask)`` pair to send on a subset of slots.
-    * the engine routes the array through ``reverse_slot`` (one fancy-index
-      gather) and calls :meth:`receive_batch` with the inbox array —
-      ``inbox[offsets[i] + p]`` is what node ``i`` received on port ``p``
-      (``delivered`` masks the slots that actually carry a message, or is
-      ``None`` when all do).
+    objects, a batched program exchanges numpy arrays with the engine once
+    per round: :meth:`send_batch` returns what the nodes send (``None``
+    for a silent round), and the engine hands what arrived to the
+    program's receive method.
 
     The round/message accounting is identical to the per-node engine: a
     batched port of a per-node algorithm must produce the same
@@ -172,53 +164,50 @@ class BatchNodeAlgorithm:
     schedule reads its announced constants with :func:`announced_constant`,
     which refuses inputs whose nodes disagree.
 
-    Exchange modes
-    --------------
-    :attr:`exchange_mode` selects how :meth:`send_batch`'s return value is
-    routed (see :mod:`repro.local.kernels` for the fused delivery):
+    Exchange shapes
+    ---------------
+    The methods a program defines pick one of two shapes (see
+    :mod:`repro.local.kernels` for the fused delivery):
 
-    ``"slots"`` (default)
-        Per-slot payloads as described above.
-    ``"broadcast"``
+    broadcast (every program that does not define ``receive_active``)
         Every port of a node carries the same value: :meth:`send_batch`
         returns a *per-node* ``int64[n]`` array and the engine delivers it
         with the single fused gather ``inbox = values[endpoints]``
-        (``sources[reverse_slot] == endpoints``).  Every node speaks, so the
+        (``sources[reverse_slot] == endpoints``), then calls
+        :meth:`receive_batch` with the inbox — ``inbox[offsets[i] + p]`` is
+        what node ``i`` received on port ``p``.  Every node speaks, so the
         round counts ``num_slots`` messages, exactly like the per-node
         program broadcasting on every port.  A ``(node_values, senders)``
         pair names the nodes that speak (an integer index array): only
         they are charged, each its degree, and the unfused path hands
         :meth:`receive_batch` a ``delivered`` mask of the slots whose far
-        node is a sender.  Programs may implement
-        ``receive_broadcast(round_number, sent)`` to consume what
-        :meth:`send_batch` returned (the array, or the pair) directly,
-        skipping the inbox materialization when only e.g. a parent's value
-        or the frontier's slots are needed; the engine falls back to
-        materializing the inbox and calling :meth:`receive_batch` when the
-        method is absent, and the reference engine and hooked runs always
-        take that unfused path.
-    ``"active"``
-        Sparse rounds: :meth:`send_batch` returns a ``(slots, values)``
-        pair listing only the slots that carry a message (``len(slots)``
-        messages are charged).  The engine maps them to destination slots
-        through ``reverse_slot`` and calls
+        node is a sender (``None`` when every slot carries a message).
+        Programs may implement ``receive_broadcast(round_number, sent)`` to
+        consume what :meth:`send_batch` returned (the array, or the pair)
+        directly, skipping the inbox materialization when only e.g. a
+        parent's value or the frontier's slots are needed; the engine falls
+        back to materializing the inbox and calling :meth:`receive_batch`
+        when the method is absent, and the reference engine and hooked runs
+        always take that unfused path.
+    sparse (the program defines ``receive_active``)
+        :meth:`send_batch` returns a ``(slots, values)`` pair listing only
+        the slots that carry a message (``len(slots)`` messages are
+        charged).  The engine maps them to destination slots through
+        ``reverse_slot`` and calls
         ``receive_active(round_number, dest_slots, values)``.  ``slots``
         must be an integer array; ``values`` may be any sequence aligned
         with it (an array, or a plain list), because the engine passes it
         through unread.  This is how wave-style Omega(n)-round protocols
-        keep each round O(frontier) instead of O(n).
+        keep each round O(frontier) instead of O(n).  Round hooks edit an
+        inbox, which this shape does not build, so the engine refuses them.
     """
-
-    #: How ``send_batch`` payloads are routed: "slots", "broadcast" or
-    #: "active" (see the class docstring).
-    exchange_mode: ClassVar[str] = "slots"
 
     def initialize_batch(self, context: BatchContext) -> None:
         """Called once before round 1 with the whole-network context."""
         self.context = context
 
     def send_batch(self, round_number: int):
-        """Per-slot outgoing values: ``ndarray``, ``(ndarray, mask)`` or ``None``."""
+        """What the nodes send this round, in the program's shape, or ``None``."""
         return None
 
     def receive_batch(self, round_number: int, inbox, delivered) -> None:

@@ -30,11 +30,13 @@ The data plane runs on the network's flat-array routing fabric
   vectorized path: one ``send_batch``/``receive_batch`` numpy-array
   exchange per round for all nodes at once;
 * the batched exchange itself runs on the fused kernels of
-  :mod:`repro.local.kernels` — broadcast rounds are delivered with a
-  single gather by ``endpoints`` (instead of the historical send-gather +
-  reverse-permutation double pass), a broadcast that names its senders is
-  charged only their degrees, sparse "active" rounds route only the
-  frontier's slots, and per-slot rounds reuse preallocated inbox buffers.
+  :mod:`repro.local.kernels`, in one of two shapes told apart by the
+  methods the program defines (:class:`~repro.local.node.BatchNodeAlgorithm`).
+  Broadcast rounds are delivered with a single gather by ``endpoints``
+  (instead of the historical send-gather + reverse-permutation double
+  pass) into preallocated inbox buffers, and a broadcast that names its
+  senders is charged only their degrees; the sparse rounds of a program
+  that defines ``receive_active`` route only the frontier's slots.
   ``run(..., reference_exchange=True)`` forces the unfused delivery, kept
   as the oracle the parity tests pin the kernels against.
 
@@ -268,8 +270,9 @@ class SynchronousSimulator:
           round's message count; the second returns ``(delivered,
           change)``, ``delivered`` being the slot mask to hand on (or
           ``None`` when every slot carries a message).  Batched programs
-          under hooks always receive through ``receive_batch``, and the
-          ``"active"`` exchange mode, which has no inbox, is refused.
+          under hooks always receive through ``receive_batch``, and a
+          program with the sparse exchange (``receive_active``), which has
+          no inbox, is refused.
         * ``after_round(round_number, nodes, messages)`` runs after the
           receives; a true return stops the run with ``finished=True``.
         """
@@ -443,19 +446,18 @@ class SynchronousSimulator:
         sources = context.sources
         degrees = context.degrees
         num_slots = fabric.num_slots
-        mode = type(program).exchange_mode
-        if hooks is not None and mode == "active":
+        # a program that defines receive_active exchanges sparse rounds;
+        # every other program broadcasts one value per node
+        receive_active = getattr(program, "receive_active", None)
+        if hooks is not None and receive_active is not None:
             raise SimulationError(
-                "round hooks edit the inbox, which the 'active' exchange "
-                "mode does not build"
+                "round hooks edit the inbox, which the sparse exchange "
+                "does not build"
             )
         receive_broadcast = (
             getattr(program, "receive_broadcast", None)
-            if mode == "broadcast" and not reference_exchange and hooks is None
+            if not reference_exchange and hooks is None
             else None
-        )
-        receive_active = (
-            getattr(program, "receive_active", None) if mode == "active" else None
         )
         # preallocated inbox buffers, reused across rounds (the fused
         # kernels fill them in place; programs must not retain references
@@ -507,7 +509,7 @@ class SynchronousSimulator:
                     receive_active(rounds, None, None)
                 else:
                     program.receive_batch(rounds, None, None)
-            elif mode == "active":
+            elif receive_active is not None:
                 slots, values = sent
                 round_messages = len(slots)
                 # the message sent from slot s arrives at slot reverse[s]
@@ -517,29 +519,18 @@ class SynchronousSimulator:
                 receive_broadcast(rounds, sent)
             else:
                 delivered = None
-                round_messages = num_slots
-                if mode == "broadcast":
-                    round_messages = _broadcast_messages(sent, degrees, num_slots)
-                    # sources[reverse_slot] == endpoints: the send-gather
-                    # and the reverse permutation fuse into one endpoint
-                    # gather
-                    if isinstance(sent, tuple):
-                        inbox, delivered = kernels.deliver_broadcast_from(
-                            *sent, endpoints,
-                            inbox_out=inbox_buf, delivered_out=delivered_buf,
-                        )
-                    elif reference_exchange:
-                        inbox = kernels.reference_broadcast(sent, sources, reverse)
-                    else:
-                        inbox = kernels.gather(sent, endpoints, out=inbox_buf)
-                elif isinstance(sent, tuple):
-                    values, mask = sent
-                    inbox, delivered, round_messages = kernels.deliver_masked(
-                        values, mask, reverse,
+                round_messages = _broadcast_messages(sent, degrees, num_slots)
+                # sources[reverse_slot] == endpoints: the send-gather and the
+                # reverse permutation fuse into one endpoint gather
+                if isinstance(sent, tuple):
+                    inbox, delivered = kernels.deliver_broadcast_from(
+                        *sent, endpoints,
                         inbox_out=inbox_buf, delivered_out=delivered_buf,
                     )
+                elif reference_exchange:
+                    inbox = kernels.reference_broadcast(sent, sources, reverse)
                 else:
-                    inbox = kernels.deliver_slots(sent, reverse, out=inbox_buf)
+                    inbox = kernels.gather(sent, endpoints, out=inbox_buf)
                 if hooks is not None:
                     delivered, change = hooks.edit_inbox(inbox, delivered)
                     round_messages += change

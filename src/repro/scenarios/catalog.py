@@ -152,46 +152,33 @@ register(Scenario(
 # E5 — corollary14-arboricity
 # ---------------------------------------------------------------------------
 
-def _backend_label(algorithm: str, backend: str) -> str:
-    """Row label for a backend axis: dict rows keep the historical name."""
-    return algorithm if backend == "dict" else f"{algorithm} [{backend}]"
-
-
 def _build_corollary14(params: Params) -> list[BatchTask]:
     built = []
     for a in params["arboricities"]:
         for n in params["ns"]:
             instance = f"n={n} a={a}"
             # seed_group (see _build_theorem13_colors): the rows of an
-            # instance share the graph, so the parity oracle can compare
-            # the Barenboim-Elkin backends and the check the palettes
+            # instance share the graph, so the check compares the palettes
             built.append(BatchTask(
                 instance, "Cor 1.4 (2a colors)", tasks.corollary14_arboricity,
                 args=(n, a, "ours"), seed_group=instance,
             ))
-            for backend in params["backends"]:
-                built.append(BatchTask(
-                    instance, _backend_label("Barenboim-Elkin", backend),
-                    tasks.corollary14_arboricity,
-                    args=(n, a, "barenboim-elkin", backend),
-                    seed_group=instance,
-                ))
+            built.append(BatchTask(
+                instance, "Barenboim-Elkin", tasks.corollary14_arboricity,
+                args=(n, a, "barenboim-elkin"), seed_group=instance,
+            ))
     return built
 
 
 def _check_corollary14(runner: ExperimentRunner, params: Params) -> list[str]:
     failures = []
     ours = runner.metric_series("Cor 1.4 (2a colors)", "palette")
-    for backend in params["backends"]:
-        baseline = runner.metric_series(
-            _backend_label("Barenboim-Elkin", backend), "palette"
-        )
-        for o, b in zip(ours, baseline):
-            if o >= b:
-                failures.append(
-                    f"palette not strictly smaller ({backend}): "
-                    f"ours {o} vs Barenboim-Elkin {b}"
-                )
+    baseline = runner.metric_series("Barenboim-Elkin", "palette")
+    for o, b in zip(ours, baseline):
+        if o >= b:
+            failures.append(
+                f"palette not strictly smaller: ours {o} vs Barenboim-Elkin {b}"
+            )
     return failures
 
 
@@ -205,7 +192,7 @@ register(Scenario(
         "is strictly smaller on every instance."
     ),
     build_tasks=_build_corollary14,
-    defaults={"ns": (120,), "arboricities": (2, 3), "backends": ("dict", "flat")},
+    defaults={"ns": (120,), "arboricities": (2, 3)},
     smoke_overrides={"ns": (60,), "arboricities": (2,)},
     reference={
         "palette": "2a colors in O(a^4 log^3 n) rounds",
@@ -693,7 +680,7 @@ _SIM_ALGORITHMS = (
 #: the Ω(n) lower-bound workload runs on the batched engine only: its round
 #: count *is* n, and the per-node engines spend Θ(n) per round polling
 #: silent nodes — Θ(n²) total — while the batched program's sparse
-#: ``"active"`` exchange does O(frontier) work per round.  Cross-engine
+#: exchange does O(frontier) work per round.  Cross-engine
 #: parity for the wave protocol is pinned at small n by the test suite.
 _SIM_WAVE_LABEL = "2-coloring wave (Omega n)"
 
@@ -781,7 +768,7 @@ register(Scenario(
         "The fused batched engine additionally runs the wave 2-coloring "
         "lower-bound workload (Observation 2.4: exactly n rounds on a "
         "rooted path) at n=10^5 — an Omega(n)-round simulation made "
-        "tractable by the sparse active-set exchange mode."
+        "tractable by the engine's sparse exchange."
     ),
     build_tasks=_build_simulator,
     defaults={
@@ -803,81 +790,57 @@ register(Scenario(
 
 
 # ---------------------------------------------------------------------------
-# E15 — coloring (Theorem 1.3 digests; Barenboim–Elkin dict vs flat)
+# E15 — coloring (Theorem 1.3 and Barenboim–Elkin digests)
 # ---------------------------------------------------------------------------
 
 _COLORING_ALGORITHMS = (
-    # (task key, size param, row label)
-    ("theorem13", "sizes", "Thm 1.3 pipeline"),
-    ("barenboim-elkin", "be_sizes", "Barenboim-Elkin"),
+    # (task key, size param, row label); the "[flat]" suffix keeps the
+    # labels of the committed artifact's rows
+    ("theorem13", "sizes", "Thm 1.3 pipeline [flat]"),
+    ("barenboim-elkin", "be_sizes", "Barenboim-Elkin [flat]"),
 )
-_COLORING_BACKENDS = ("dict", "flat")
 
 
 def _build_coloring(params: Params) -> list[BatchTask]:
     built = []
     d = params["d"]
     for key, size_key, label in _COLORING_ALGORITHMS:
-        # Theorem 1.3 has one pipeline; the backend axis is Barenboim-Elkin's
-        backends = params["backends"] if key == "barenboim-elkin" else ("flat",)
         for n in params[size_key]:
-            # one explicit seed per instance (not per task index), so the
-            # dict and flat rows of an instance see the same graph and the
-            # parity check can compare their colorings bit for bit
-            seed = params["instance_seed"] + n
-            for backend in backends:
-                built.append(BatchTask(
-                    f"{key} n={n} d={d}", f"{label} [{backend}]",
-                    tasks.coloring_pipeline,
-                    args=(n, d, key, backend),
-                    kwargs={"seed": seed}, seed_arg=None,
-                ))
+            # one explicit seed per instance (not per task index), so a
+            # row's graph does not depend on the rows built before it
+            built.append(BatchTask(
+                f"{key} n={n} d={d}", label, tasks.coloring_pipeline,
+                args=(n, d, key),
+                kwargs={"seed": params["instance_seed"] + n}, seed_arg=None,
+            ))
     return built
-
-
-def _finalize_coloring(runner: ExperimentRunner, params: Params) -> None:
-    d = params["d"]
-    baseline = runner.metric_series("Barenboim-Elkin [dict]", "solve_seconds")
-    for backend in params["backends"]:
-        if backend == "dict":
-            continue
-        timed = runner.metric_series(f"Barenboim-Elkin [{backend}]", "solve_seconds")
-        for n, dict_s, flat_s in zip(params["be_sizes"], baseline, timed):
-            if flat_s > 0:
-                speedup = round(dict_s / flat_s, 2)
-                runner.metadata[f"speedup[Barenboim-Elkin][n={n}]"] = speedup
-                runner.add(
-                    f"barenboim-elkin n={n} d={d}", f"Barenboim-Elkin {backend} speedup",
-                    n=n, speedup_x=speedup,
-                )
 
 
 register(Scenario(
     name="coloring",
-    title="Flat palette core — Theorem 1.3 digests, Barenboim–Elkin dict vs flat",
+    title="Flat palette core — Theorem 1.3 and Barenboim–Elkin digests",
     paper_ref="Theorem 1.3 / Corollary 1.4 (infrastructure)",
     description=(
         "Wall time, coloring digest and charged rounds of the full "
-        "d-list-coloring pipeline of Theorem 1.3, and the Barenboim-Elkin "
-        "baseline on the per-vertex dict substrate vs the flat palette "
-        "substrate (interned color bitmasks, CSR kernels, batched slot "
-        "selection on the round engine), with bit-identical colorings and "
-        "round-ledger totals asserted on every Barenboim-Elkin instance."
+        "d-list-coloring pipeline of Theorem 1.3 and of the Barenboim-Elkin "
+        "baseline on the flat palette substrate (interned color bitmasks, "
+        "CSR kernels, batched slot selection on the round engine)."
     ),
     build_tasks=_build_coloring,
     defaults={
         "sizes": (2_000, 10_000), "be_sizes": (10_000,), "d": 4,
-        "backends": _COLORING_BACKENDS, "instance_seed": 1_000,
+        "instance_seed": 1_000,
     },
     smoke_overrides={"sizes": (300,), "be_sizes": (300,)},
     reference={
-        "digests": "coloring_sha and rounds of the one Theorem 1.3 pipeline, per instance",
-        "parity": "identical Barenboim-Elkin colorings and charged rounds on both backends",
+        "digests": (
+            "coloring_sha and rounds of Theorem 1.3 and Barenboim-Elkin, "
+            "per instance"
+        ),
     },
     size_param="sizes",
     floors={"d": 3},
     serial_only=True,
-    finalize=_finalize_coloring,
 ))
 
 
@@ -1209,13 +1172,12 @@ def _build_randomized(params: Params) -> list[BatchTask]:
                 ))
         for n in params["mt_sizes"]:
             instance = f"{family} lists n={n}"
-            for backend in params["backends"]:
-                built.append(BatchTask(
-                    instance, f"Moser-Tardos lists [{backend}]",
-                    tasks.moser_tardos_lists,
-                    args=(family, n, backend),
-                    seed_group=instance,
-                ))
+            built.append(BatchTask(
+                instance, "Moser-Tardos lists [flat]",
+                tasks.moser_tardos_lists,
+                args=(family, n),
+                seed_group=instance,
+            ))
     return built
 
 
@@ -1258,11 +1220,11 @@ register(Scenario(
         "randomized (Delta+1)-coloring (batch and per-node rows) against "
         "the deterministic greedy and Linial baselines on the same "
         "generated graphs, plus the Moser-Tardos entropy-compression "
-        "resampler for list coloring (flat and dict backends).  All "
+        "resampler for list coloring.  All "
         "randomness is counter-based (Philox keyed by seed, node id and "
         "round), so every engine must replay the identical run: the "
-        "variant-parity oracle compares colorings, rounds, messages and "
-        "resample-log digests fingerprint-for-fingerprint, "
+        "variant-parity oracle compares colorings, rounds and messages "
+        "fingerprint-for-fingerprint, "
         "the RandomizedRoundsOracle holds round totals inside the O(log n) "
         "concentration envelope, and every Moser-Tardos row replays its "
         "record log through the ResampleLogOracle before it is written."
@@ -1273,7 +1235,6 @@ register(Scenario(
         "sizes": (400, 1600),
         "mt_sizes": (300, 900),
         "engines": ("batch", "flat"),
-        "backends": ("flat", "dict"),
         "deterministic": ("greedy", "linial"),
     },
     smoke_overrides={
@@ -1286,7 +1247,7 @@ register(Scenario(
     reference={
         "rounds": "randomized Delta+1 finishes in O(log n) rounds whp",
         "witness": "every resample log replays bit-for-bit from its seed",
-        "parity": "identical runs on batch/flat engines and flat/dict backends",
+        "parity": "identical runs on the batch and flat engines",
     },
     size_param="sizes",
     finalize=_finalize_randomized,

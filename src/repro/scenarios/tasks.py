@@ -155,19 +155,16 @@ from repro.verify.parity import coloring_digest as _coloring_digest  # noqa: E40
 
 
 def coloring_pipeline(
-    n: int, d: int, algorithm: str, backend: str, seed: int | None = None
+    n: int, d: int, algorithm: str, seed: int | None = None
 ) -> dict[str, Any]:
     """Time one full list-coloring run.
 
     ``algorithm`` is ``theorem13`` (the paper's driver on a random
-    ``d/2``-degenerate graph; ``backend`` only labels the row, as the
-    driver has one pipeline) or ``barenboim-elkin`` (the Corollary 1.4
-    baseline on a union of forests, arboricity ``d // 2``, on the dict or
-    flat ``backend``).  The graph is generated and frozen in their own
-    stages, so ``solve_seconds`` (the solve stage) measures the pipeline
-    itself; ``coloring_sha`` and ``rounds`` pin the Theorem 1.3 coloring
-    and let the parity oracle assert bit-identical Barenboim-Elkin
-    colorings and round-ledger totals between the backends.
+    ``d/2``-degenerate graph) or ``barenboim-elkin`` (the Corollary 1.4
+    baseline on a union of forests, arboricity ``d // 2``).  The graph is
+    generated and frozen in their own stages, so ``solve_seconds`` (the
+    solve stage) measures the pipeline itself; ``coloring_sha`` and
+    ``rounds`` pin the coloring and its charged rounds.
     """
     prof = StageProfile()
     with prof("generate"):
@@ -184,9 +181,7 @@ def coloring_pipeline(
             result = color_sparse_graph(frozen, d=d)
             coloring, rounds = result.coloring, result.rounds
         else:
-            result = barenboim_elkin_coloring(
-                frozen, arboricity=d // 2, backend=backend
-            )
+            result = barenboim_elkin_coloring(frozen, arboricity=d // 2)
             coloring, rounds = result.coloring, result.rounds
     with prof("verify"):
         verify_coloring(frozen, coloring)
@@ -194,7 +189,6 @@ def coloring_pipeline(
             verify_list_coloring(frozen, coloring, uniform_lists(frozen, d))
     return {
         "n": n,
-        "backend": backend,
         "rounds": rounds,
         "colors": len(set(coloring.values())),
         "solve_seconds": round(prof.seconds["solve"], 6),
@@ -208,15 +202,11 @@ def coloring_pipeline(
 # ---------------------------------------------------------------------------
 
 def corollary14_arboricity(
-    n: int, arboricity: int, algorithm: str, backend: str = "flat",
-    seed: int | None = None,
+    n: int, arboricity: int, algorithm: str, seed: int | None = None,
 ) -> dict[str, Any]:
     """Color a union of ``arboricity`` forests; ``algorithm``: ours/barenboim-elkin.
 
-    ``backend`` selects the Barenboim-Elkin substrate: the dict sweep or
-    the batched slot-selection engine (``ours`` runs the one Theorem 1.3
-    pipeline).  The graph is frozen at the boundary either way, which also
-    pins the identifier assignment so the two backends color identically.
+    The graph is frozen at the boundary either way.
     """
     prof = StageProfile()
     with prof("generate"):
@@ -235,7 +225,7 @@ def corollary14_arboricity(
     if algorithm == "barenboim-elkin":
         with prof("solve"):
             result = barenboim_elkin_coloring(
-                frozen, arboricity=arboricity, epsilon=1.0, backend=backend
+                frozen, arboricity=arboricity, epsilon=1.0
             )
         with prof("verify"):
             verify_coloring(frozen, result.coloring)
@@ -607,8 +597,8 @@ def simulator_throughput(
     shuffled by ``id_seed`` so the decreasing-id chains stay logarithmic
     and every engine sees the same instance) or ``wave`` (rooted-path
     2-coloring whose round count is exactly ``n`` — the Ω(n) lower-bound
-    workload; its batched program runs in the sparse ``"active"``
-    exchange mode so large ``n`` stays tractable).  The network and its
+    workload; its batched program runs on the engine's sparse exchange
+    so large ``n`` stays tractable).  The network and its
     routing fabric are built during the ``freeze`` stage, so
     ``engine_seconds`` measures pure round throughput.  The batched
     engine receives index-aligned ndarray inputs (zero-copy through
@@ -1178,10 +1168,9 @@ def deterministic_delta_plus_one(
 def moser_tardos_lists(
     family: str,
     n: int,
-    backend: str,
     seed: int | None = None,
 ) -> dict[str, Any]:
-    """One Moser–Tardos list-coloring row on the flat or dict backend.
+    """One Moser–Tardos list-coloring row.
 
     Per-vertex lists are distinct sliding windows of ``2Δ+2`` colors over
     a ``4Δ+4`` universe — a genuine list-coloring instance with enough
@@ -1189,7 +1178,7 @@ def moser_tardos_lists(
     replays the entropy-compression record log through the
     :class:`~repro.verify.randomized.ResampleLogOracle`, so a row only
     exists if its witness survives the replay audit; ``log_sha`` and
-    ``coloring_sha`` feed the cross-backend parity check.
+    ``coloring_sha`` pin the run.
     """
     from repro.distributed.randomized import moser_tardos_list_coloring
     from repro.verify.randomized import ResampleLogOracle
@@ -1209,12 +1198,11 @@ def moser_tardos_lists(
         result = moser_tardos_list_coloring(
             frozen, lists,
             seed=seed if seed is not None else 0,
-            backend=backend,
         )
     with prof("verify"):
         ResampleLogOracle().check(
             graph=frozen, lists=lists, seed=result.seed,
-            log=result.log, coloring=result.coloring, backend=backend,
+            log=result.log, coloring=result.coloring,
         ).raise_if_failed()
     return {
         "n": frozen.number_of_vertices(),

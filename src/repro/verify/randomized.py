@@ -90,7 +90,6 @@ class ResampleLogOracle:
         seed: int,
         log,
         coloring: Mapping[Any, Any],
-        backend: str = "flat",
     ) -> Verdict:
         from repro.coloring.palette import FlatListAssignment
         from repro.distributed.randomized import (
@@ -103,8 +102,7 @@ class ResampleLogOracle:
         entries = list(log)
         try:
             replay = moser_tardos_list_coloring(
-                graph, lists, seed=int(seed), backend=backend,
-                max_steps=len(entries) + 8,
+                graph, lists, seed=int(seed), max_steps=len(entries) + 8,
             )
         except ResampleLimitError:
             out.fail(

@@ -24,8 +24,10 @@ Three consumers:
 
 :class:`RecoveryOracle`
     Replays the trace; asserts the recorded conflict counts, legality
-    flags, final coloring and quiescence claim are all consistent, and
-    that a quiescent run ends in a *legal* palette coloring.
+    flags, final color registers (one array compare with the replay's,
+    naming the differing vertices only on a mismatch) and quiescence
+    claim are all consistent, and that a quiescent run ends in a *legal*
+    palette coloring.
 :class:`ContainmentOracle`
     The dynamic extension of the PR-5 locality auditor: information
     travels one hop per round, so a vertex recoloring at round ``r``
@@ -164,13 +166,14 @@ class RecoveryOracle:
                     "intermediate coloring"
                 )
         out.saw()
-        replayed = dict(zip(trace.labels, replay.colors.tolist()))
-        if trace.final_coloring != replayed:
-            diff = [
-                v
-                for v in trace.labels
-                if trace.final_coloring.get(v) != replayed.get(v)
-            ]
+        final, replayed = trace.final_colors, replay.colors
+        if np.shape(final) != replayed.shape:
+            out.fail(
+                f"final coloring holds {np.size(final)} register(s) for "
+                f"{replayed.size} vertices"
+            )
+        elif not np.array_equal(final, replayed):
+            diff = [trace.labels[i] for i in np.flatnonzero(final != replayed)]
             out.fail(
                 f"final coloring disagrees with the replayed deltas on "
                 f"{len(diff)} vertex(es), e.g. {sorted(map(repr, diff))[:4]}"

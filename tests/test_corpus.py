@@ -91,7 +91,7 @@ def test_golden_algorithm_results(corpus):
     assert (coloring_digest(thm13.coloring), thm13.rounds) == (
         "4d4fac6e85bfad60", 17829,
     )
-    be = barenboim_elkin_coloring(forest, arboricity=2, backend="flat")
+    be = barenboim_elkin_coloring(forest, arboricity=2)
     assert (coloring_digest(be.coloring), be.rounds, be.colors_used) == (
         "f4e82e1bd656780d", 82, 4,
     )

@@ -15,8 +15,8 @@ Three layers of pinning:
   palettes with empty classes, also through hooks that drop messages)
   and the wave 2-coloring, on graphs with isolated vertices too;
 * width-free palettes — the batched coloring programs at 63 to 131 colors
-  against their per-node twins, and Barenboim–Elkin's flat backend against
-  its dict backend.
+  against their per-node twins, and Barenboim–Elkin against the per-vertex
+  sweep of ``baselines_reference``.
 """
 
 from __future__ import annotations
@@ -25,9 +25,11 @@ import random
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import baselines_reference
 from repro.distributed.barenboim_elkin import barenboim_elkin_coloring
 from repro.distributed.cole_vishkin import (
     BatchColeVishkinForestColoring,
@@ -50,6 +52,7 @@ from repro.distributed.randomized import (
     default_round_cap,
 )
 from repro.distributed.wave import BatchWaveTwoColoring, WaveTwoColoring
+from repro.errors import SimulationError
 from repro.faults import PerturbableNetwork
 from repro.graphs.generators import classic, sparse
 from repro.graphs.graph import Graph
@@ -80,39 +83,12 @@ def _random_fabric(seed: int, n: int = 30):
 def test_gather_matches_loop(seed):
     fabric = _random_fabric(seed)
     endpoints = fabric.endpoints_np
-    values = np.arange(100, 100 + fabric.offsets_np[-1], dtype=np.int64)
     node_values = np.arange(len(fabric.offsets_np) - 1, dtype=np.int64) * 7
     expected = np.array([node_values[e] for e in endpoints], dtype=np.int64)
     assert (kernels.gather(node_values, endpoints) == expected).all()
     out = np.empty(endpoints.shape[0], dtype=np.int64)
     got = kernels.gather(node_values, endpoints, out=out)
     assert got is out and (got == expected).all()
-    # deliver_slots is a gather by reverse_slot
-    reverse = fabric.reverse_np
-    assert (
-        kernels.deliver_slots(values, reverse)
-        == np.array([values[r] for r in reverse])
-    ).all()
-
-
-@given(seeds)
-@settings(max_examples=25, deadline=None)
-def test_deliver_masked_matches_loop(seed):
-    fabric = _random_fabric(seed)
-    reverse = fabric.reverse_np
-    m = reverse.shape[0]
-    rng = np.random.default_rng(seed)
-    values = rng.integers(0, 1000, size=m, dtype=np.int64)
-    mask = rng.integers(0, 2, size=m).astype(bool)
-    inbox, delivered, messages = kernels.deliver_masked(
-        values, mask, reverse,
-        inbox_out=np.empty(m, dtype=np.int64),
-        delivered_out=np.empty(m, dtype=np.bool_),
-    )
-    assert messages == int(mask.sum())
-    for k in range(m):
-        assert inbox[k] == values[reverse[k]]
-        assert delivered[k] == mask[reverse[k]]
 
 
 @given(seeds)
@@ -559,7 +535,7 @@ def test_wave_path_lower_bound_signature():
 
 
 def test_active_mode_charges_frontier_messages():
-    """The active exchange mode charges len(slots), not num_slots."""
+    """The sparse exchange charges len(slots), not num_slots."""
     n = 12
     graph = classic.path(n).freeze()
     inputs = {v: v == 0 for v in graph.vertices()}
@@ -571,6 +547,16 @@ def test_active_mode_charges_frontier_messages():
     assert result.per_round_messages[0] == 1
     assert result.per_round_messages[-1] == 1
     assert all(m == 2 for m in result.per_round_messages[1:-1])
+
+
+def test_sparse_exchange_refuses_round_hooks():
+    """A program that defines receive_active builds no inbox to edit."""
+    graph = classic.path(4).freeze()
+    inputs = {v: v == 0 for v in graph.vertices()}
+    with pytest.raises(SimulationError, match="round hooks"):
+        SynchronousSimulator(Network(graph)).run(
+            BatchWaveTwoColoring, inputs=inputs, hooks=object()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -629,11 +615,11 @@ def test_wide_palettes_run_batched(graph, seed, arboricity):
         network, BatchColorReductionAlgorithm, ColorReductionAlgorithm,
         [(c, palette, delta) for c, _p in colors], palette + 5,
     )
-    # floor(3a) + 1 >= 64 colors: the flat backend runs, with no downgrade
+    # floor(3a) + 1 >= 64 colors: the batched slot phase runs, with no downgrade
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        flat = barenboim_elkin_coloring(graph, arboricity, backend="flat")
-    reference = barenboim_elkin_coloring(graph, arboricity, backend="dict")
+        flat = barenboim_elkin_coloring(graph, arboricity)
+    reference = baselines_reference.barenboim_elkin_coloring(graph, arboricity)
     assert flat.palette_size == reference.palette_size >= 64
     assert flat.coloring == reference.coloring
     assert flat.rounds == reference.rounds

@@ -5,7 +5,8 @@ bitmask backend (`FlatListAssignment`), the CSR classification, the CSR
 ruling forest, the batched Linial/color-reduction/slot-selection ports and
 the Theorem 1.3 driver must reproduce the historical per-vertex
 set-algebra outputs exactly — colorings, happy sets, charged rounds.  The
-Theorem 1.3 label pipeline lives in ``thm13_reference`` as that reference.
+Theorem 1.3 label pipeline lives in ``thm13_reference`` as that reference,
+and the H-partition and Barenboim–Elkin loops in ``baselines_reference``.
 These hypothesis suites check the parity over ~100 seeded sparse, planar
 and toroidal instances, including non-integer color labels and empty-list
 edge cases.
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import baselines_reference
 import thm13_reference as reference
 
 from repro.coloring import uniform_lists, random_lists
@@ -29,7 +31,12 @@ from repro.coloring.verification import (
     respects_lists,
 )
 from repro.core import classify_vertices, color_sparse_graph
-from repro.distributed import barenboim_elkin_coloring, delta_plus_one_coloring
+from repro.distributed import (
+    barenboim_elkin_coloring,
+    delta_plus_one_coloring,
+    h_partition,
+)
+from repro.errors import SimulationError
 from repro.graphs.generators import planar, sparse, streaming
 from repro.graphs.graph import Graph
 from repro.graphs.properties.degeneracy import degeneracy_ordering
@@ -198,8 +205,8 @@ def test_barenboim_elkin_flat_trailing_isolated_vertex():
     g = Graph(vertices=[0, 1, 2])
     g.add_edge(0, 1)  # vertex 2 stays isolated
     frozen = g.freeze()
-    a = barenboim_elkin_coloring(frozen, arboricity=1, backend="dict")
-    b = barenboim_elkin_coloring(frozen, arboricity=1, backend="flat")
+    a = baselines_reference.barenboim_elkin_coloring(frozen, arboricity=1)
+    b = barenboim_elkin_coloring(frozen, arboricity=1)
     assert a.coloring == b.coloring
     assert a.rounds == b.rounds
 
@@ -278,13 +285,81 @@ def test_sparse_coloring_refuses_any_backend_but_flat():
 def test_barenboim_elkin_backends_bit_identical(seed):
     n = random.Random(seed).randint(30, 120)
     graph = sparse.union_of_random_forests(n, 2, seed=seed).freeze()
-    a = barenboim_elkin_coloring(graph, arboricity=2, backend="dict")
-    b = barenboim_elkin_coloring(graph, arboricity=2, backend="flat")
+    a = baselines_reference.barenboim_elkin_coloring(graph, arboricity=2)
+    b = barenboim_elkin_coloring(graph, arboricity=2)
     ColoringParityOracle().check(
         coloring_a=a.coloring, coloring_b=b.coloring,
-        rounds_a=a.rounds, rounds_b=b.rounds, labels=("dict", "flat"),
+        rounds_a=a.rounds, rounds_b=b.rounds, labels=("reference", "flat"),
     ).raise_if_failed()
     assert a.ledger.total() == b.ledger.total()
+
+
+_PEEL_LABELS = {
+    "int": lambda i: i,
+    "str": lambda i: f"v{i}",
+    "tuple": lambda i: ("t", i % 3, i),
+}
+
+
+@st.composite
+def _peel_graphs(draw):
+    """A random graph on int, string or tuple labels, in a shuffled vertex
+    order, with the vertices no drawn edge touches left isolated."""
+    n = draw(st.integers(0, 40))
+    label = _PEEL_LABELS[draw(st.sampled_from(sorted(_PEEL_LABELS)))]
+    order = draw(st.permutations(range(n)))
+    ends = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
+    return Graph(
+        vertices=[label(i) for i in order],
+        edges=[(label(i), label(j)) for i, j in pairs if i != j],
+    )
+
+
+def _star(leaves: int) -> Graph:
+    return Graph(edges=[("hub", ("leaf", i)) for i in range(leaves)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    graph=_peel_graphs(),
+    frozen=st.booleans(),
+    arboricity=st.integers(1, 3),
+    epsilon=st.sampled_from([0.5, 1.0, 2.0]),
+)
+@example(graph=Graph(), frozen=False, arboricity=1, epsilon=1.0)  # n = 0
+@example(graph=Graph(), frozen=True, arboricity=1, epsilon=1.0)
+@example(graph=Graph(vertices=["solo"]), frozen=False, arboricity=1, epsilon=1.0)
+@example(graph=Graph(vertices=[("solo",)]), frozen=True, arboricity=2, epsilon=0.5)
+# the hub's degree equals the bound (2 + 1) * 1, so one pass peels the star
+@example(graph=_star(3), frozen=False, arboricity=1, epsilon=1.0)
+@example(graph=_star(3), frozen=True, arboricity=1, epsilon=1.0)
+# K_6 has arboricity 3: at a = 1 and ε = 0.5 no vertex is below the bound
+@example(
+    graph=Graph(edges=[(f"k{i}", f"k{j}") for i in range(6) for j in range(i)]),
+    frozen=True, arboricity=1, epsilon=0.5,
+)
+def test_h_partition_matches_the_label_peel(graph, frozen, arboricity, epsilon):
+    """The CSR peel against the label-set peel it replaced: the same
+    classes, class indices, rounds and ledger, or the same error.
+
+    Every pass peels a vertex or raises the stall error, so a peel never
+    takes more than n passes and the non-convergence error (past 4n + 8
+    passes) stays out of reach of both."""
+    subject = graph.freeze() if frozen else graph
+    try:
+        expected = baselines_reference.h_partition(subject, arboricity, epsilon)
+    except SimulationError as error:
+        with pytest.raises(SimulationError) as caught:
+            h_partition(subject, arboricity, epsilon)
+        assert str(caught.value) == str(error)
+        return
+    got = h_partition(subject, arboricity, epsilon)
+    assert got.classes == expected.classes
+    assert got.class_of == expected.class_of
+    assert (got.rounds, got.degree_bound) == (expected.rounds, expected.degree_bound)
+    assert got.ledger == expected.ledger
+    assert got.rounds <= len(graph)
 
 
 @settings(max_examples=15, deadline=None)

@@ -12,9 +12,10 @@ Five layers of pinning:
   batched engine, the unfused reference, the flat per-node engine and
   the frozen seed engine, and the driver's batched/per-node paths must
   agree on colorings, rounds and frontier traces;
-* Moser-Tardos backend parity — the flat (mask) and dict resamplers
-  walk the identical resample sequence and emit the same record log and
-  digest, and the result is a proper list coloring;
+* Moser-Tardos parity — the vectorized resampler and the per-vertex
+  loop of ``baselines_reference`` walk the identical resample sequence
+  and emit the same record log and digest, and the result is a proper
+  list coloring;
 * oracle mutation tests — ``RandomizedRoundsOracle`` and
   ``ResampleLogOracle`` accept genuine witnesses and reject doctored
   ones (inflated rounds, growing frontiers, edited violated sets,
@@ -29,13 +30,14 @@ from __future__ import annotations
 import json
 import random
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
+
+import baselines_reference
 
 from repro.coloring.palette import (
     FlatListAssignment,
@@ -270,7 +272,7 @@ def test_randomized_frontier_is_monotone_and_drains():
 
 
 # ---------------------------------------------------------------------------
-# Moser-Tardos: backend parity, legality, witness digests
+# Moser-Tardos: reference parity, legality, witness digests
 # ---------------------------------------------------------------------------
 
 
@@ -294,14 +296,14 @@ def _mt_instance(n, gseed, extra_colors=0):
 def test_moser_tardos_backend_parity(gseed, rseed, n, extra_colors):
     # extra colors spread instances of n >= 20 over more than 64 colors
     graph, lists = _mt_instance(n, gseed, extra_colors)
-    # the flat backend runs the flat core at any universe width
-    with mock.patch.object(randomized, "_mt_dict", side_effect=AssertionError):
-        flat = moser_tardos_list_coloring(graph, lists, seed=rseed, backend="flat")
-    dict_ = moser_tardos_list_coloring(graph, lists, seed=rseed, backend="dict")
-    assert flat.coloring == dict_.coloring
-    assert flat.steps == dict_.steps
-    assert flat.log == dict_.log
-    assert flat.log_digest() == dict_.log_digest()
+    flat = moser_tardos_list_coloring(graph, lists, seed=rseed)
+    reference = baselines_reference.moser_tardos_list_coloring(
+        graph, lists, seed=rseed
+    )
+    assert flat.coloring == reference.coloring
+    assert flat.steps == reference.steps
+    assert flat.log == reference.log
+    assert flat.log_digest() == reference.log_digest()
     for v in graph.vertices():
         assert flat.coloring[v] in lists[v]
         for u in graph.neighbors(v):
@@ -321,11 +323,6 @@ def test_moser_tardos_rejects_empty_list():
     lists[graph.vertices()[1]] = []
     with pytest.raises(ListAssignmentError):
         moser_tardos_list_coloring(graph, lists, seed=0)
-
-
-def test_moser_tardos_rejects_unknown_backend():
-    with pytest.raises(ValueError):
-        moser_tardos_list_coloring(Graph().freeze(), {}, seed=0, backend="gpu")
 
 
 def test_moser_tardos_resample_limit():
@@ -382,7 +379,7 @@ def test_rounds_oracle_accepts_legal_trace():
 @pytest.fixture()
 def mt_witness():
     graph, lists = _mt_instance(24, 3)
-    result = moser_tardos_list_coloring(graph, lists, seed=11, backend="flat")
+    result = moser_tardos_list_coloring(graph, lists, seed=11)
     return graph, lists, result
 
 
@@ -431,9 +428,7 @@ def test_resample_oracle_rejects_swapped_coloring(mt_witness):
 
 def test_resample_oracle_rejects_wrong_seed(mt_witness):
     graph, lists, result = mt_witness
-    other = moser_tardos_list_coloring(
-        graph, lists, seed=result.seed + 1, backend="flat"
-    )
+    other = moser_tardos_list_coloring(graph, lists, seed=result.seed + 1)
     if other.log == result.log and other.coloring == result.coloring:
         pytest.skip("adjacent seeds happened to replay identically")
     verdict = ResampleLogOracle().check(
@@ -449,7 +444,7 @@ def test_resample_oracle_rejects_monochromatic_forgery():
     graph = classic.path(2).freeze()
     u, v = graph.vertices()
     lists = {u: [1, 2], v: [1, 2]}
-    result = moser_tardos_list_coloring(graph, lists, seed=4, backend="dict")
+    result = moser_tardos_list_coloring(graph, lists, seed=4)
     forged = {u: result.coloring[u], v: result.coloring[u]}
     verdict = ResampleLogOracle().check(
         graph=graph, lists=lists, seed=4, log=result.log, coloring=forged,
@@ -491,7 +486,7 @@ def test_randomized_replays_the_committed_artifact():
         "randomized", workers=1, export=False,
         overrides={
             "deterministic": ("greedy",), "engines": ("batch",),
-            "mt_sizes": (300,), "backends": ("flat",),
+            "mt_sizes": (300,),
         },
     )
     assert len(run.runner.rows) == 15

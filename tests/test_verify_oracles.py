@@ -593,6 +593,24 @@ def test_recovery_oracles_accept_genuine_churn_trace_over_tuple_labels():
     assert ContainmentOracle().check(trace=trace).ok
 
 
+def test_recovery_oracle_names_a_doctored_final_color():
+    # every recorded round replays, so only the final registers disagree
+    trace = _churn_trace()
+    vertex = ("p", 17)
+    i = trace.index[vertex]
+    trace.final_colors[i] = trace.final_colors[i] % trace.budget + 1
+    verdict = RecoveryOracle().check(trace=trace)
+    assert verdict.diagnostics == [
+        "final coloring disagrees with the replayed deltas on 1 vertex(es), "
+        f"e.g. {[repr(vertex)]}"
+    ]
+    trace.final_colors = trace.final_colors[:-1]
+    verdict = RecoveryOracle().check(trace=trace)
+    assert verdict.diagnostics == [
+        "final coloring holds 29 register(s) for 30 vertices"
+    ]
+
+
 def test_recovery_oracle_rejects_flipped_edge_event():
     # the insert really created a conflicting edge; claim it never applied
     trace = _churn_trace()
