@@ -25,7 +25,6 @@ __all__ = [
     "list_coloring_search",
     "chromatic_number",
     "is_k_colorable",
-    "list_chromatic_feasible",
 ]
 
 
@@ -132,7 +131,3 @@ def chromatic_number(graph: Graph, upper_bound: int | None = None) -> int:
         )
     return limit
 
-
-def list_chromatic_feasible(graph: Graph, lists: ListAssignment) -> bool:
-    """Whether the specific list assignment admits a proper coloring."""
-    return list_coloring_search(graph, lists) is not None

@@ -137,7 +137,7 @@ def extend_coloring_to_happy_set(
     tree_graph = graph.subgraph(tree_vertices)
 
     # Stable partition of H = G[T] into at most d+1 classes.
-    stable = delta_plus_one_coloring(tree_graph, max_degree=d, batched=True)
+    stable = delta_plus_one_coloring(tree_graph, max_degree=d)
     ledger.charge(
         "Lemma 3.2: (d+1) stable partition of the trees",
         stable.rounds,

@@ -55,9 +55,6 @@ class PeelingResult:
     def number_of_layers(self) -> int:
         return len(self.layers)
 
-    def removed_sets(self) -> list[set[Vertex]]:
-        return [layer.removed for layer in self.layers]
-
     def happy_fractions(self) -> list[float]:
         """``|A_i| / |V(G_i)|`` for every layer (the Lemma 3.1 quantity)."""
         return [

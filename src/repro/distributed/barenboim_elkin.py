@@ -169,7 +169,7 @@ def barenboim_elkin_coloring(
     for class_index in range(len(partition.classes) - 1, -1, -1):
         members = partition.classes[class_index]
         class_graph = frozen.subgraph(members)
-        slots = delta_plus_one_coloring(class_graph, batched=True)
+        slots = delta_plus_one_coloring(class_graph)
         ledger.charge(
             "Barenboim–Elkin: slot coloring of one class",
             slots.rounds,

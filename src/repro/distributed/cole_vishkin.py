@@ -348,18 +348,15 @@ class BatchColeVishkinForestColoring(BatchNodeAlgorithm):
 def color_rooted_forest(
     graph: GraphLike,
     parents: dict[Vertex, Vertex | None],
-    batched: bool = True,
 ) -> SimulationResult:
     """Run Cole–Vishkin on a forest given the parent pointer of every vertex.
 
     ``parents[v]`` is the parent vertex of ``v`` or ``None`` for roots; the
     forest must be consistent with ``graph`` (every non-root's parent is a
     neighbour).  Returns the simulation result; outputs are colors in
-    ``{0, 1, 2}``.
-
-    ``batched=True`` (the default) runs the vectorized
-    :class:`BatchColeVishkinForestColoring` program, which produces the
-    same result; pass ``batched=False`` to force the per-node path.
+    ``{0, 1, 2}``.  The run is the batched
+    :class:`BatchColeVishkinForestColoring` program; the parity suites check
+    it against the per-node :class:`ColeVishkinForestColoring`.
     """
     from repro.local.network import Network
 
@@ -368,12 +365,9 @@ def color_rooted_forest(
     for v in graph:
         parent = parents.get(v)
         inputs[v] = None if parent is None else network.identifier_of[parent]
-    algorithm = (
-        BatchColeVishkinForestColoring if batched else ColeVishkinForestColoring
-    )
     return run_node_algorithm(
         graph,
-        algorithm,
+        BatchColeVishkinForestColoring,
         inputs=inputs,
         max_rounds=10 * cole_vishkin_iterations(graph.number_of_vertices()) + 30,
         network=network,

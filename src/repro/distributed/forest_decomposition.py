@@ -75,15 +75,8 @@ def h_partition(graph: Graph, arboricity: int, epsilon: float = 1.0) -> HPartiti
     remaining = np.ones(n, dtype=bool)
     classes: list[set[Vertex]] = []
     class_of: dict[Vertex, int] = {}
-    limit = 4 * n + 8
-    iteration = 0
+    # every pass peels a vertex or raises, so at most n passes run
     while bool(remaining.any()):
-        iteration += 1
-        if iteration > limit:
-            raise SimulationError(
-                "H-partition did not converge; the arboricity parameter "
-                f"({arboricity}) is probably an underestimate"
-            )
         peeled = remaining & (degrees <= threshold)
         if not bool(peeled.any()):
             raise SimulationError(

@@ -8,7 +8,8 @@ expectation for random identifiers — which makes it a useful "no cleverness"
 baseline to compare the structured algorithms against.  It is implemented
 as a genuine node program on the synchronous simulator, in both the
 per-node form (:class:`GreedyLocalMaximaAlgorithm`) and the vectorized
-batched form (:class:`BatchGreedyLocalMaximaAlgorithm`).
+batched form (:class:`BatchGreedyLocalMaximaAlgorithm`);
+:func:`greedy_distributed_coloring` runs the batched one.
 """
 
 from __future__ import annotations
@@ -161,13 +162,20 @@ def greedy_distributed_coloring(
     """Run the local-maxima greedy baseline and return coloring + rounds.
 
     The graph is frozen at the boundary (pass a prebuilt ``network=`` to
-    amortize that across repeated runs); ``batched=False`` forces the
-    per-node program.  A batched run returns the engine's
-    :class:`~repro.local.simulator.LazyOutputs` view as the coloring; a run
-    that hits its round cap raises
-    :class:`~repro.errors.NonTerminationError` rather than return a
-    partial coloring.
+    amortize that across repeated runs).  The run is the batched
+    :class:`BatchGreedyLocalMaximaAlgorithm`, and the coloring is the
+    engine's :class:`~repro.local.simulator.LazyOutputs` view; the parity
+    suites check it against the per-node
+    :class:`GreedyLocalMaximaAlgorithm`.  ``batched`` accepts only
+    ``True``; any other value raises ``ValueError``.  A run that hits its
+    round cap raises :class:`~repro.errors.NonTerminationError` rather
+    than return a partial coloring.
     """
+    if batched is not True:
+        raise ValueError(
+            f"unknown batched={batched!r}; greedy_distributed_coloring runs "
+            "only its batched program"
+        )
     if graph.number_of_vertices() == 0:
         return DistributedColoringResult({}, 0, 0, 1)
     if network is None:
@@ -176,12 +184,9 @@ def greedy_distributed_coloring(
     else:
         graph = network.graph
     delta = max(1, graph.max_degree())
-    algorithm = (
-        BatchGreedyLocalMaximaAlgorithm if batched else GreedyLocalMaximaAlgorithm
-    )
     run = run_node_algorithm(
         graph,
-        algorithm,
+        BatchGreedyLocalMaximaAlgorithm,
         inputs=[delta] * len(network.labels),
         max_rounds=graph.number_of_vertices() + 2,
         strict=True,

@@ -166,8 +166,8 @@ class BatchLinialColoringAlgorithm(BatchNodeAlgorithm):
     an ``(n, q)`` "excluded evaluation point" table with one segmented OR,
     and every node picks its first admissible point.  Rounds, message
     counts and outputs are identical to the per-node run (the parity tests
-    assert this), which keeps the charged-round accounting of Lemma 3.2
-    unchanged when the flat backend swaps this port in.
+    assert this), so the rounds Lemma 3.2 charges for its stable partition
+    are the per-node protocol's.
     """
 
     def initialize_batch(self, context: BatchContext) -> None:
@@ -352,7 +352,7 @@ class DistributedColoringResult:
 
 
 def delta_plus_one_coloring(
-    graph: Graph, max_degree: int | None = None, batched: bool = False
+    graph: Graph, max_degree: int | None = None
 ) -> DistributedColoringResult:
     """(Δ+1)-coloring via Linial + color reduction, with measured rounds.
 
@@ -361,11 +361,13 @@ def delta_plus_one_coloring(
     Linial route used here costs ``O(log* n + Δ²)`` rounds, which is
     incomparable in general but simpler and fully message-passing).
 
-    ``batched=True`` runs the vectorized
-    :class:`BatchLinialColoringAlgorithm` /
-    :class:`BatchColorReductionAlgorithm` ports on the flat round engine;
-    rounds, messages and colors are identical to the per-node run at any
-    Δ.
+    Both passes run the batched programs
+    (:class:`BatchLinialColoringAlgorithm`, then
+    :class:`BatchColorReductionAlgorithm`) on one network; the parity
+    suites check rounds, messages and colors against the per-node
+    :class:`LinialColoringAlgorithm` and :class:`ColorReductionAlgorithm`.
+    ``max_degree`` defaults to the graph's Δ; a larger value (Lemma 3.2
+    passes ``d``) widens the palette to ``max_degree + 1``.
     """
     from repro.graphs.frozen import freeze
     from repro.local.network import Network
@@ -379,7 +381,7 @@ def delta_plus_one_coloring(
     delta = max(1, delta)
     linial_run = run_node_algorithm(
         frozen,
-        BatchLinialColoringAlgorithm if batched else LinialColoringAlgorithm,
+        BatchLinialColoringAlgorithm,
         inputs={v: delta for v in frozen},
         network=network,
     )
@@ -389,7 +391,7 @@ def delta_plus_one_coloring(
     }
     reduction_run = run_node_algorithm(
         frozen,
-        BatchColorReductionAlgorithm if batched else ColorReductionAlgorithm,
+        BatchColorReductionAlgorithm,
         inputs=reduction_inputs,
         max_rounds=palette + 5,
         network=network,

@@ -415,21 +415,20 @@ def randomized_delta_plus_one_coloring(
     graph: GraphLike,
     *,
     seed: int,
-    batched: bool = True,
     network: Network | None = None,
     max_rounds: int | None = None,
-    reference_exchange: bool = False,
 ) -> RandomizedColoringResult:
     """Run the randomized (Δ+1)-coloring and return coloring + trace.
 
-    ``batched=False`` forces the per-node program; both paths reconstruct
-    the same frontier trace and — by the counter-based RNG contract —
-    the same coloring, rounds and message counts for the same ``seed``.
-    A batched run returns the engine's
-    :class:`~repro.local.simulator.LazyOutputs` view as the coloring.  A run
-    that hits ``max_rounds`` raises
-    :class:`~repro.errors.NonTerminationError` rather than return a
-    partial coloring (uncolored vertices would read 0).
+    The run is one :class:`BatchRandomizedDeltaPlusOne` program, whose
+    ``frontier_log`` is the frontier trace; by the counter-based RNG
+    contract the per-node :class:`RandomizedDeltaPlusOne` gives the same
+    coloring, rounds and message counts for the same ``seed``, which the
+    parity suites check.  The coloring is the engine's
+    :class:`~repro.local.simulator.LazyOutputs` view.  A run that hits
+    ``max_rounds`` raises :class:`~repro.errors.NonTerminationError`
+    rather than return a partial coloring (uncolored vertices would read
+    0).
     """
     if graph.number_of_vertices() == 0:
         return RandomizedColoringResult({}, 0, 0, 1, (), int(seed))
@@ -441,45 +440,21 @@ def randomized_delta_plus_one_coloring(
     delta = max(1, graph.max_degree())
     if max_rounds is None:
         max_rounds = default_round_cap(graph.number_of_vertices())
-    inputs = [(int(seed), delta)] * len(network.labels)
-    captured: list[Any] = []
-
-    def factory():
-        algorithm = (
-            BatchRandomizedDeltaPlusOne() if batched
-            else RandomizedDeltaPlusOne()
-        )
-        captured.append(algorithm)
-        return algorithm
-
+    program = BatchRandomizedDeltaPlusOne()
     run = run_node_algorithm(
         graph,
-        factory,
-        inputs=inputs,
+        lambda: program,
+        inputs=[(int(seed), delta)] * len(network.labels),
         max_rounds=max_rounds,
         strict=True,
         network=network,
-        reference_exchange=reference_exchange,
     )
-    if batched:
-        programs = [a for a in captured if getattr(a, "frontier_log", None)]
-        frontier = tuple(programs[0].frontier_log) if programs else ()
-    else:
-        nodes = [a for a in captured if getattr(a, "context", None) is not None]
-        frontier = tuple(
-            sum(
-                1
-                for a in nodes
-                if a.colored_round is None or a.colored_round >= r
-            )
-            for r in range(1, run.rounds + 1)
-        )
     return RandomizedColoringResult(
         coloring=run.outputs,
         rounds=run.rounds,
         messages=run.messages_sent,
         palette_size=delta + 1,
-        frontier=frontier,
+        frontier=tuple(program.frontier_log),
         seed=int(seed),
     )
 

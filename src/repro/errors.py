@@ -24,23 +24,6 @@ class ListAssignmentError(ColoringError):
     """Raised when a list assignment is malformed or too small."""
 
 
-class CliqueFoundError(ColoringError):
-    """Raised (or returned as a result) when a forbidden clique is present.
-
-    Theorem 1.3 of the paper either finds a ``(d+1)``-clique or a
-    d-list-coloring.  The high-level API returns a result object instead of
-    raising, but lower-level helpers use this exception to abort coloring
-    when the promise ``K_{d+1} is not a subgraph`` is violated.
-    """
-
-    def __init__(self, clique, message: str | None = None):
-        self.clique = tuple(clique)
-        super().__init__(
-            message
-            or f"found a clique on {len(self.clique)} vertices: {self.clique!r}"
-        )
-
-
 class SimulationError(ReproError):
     """Raised when the LOCAL-model simulation is misused or diverges."""
 

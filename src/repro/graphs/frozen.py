@@ -703,13 +703,6 @@ class FrozenGraph:
                 result.add(labels[int(i)])
         return result
 
-    def ball_indices(self, center_idx: int, radius: int) -> list[int]:
-        """``B_radius`` of the vertex at ``center_idx`` as a list of indices."""
-        out: list[int] = []
-        for frontier in self._bfs_levels_idx(center_idx, radius):
-            out.extend(int(i) for i in frontier)
-        return out
-
     def all_balls(self, radius: int) -> dict[Vertex, set[Vertex]]:
         """The ball of *every* vertex at the given radius, in one sweep.
 

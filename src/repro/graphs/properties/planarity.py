@@ -22,11 +22,9 @@ from repro.graphs.graph import Graph
 
 __all__ = [
     "is_planar",
-    "planar_embedding",
     "mad_bound_from_girth",
     "heawood_mad_bound",
     "heawood_colors",
-    "euler_genus_upper_bound",
 ]
 
 
@@ -34,12 +32,6 @@ def is_planar(graph: Graph) -> bool:
     """Whether ``graph`` is planar (Boyer–Myrvold via networkx)."""
     ok, _ = nx.check_planarity(graph.to_networkx(), counterexample=False)
     return ok
-
-
-def planar_embedding(graph: Graph):
-    """A combinatorial planar embedding, or ``None`` when non-planar."""
-    ok, embedding = nx.check_planarity(graph.to_networkx(), counterexample=False)
-    return embedding if ok else None
 
 
 def mad_bound_from_girth(girth: float) -> float:
@@ -69,17 +61,3 @@ def heawood_colors(euler_genus: int) -> int:
         return 4  # the four colour theorem (not used algorithmically here)
     return int(math.floor((7.0 + math.sqrt(24.0 * euler_genus + 1.0)) / 2.0))
 
-
-def euler_genus_upper_bound(graph: Graph) -> int:
-    """A crude upper bound on the Euler genus from Euler's formula.
-
-    Every graph on ``n`` vertices and ``m`` edges embeds in a surface of
-    Euler genus at most ``max(0, ceil((m - 3n + 6) / 3))`` *if* it embeds as
-    a 2-cell embedding with triangular faces; in general a graph on n
-    vertices has Euler genus O(n^2) (complete graph bound), which is what
-    the paper's remark before Theorem 2.10 uses.  This helper returns the
-    face-count bound, clamped below by 0 — adequate for reporting purposes.
-    """
-    n = graph.number_of_vertices()
-    m = graph.number_of_edges()
-    return max(0, math.ceil((m - 3 * n + 6) / 3)) if n >= 3 else 0

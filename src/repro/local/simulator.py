@@ -586,7 +586,6 @@ def run_node_algorithm(
     strict: bool = False,
     *,
     network: Network | None = None,
-    reference_exchange: bool = False,
 ) -> SimulationResult:
     """Convenience wrapper: build the network and run the algorithm.
 
@@ -597,14 +596,11 @@ def run_node_algorithm(
     several algorithms on the same graph should build one
     :class:`~repro.local.network.Network` and pass it as ``network=`` —
     the graph argument is then only documentation and is not re-validated.
+    The run takes the engine's default exchange; the unfused reference
+    delivery is :meth:`SynchronousSimulator.run`'s ``reference_exchange``.
     """
     if network is None:
         network = Network(freeze(graph))
-    simulator = SynchronousSimulator(network)
-    return simulator.run(
-        algorithm_factory,
-        inputs=inputs,
-        max_rounds=max_rounds,
-        strict=strict,
-        reference_exchange=reference_exchange,
+    return SynchronousSimulator(network).run(
+        algorithm_factory, inputs=inputs, max_rounds=max_rounds, strict=strict
     )

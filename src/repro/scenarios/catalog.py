@@ -1152,17 +1152,15 @@ def _build_randomized(params: Params) -> list[BatchTask]:
     for family in params["families"]:
         for n in params["sizes"]:
             instance = f"{family} n={n}"
-            # seed_group = instance: both engines (and the deterministic
-            # comparators) draw the same derived seed, so the randomized
-            # rows must replay the identical run and the deterministic
-            # rows color the identical graph
-            for engine in params["engines"]:
-                built.append(BatchTask(
-                    instance, f"randomized Delta+1 [{engine}]",
-                    tasks.randomized_delta_plus_one,
-                    args=(family, n, engine),
-                    seed_group=instance,
-                ))
+            # seed_group = instance: the deterministic comparators draw
+            # the randomized row's derived seed, so they color the
+            # identical graph
+            built.append(BatchTask(
+                instance, "randomized Delta+1 [batch]",
+                tasks.randomized_delta_plus_one,
+                args=(family, n),
+                seed_group=instance,
+            ))
             for deterministic in params["deterministic"]:
                 built.append(BatchTask(
                     instance, f"{deterministic} Delta+1 [batch]",
@@ -1217,14 +1215,12 @@ register(Scenario(
     description=(
         "The randomized counterpart to the deterministic pipeline, on the "
         "fused engine: the trial-color + conflict-retreat "
-        "randomized (Delta+1)-coloring (batch and per-node rows) against "
+        "randomized (Delta+1)-coloring against "
         "the deterministic greedy and Linial baselines on the same "
         "generated graphs, plus the Moser-Tardos entropy-compression "
         "resampler for list coloring.  All "
         "randomness is counter-based (Philox keyed by seed, node id and "
-        "round), so every engine must replay the identical run: the "
-        "variant-parity oracle compares colorings, rounds and messages "
-        "fingerprint-for-fingerprint, "
+        "round), so a run replays bit for bit from its seed: "
         "the RandomizedRoundsOracle holds round totals inside the O(log n) "
         "concentration envelope, and every Moser-Tardos row replays its "
         "record log through the ResampleLogOracle before it is written."
@@ -1234,7 +1230,6 @@ register(Scenario(
         "families": ("regular", "forest-union", "planar"),
         "sizes": (400, 1600),
         "mt_sizes": (300, 900),
-        "engines": ("batch", "flat"),
         "deterministic": ("greedy", "linial"),
     },
     smoke_overrides={
@@ -1247,7 +1242,6 @@ register(Scenario(
     reference={
         "rounds": "randomized Delta+1 finishes in O(log n) rounds whp",
         "witness": "every resample log replays bit-for-bit from its seed",
-        "parity": "identical runs on the batch and flat engines",
     },
     size_param="sizes",
     finalize=_finalize_randomized,

@@ -1052,19 +1052,15 @@ def dynamic_recovery(
 def randomized_delta_plus_one(
     family: str,
     n: int,
-    engine: str,
     seed: int | None = None,
 ) -> dict[str, Any]:
-    """One randomized (Δ+1)-coloring row on the ``batch`` or ``flat`` engine.
+    """One randomized (Δ+1)-coloring row.
 
     The run is audited in-process before its row is written: the
     :class:`~repro.verify.randomized.RandomizedRoundsOracle` checks the
     uncolored-frontier trace (non-increasing, drains to zero) against the
     O(log n) concentration envelope, and the coloring itself must be
-    proper and inside the Δ+1 budget.  ``coloring_sha`` plus the
-    rounds/messages metrics feed the artifact-level variant-parity
-    oracle: both engines must replay the identical run bit for bit
-    (``seed_group`` hands them the same derived seed).
+    proper and inside the Δ+1 budget.
     """
     from repro.distributed.randomized import randomized_delta_plus_one_coloring
     from repro.local.network import Network
@@ -1080,10 +1076,7 @@ def randomized_delta_plus_one(
         network.fabric  # build the routing table outside the timed run
     with prof("solve"):
         result = randomized_delta_plus_one_coloring(
-            frozen,
-            seed=seed if seed is not None else 0,
-            batched=engine == "batch",
-            network=network,
+            frozen, seed=seed if seed is not None else 0, network=network
         )
     with prof("verify"):
         vertices = frozen.number_of_vertices()
@@ -1139,11 +1132,9 @@ def deterministic_delta_plus_one(
         network.fabric
     with prof("solve"):
         if algorithm == "greedy":
-            result = greedy_distributed_coloring(
-                frozen, batched=True, network=network
-            )
+            result = greedy_distributed_coloring(frozen, network=network)
         elif algorithm == "linial":
-            result = delta_plus_one_coloring(frozen, batched=True)
+            result = delta_plus_one_coloring(frozen)
         else:
             raise ValueError(f"unknown deterministic algorithm {algorithm!r}")
     with prof("verify"):

@@ -51,10 +51,6 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def total_bytes(self) -> int:
-        return self._bytes
-
     def get(self, key: str) -> dict[str, Any] | None:
         entry = self._entries.get(key)
         if entry is None:

@@ -60,7 +60,7 @@ def _run_greedy(graph, params: dict[str, Any]) -> tuple[dict, int, int]:
 def _run_delta_plus_one(graph, params: dict[str, Any]) -> tuple[dict, int, int]:
     from repro.distributed.linial import delta_plus_one_coloring
 
-    result = delta_plus_one_coloring(graph, batched=True)
+    result = delta_plus_one_coloring(graph)
     return result.coloring, graph.max_degree() + 1, result.rounds
 
 

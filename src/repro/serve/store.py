@@ -31,7 +31,7 @@ from repro.corpus import (
     graph_digest,
 )
 from repro.errors import GraphError
-from repro.graphs.frozen import FrozenGraph, freeze
+from repro.graphs.frozen import FrozenGraph
 from repro.serve.protocol import ServeError
 
 __all__ = ["GraphStore"]
@@ -68,13 +68,6 @@ class GraphStore:
         frozen = self.corpus.frozen(spec)
         digest = graph_digest(frozen)
         self._graphs.setdefault(digest, (name, frozen))
-        return digest
-
-    def add_graph(self, graph, *, name: str = "") -> str:
-        """Register an in-memory graph (tests and the loadgen use this)."""
-        frozen = graph if isinstance(graph, FrozenGraph) else freeze(graph)
-        digest = graph_digest(frozen)
-        self._graphs.setdefault(digest, (name or frozen.name or digest, frozen))
         return digest
 
     def upload(self, n: Any, edges: Any, *, name: str = "") -> dict[str, Any]:

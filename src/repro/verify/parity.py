@@ -2,7 +2,8 @@
 
 The repo's performance story rests on exact parity promises — the
 flat-array engine equals the seed engine, batched node programs equal
-their per-node twins, the flat palette backend equals the dict backend.
+their per-node twins, the fault plane's flat backend equals its dict
+backend.
 These oracles centralize the comparisons that used to live as ad-hoc
 assert blocks in the parity test suites and scenario checks, reporting
 every diverging field instead of stopping at the first.

@@ -5,6 +5,9 @@ Moser–Tardos resampler on the CSR arrays of a frozen graph only.  This
 module keeps the label code those paths replaced, so the parity suites can
 compare the two:
 
+* :func:`per_node_delta_plus_one` — Linial plus color reduction as
+  per-node programs, the twins of the batched ones
+  :func:`repro.distributed.linial.delta_plus_one_coloring` runs;
 * :func:`h_partition` — the peel over label sets, one degree walk per
   peeled vertex;
 * :func:`barenboim_elkin_coloring` — the H-partition above, the per-node
@@ -28,7 +31,11 @@ from repro.coloring.assignment import Color
 from repro.coloring.palette import FlatListAssignment
 from repro.distributed.barenboim_elkin import BarenboimElkinResult
 from repro.distributed.forest_decomposition import HPartition
-from repro.distributed.linial import delta_plus_one_coloring
+from repro.distributed.linial import (
+    ColorReductionAlgorithm,
+    DistributedColoringResult,
+    LinialColoringAlgorithm,
+)
 from repro.distributed.randomized import (
     MoserTardosResult,
     ResampleLimitError,
@@ -40,6 +47,36 @@ from repro.errors import ColoringError, SimulationError
 from repro.graphs.frozen import freeze
 from repro.graphs.graph import Vertex
 from repro.local.ledger import RoundLedger
+from repro.local.network import Network
+from repro.local.simulator import run_node_algorithm
+
+
+# -- Linial + color reduction ----------------------------------------------
+
+
+def per_node_delta_plus_one(graph, max_degree: int | None = None) -> DistributedColoringResult:
+    """(Δ+1)-coloring by the per-node Linial, then per-node color reduction."""
+    if graph.number_of_vertices() == 0:
+        return DistributedColoringResult({}, 0, 0, 1)
+    frozen = freeze(graph)
+    network = Network(frozen)
+    delta = max(1, frozen.max_degree() if max_degree is None else max_degree)
+    linial = run_node_algorithm(
+        frozen, LinialColoringAlgorithm, inputs={v: delta for v in frozen},
+        network=network,
+    )
+    palette = max(p for (_c, p) in linial.outputs.values())
+    reduction = run_node_algorithm(
+        frozen, ColorReductionAlgorithm,
+        inputs={v: (c, palette, delta) for v, (c, _p) in linial.outputs.items()},
+        max_rounds=palette + 5, network=network,
+    )
+    return DistributedColoringResult(
+        coloring=dict(reduction.outputs.items()),
+        rounds=linial.rounds + reduction.rounds,
+        messages=linial.messages_sent + reduction.messages_sent,
+        palette_size=delta + 1,
+    )
 
 
 # -- H-partition ------------------------------------------------------------
@@ -116,7 +153,7 @@ def barenboim_elkin_coloring(
     for class_index in range(len(partition.classes) - 1, -1, -1):
         members = partition.classes[class_index]
         class_graph = graph.subgraph(members)
-        slots = delta_plus_one_coloring(class_graph)
+        slots = per_node_delta_plus_one(class_graph)
         ledger.charge(
             "Barenboim–Elkin: slot coloring of one class",
             slots.rounds,

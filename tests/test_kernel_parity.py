@@ -373,11 +373,12 @@ def test_randomized_named_senders_parity(instance, seed):
 @given(seeds)
 @settings(max_examples=5, deadline=None)
 def test_randomized_named_senders_parity_on_two_block_palettes(seed):
-    # Δ + 1 = 71 colors: every palette row spans two uint64 blocks
-    graph = classic.star(70).freeze()
-    order = graph.vertices()
-    random.Random(seed).shuffle(order)
-    _assert_named_senders_parity(Network(graph, identifier_order=order), seed)
+    # Δ + 1 = 71 colors span two uint64 blocks per palette row, 141 three
+    for leaves in (70, 140):
+        graph = classic.star(leaves).freeze()
+        order = graph.vertices()
+        random.Random(seed).shuffle(order)
+        _assert_named_senders_parity(Network(graph, identifier_order=order), seed)
 
 
 @given(_graphs_with_isolated_vertices())

@@ -188,7 +188,7 @@ def test_barenboim_elkin_slot_selection_locality(seed):
     slot_counts = [1] * len(partition.classes)
     for class_index in range(len(partition.classes) - 1, -1, -1):
         members = partition.classes[class_index]
-        slots = delta_plus_one_coloring(graph.subgraph(members), batched=True)
+        slots = delta_plus_one_coloring(graph.subgraph(members))
         slot_counts[class_index] = max(slots.coloring.values(), default=0) + 1
         for v in members:
             slot_of[v] = (class_index, slots.coloring[v])

@@ -344,8 +344,8 @@ def test_h_partition_matches_the_label_peel(graph, frozen, arboricity, epsilon):
     classes, class indices, rounds and ledger, or the same error.
 
     Every pass peels a vertex or raises the stall error, so a peel never
-    takes more than n passes and the non-convergence error (past 4n + 8
-    passes) stays out of reach of both."""
+    takes more than n passes, and the reference's non-convergence error
+    (past 4n + 8 passes) stays out of its reach."""
     subject = graph.freeze() if frozen else graph
     try:
         expected = baselines_reference.h_partition(subject, arboricity, epsilon)
@@ -362,16 +362,50 @@ def test_h_partition_matches_the_label_peel(graph, frozen, arboricity, epsilon):
     assert got.rounds <= len(graph)
 
 
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_batched_delta_plus_one_parity(seed):
-    n = random.Random(seed).randint(10, 100)
-    graph = sparse.union_of_random_forests(n, 2, seed=seed).freeze()
-    a = delta_plus_one_coloring(graph)
-    b = delta_plus_one_coloring(graph, batched=True)
-    assert a.coloring == b.coloring
-    assert (a.rounds, a.messages, a.palette_size) == (
-        b.rounds, b.messages, b.palette_size
+_LABELS = {
+    "int": lambda i: i,
+    "str": lambda i: f"v{i}",
+    "tuple": lambda i: (i % 3, str(i)),
+}
+
+
+@st.composite
+def _delta_plus_one_instances(draw):
+    """``(graph, max_degree)`` for :func:`delta_plus_one_coloring`.
+
+    A forest union on 0 to 100 vertices plus up to three isolated ones,
+    shuffled, on int, string or tuple labels, frozen or mutable;
+    ``max_degree`` is ``None`` or at least the true Δ, as Lemma 3.2 passes
+    ``d`` for its trees.
+    """
+    seed = draw(st.integers(0, 10_000))
+    n = draw(st.integers(0, 100))
+    name = _LABELS[draw(st.sampled_from(sorted(_LABELS)))]
+    edges = sparse.union_of_random_forests(n, 2, seed=seed).edges()
+    vertices = [name(i) for i in range(n + draw(st.integers(0, 3)))]
+    random.Random(seed).shuffle(vertices)
+    graph = Graph(vertices=vertices, edges=[(name(u), name(v)) for u, v in edges])
+    if draw(st.booleans()):
+        graph = graph.freeze()
+    slack = draw(st.none() | st.integers(0, 3))
+    return graph, None if slack is None else graph.max_degree() + slack
+
+
+@settings(max_examples=40, deadline=None)
+@given(_delta_plus_one_instances())
+@example((Graph(), None))
+@example((Graph(vertices=["only"]), None))
+@example((Graph(vertices=[("only",)]).freeze(), 2))
+def test_batched_delta_plus_one_parity(instance):
+    """The batched Linial and color reduction of delta_plus_one_coloring
+    against the per-node programs: the same colors, rounds, messages and
+    palette."""
+    graph, max_degree = instance
+    expected = baselines_reference.per_node_delta_plus_one(graph, max_degree)
+    got = delta_plus_one_coloring(graph, max_degree)
+    assert got.coloring == expected.coloring
+    assert (got.rounds, got.messages, got.palette_size) == (
+        expected.rounds, expected.messages, expected.palette_size
     )
 
 

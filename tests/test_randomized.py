@@ -10,8 +10,9 @@ Five layers of pinning:
 * engine parity properties (hypothesis over generator seeds) — the
   randomized (Delta+1)-coloring must replay bit-for-bit on the fused
   batched engine, the unfused reference, the flat per-node engine and
-  the frozen seed engine, and the driver's batched/per-node paths must
-  agree on colorings, rounds and frontier traces;
+  the frozen seed engine, and ``randomized_delta_plus_one_coloring`` must
+  agree with the per-node program on colorings, rounds and frontier
+  traces;
 * Moser-Tardos parity — the vectorized resampler and the per-vertex
   loop of ``baselines_reference`` walk the identical resample sequence
   and emit the same record log and digest, and the result is a proper
@@ -55,6 +56,7 @@ from repro.distributed.randomized import (
     ResampleStep,
     counter_rng,
     counter_rng_one,
+    default_round_cap,
     moser_tardos_list_coloring,
     philox4x64,
     randomized_delta_plus_one_coloring,
@@ -211,18 +213,37 @@ def test_randomized_four_engine_parity(gseed, rseed, n):
 @given(seeds, seeds, st.integers(min_value=0, max_value=40))
 @settings(max_examples=20, deadline=None)
 def test_randomized_driver_parity(gseed, rseed, n):
+    """The batched run of randomized_delta_plus_one_coloring against the
+    per-node program: the same coloring, rounds and messages, and the
+    frontier trace rebuilt from the round each node colored in."""
     graph = sparse.union_of_random_forests(n, 2, seed=gseed).freeze()
-    batched = randomized_delta_plus_one_coloring(graph, seed=rseed, batched=True)
-    per_node = randomized_delta_plus_one_coloring(graph, seed=rseed, batched=False)
-    assert batched.coloring == per_node.coloring
-    assert batched.rounds == per_node.rounds
-    assert batched.messages == per_node.messages
-    assert batched.frontier == per_node.frontier
+    batched = randomized_delta_plus_one_coloring(graph, seed=rseed)
     assert batched.palette_size <= max(1, graph.max_degree()) + 1
-    if n:
-        ProperColoringOracle().check(
-            graph=graph, coloring=batched.coloring
-        ).raise_if_failed()
+    if not n:
+        assert (batched.rounds, batched.messages, batched.frontier) == (0, 0, ())
+        return
+    nodes = []
+
+    def per_node_program():
+        nodes.append(RandomizedDeltaPlusOne())
+        return nodes[-1]
+
+    delta = max(1, graph.max_degree())
+    per_node = SynchronousSimulator(Network(graph)).run(
+        per_node_program, inputs={v: (rseed, delta) for v in graph.vertices()},
+        max_rounds=default_round_cap(n), strict=True,
+    )
+    frontier = tuple(
+        sum(1 for a in nodes if a.colored_round is None or a.colored_round >= r)
+        for r in range(1, per_node.rounds + 1)
+    )
+    assert batched.coloring == per_node.outputs
+    assert batched.rounds == per_node.rounds
+    assert batched.messages == per_node.messages_sent
+    assert batched.frontier == frontier
+    ProperColoringOracle().check(
+        graph=graph, coloring=batched.coloring
+    ).raise_if_failed()
 
 
 def test_randomized_seed_changes_coloring():
@@ -247,11 +268,8 @@ def test_randomized_driver_refuses_a_coloring_cut_by_its_round_cap():
     oracles accepted.
     """
     graph = sparse.union_of_random_forests(40, 2, seed=30).freeze()
-    for batched in (True, False):
-        with pytest.raises(NonTerminationError):
-            randomized_delta_plus_one_coloring(
-                graph, seed=30, batched=batched, max_rounds=2
-            )
+    with pytest.raises(NonTerminationError):
+        randomized_delta_plus_one_coloring(graph, seed=30, max_rounds=2)
     result = randomized_delta_plus_one_coloring(graph, seed=30)
     assert 0 not in result.coloring.values()
 
@@ -484,10 +502,7 @@ def test_randomized_replays_the_committed_artifact():
     golden = {(r["instance"], r["algorithm"]): r["metrics"] for r in committed["rows"]}
     run = run_scenario(
         "randomized", workers=1, export=False,
-        overrides={
-            "deterministic": ("greedy",), "engines": ("batch",),
-            "mt_sizes": (300,),
-        },
+        overrides={"deterministic": ("greedy",), "mt_sizes": (300,)},
     )
     assert len(run.runner.rows) == 15
     for row in run.runner.rows:

@@ -440,8 +440,7 @@ _UNKNOWN_ELEMENTS = {
     "simulator-engines": (["simulator", "--set", "engines=bogus,"], "engines"),  # ValueError
     "serve-workloads": (["serve", "--set", "workloads=bogus,"], "workloads"),  # ValueError
     "randomized-families": (["randomized", "--set", "families=bogus,"], "families"),  # ValueError
-    # exited 0 after running the per-node engine under a row named [bogus]
-    "randomized-engines": (["randomized", "--set", "engines=bogus,"], "engines"),
+    "randomized-deterministic": (["randomized", "--set", "deterministic=bogus,"], "deterministic"),  # ValueError
 }
 
 
@@ -638,13 +637,13 @@ def test_cli_verify_runs_the_scenario_check(tmp_path, capsys):
     ("BENCH_dynamic.json", "min-plus-one [flat]", "log_sha"),
     ("BENCH_dynamic.json", "min-plus-one [flat]", "rounds_to_recovery"),
     ("BENCH_dynamic.json", "min-plus-one [flat]", "containment_radius"),
-    ("BENCH_randomized.json", "randomized Delta+1 [flat]", "rounds"),
+    ("BENCH_simulator.json", "greedy [flat]", "rounds"),
 ])
 def test_cli_verify_rejects_backend_divergence(
     artifact_name, algorithm, metric, tmp_path, capsys
 ):
-    """The event-log and recovery figures, and the randomized engines'
-    rounds, are parity metrics."""
+    """The event-log and recovery figures, and the round engines' rounds,
+    are parity metrics."""
     artifact = json.loads((REPO_ROOT / artifact_name).read_text())
     assert _verify_exit(artifact, tmp_path, capsys)[0] == 0
     row = next(r for r in artifact["rows"] if r["algorithm"] == algorithm)

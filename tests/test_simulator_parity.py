@@ -5,9 +5,9 @@ return an *identical* :class:`~repro.local.simulator.SimulationResult`
 (rounds, outputs, messages_sent, per_round_messages, finished) to the seed
 dict-routed engine (:mod:`repro.local.reference`) for every node algorithm
 in the library, across random sparse and planar graphs — and the batched
-ports of Cole–Vishkin and the greedy baseline must match their per-node
-twins exactly.  Greedy, randomized Δ+1 and the wave also match when a run
-is cut short by its round cap.
+ports of Cole–Vishkin and the greedy baseline, which their coloring
+functions run, must match their per-node twins exactly.  Greedy, randomized Δ+1 and the
+wave also match when a run is cut short by its round cap.
 """
 
 from collections import deque
@@ -95,6 +95,15 @@ def _delta_inputs(graph, network):
     return {v: delta for v in graph}
 
 
+def _per_node_greedy(graph):
+    """The per-node greedy program under greedy_distributed_coloring's inputs and cap."""
+    network = Network(graph.freeze())
+    return SynchronousSimulator(network).run(
+        GreedyLocalMaximaAlgorithm, inputs=_delta_inputs(graph, network),
+        max_rounds=len(graph) + 2, strict=True,
+    )
+
+
 def _ball_inputs(graph, network):
     return {v: 3 for v in graph}
 
@@ -173,15 +182,15 @@ def test_cole_vishkin_parity_all_three_engines(graph_name, graph):
 
 @pytest.mark.parametrize("graph_name,graph", GRAPHS, ids=[n for n, _ in GRAPHS])
 def test_greedy_batched_matches_per_node(graph_name, graph):
-    per_node = greedy_distributed_coloring(graph, batched=False)
-    batched = greedy_distributed_coloring(graph, batched=True)
+    per_node = _per_node_greedy(graph)
+    batched = greedy_distributed_coloring(graph)
     ColoringParityOracle().check(
-        coloring_a=per_node.coloring, coloring_b=batched.coloring,
+        coloring_a=per_node.outputs, coloring_b=batched.coloring,
         rounds_a=per_node.rounds, rounds_b=batched.rounds,
         labels=("per-node", "batched"),
     ).raise_if_failed()
-    assert batched.messages == per_node.messages
-    assert batched.palette_size == per_node.palette_size
+    assert batched.messages == per_node.messages_sent
+    assert batched.palette_size == max(1, graph.max_degree()) + 1
     for u, v in graph.edges():
         assert batched.coloring[u] != batched.coloring[v]
 
@@ -276,18 +285,29 @@ def test_batched_cole_vishkin_with_trailing_isolated_vertex():
 def test_batched_greedy_with_trailing_isolated_vertex():
     graph = classic.star(5)
     graph.add_vertex("isolated")
-    per_node = greedy_distributed_coloring(graph, batched=False)
-    batched = greedy_distributed_coloring(graph, batched=True)
-    assert batched.coloring == per_node.coloring
+    per_node = _per_node_greedy(graph)
+    batched = greedy_distributed_coloring(graph)
+    assert batched.coloring == per_node.outputs
     assert batched.rounds == per_node.rounds
 
 
-def test_color_rooted_forest_batched_default_equals_per_node():
+def test_greedy_coloring_refuses_batched_false():
+    with pytest.raises(ValueError, match="batched=False"):
+        greedy_distributed_coloring(classic.star(5), batched=False)
+
+
+def test_color_rooted_forest_equals_per_node():
     graph = sparse.union_of_random_forests(60, 1, seed=5)
     parents = _bfs_parents(graph)
-    batched = color_rooted_forest(graph, parents)
-    per_node = color_rooted_forest(graph, parents, batched=False)
-    _assert_identical(batched, per_node)
+    network = Network(graph.freeze())
+    inputs = {
+        v: None if p is None else network.identifier_of[p]
+        for v, p in parents.items()
+    }
+    per_node = SynchronousSimulator(network).run(
+        ColeVishkinForestColoring, inputs=inputs, max_rounds=200, strict=True
+    )
+    _assert_identical(color_rooted_forest(graph, parents), per_node)
 
 
 @pytest.mark.parametrize(
@@ -310,9 +330,9 @@ def test_batch_program_refuses_non_uniform_announced_constants(program, inputs):
 def test_wide_palette_greedy_falls_back():
     """A 71-color palette runs batched and matches the per-node run."""
     graph = classic.star(70)  # center degree 70
-    per_node = greedy_distributed_coloring(graph, batched=False)
-    batched = greedy_distributed_coloring(graph, batched=True)
-    assert batched.coloring == per_node.coloring
+    per_node = _per_node_greedy(graph)
+    batched = greedy_distributed_coloring(graph)
+    assert batched.coloring == per_node.outputs
     assert batched.rounds == per_node.rounds
 
 

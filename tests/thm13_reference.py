@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from collections import deque
 
+from baselines_reference import per_node_delta_plus_one
 from repro.coloring.assignment import Color, ListAssignment, uniform_lists
 from repro.coloring.borodin_ert import degree_list_coloring
 from repro.core.extension import ExtensionReport
 from repro.core.happy import VertexClassification, default_rich_ball_radius
 from repro.core.peeling import PeelingLayer, PeelingResult
 from repro.core.sparse_coloring import SparseColoringResult
-from repro.distributed.linial import delta_plus_one_coloring
 from repro.distributed.ruling import RulingForest
 from repro.errors import ColoringError
 from repro.graphs.graph import Vertex
@@ -242,7 +242,7 @@ def extend_coloring_to_happy_set(
     report.tree_vertices = len(tree_vertices)
     report.roots = len(forest.roots)
 
-    stable = delta_plus_one_coloring(graph.subgraph(tree_vertices), max_degree=d)
+    stable = per_node_delta_plus_one(graph.subgraph(tree_vertices), max_degree=d)
     ledger.charge("Lemma 3.2: (d+1) stable partition of the trees", stable.rounds)
 
     max_depth = max(forest.depth.values(), default=0)
